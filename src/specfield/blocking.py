@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .domain import as_dims, as_frequency
 from .fieldgen import (FieldSample, LinearFieldSpec, autocovariance,
@@ -216,8 +215,9 @@ def index_products(sample_or_coords) -> np.ndarray:
 def truncate(sample: FieldSample, lam, q: float) -> TruncatedField:
     """Split the demodulated field at |X_k| <= <k>^q.
 
-    Both halves keep mean zero without explicit centering: the truncation
-    sets are symmetric and the Gaussian marginals are centered, so the
+    Both halves keep mean zero without explicit centering: negating the
+    sample's values negates both halves (the truncation sets are symmetric),
+    and a centered Gaussian field has the same law as its negation, so the
     centering constants are exactly zero.
     """
     q = float(q)
@@ -233,19 +233,6 @@ def truncate(sample: FieldSample, lam, q: float) -> TruncatedField:
                           q=q, thresholds=thresholds)
 
 
-def truncated_mean(spec: LinearFieldSpec, threshold: float) -> complex:
-    """Centering constant E[X 1{|X| <= t}], from the exact marginal law.
-
-    Both innovation kinds give centered marginals whose truncation sets are
-    symmetric: the real field integrates an odd function over [-t, t], the
-    circular field averages a radially-truncated phase-symmetric law.  The
-    constant is therefore exactly zero — no quadrature residue to carry.
-    """
-    if float(threshold) < 0:
-        raise ValueError("threshold must be >= 0")
-    return 0j
-
-
 def truncated_second_moments(spec: LinearFieldSpec, thresholds):
     """Exact marginal second moments (E|bounded|^2, E|tail|^2) at given levels.
 
@@ -254,6 +241,8 @@ def truncated_second_moments(spec: LinearFieldSpec, thresholds):
     and for the circular field, with b = (t/sigma)^2,
         E[|X|^2; |X| > t] = sigma^2 (1 + b) exp(-b).
     """
+    from scipy import special
+
     t = np.asarray(thresholds, dtype=float)
     sigma2 = autocovariance(spec, (0,) * spec.dim).real
     if sigma2 <= 0.0:

@@ -85,7 +85,11 @@ def _load_field_spec(path: str) -> LinearFieldSpec:
 
 
 def _emit(doc, out_path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write a JSON report to ``out_path``, or to stdout.  ``doc`` is either
+    already-serialised text or a JSON value, serialised refusing NaN and inf."""
+    if not isinstance(doc, str):
+        doc = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    text = doc + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -219,11 +223,7 @@ def _cmd_clt(args) -> int:
     cfg = _config_from_doc(_load_json_file(args.config))
     dims = cfg.dims if cfg.dims is not None else cfg.dims_sequence[-1]
     report = run_clt_experiment(cfg.spec, cfg.scheme, dims, cfg.replications, cfg.seed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_json() + "\n")
-    else:
-        sys.stdout.write(report.to_json() + "\n")
+    _emit(report.to_json(), args.out)
     if args.csv:
         m = len(report.frequencies)
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -249,12 +249,7 @@ def _cmd_miller(args) -> int:
     seq = cfg.dims_sequence if cfg.dims_sequence else [cfg.dims]
     report = miller_check(cfg.spec, cfg.scheme, cfg.weights, seq,
                           cfg.replications, cfg.seed)
-    text = report.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_json(), args.out)
     return 0
 
 

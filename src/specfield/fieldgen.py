@@ -108,25 +108,28 @@ def autocovariance(spec: LinearFieldSpec, h) -> complex:
     lag = tuple(int(x) for x in h)
     if len(lag) != spec.dim:
         raise ValueError(f"lag {lag} is not {spec.dim}-dimensional")
-    total = 0j
-    for t, coeff in spec.taps.items():
-        other = tuple(ti - hi for ti, hi in zip(t, lag))
-        mate = spec.taps.get(other)
-        if mate is not None:
-            total += coeff * mate.conjugate()
-    return complex(spec.innovation_std ** 2 * total)
+    return autocovariance_table(spec).get(lag, 0j)
 
 
 def autocovariance_table(spec: LinearFieldSpec):
-    """All nonzero-lag candidates: dict lag -> r(lag) over the support difference set."""
-    out = {}
-    lags = list(spec.taps)
-    for t in lags:
-        for u in lags:
+    """All nonzero-lag candidates: dict lag -> r(lag) over the support difference set.
+
+    One pass over tap pairs (t, u): the pair adds a_t conj(a_u) to r(t - u).
+    """
+    sums = {}
+    for t, coeff in spec.taps.items():
+        for u, mate in spec.taps.items():
             h = tuple(ti - ui for ti, ui in zip(t, u))
-            if h not in out:
-                out[h] = autocovariance(spec, h)
-    return out
+            sums[h] = sums.get(h, 0j) + coeff * mate.conjugate()
+    var = spec.innovation_std ** 2
+    return {h: complex(var * total) for h, total in sums.items()}
+
+
+def _lag_arrays(spec: LinearFieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The autocovariance table as lags (H, d) int64 and r (H,) complex128."""
+    table = autocovariance_table(spec)
+    lags = np.array(list(table), dtype=np.int64)
+    return lags, np.array(list(table.values()), dtype=np.complex128)
 
 
 @dataclass(frozen=True)

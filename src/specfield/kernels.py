@@ -14,7 +14,8 @@ pi^2 / (n * alpha^2) away from the singularity (sin(x) >= 2x/pi on
 [0, pi/2]), which is what makes the expected periodogram concentrate.
 
 Both kernels accept scalars or arrays in ``alpha`` and reduce the angle
-to (-pi, pi] first, so any real argument is accepted.
+to (-pi, pi] first, so any real argument is accepted; the modulated
+Dirichlet kernel also broadcasts over an array of orders ``n``.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ def _sin_half(a):
     return np.where(np.abs(a) < SERIES_CUTOFF, x * (1.0 - x * x / 6.0), np.sin(x))
 
 
-def _check_order(n) -> int:
-    n = int(n)
-    if n < 1:
+def _check_order(n):
+    orders = np.asarray(n).astype(np.int64)
+    if np.any(orders < 1):
         raise ValueError(f"kernel order must be a positive integer, got {n}")
-    return n
+    return orders if orders.ndim else int(orders)
 
 
 def fejer(alpha, n):
@@ -86,7 +87,7 @@ def dirichlet_mod(alpha, n):
     ratio = np.sin(0.5 * n * a) / (np.where(near_zero, 1.0, sh) * np.sqrt(n))
     phase = np.exp(-0.5j * (n - 1) * a)
     out = np.where(near_zero, np.sqrt(n) + 0j, ratio * phase)
-    return out if np.ndim(alpha) else complex(out)
+    return out if np.ndim(out) else complex(out)
 
 
 def fejer_product(theta, v) -> float:

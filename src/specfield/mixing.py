@@ -14,6 +14,10 @@ even within the separation axis — is allowed).  A supremum over all
 finite sets cannot be enumerated, so the profile below reports certified
 lower bounds from an exhaustive search over a window, together with the
 exact zero beyond the moving-average dependence range.
+
+Covariances are looked up in the autocovariance table, vectorised over
+all point pairs.  The search builds the covariance of the whole window
+once and scores each pair of index sets on a slice of it.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .blocking import MixingProfile
-from .fieldgen import LinearFieldSpec, autocovariance
+from .fieldgen import LinearFieldSpec, _lag_arrays
 
 # ridge added to a (near-)singular block covariance before whitening
 RIDGE = 1e-12
@@ -75,35 +78,36 @@ def _real_coordinate_cov(spec: LinearFieldSpec, points):
     (Re, Im) per point with E[Re_i Re_j] = E[Im_i Im_j] = Re r(k_i-k_j)/2,
     E[Re_i Im_j] = -Im r(k_i-k_j)/2 and E[Im_i Re_j] = +Im r(k_i-k_j)/2.
     """
-    pts = list(points)
-    n = len(pts)
+    pts = np.asarray(points, dtype=np.int64)
+    lags, r = _lag_arrays(spec)
+    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
+    # one-hot match of each point difference against the table's lags
+    c = np.all(diff[:, :, np.newaxis, :] == lags, axis=-1) @ r
     if spec.is_real:
-        cov = np.empty((n, n), dtype=float)
-        for i, k in enumerate(pts):
-            for j, l in enumerate(pts):
-                h = tuple(a - b for a, b in zip(k, l))
-                cov[i, j] = autocovariance(spec, h).real
-        return cov
-    cov = np.empty((2 * n, 2 * n), dtype=float)
-    for i, k in enumerate(pts):
-        for j, l in enumerate(pts):
-            h = tuple(a - b for a, b in zip(k, l))
-            c = autocovariance(spec, h)
-            cov[2 * i, 2 * j] = c.real / 2.0
-            cov[2 * i + 1, 2 * j + 1] = c.real / 2.0
-            cov[2 * i, 2 * j + 1] = -c.imag / 2.0
-            cov[2 * i + 1, 2 * j] = c.imag / 2.0
-    return cov
+        return c.real
+    # each entry c becomes the 2x2 block [[Re c, -Im c], [Im c, Re c]] / 2
+    return (np.kron(c.real, np.eye(2)) + np.kron(c.imag, [[0.0, -1.0], [1.0, 0.0]])) / 2.0
 
 
 def _inv_sqrt(block: np.ndarray) -> tuple[np.ndarray, bool]:
     """Inverse square root of a symmetric PSD block, ridged when singular."""
-    w, u = linalg.eigh(block)
+    w, u = np.linalg.eigh(block)
     regularized = False
     if w.min() <= _SINGULAR_REL * max(w.max(), 1.0):
         w = w + RIDGE
         regularized = True
     return (u / np.sqrt(w)) @ u.T, regularized
+
+
+def _top_canonical(cov: np.ndarray, cut: int) -> float:
+    """Largest canonical correlation between coordinates [:cut] and [cut:]."""
+    isq_l, reg_l = _inv_sqrt(cov[:cut, :cut])
+    isq_r, reg_r = _inv_sqrt(cov[cut:, cut:])
+    if reg_l or reg_r:
+        warnings.warn("singular block covariance: ridge regularization applied",
+                      RuntimeWarning, stacklevel=3)
+    sv = np.linalg.svd(isq_l @ cov[:cut, cut:] @ isq_r, compute_uv=False)
+    return float(min(max(sv[0], 0.0), 1.0))
 
 
 def canonical_rho(spec: LinearFieldSpec, pair: IndexSetPair) -> float:
@@ -113,19 +117,9 @@ def canonical_rho(spec: LinearFieldSpec, pair: IndexSetPair) -> float:
     two index sets.  A singular block covariance is ridged by RIDGE and
     flagged with a RuntimeWarning.
     """
-    n_left = len(pair.left)
     cov = _real_coordinate_cov(spec, pair.left + pair.right)
-    cut = n_left if spec.is_real else 2 * n_left
-    c_ll = cov[:cut, :cut]
-    c_rr = cov[cut:, cut:]
-    c_lr = cov[:cut, cut:]
-    isq_l, reg_l = _inv_sqrt(c_ll)
-    isq_r, reg_r = _inv_sqrt(c_rr)
-    if reg_l or reg_r:
-        warnings.warn("singular block covariance: ridge regularization applied",
-                      RuntimeWarning, stacklevel=2)
-    sv = np.linalg.svd(isq_l @ c_lr @ isq_r, compute_uv=False)
-    return float(min(max(sv[0], 0.0), 1.0))
+    width = 1 if spec.is_real else 2
+    return _top_canonical(cov, width * len(pair.left))
 
 
 def _window_points(dim: int, radius: int):
@@ -163,34 +157,31 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     # pairs worth scoring: disjoint, separated by >= 1 in some axis,
     # and not past the dependence range (beyond it the value is exactly 0)
     candidates = []
-    for a_idx in range(len(subsets)):
-        sa = set(subsets[a_idx])
-        for b_idx in range(a_idx + 1, len(subsets)):
-            if sa & set(subsets[b_idx]):
-                continue
-            gap = max(_axis_gap(subsets[a_idx], subsets[b_idx], u)
-                      for u in range(spec.dim))
-            if 1 <= gap <= dep:
-                candidates.append((gap, a_idx, b_idx))
+    for left, right in itertools.combinations(subsets, 2):
+        if set(left) & set(right):
+            continue
+        gap = max(_axis_gap(left, right, u) for u in range(spec.dim))
+        if 1 <= gap <= dep:
+            candidates.append((gap, left, right))
     if len(candidates) > budget:
         raise ValueError(
             f"mixing enumeration budget exceeded: {len(candidates)} pairs to "
             f"score > budget {budget}; shrink the window or the set size")
 
+    # each pair's covariance is a slice of the window's, rows in the order
+    # canonical_rho stacks them: left points, then right, Re/Im interleaved
+    cov = _real_coordinate_cov(spec, points)
+    width = 1 if spec.is_real else 2
+    position = {point: i for i, point in enumerate(points)}
     best_at_gap = {}
-    for gap, a_idx, b_idx in candidates:
-        left, right = subsets[a_idx], subsets[b_idx]
-        axis = max(range(spec.dim), key=lambda u: _axis_gap(left, right, u))
-        rho = canonical_rho(spec, IndexSetPair(left=left, right=right, axis=axis))
+    for gap, left, right in candidates:
+        rows = [width * position[point] + c for point in left + right for c in range(width)]
+        rho = _top_canonical(cov[np.ix_(rows, rows)], width * len(left))
         if rho > best_at_gap.get(gap, 0.0):
             best_at_gap[gap] = rho
 
-    values = {}
-    for n in range(1, n_max + 1):
-        if n > dep:
-            values[n] = 0.0
-        else:
-            # best over all pairs separated by >= n
-            values[n] = max((rho for gap, rho in best_at_gap.items() if gap >= n),
-                            default=0.0)
+    # best over all pairs separated by >= n; no scored pair is separated
+    # past the dependence range, so the value there is the default 0
+    values = {n: max((rho for gap, rho in best_at_gap.items() if gap >= n), default=0.0)
+              for n in range(1, n_max + 1)}
     return MixingProfile(values=values, dependence_range=dep)

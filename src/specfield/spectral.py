@@ -13,11 +13,15 @@ the integrand is a trigonometric polynomial, is itself exact once the grid
 out-resolves the degree.  Keeping both routes callable is the point: they
 check each other.
 
+The lag route tabulates r(h) once per (spec, box) as arrays and evaluates
+a whole array of frequencies with one matrix product; the same product
+gives f = sum_h r(h) e^{-i h.lam} on the grid of the convergence report.
+
 The covariance between two modulated sums at frequencies lam and mu over
 the same box factorizes per axis into shifted geometric sums, handled by
-the modulated Dirichlet kernel; the no-conjugate pairing decays the same
-way but is driven by the pseudo-covariance, which vanishes identically for
-circular fields.
+the modulated Dirichlet kernel at lam - mu; the no-conjugate pairing is the
+same sum at lam + mu, driven by the pseudo-covariance, which equals r for
+real fields and vanishes identically for circular ones.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import as_dims, as_frequency
-from .fieldgen import LinearFieldSpec, autocovariance_table, spectral_density
+from .fieldgen import LinearFieldSpec, _lag_arrays
 from .kernels import dirichlet_mod, fejer
 
 # imaginary residue of the lag sum: expected below 1e-10, fatal at 1e-8
@@ -38,35 +42,36 @@ class InternalConsistencyError(Exception):
     """A quantity that must be real/nonnegative by theory failed to be, beyond roundoff."""
 
 
-def _clipped_lags(spec: LinearFieldSpec, dims):
-    """Autocovariance entries with |h_s| <= v_s - 1 (others pair no box points)."""
-    table = autocovariance_table(spec)
-    out = {}
-    for h, r in table.items():
-        if all(abs(hs) <= vs - 1 for hs, vs in zip(h, dims)):
-            out[h] = r
-    return out
+def _fejer_lag_sums(spec: LinearFieldSpec, box, freqs):
+    """E I and f at every row of ``freqs`` (N, d), from one lag table.
+
+    E I weights r(h) by prod_s (1 - |h_s|/v_s), which is zero for lags that
+    pair no box points; f weights every lag by one.  Both columns come from
+    one (N, H) x (H, 2) product.
+    """
+    lags, r = _lag_arrays(spec)
+    weight = np.prod(np.maximum(1.0 - np.abs(lags) / np.asarray(box.v), 0.0), axis=1)
+    sums = np.exp(-1j * (freqs @ lags.T)) @ np.stack([weight * r, r], axis=1)
+    expected = sums[:, 0]
+    residual = float(np.max(np.abs(expected.imag)))
+    if residual >= IMAG_RESIDUAL_FATAL:
+        raise InternalConsistencyError(
+            f"expected periodogram has imaginary residual {residual:.3e}"
+        )
+    lowest = float(np.min(expected.real))
+    if lowest < -IMAG_RESIDUAL_FATAL:
+        raise InternalConsistencyError(
+            f"expected periodogram is negative: {lowest:.3e}"
+        )
+    return np.maximum(expected.real, 0.0), sums[:, 1].real
 
 
 def expected_periodogram_exact(spec: LinearFieldSpec, lam, dims) -> float:
     """E I(lam) over the box, via the Fejer-weighted lag sum (exact, no quadrature)."""
     box = as_dims(dims, spec.dim)
     freq = as_frequency(lam, spec.dim).as_array()
-    total = 0j
-    for h, r in _clipped_lags(spec, box.v).items():
-        weight = 1.0
-        for hs, vs in zip(h, box.v):
-            weight *= 1.0 - abs(hs) / vs
-        total += weight * r * np.exp(-1j * np.dot(h, freq))
-    if abs(total.imag) >= IMAG_RESIDUAL_FATAL:
-        raise InternalConsistencyError(
-            f"expected periodogram has imaginary residual {total.imag:.3e}"
-        )
-    if total.real < -IMAG_RESIDUAL_FATAL:
-        raise InternalConsistencyError(
-            f"expected periodogram is negative: {total.real:.3e}"
-        )
-    return max(float(total.real), 0.0)
+    expected, _ = _fejer_lag_sums(spec, box, freq[np.newaxis, :])
+    return float(expected[0])
 
 
 def expected_periodogram_quadrature(spec: LinearFieldSpec, lam, dims,
@@ -103,24 +108,29 @@ def expected_periodogram_quadrature(spec: LinearFieldSpec, lam, dims,
     return float(integrand.mean())
 
 
-def _geometric_phase_sum(start: int, phi: float, length: int) -> complex:
-    """sum_{k=start}^{start+length-1} exp(-i k phi), via the modulated Dirichlet kernel."""
-    return np.exp(-1j * start * phi) * np.sqrt(length) * dirichlet_mod(phi, length)
+def _cross_moment(spec: LinearFieldSpec, lam, mu, dims, sign: int) -> complex:
+    """(1/V) sum_h r(h) e^{-i h.lam} prod_s G_s(h_s) at phi = lam - sign * mu.
+
+    G_s(h_s) sums e^{-i k phi_s} over the k with k and k + h_s both in
+    1..v_s: a run of v_s - |h_s| terms starting at max(1, 1 - h_s), which
+    is the modulated Dirichlet kernel up to a phase and sqrt(length).
+    """
+    box = as_dims(dims, spec.dim)
+    lamv = as_frequency(lam, spec.dim).as_array()
+    phi = lamv - sign * as_frequency(mu, spec.dim).as_array()
+    lags, r = _lag_arrays(spec)
+    inside = np.all(np.abs(lags) < np.asarray(box.v), axis=1)
+    lags, r = lags[inside], r[inside]
+    length = np.asarray(box.v) - np.abs(lags)
+    start = np.maximum(1, 1 - lags)
+    geometric = np.exp(-1j * start * phi) * np.sqrt(length) * dirichlet_mod(phi, length)
+    terms = r * np.exp(-1j * (lags @ lamv)) * np.prod(geometric, axis=1)
+    return complex(terms.sum() / box.volume)
 
 
 def covariance_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
     """E[S(lam) conj(S(mu))] / V over the box; reduces to E I at mu = lam."""
-    box = as_dims(dims, spec.dim)
-    lamv = as_frequency(lam, spec.dim).as_array()
-    muv = as_frequency(mu, spec.dim).as_array()
-    total = 0j
-    for h, r in _clipped_lags(spec, box.v).items():
-        term = r * np.exp(-1j * np.dot(h, lamv))
-        for hs, vs, ls, ms in zip(h, box.v, lamv, muv):
-            start = max(1, 1 - hs)
-            term *= _geometric_phase_sum(start, ls - ms, vs - abs(hs))
-        total += term
-    return complex(total / box.volume)
+    return _cross_moment(spec, lam, mu, dims, sign=1)
 
 
 def product_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
@@ -129,19 +139,9 @@ def product_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
     Driven by the pseudo-covariance E[X_{l+h} X_l]: identically zero for
     circular fields (returned exactly), equal to r(h) for real ones.
     """
-    box = as_dims(dims, spec.dim)
-    lamv = as_frequency(lam, spec.dim).as_array()
-    muv = as_frequency(mu, spec.dim).as_array()
-    if not spec.is_real:
-        return 0j
-    total = 0j
-    for h, r in _clipped_lags(spec, box.v).items():
-        term = r * np.exp(-1j * np.dot(h, lamv))
-        for hs, vs, ls, ms in zip(h, box.v, lamv, muv):
-            start = max(1, 1 - hs)
-            term *= _geometric_phase_sum(start, ls + ms, vs - abs(hs))
-        total += term
-    return complex(total / box.volume)
+    # evaluated for circular fields too, so malformed input is still rejected
+    moment = _cross_moment(spec, lam, mu, dims, sign=-1)
+    return moment if spec.is_real else 0j
 
 
 @dataclass(frozen=True)
@@ -172,16 +172,13 @@ def uniform_convergence_report(spec: LinearFieldSpec, dims_sequence,
     n_grid = int(lambda_grid_size)
     if n_grid < 1:
         raise ValueError("lambda_grid_size must be >= 1")
+    axis = -np.pi + 2.0 * np.pi * np.arange(1, n_grid + 1) / n_grid
+    grid = np.stack(np.meshgrid(*([axis] * spec.dim), indexing="ij"),
+                    axis=-1).reshape(-1, spec.dim)
     rows = []
     for index, dims in enumerate(dims_sequence, start=1):
         box = as_dims(dims, spec.dim)
-        axis = -np.pi + 2.0 * np.pi * np.arange(1, n_grid + 1) / n_grid
-        worst = 0.0
-        for lam in np.stack(np.meshgrid(*([axis] * spec.dim), indexing="ij"),
-                            axis=-1).reshape(-1, spec.dim):
-            gap = abs(expected_periodogram_exact(spec, lam, box)
-                      - spectral_density(spec, lam))
-            if gap > worst:
-                worst = gap
-        rows.append(ExpectationRow(index=index, dims=box.v, sup_err=worst))
+        expected, density = _fejer_lag_sums(spec, box, grid)
+        rows.append(ExpectationRow(index=index, dims=box.v,
+                                   sup_err=float(np.max(np.abs(expected - density)))))
     return ExpectationReport(rows=tuple(rows), lambda_grid_size=n_grid)

@@ -33,9 +33,6 @@ from .frequencies import FrequencyScheme, SeparationSpec, check_separation, is_a
 from .periodogram import phase_grid
 from .rng import replication_seed
 
-# terms of the asymptotic Kolmogorov series are accumulated until below this
-KS_SERIES_TOL = 1e-10
-
 
 def g_functional(weights, z) -> float:
     """G(b, z) = sum_j a_j Re z_j + b_j Im z_j with b = (a_1, b_1, a_2, b_2, ...)."""
@@ -52,10 +49,11 @@ def ks_statistic(samples, cdf) -> tuple[float, float]:
     """Kolmogorov-Smirnov distance against a named null, with asymptotic p-value.
 
     ``cdf`` is a tag tuple: ("exponential", mean) or ("normal", mean, variance).
-    Returns (D, p) where p = 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 t^2) at
-    t = sqrt(n) * D, the series truncated once terms drop below KS_SERIES_TOL
-    and the result clipped to [0, 1].
+    Returns (D, p) where p is the limiting Kolmogorov tail probability
+    P(sup|B(F)| > t) at t = sqrt(n) * D, from ``scipy.special.kolmogorov``.
     """
+    from scipy import special
+
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 1:
@@ -70,7 +68,6 @@ def ks_statistic(samples, cdf) -> tuple[float, float]:
         mean, variance = float(cdf[1]), float(cdf[2])
         if variance <= 0:
             raise ValueError(f"normal variance must be > 0, got {variance}")
-        from scipy import special
         f = 0.5 * special.erfc(-(x - mean) / math.sqrt(2.0 * variance))
     else:
         raise ValueError(f"unknown distribution tag {kind!r}")
@@ -78,22 +75,7 @@ def ks_statistic(samples, cdf) -> tuple[float, float]:
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))
     d = max(d_plus, d_minus)
-    return d, kolmogorov_pvalue(math.sqrt(n) * d)
-
-
-def kolmogorov_pvalue(t: float) -> float:
-    """Limiting tail probability P(sup|B(F)| > t) via the alternating series."""
-    if t <= 0.0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 100_000):
-        term = 2.0 * math.exp(-2.0 * (k * t) ** 2)
-        if term < KS_SERIES_TOL:
-            break
-        total += sign * term
-        sign = -sign
-    return min(max(total, 0.0), 1.0)
+    return d, float(special.kolmogorov(math.sqrt(n) * d))
 
 
 def cross_frequency_independence(periodograms) -> float:

@@ -8,7 +8,7 @@ from scipy import integrate
 from specfield.blocking import (BlockingPlan, MixingProfile, block_index_sets,
                                 dependence_profile, index_products,
                                 negligibility_report, plan, truncate,
-                                truncated_mean, truncated_second_moments)
+                                truncated_second_moments)
 from specfield.domain import BoxDims
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
                                 first_axis_ma1, generate, generate_batch,
@@ -184,12 +184,22 @@ def test_truncation_q_validation():
 
 
 def test_truncated_mean_is_zero():
-    spec = white_noise(1, REAL_GAUSSIAN, 2.0)
-    assert truncated_mean(spec, 1.3) == 0j
-    # Monte Carlo confirmation of the symmetry argument
-    vals = generate_batch(spec, (1024,), None, replication_seeds(3, 20)).ravel()
-    kept = vals[np.abs(vals) <= 1.3]
-    assert abs(kept.mean()) < 4 * 2.0 / math.sqrt(kept.size)
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    lam = (0.7, -0.4)
+    # deterministic half of the argument: negating the values negates both
+    # parts, and the centered field has the same law as its negation
+    sample = generate(spec, (16, 16), seed=8)
+    parts = truncate(sample, lam, 0.2)
+    flipped = truncate(FieldSample(dims=sample.dims, shift=sample.shift,
+                                   values=-sample.values, seed=sample.seed), lam, 0.2)
+    assert np.array_equal(flipped.bounded, -parts.bounded)
+    assert np.array_equal(flipped.tail, -parts.tail)
+    # Monte Carlo half: the mean of the bounded part over a batch is 0, with
+    # the SE taken across replications so neighbour correlation is counted
+    means = np.array([truncate(generate(spec, (16, 16), seed=s), lam, 0.2).bounded.mean()
+                      for s in replication_seeds(3, 40)])
+    se = math.sqrt(np.mean(np.abs(means - means.mean()) ** 2) / (means.size - 1))
+    assert abs(means.mean()) < 4 * se
 
 
 def test_truncated_second_moments_match_quadrature():

@@ -78,6 +78,19 @@ def test_kernels_values():
     assert doc["dirichlet"] == {"re": d.real, "im": d.imag}
 
 
+def test_kernels_nan_is_refused():
+    proc = run_cli("kernels", "--alpha", "nan", "--n", "5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, specfield; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_periodogram_runs(ma1_spec_file):
     proc = run_cli("periodogram", "--spec", ma1_spec_file, "--dims", "32",
                    "--freq", "0.7", "--seed", "3")

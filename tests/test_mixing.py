@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,27 @@ def test_profile_argument_validation():
         rho_prime_profile(spec, window_radius=1, max_set_size=0, n_max=1)
     with pytest.raises(ValueError):
         rho_prime_profile(spec, window_radius=1, max_set_size=1, n_max=0)
+
+
+def test_profile_circular_slices_match_canonical_rho():
+    """The profile scores pairs on slices of one window covariance; with a
+    complex coefficient the Re/Im interleaving matters, so it must agree
+    with canonical_rho over a brute enumeration of the same pairs."""
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.6 + 0.5j)
+    prof = rho_prime_profile(spec, window_radius=1, max_set_size=2, n_max=2)
+    points = list(itertools.product(range(-1, 2), repeat=2))
+    subsets = [s for size in (1, 2) for s in itertools.combinations(points, size)]
+    best = {}
+    for left, right in itertools.combinations(subsets, 2):
+        if set(left) & set(right):
+            continue
+        gaps = [min(abs(k[u] - l[u]) for k in left for l in right) for u in (0, 1)]
+        gap = max(gaps)
+        if not 1 <= gap <= spec.dependence_range:
+            continue
+        rho = canonical_rho(spec, IndexSetPair(left, right, axis=gaps.index(gap)))
+        best[gap] = max(best.get(gap, 0.0), rho)
+    for n in (1, 2):
+        want = max((rho for gap, rho in best.items() if gap >= n), default=0.0)
+        assert abs(prof.value_at(n) - want) < EXACT_TOL
+    assert prof.value_at(1) > 0.5

@@ -3,15 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats as sps
+from scipy import stats as sps
 
 from specfield.domain import BoxDims
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 first_axis_ma1, spectral_density, white_noise)
 from specfield.frequencies import FrequencyScheme
 from specfield.stats import (cross_frequency_independence, g_functional,
-                             kolmogorov_pvalue, ks_statistic, miller_check,
-                             run_clt_experiment)
+                             ks_statistic, miller_check, run_clt_experiment)
 
 EXACT_TOL = 1e-12
 
@@ -75,11 +74,17 @@ def test_ks_validation():
 
 
 def test_kolmogorov_pvalue_against_scipy():
-    for t in (0.2, 0.5, 1.0, 1.36, 2.0, 3.0):
-        assert abs(kolmogorov_pvalue(t) - special.kolmogorov(t)) < 1e-9
-    assert kolmogorov_pvalue(0.0) == 1.0
-    assert kolmogorov_pvalue(-1.0) == 1.0
-    assert kolmogorov_pvalue(10.0) == 0.0
+    """The p-value is scipy's asymptotic two-sided KS p-value, for both nulls."""
+    rng = np.random.default_rng(61)
+    for n in (5, 40, 400):
+        x = rng.exponential(1.5, size=n)
+        _, p = ks_statistic(x, ("exponential", 1.5))
+        want = sps.kstest(x, sps.expon(scale=1.5).cdf, method="asymp").pvalue
+        assert abs(p - want) < EXACT_TOL
+        y = rng.normal(0.3, 1.2, size=n)
+        _, p = ks_statistic(y, ("normal", 0.3, 1.44))
+        want = sps.kstest(y, sps.norm(loc=0.3, scale=1.2).cdf, method="asymp").pvalue
+        assert abs(p - want) < EXACT_TOL
 
 
 def test_cross_frequency_extremes():
