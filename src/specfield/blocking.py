@@ -31,7 +31,7 @@ import numpy as np
 from .domain import as_dims, as_frequency
 from .fieldgen import (FieldSample, LinearFieldSpec, autocovariance,
                        generate_batch, replication_seeds)
-from .periodogram import phase_grid
+from .periodogram import batched_modulated_sums, phase_grid
 from ._util import replication_chunks, run_chunked
 
 
@@ -282,29 +282,20 @@ class NegligibilityReport:
     seed: int
 
 
-def _weight_field(weights, coords, freqs) -> np.ndarray:
-    """W_k = sum_j (a_j - i b_j) exp(-i k.lam_j): Re(X W) is the weighted
-    real-imag functional of the demodulated values, vectorized over the box."""
-    weights = np.asarray(weights, dtype=float)
-    a = weights[0::2]
-    b = weights[1::2]
-    total = 0j
-    for j, lam in enumerate(freqs):
-        total = total + (a[j] - 1j * b[j]) * phase_grid(coords, lam)
-    return total
-
-
 def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
                          weights, replications: int, seed: int,
                          profile: MixingProfile | None = None) -> NegligibilityReport:
     """Monte Carlo second moments of the two discarded pieces, per dims entry.
 
-    Column one: E[ (sum over the leftover set of the weighted bounded parts)
-    / sqrt(V) ]^2.  Column two: mean over the scheme's frequencies of
+    Column one: E[G(b, S_left)^2] / V, where S_left are the modulated sums
+    of the bounded parts over the leftover set and G(b, z) = sum_j a_j Re z_j
+    + b_j Im z_j.  Column two: mean over the scheme's frequencies of
     E |sum over the box of the tail parts|^2 / V.  Standard errors accompany
     both.  The blocking plan uses the field's own m-dependence profile
     unless one is passed explicitly.
     """
+    if replications < 2:
+        raise ValueError("need at least 2 replications")
     weights = np.asarray(weights, dtype=float)
     prof = profile if profile is not None else dependence_profile(spec)
     rows = []
@@ -319,35 +310,28 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
         _, leftover = block_index_sets(pl, box)
         coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
         thresholds = index_products(coords) ** q
-        wfield = _weight_field(weights, coords, freqs).reshape(box.v)
-        phase_list = [phase_grid(coords, lam).reshape(box.v) for lam in freqs]
         leftover_cells = np.zeros(box.v, dtype=bool)
         for slab in leftover:
             leftover_cells[slab.first_slice] = True
 
         seeds = replication_seeds(seed, replications, offset=index * replications)
-        g_sq = np.empty(replications, dtype=float)
-        z_sq = np.empty(replications, dtype=float)
+        left = np.empty((replications, len(freqs)), dtype=np.complex128)
+        tail = np.empty_like(left)
         vol = box.volume
-        bytes_per_rep = 16 * vol * (3 + len(freqs))
-        chunks = replication_chunks(replications, bytes_per_rep)
+        chunks = replication_chunks(replications, 16 * vol * (3 + len(freqs)))
 
         def fill(lo, hi):
             vals = generate_batch(spec, box, None, seeds[lo:hi])
             keep = np.abs(vals) <= thresholds
-            bounded = np.where(keep, vals, 0.0)
-            tails = np.where(keep, 0.0, vals)
-            axes = tuple(range(1, spec.dim + 1))
-            # restrict to the leftover set, then sum the weighted bounded parts
-            g = np.where(leftover_cells, (bounded * wfield).real, 0.0).sum(axis=axes)
-            g_sq[lo:hi] = (g / math.sqrt(vol)) ** 2
-            acc = np.zeros(hi - lo, dtype=float)
-            for ph in phase_list:
-                z = (tails * ph).reshape(hi - lo, -1).sum(axis=1)
-                acc += (z.real ** 2 + z.imag ** 2) / vol
-            z_sq[lo:hi] = acc / len(freqs)
+            tail[lo:hi] = batched_modulated_sums(np.where(keep, 0.0, vals), coords, freqs)
+            # bounded parts on the leftover set, zeroed in place to save a copy
+            vals[~(keep & leftover_cells)] = 0.0
+            left[lo:hi] = batched_modulated_sums(vals, coords, freqs)
 
         run_chunked(chunks, fill)
+        g = left.real @ weights[0::2] + left.imag @ weights[1::2]
+        g_sq = (g / math.sqrt(vol)) ** 2
+        z_sq = ((tail.real ** 2 + tail.imag ** 2) / vol).mean(axis=1)
         rows.append(NegligibilityRow(
             index=index, dims=box.v, v1=pl.v1, s=pl.s, p=pl.p, r=pl.r,
             leftover_cardinality=sum(sl.cardinality for sl in leftover),

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .blocking import MixingProfile, block_index_sets, negligibility_report, plan
 from .domain import BoxDims, Frequency
-from .fieldgen import LinearFieldSpec, generate, spec_from_json
+from .fieldgen import LinearFieldSpec, _spec_from_doc, generate
 from .frequencies import FrequencyScheme
 from .kernels import dirichlet_mod, fejer
 from .mixing import rho_prime_profile
@@ -74,14 +74,7 @@ def _load_json_file(path: str):
 
 
 def _load_field_spec(path: str) -> LinearFieldSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return spec_from_json(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
+    return _spec_from_doc(_load_json_file(path))
 
 
 def _emit(doc, out_path: str | None):
@@ -113,7 +106,7 @@ class ExperimentConfig:
 
 def _config_from_doc(doc) -> ExperimentConfig:
     try:
-        spec = spec_from_json(json.dumps(doc["spec"]))
+        spec = _spec_from_doc(doc["spec"])
         dims = BoxDims(tuple(doc["dims"])) if "dims" in doc else None
         seq = [BoxDims(tuple(v)) for v in doc.get("dims_sequence", [])]
         scheme_doc = doc["scheme"]
@@ -123,8 +116,12 @@ def _config_from_doc(doc) -> ExperimentConfig:
         axis = int(scheme_doc.get("axis", 0))
         replications = int(doc["R"])
         seed = int(doc["seed"])
+        q = float(doc["q"]) if "q" in doc else None
+        weights = [float(x) for x in doc["weights"]] if "weights" in doc else None
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed config document: {exc}") from exc
     if dims is None and not seq:
         raise ValueError("config needs 'dims' or a non-empty 'dims_sequence'")
     all_dims = seq if seq else [dims]
@@ -132,8 +129,6 @@ def _config_from_doc(doc) -> ExperimentConfig:
     if any(b <= a for a, b in zip(mins, mins[1:])):
         raise ValueError("dims_sequence must have strictly growing minimum side")
     scheme = FrequencyScheme.separated(base, m, delta, axis, all_dims)
-    q = float(doc["q"]) if "q" in doc else None
-    weights = [float(x) for x in doc["weights"]] if "weights" in doc else None
     return ExperimentConfig(spec=spec, scheme=scheme, dims=dims, dims_sequence=seq,
                             replications=replications, seed=seed, q=q, weights=weights)
 

@@ -229,7 +229,10 @@ def spec_to_json(spec: LinearFieldSpec) -> str:
 
 
 def spec_from_json(text: str) -> LinearFieldSpec:
-    doc = json.loads(text)
+    return _spec_from_doc(json.loads(text))
+
+
+def _spec_from_doc(doc) -> LinearFieldSpec:
     try:
         dim = doc["dim"]
         taps = {

@@ -6,8 +6,11 @@ For a sample on a (possibly shifted) box and a torus frequency lam,
     I(lam) = |S(lam)|^2 / V               (V = box volume)
 
 Sums are taken by direct summation — never an FFT — because the
-frequencies of interest are off the Fourier grid.  Accumulation happens
-in double precision with numpy's pairwise reduction.
+frequencies of interest are off the Fourier grid.  Only
+``batched_modulated_sums`` forms S, with one ``np.dot`` per (row, frequency),
+and single samples go through it as a batch of one, so a sample and a batch
+row agree bit for bit.  A BLAS matrix product would not: its last bits
+change with the batch size or the number of frequencies.
 """
 
 from __future__ import annotations
@@ -49,44 +52,37 @@ def phase_grid(sample_or_coords, lam) -> np.ndarray:
 
 def modulated_sum(sample: FieldSample, lam) -> complex:
     """S(lam) = sum over the box of exp(-i k.lam) X_k, absolute indices."""
-    phases = phase_grid(sample, lam)
-    return complex(np.dot(sample.values.ravel(), phases))
+    return periodogram_vector(sample, [lam])[0][0]
 
 
 def periodogram(sample: FieldSample, lam) -> float:
     """I(lam) = |S(lam)|^2 / volume; nonnegative, invariant to box shifts in law."""
-    s = modulated_sum(sample, lam)
-    return (s.real * s.real + s.imag * s.imag) / sample.dims.volume
+    return periodogram_vector(sample, [lam])[0][1]
 
 
 def periodogram_vector(sample: FieldSample, freqs) -> list[tuple[complex, float]]:
     """(S, I) pairs for several frequencies of one sample.
 
-    Equals [(modulated_sum(sample, f), periodogram(sample, f)) for f in freqs]
-    exactly; the phase grids are just built once each.
+    ``modulated_sum`` and ``periodogram`` are this function at one frequency;
+    all three call ``batched_modulated_sums`` on the sample as a batch of one.
     """
-    out = []
-    flat = sample.values.ravel()
+    sums = batched_modulated_sums(sample.values[None], sample.axis_coords(), freqs)
     vol = sample.dims.volume
-    for lam in freqs:
-        s = complex(np.dot(flat, phase_grid(sample, lam)))
-        out.append((s, (s.real * s.real + s.imag * s.imag) / vol))
-    return out
+    return [(s, (s.real * s.real + s.imag * s.imag) / vol) for s in map(complex, sums[0])]
 
 
 def batched_modulated_sums(values: np.ndarray, coords, freqs) -> np.ndarray:
     """S for a batch of realizations, shape (R, len(freqs)).
 
     ``values`` has shape (R, v_1, ..., v_d) and ``coords`` are the per-axis
-    absolute coordinates.  Row r equals the per-sample ``modulated_sum``
-    bit-for-bit: each entry is the same ``np.dot`` over the same flat layout.
+    absolute coordinates.  Each phase grid is built once per call; entry
+    (r, j) is ``np.dot`` of row r with grid j, so it is bit-identical to the
+    same row summed alone.
     """
-    freqs = list(freqs)
-    n_rep = values.shape[0]
-    flat = values.reshape(n_rep, -1)
-    out = np.empty((n_rep, len(freqs)), dtype=np.complex128)
-    for j, lam in enumerate(freqs):
-        phases = phase_grid(coords, lam)
-        for r in range(n_rep):
-            out[r, j] = np.dot(flat[r], phases)
+    phases = [phase_grid(coords, lam) for lam in freqs]
+    flat = values.reshape(values.shape[0], -1)
+    out = np.empty((flat.shape[0], len(phases)), dtype=np.complex128)
+    for j, ph in enumerate(phases):
+        for r, row in enumerate(flat):
+            out[r, j] = np.dot(row, ph)
     return out

@@ -30,7 +30,7 @@ from ._util import replication_chunks, run_chunked
 from .domain import as_dims
 from .fieldgen import LinearFieldSpec, generate_batch, replication_seeds, spectral_density
 from .frequencies import FrequencyScheme, SeparationSpec, check_separation, is_admissible
-from .periodogram import phase_grid
+from .periodogram import batched_modulated_sums
 from .rng import replication_seed
 
 
@@ -110,17 +110,12 @@ def _validated_freqs(spec: LinearFieldSpec, scheme: FrequencyScheme, dims):
 def _batched_sums(spec, box, freqs, seeds) -> np.ndarray:
     """Modulated sums for every seed and frequency, shape (R, m)."""
     coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
-    phases = [phase_grid(coords, lam) for lam in freqs]
     out = np.empty((len(seeds), len(freqs)), dtype=np.complex128)
-    vol = box.volume
-    bytes_per_rep = 16 * vol * 3
-    chunks = replication_chunks(len(seeds), bytes_per_rep)
+    chunks = replication_chunks(len(seeds), 16 * box.volume * 3)
 
     def fill(lo, hi):
-        vals = generate_batch(spec, box, None, seeds[lo:hi]).reshape(hi - lo, -1)
-        for j, ph in enumerate(phases):
-            for r in range(hi - lo):
-                out[lo + r, j] = np.dot(vals[r], ph)
+        vals = generate_batch(spec, box, None, seeds[lo:hi])
+        out[lo:hi] = batched_modulated_sums(vals, coords, freqs)
 
     run_chunked(chunks, fill)
     return out
@@ -156,7 +151,7 @@ class CltReport:
             "replications": self.replications,
             "seed": self.seed,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def run_clt_experiment(spec: LinearFieldSpec, scheme: FrequencyScheme, dims,
@@ -227,7 +222,7 @@ class MillerReport:
                 "discrepancy": row.discrepancy, "std_error": row.std_error,
             } for row in self.rows],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,
@@ -242,6 +237,8 @@ def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,
     f_base = spectral_density(spec, scheme.base)
     if f_base <= 0.0:
         raise ValueError("spectral density vanishes at the base frequency")
+    if replications < 2:
+        raise ValueError("need at least 2 replications")
     target = 0.5 * f_base * float(np.dot(w, w))
     rows = []
     for index, dims in enumerate(dims_sequence, start=1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from specfield import _util, blocking
 from specfield.blocking import (BlockingPlan, MixingProfile, block_index_sets,
                                 dependence_profile, index_products,
                                 negligibility_report, plan, truncate,
@@ -293,3 +294,67 @@ def test_negligibility_trend():
                                   [1.0, 0.0], 300, 11)
     assert report.rows[1].leftover_mean < report.rows[0].leftover_mean
     assert report.rows[1].tail_mean < report.rows[0].tail_mean
+
+
+def test_negligibility_rejects_few_replications():
+    spec = white_noise(1, CIRCULAR_GAUSSIAN, 1.0)
+    scheme = make_scheme(1, 0.25, [(64,)])
+    with pytest.raises(ValueError, match="need at least 2 replications"):
+        negligibility_report(spec, scheme, [(64,)], 0.2, [1.0, 0.0], 1, 5)
+
+
+def test_negligibility_2d_oracle_with_imaginary_weights():
+    """A d=2 MA(1) with a complex coefficient and b != 0.  Every row value
+    equals a per-replication recomputation through ``generate`` and
+    ``truncate``: the bounded parts summed over the leftover set feed
+    G(b, z) = sum_j a_j Re z_j + b_j Im z_j, the tails are summed over the box."""
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.6 + 0.3j)
+    box = BoxDims((27, 5))
+    scheme = FrequencyScheme.separated((1.0, 0.5), 2, 0.2, 0, [box])
+    weights = np.array([0.7, -1.3, 0.4, 0.9])
+    q, reps, seed = 0.2, 6, 19
+    row = negligibility_report(spec, scheme, [box], q, weights, reps, seed).rows[0]
+
+    _, leftover = block_index_sets(plan(27, dependence_profile(spec), q), box)
+    mask = np.zeros(box.v, dtype=bool)
+    for z in leftover:
+        mask[z.first_slice] = True
+    assert row.leftover_cardinality == int(mask.sum())
+    g_sq, z_sq = [], []
+    for s in replication_seeds(seed, reps, offset=reps):
+        sample = generate(spec, box, seed=s)
+        parts = [truncate(sample, lam, q) for lam in scheme.freqs_for(box)]
+        g = sum(a * w.real + b * w.imag for a, b, w in
+                zip(weights[0::2], weights[1::2], [tf.bounded[mask].sum() for tf in parts]))
+        g_sq.append(g * g / box.volume)
+        z_sq.append(np.mean([abs(tf.tail.sum()) ** 2 / box.volume for tf in parts]))
+    se = math.sqrt(reps)
+    want = (np.mean(g_sq), np.std(g_sq, ddof=1) / se,
+            np.mean(z_sq), np.std(z_sq, ddof=1) / se)
+    got = (row.leftover_mean, row.leftover_se, row.tail_mean, row.tail_se)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_negligibility_independent_of_threads_and_chunks(monkeypatch):
+    """One seed gives identical rows at 1 and 2 worker threads, with one
+    chunk per box or with the replications split into several."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    dims_seq = [(64,), (128,)]
+    scheme = make_scheme(2, 0.25, dims_seq)
+    chunk_counts = []
+    run_chunked = blocking.run_chunked
+
+    def counting(chunks, task):
+        chunk_counts.append(len(chunks))
+        run_chunked(chunks, task)
+
+    monkeypatch.setattr(blocking, "run_chunked", counting)
+    results = []
+    for threads, chunk_bytes in [("1", _util._CHUNK_BYTES), ("2", _util._CHUNK_BYTES),
+                                 ("1", 1 << 15), ("2", 1 << 15)]:
+        monkeypatch.setenv("SPECFIELD_THREADS", threads)
+        monkeypatch.setattr(_util, "_CHUNK_BYTES", chunk_bytes)
+        results.append(negligibility_report(spec, scheme, dims_seq, 0.2,
+                                            [1.0, -0.5, 0.3, 2.0], 40, 23).rows)
+    assert chunk_counts[:4] == [1] * 4 and min(chunk_counts[4:]) >= 3
+    assert all(r == results[0] for r in results[1:])

@@ -198,6 +198,36 @@ def test_missing_config_field(clt_config_file):
     assert "missing required field" in proc.stderr
 
 
+def test_malformed_config_shapes_exit_one(clt_config_file, tmp_path):
+    with open(clt_config_file()) as fh:
+        doc = json.load(fh)
+    inputs = [("list.json", [1, 2]), ("scheme.json", dict(doc, scheme=5)),
+              ("weights.json", dict(doc, weights=5))]
+    for name, content in inputs:
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        proc = run_cli("clt-experiment", "--config", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "malformed config document" in proc.stderr
+
+
+def test_miller_single_replication_is_refused(clt_config_file):
+    path = clt_config_file()
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["R"] = 1
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    proc = run_cli("miller", "--config", path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "need at least 2 replications" in proc.stderr
+
+
 def test_miller_table(clt_config_file):
     cfg = clt_config_file()
     proc = run_cli("miller", "--config", cfg)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from specfield import _util, stats
 from specfield.domain import BoxDims
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 first_axis_ma1, spectral_density, white_noise)
@@ -187,6 +188,37 @@ def test_clt_rejects_few_replications():
     scheme = scheme_for((math.pi / 2,), 1, 0.25, [(16,)])
     with pytest.raises(ValueError, match="replications"):
         run_clt_experiment(spec, scheme, (16,), 1, 0)
+
+
+def test_clt_report_independent_of_threads_and_chunks(monkeypatch):
+    """One seed gives the same report bytes and raw sums at 1 and 2 worker
+    threads, with one chunk or with the replications split into several."""
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    chunk_counts = []
+    run_chunked = stats.run_chunked
+
+    def counting(chunks, task):
+        chunk_counts.append(len(chunks))
+        run_chunked(chunks, task)
+
+    monkeypatch.setattr(stats, "run_chunked", counting)
+    results = []
+    for threads, chunk_bytes in [("1", _util._CHUNK_BYTES), ("2", _util._CHUNK_BYTES),
+                                 ("1", 1 << 15), ("2", 1 << 15)]:
+        monkeypatch.setenv("SPECFIELD_THREADS", threads)
+        monkeypatch.setattr(_util, "_CHUNK_BYTES", chunk_bytes)
+        report = run_clt_experiment(spec, scheme, (16, 8), 30, 17)
+        results.append((report.to_json(), report.raw_sums.tobytes()))
+    assert chunk_counts[:2] == [1, 1] and min(chunk_counts[2:]) >= 3
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_miller_rejects_few_replications():
+    spec = white_noise(1, CIRCULAR_GAUSSIAN, 1.0)
+    scheme = scheme_for((math.pi / 2,), 1, 0.25, [(16,)])
+    with pytest.raises(ValueError, match="need at least 2 replications"):
+        miller_check(spec, scheme, [1.0, 0.0], [(16,)], 1, 0)
 
 
 def test_miller_iid_single_frequency():
