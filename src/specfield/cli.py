@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,6 +90,13 @@ def _emit(doc, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer as is; floats and bools are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Validated contents of an experiment config document."""
@@ -111,11 +118,11 @@ def _config_from_doc(doc) -> ExperimentConfig:
         seq = [BoxDims(tuple(v)) for v in doc.get("dims_sequence", [])]
         scheme_doc = doc["scheme"]
         base = Frequency(tuple(scheme_doc["base"]))
-        m = int(scheme_doc["m"])
+        m = _json_int(scheme_doc["m"], "scheme.m")
         delta = float(scheme_doc["delta"])
-        axis = int(scheme_doc.get("axis", 0))
-        replications = int(doc["R"])
-        seed = int(doc["seed"])
+        axis = _json_int(scheme_doc.get("axis", 0), "scheme.axis")
+        replications = _json_int(doc["R"], "R")
+        seed = _json_int(doc["seed"], "seed")
         q = float(doc["q"]) if "q" in doc else None
         weights = [float(x) for x in doc["weights"]] if "weights" in doc else None
     except KeyError as exc:
@@ -253,10 +260,10 @@ def _cmd_blocking_plan(args) -> int:
     try:
         values = {int(k): float(v) for k, v in profile_doc.get("values", {}).items()}
         dep = profile_doc.get("dependence_range")
-    except (AttributeError, ValueError) as exc:
+        dep = None if dep is None else _json_int(dep, "dependence_range")
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed profile document: {exc}") from exc
-    profile = MixingProfile(values=values,
-                            dependence_range=None if dep is None else int(dep))
+    profile = MixingProfile(values=values, dependence_range=dep)
     pl = plan(args.v1, profile, args.q)
     blocks, leftover = block_index_sets(pl, (pl.v1,))
     doc = {
@@ -277,19 +284,7 @@ def _cmd_negligibility(args) -> int:
     seq = cfg.dims_sequence if cfg.dims_sequence else [cfg.dims]
     report = negligibility_report(cfg.spec, cfg.scheme, seq, cfg.q, cfg.weights,
                                   cfg.replications, cfg.seed)
-    doc = {
-        "q": report.q,
-        "replications": report.replications,
-        "seed": report.seed,
-        "rows": [{
-            "index": row.index, "dims": list(row.dims), "v1": row.v1,
-            "s": row.s, "p": row.p, "r": row.r,
-            "leftover_cardinality": row.leftover_cardinality,
-            "leftover_mean": row.leftover_mean, "leftover_se": row.leftover_se,
-            "tail_mean": row.tail_mean, "tail_se": row.tail_se,
-        } for row in report.rows],
-    }
-    _emit(doc, args.out)
+    _emit(asdict(report), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import BoxDims, as_dims, as_frequency, as_shift
-from .rng import check_seed, gaussian_lattice, replication_seed
+from .rng import _replication_hash, check_seed, gaussian_lattice
 
 REAL_GAUSSIAN = "real-gaussian"
 CIRCULAR_GAUSSIAN = "circular-complex-gaussian"
@@ -185,18 +185,16 @@ def generate(spec: LinearFieldSpec, dims, shift=None, seed: int = 0) -> FieldSam
     box = as_dims(dims, spec.dim)
     w = as_shift(shift, spec.dim)
     seed = check_seed(seed)
-    bounds, ranges = _innovation_ranges(spec, box.v, w)
-    eps = gaussian_lattice([seed], ranges, spec.innovation_kind, spec.innovation_std)
-    values = _filter_batch(spec, box.v, eps, bounds)[0]
-    return FieldSample(dims=box, shift=w, values=values, seed=seed)
+    return FieldSample(dims=box, shift=w, values=generate_batch(spec, box, w, [seed])[0],
+                       seed=seed)
 
 
 def generate_batch(spec: LinearFieldSpec, dims, shift, seeds) -> np.ndarray:
     """Values for many seeds at once, shape (len(seeds), v_1, ..., v_d).
 
-    Row i is bit-identical to ``generate(spec, dims, shift, seeds[i]).values``;
-    the batch exists because hashing the innovation lattice vectorizes across
-    seeds, which is what replication loops need.
+    Row i is ``generate(spec, dims, shift, seeds[i]).values``, which is this
+    function on a batch of one; the batch exists because hashing the
+    innovation lattice vectorizes across seeds, which replication loops need.
     """
     box = as_dims(dims, spec.dim)
     w = as_shift(shift, spec.dim)
@@ -208,7 +206,7 @@ def generate_batch(spec: LinearFieldSpec, dims, shift, seeds) -> np.ndarray:
 
 def replication_seeds(master_seed, count: int, offset: int = 0) -> list[int]:
     """Per-replication seeds derived from a master seed (pure, collision-resistant)."""
-    return [replication_seed(master_seed, offset + i) for i in range(count)]
+    return _replication_hash(master_seed, np.arange(offset, offset + count)).tolist()
 
 
 # ---------------------------------------------------------------------------

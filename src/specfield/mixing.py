@@ -16,8 +16,9 @@ lower bounds from an exhaustive search over a window, together with the
 exact zero beyond the moving-average dependence range.
 
 Covariances are looked up in the autocovariance table, vectorised over
-all point pairs.  The search builds the covariance of the whole window
-once and scores each pair of index sets on a slice of it.
+all point pairs.  The search builds the window covariance once, keeps one
+pair per translation class, and scores each (|left|, |right|) shape in one
+stacked kernel call; a call warns once, with the count of ridged pairs.
 """
 
 from __future__ import annotations
@@ -89,25 +90,26 @@ def _real_coordinate_cov(spec: LinearFieldSpec, points):
     return (np.kron(c.real, np.eye(2)) + np.kron(c.imag, [[0.0, -1.0], [1.0, 0.0]])) / 2.0
 
 
-def _inv_sqrt(block: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Inverse square root of a symmetric PSD block, ridged when singular."""
-    w, u = np.linalg.eigh(block)
-    regularized = False
-    if w.min() <= _SINGULAR_REL * max(w.max(), 1.0):
-        w = w + RIDGE
-        regularized = True
-    return (u / np.sqrt(w)) @ u.T, regularized
+def _inv_sqrt(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse square roots of a stack of PSD blocks, and which were ridged."""
+    w, u = np.linalg.eigh(blocks)
+    singular = w.min(axis=-1) <= _SINGULAR_REL * np.maximum(w.max(axis=-1), 1.0)
+    w = np.where(singular[:, np.newaxis], w + RIDGE, w)
+    return (u / np.sqrt(w)[:, np.newaxis, :]) @ u.swapaxes(-1, -2), singular
 
 
-def _top_canonical(cov: np.ndarray, cut: int) -> float:
-    """Largest canonical correlation between coordinates [:cut] and [cut:]."""
-    isq_l, reg_l = _inv_sqrt(cov[:cut, :cut])
-    isq_r, reg_r = _inv_sqrt(cov[cut:, cut:])
-    if reg_l or reg_r:
-        warnings.warn("singular block covariance: ridge regularization applied",
-                      RuntimeWarning, stacklevel=3)
-    sv = np.linalg.svd(isq_l @ cov[:cut, cut:] @ isq_r, compute_uv=False)
-    return float(min(max(sv[0], 0.0), 1.0))
+def _top_canonical(covs: np.ndarray, cut: int) -> tuple[np.ndarray, int]:
+    """Top canonical correlations of [:cut] vs [cut:] in a (P, n, n) stack; ridged count."""
+    isq_l, reg_l = _inv_sqrt(covs[:, :cut, :cut])
+    isq_r, reg_r = _inv_sqrt(covs[:, cut:, cut:])
+    sv = np.linalg.svd(isq_l @ covs[:, :cut, cut:] @ isq_r, compute_uv=False)
+    return np.clip(sv[:, 0], 0.0, 1.0), int(np.count_nonzero(reg_l | reg_r))
+
+
+def _warn_ridged(count: int):
+    if count:
+        warnings.warn(f"singular block covariance: ridge regularization applied "
+                      f"to {count} pair(s)", RuntimeWarning, stacklevel=3)
 
 
 def canonical_rho(spec: LinearFieldSpec, pair: IndexSetPair) -> float:
@@ -119,16 +121,9 @@ def canonical_rho(spec: LinearFieldSpec, pair: IndexSetPair) -> float:
     """
     cov = _real_coordinate_cov(spec, pair.left + pair.right)
     width = 1 if spec.is_real else 2
-    return _top_canonical(cov, width * len(pair.left))
-
-
-def _window_points(dim: int, radius: int):
-    axis = range(-radius, radius + 1)
-    return [tuple(p) for p in itertools.product(axis, repeat=dim)]
-
-
-def _axis_gap(left, right, axis: int) -> int:
-    return min(abs(k[axis] - l[axis]) for k in left for l in right)
+    rho, ridged = _top_canonical(cov[np.newaxis], width * len(pair.left))
+    _warn_ridged(ridged)
+    return float(rho[0])
 
 
 def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
@@ -136,52 +131,60 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
                       budget: int = 250_000) -> MixingProfile:
     """Certified lower bounds for rho'(1..n_max) by exhaustive window search.
 
-    Enumerates every pair of disjoint non-empty subsets (sizes up to
+    Covers every pair of disjoint non-empty subsets (sizes up to
     ``max_set_size``) of the window [-window_radius, window_radius]^d and
     maximizes the canonical correlation among pairs separated by >= n in
     some axis.  Values are exact zeros for n beyond the dependence range
     and lower bounds elsewhere (the true sup ranges over all finite sets).
-    Raises when the number of pairs to score exceeds ``budget``, reporting
-    the count.
+    Scores one pair per translation class and raises, reporting the count,
+    when more than ``budget`` are left; one RuntimeWarning counts ridging.
     """
     if window_radius < 0:
         raise ValueError("window_radius must be >= 0")
     if max_set_size < 1 or n_max < 1:
         raise ValueError("max_set_size and n_max must be >= 1")
     dep = spec.dependence_range
-    points = _window_points(spec.dim, window_radius)
-    subsets = []
-    for size in range(1, max_set_size + 1):
-        subsets.extend(itertools.combinations(points, size))
+    points = np.argwhere(np.ones((2 * window_radius + 1,) * spec.dim)) - window_radius
+    subsets = [c for size in range(1, max_set_size + 1)
+               for c in itertools.combinations(range(len(points)), size)]
+    sizes = np.array([len(c) for c in subsets])
+    # point indices padded by repeating the last point, which changes neither
+    # a subset's gaps to other subsets nor its lowest coordinates
+    padded = np.array([c + c[-1:] * (max_set_size - len(c)) for c in subsets])
+    coords = points[padded]
+    low = coords.min(axis=1)
 
-    # pairs worth scoring: disjoint, separated by >= 1 in some axis,
-    # and not past the dependence range (beyond it the value is exactly 0)
-    candidates = []
-    for left, right in itertools.combinations(subsets, 2):
-        if set(left) & set(right):
-            continue
-        gap = max(_axis_gap(left, right, u) for u in range(spec.dim))
-        if 1 <= gap <= dep:
-            candidates.append((gap, left, right))
-    if len(candidates) > budget:
-        raise ValueError(
-            f"mixing enumeration budget exceeded: {len(candidates)} pairs to "
-            f"score > budget {budget}; shrink the window or the set size")
+    # each left subset against every later one: keep (left, right, gap) if
+    # 1 <= gap <= dependence range (so disjoint; past it rho is 0) and the
+    # union touches the window's lower face on every axis (one per class)
+    found, total = [], 0
+    for i in range(len(subsets)):
+        diff = np.abs(coords[i, :, np.newaxis] - coords[i + 1:, np.newaxis])
+        gap = diff.min(axis=(1, 2)).max(axis=-1)
+        anchored = (np.minimum(low[i], low[i + 1:]) == -window_radius).all(axis=-1)
+        keep = np.flatnonzero((gap >= 1) & (gap <= dep) & anchored)
+        total += len(keep)
+        if total <= budget:
+            found.append(np.column_stack([np.full(len(keep), i), i + 1 + keep, gap[keep]]))
+    if total > budget:
+        raise ValueError(f"mixing enumeration budget exceeded: {total} pairs to score > "
+                         f"budget {budget}; shrink the window or the set size")
+    found = np.concatenate(found)
 
-    # each pair's covariance is a slice of the window's, rows in the order
-    # canonical_rho stacks them: left points, then right, Re/Im interleaved
+    # translates slice the same r(k - l) out of the window covariance; rows go left then
+    # right points, Re/Im interleaved; one stacked kernel call per (|left|, |right|) shape
     cov = _real_coordinate_cov(spec, points)
     width = 1 if spec.is_real else 2
-    position = {point: i for i, point in enumerate(points)}
-    best_at_gap = {}
-    for gap, left, right in candidates:
-        rows = [width * position[point] + c for point in left + right for c in range(width)]
-        rho = _top_canonical(cov[np.ix_(rows, rows)], width * len(left))
-        if rho > best_at_gap.get(gap, 0.0):
-            best_at_gap[gap] = rho
-
-    # best over all pairs separated by >= n; no scored pair is separated
-    # past the dependence range, so the value there is the default 0
-    values = {n: max((rho for gap, rho in best_at_gap.items() if gap >= n), default=0.0)
+    shape = sizes[found[:, :2]]
+    rhos, ridged = np.zeros(len(found)), 0
+    for a, b in np.unique(shape, axis=0):
+        sel = (shape == (a, b)).all(axis=1)
+        idx = np.hstack([padded[found[sel, 0], :a], padded[found[sel, 1], :b]])
+        rows = (width * idx[..., np.newaxis] + np.arange(width)).reshape(len(idx), -1)
+        rhos[sel], count = _top_canonical(cov[rows[..., np.newaxis], rows[:, np.newaxis]],
+                                          width * a)
+        ridged += count
+    _warn_ridged(ridged)
+    values = {n: float(rhos[found[:, 2] >= n].max(initial=0.0))
               for n in range(1, n_max + 1)}
     return MixingProfile(values=values, dependence_range=dep)

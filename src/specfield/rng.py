@@ -58,12 +58,15 @@ def check_seed(seed) -> int:
     return s
 
 
+def _replication_hash(master_seed, index: np.ndarray) -> np.ndarray:
+    """Per-replication seeds for an int64 index array: a pure hash of (master seed, index)."""
+    s = np.uint64(check_seed(master_seed))
+    return _mix64(s ^ _mix64(index.astype(np.uint64) ^ _REP_SALT))
+
+
 def replication_seed(master_seed, index) -> int:
     """Derive the per-replication seed: a pure hash of (master seed, index)."""
-    s = np.asarray([check_seed(master_seed)], dtype=np.uint64)
-    i = np.asarray([int(index)], dtype=np.int64).astype(np.uint64)
-    out = _mix64(s ^ _mix64(i ^ _REP_SALT))
-    return int(out[0])
+    return int(_replication_hash(master_seed, np.asarray([int(index)], dtype=np.int64))[0])
 
 
 def _hash_lattice(seeds: np.ndarray, axis_coords: list[np.ndarray]) -> np.ndarray:

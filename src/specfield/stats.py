@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -212,17 +212,7 @@ class MillerReport:
     seed: int
 
     def to_json(self) -> str:
-        doc = {
-            "weights": list(self.weights),
-            "replications": self.replications,
-            "seed": self.seed,
-            "rows": [{
-                "index": row.index, "dims": list(row.dims),
-                "estimate": row.estimate, "target": row.target,
-                "discrepancy": row.discrepancy, "std_error": row.std_error,
-            } for row in self.rows],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,

@@ -262,3 +262,46 @@ def test_mixing_estimate_feeds_blocking_plan(ma1_spec_file, tmp_path):
                      "--q", "0.2")
     assert follow.returncode == 0
     assert json.loads(follow.stdout)["s"] == 10
+
+
+def _assert_one_line_refusal(proc, needle):
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert needle in proc.stderr
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("R",), 2.9, "'R'"),
+    (("R",), True, "'R'"),
+    (("seed",), 3.7, "'seed'"),
+    (("scheme", "m"), 2.0, "'scheme.m'"),
+    (("scheme", "axis"), False, "'scheme.axis'"),
+], ids=["R-float", "R-bool", "seed-float", "m-float", "axis-bool"])
+def test_config_integer_fields_refuse_floats_and_bools(clt_config_file, path, value,
+                                                       field):
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    _assert_one_line_refusal(run_cli("miller", "--config", cfg), field)
+
+
+@pytest.mark.parametrize("doc", [
+    {"values": {"4": [0.25]}},
+    {"values": {"4": 0.25}, "dependence_range": [1]},
+    {"values": {"4": 0.25}, "dependence_range": 1.5},
+    {"values": {"4": 0.25}, "dependence_range": True},
+], ids=["value-list", "range-list", "range-float", "range-bool"])
+def test_malformed_profile_documents_exit_one(tmp_path, doc):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    proc = run_cli("blocking-plan", "--v1", "100", "--profile", str(profile),
+                   "--q", "0.2")
+    _assert_one_line_refusal(proc, "malformed profile document")

@@ -10,6 +10,7 @@ from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 generate_batch, replication_seeds,
                                 spec_from_json, spec_to_json, spectral_density,
                                 white_noise)
+from specfield.rng import replication_seed
 
 # finite tap sums evaluated two ways differ only by rounding
 CONSISTENCY_TOL = 1e-10
@@ -176,6 +177,17 @@ def test_replication_seeds_distinct_and_stable():
     assert len(set(int(x) for x in a)) == 100
     offset = replication_seeds(1, 90, offset=10)
     assert np.array_equal(a[10:], offset)
+
+
+def test_replication_seed_stream_is_pinned():
+    """Literal seeds of the replication stream, so a rewrite cannot move it."""
+    seeds = replication_seeds(1, 3)
+    assert seeds == [766489192633917258, 13690400545418608802, 12240389883498891173]
+    assert all(type(s) is int for s in seeds)
+    assert replication_seeds(2**64 - 1, 2, offset=10**12) == [8732650323363371725,
+                                                              1877724064946046700]
+    assert replication_seed(7, 5) == 3367921537479359684
+    assert replication_seeds(7, 3, offset=4)[1] == replication_seed(7, 5)
 
 
 def test_monte_carlo_moments_iid():

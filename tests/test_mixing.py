@@ -1,8 +1,11 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from specfield import mixing
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 LinearFieldSpec, autocovariance,
                                 first_axis_ma1, white_noise)
@@ -173,3 +176,51 @@ def test_profile_circular_slices_match_canonical_rho():
         want = max((rho for gap, rho in best.items() if gap >= n), default=0.0)
         assert abs(prof.value_at(n) - want) < EXACT_TOL
     assert prof.value_at(1) > 0.5
+
+
+def _spy_stack_lengths(monkeypatch):
+    lengths = []
+    top_canonical = mixing._top_canonical
+
+    def spy(covs, cut):
+        lengths.append(len(covs))
+        return top_canonical(covs, cut)
+
+    monkeypatch.setattr(mixing, "_top_canonical", spy)
+    return lengths
+
+
+def test_profile_scores_one_pair_per_translation_class(monkeypatch):
+    """Translates of a pair have the same rho and gap, so the search scores
+    exactly one pair per translation class, one stacked call per shape, and
+    still equals the best canonical_rho over every candidate bit for bit."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 1.0)
+    lengths = _spy_stack_lengths(monkeypatch)
+    prof = rho_prime_profile(spec, window_radius=1, max_set_size=2, n_max=2)
+    scored, calls = sum(lengths), len(lengths)
+    points = list(itertools.product(range(-1, 2), repeat=2))
+    subsets = [s for size in (1, 2) for s in itertools.combinations(points, size)]
+    candidates, classes, best = 0, set(), {1: 0.0, 2: 0.0}
+    for left, right in itertools.combinations(subsets, 2):
+        gap = max(min(abs(k[u] - l[u]) for k in left for l in right) for u in (0, 1))
+        if 1 <= gap <= spec.dependence_range:
+            candidates += 1
+            low = np.min(left + right, axis=0)
+            classes.add((tuple(map(tuple, np.subtract(left, low))),
+                         tuple(map(tuple, np.subtract(right, low)))))
+            rho = canonical_rho(spec, IndexSetPair(left, right, axis=0))
+            best = {n: max(v, rho) if gap >= n else v for n, v in best.items()}
+    assert (candidates, len(classes)) == (389, 249)
+    assert scored == 249
+    assert calls <= 3  # shapes (1, 1), (1, 2) and (2, 2)
+    assert prof.values == best
+
+
+def test_profile_singular_spec_warns_once_with_count():
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 0.0, 1.0)  # all values 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prof = rho_prime_profile(spec, window_radius=1, max_set_size=2, n_max=2)
+    assert [issubclass(w.category, RuntimeWarning) for w in caught] == [True]
+    assert re.search(r"ridge .* to \d+ pair", str(caught[0].message))
+    assert prof.values == {1: 0.0, 2: 0.0}

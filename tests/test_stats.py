@@ -214,6 +214,32 @@ def test_clt_report_independent_of_threads_and_chunks(monkeypatch):
     assert all(r == results[0] for r in results[1:])
 
 
+def test_miller_report_independent_of_threads_and_chunks(monkeypatch):
+    """One seed gives the same miller report bytes at 1 and 2 worker threads,
+    with one chunk or with the replications split into several."""
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    dims_seq = [(8, 6), (16, 8)]
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, dims_seq)
+    chunk_counts = []
+    run_chunked = stats.run_chunked
+
+    def counting(chunks, task):
+        chunk_counts.append(len(chunks))
+        run_chunked(chunks, task)
+
+    monkeypatch.setattr(stats, "run_chunked", counting)
+    results = []
+    for threads, chunk_bytes in [("1", _util._CHUNK_BYTES), ("2", _util._CHUNK_BYTES),
+                                 ("1", 1 << 15), ("2", 1 << 15)]:
+        monkeypatch.setenv("SPECFIELD_THREADS", threads)
+        monkeypatch.setattr(_util, "_CHUNK_BYTES", chunk_bytes)
+        report = miller_check(spec, scheme, [1.0, 0.5, -0.3, 0.8], dims_seq, 30, 23)
+        results.append(report.to_json())
+    assert len(json.loads(results[0])["rows"]) == 2
+    assert chunk_counts[:4] == [1, 1, 1, 1] and min(chunk_counts[4:]) >= 3
+    assert all(r == results[0] for r in results[1:])
+
+
 def test_miller_rejects_few_replications():
     spec = white_noise(1, CIRCULAR_GAUSSIAN, 1.0)
     scheme = scheme_for((math.pi / 2,), 1, 0.25, [(16,)])
