@@ -93,8 +93,16 @@ def _emit(doc, out_path: str | None):
 def _json_int(value, name: str) -> int:
     """A JSON integer as is; floats and bools are refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+        raise ValueError(f"field {name!r} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _json_real(value, name: str) -> float:
+    """A finite JSON number as a float; bools, strings, NaN and infinities are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"field {name!r} must be a real number, got {json.dumps(value)}")
+    return float(value)
 
 
 @dataclass
@@ -119,12 +127,13 @@ def _config_from_doc(doc) -> ExperimentConfig:
         scheme_doc = doc["scheme"]
         base = Frequency(tuple(scheme_doc["base"]))
         m = _json_int(scheme_doc["m"], "scheme.m")
-        delta = float(scheme_doc["delta"])
+        delta = _json_real(scheme_doc["delta"], "scheme.delta")
         axis = _json_int(scheme_doc.get("axis", 0), "scheme.axis")
         replications = _json_int(doc["R"], "R")
         seed = _json_int(doc["seed"], "seed")
-        q = float(doc["q"]) if "q" in doc else None
-        weights = [float(x) for x in doc["weights"]] if "weights" in doc else None
+        q = _json_real(doc["q"], "q") if "q" in doc else None
+        weights = ([_json_real(x, f"weights[{i}]") for i, x in enumerate(doc["weights"])]
+                   if "weights" in doc else None)
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc}") from exc
     except TypeError as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import BoxDims, as_dims, as_frequency, as_shift
-from .rng import _replication_hash, check_seed, gaussian_lattice
+from .rng import _BLOCK_SITES, _replication_hash, check_seed, gaussian_lattice
 
 REAL_GAUSSIAN = "real-gaussian"
 CIRCULAR_GAUSSIAN = "circular-complex-gaussian"
@@ -164,14 +164,27 @@ def _innovation_ranges(spec, dims, shift):
 
 
 def _filter_batch(spec, dims, eps, bounds):
-    """Apply the moving-average filter to an innovation block (leading batch axis)."""
-    out = np.zeros(eps.shape[:1] + tuple(dims), dtype=np.complex128)
-    for lag, coeff in spec.taps.items():
-        slices = (slice(None),)
-        for s in range(spec.dim):
-            start = bounds[s][1] - lag[s]
-            slices += (slice(start, start + dims[s]),)
-        out += coeff * eps[slices]
+    """Apply the moving-average filter to an innovation block (leading batch axis).
+
+    The result has the dtype of ``eps``: float64 for real specs, whose taps
+    enter as their real parts, and complex128 for circular ones.  Rows are
+    filtered a few at a time through one reused product buffer, so the
+    working set stays in cache.
+    """
+    taps = [(coeff.real if spec.is_real else coeff,
+             tuple(slice(hi - j, hi - j + v) for (_, hi), j, v in zip(bounds, lag, dims)))
+            for lag, coeff in spec.taps.items()]
+    out = np.empty(eps.shape[:1] + tuple(dims), dtype=eps.dtype)
+    step = max(1, _BLOCK_SITES // math.prod(dims))
+    term = np.empty((min(step, len(out)),) + tuple(dims), dtype=eps.dtype)
+    for r0 in range(0, len(out), step):
+        rows = slice(r0, r0 + step)
+        acc = out[rows]
+        prod = term[:len(acc)]
+        acc.fill(0.0)
+        for coeff, window in taps:
+            np.multiply(coeff, eps[(rows,) + window], out=prod)
+            acc += prod
     return out
 
 

@@ -42,6 +42,12 @@ def separation_gap(v_axis: int, delta: float) -> float:
     return float(v_axis) ** (-(0.5 - delta))
 
 
+def _circle_distance(a: float, b: float) -> float:
+    """Distance of two coordinates in (-pi, pi] on the circle R / 2 pi Z."""
+    x = abs(a - b)
+    return min(x, 2.0 * math.pi - x)
+
+
 def build_separated(lam, m: int, delta: float, axis: int, dims) -> list[Frequency]:
     """m frequencies fanning out from lam along one axis, pairwise separated.
 
@@ -175,8 +181,11 @@ def check_separation(scheme: FrequencyScheme, sep: SeparationSpec) -> Separation
     """Verify the separation condition for every pair past its onset index.
 
     Pair (j, k) passes at sequence entry n when SOME coordinate s satisfies
-    |lam_s^{(j,n)} - lam_s^{(k,n)}| > v_s^{-(1/2 - delta(j,k))} strictly.
-    Returns the first violating (j, k, n) as a witness, 1-based.
+    dist(lam_s^{(j,n)}, lam_s^{(k,n)}) > v_s^{-(1/2 - delta(j,k))} strictly,
+    where dist is the distance on the circle, min(|x|, 2 pi - |x|) for
+    x = lam_s - mu_s: the kernels are 2 pi-periodic, so frequencies near
+    pi and near -pi are close.  Returns the first violating (j, k, n) as a
+    witness, 1-based.
     """
     if sep.m != scheme.m:
         raise ValueError(f"separation spec is for m={sep.m}, scheme has m={scheme.m}")
@@ -186,7 +195,7 @@ def check_separation(scheme: FrequencyScheme, sep: SeparationSpec) -> Separation
                 continue
             fj, fk = freqs[j - 1], freqs[k - 1]
             hit = any(
-                abs(fj[s] - fk[s]) > separation_gap(dims.v[s], delta)
+                _circle_distance(fj[s], fk[s]) > separation_gap(dims.v[s], delta)
                 for s in range(scheme.base.dim)
             )
             if not hit:

@@ -305,3 +305,40 @@ def test_malformed_profile_documents_exit_one(tmp_path, doc):
     proc = run_cli("blocking-plan", "--v1", "100", "--profile", str(profile),
                    "--q", "0.2")
     _assert_one_line_refusal(proc, "malformed profile document")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("weights", 0), True, "error: field 'weights[0]' must be a real number, got true"),
+    (("q",), "0.2", "error: field 'q' must be a real number, got \"0.2\""),
+    (("scheme", "delta"), True, "error: field 'scheme.delta' must be a real number, got true"),
+], ids=["weight-bool", "q-string", "delta-bool"])
+def test_config_real_fields_refuse_bools_and_strings(clt_config_file, path, value,
+                                                    message):
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    proc = run_cli("miller", "--config", cfg)
+    _assert_one_line_refusal(proc, message)
+    assert proc.stderr.strip() == message
+
+
+def test_fan_whose_ends_meet_across_pi_is_refused(clt_config_file):
+    """At v = 64 and delta = 0.49 the fan -3.1, ..., 2.65 has its ends 0.53
+    apart on the circle, inside the 64^(-0.01) = 0.96 gap."""
+    cfg = clt_config_file(delta=0.49)
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["dims"] = [64]
+    doc["scheme"].update(base=[-3.1], m=4)
+    doc["weights"] = [1.0, 0.0] * 4
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    for cmd in ("clt-experiment", "miller"):
+        _assert_one_line_refusal(run_cli(cmd, "--config", cfg),
+                                 "violate separation at pair (1, 4)")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specfield import fieldgen
 from specfield.domain import BoxDims
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 LinearFieldSpec, autocovariance,
@@ -10,7 +11,7 @@ from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 generate_batch, replication_seeds,
                                 spec_from_json, spec_to_json, spectral_density,
                                 white_noise)
-from specfield.rng import replication_seed
+from specfield.rng import gaussian_lattice, replication_seed
 
 # finite tap sums evaluated two ways differ only by rounding
 CONSISTENCY_TOL = 1e-10
@@ -272,3 +273,29 @@ def test_sample_metadata():
     assert sample.seed == 11
     coords = sample.axis_coords()
     assert list(coords[0]) == [5, 6, 7, 8, 9, 10]
+
+
+def test_real_specs_generate_float64():
+    real = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    circ = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    assert generate(real, (5, 4), seed=1).values.dtype == np.float64
+    assert generate_batch(real, (5, 4), None, [1, 2]).dtype == np.float64
+    assert generate(circ, (5, 4), seed=1).values.dtype == np.complex128
+    assert generate_batch(circ, (5, 4), None, [1, 2]).dtype == np.complex128
+
+
+def test_real_field_is_the_real_part_of_the_complex_filter():
+    """Real taps on float64 innovations give, bit for bit, the real part of
+    the complex accumulation sum_j a_j eps_{k-j}, whose imaginary part is 0."""
+    spec = LinearFieldSpec(dim=2, taps={(0, 0): 1.0, (1, -1): -0.7, (0, 2): 0.3},
+                           innovation_kind=REAL_GAUSSIAN, innovation_std=1.3)
+    dims, shift, seeds = (6, 7), (-2, 3), [4, 5, 6]
+    bounds, ranges = fieldgen._innovation_ranges(spec, dims, shift)
+    eps = gaussian_lattice(seeds, ranges, REAL_GAUSSIAN, 1.3)
+    want = np.zeros((len(seeds),) + dims, dtype=np.complex128)
+    for lag, coeff in spec.taps.items():
+        window = tuple(slice(hi - j, hi - j + v) for (_, hi), j, v in zip(bounds, lag, dims))
+        want += coeff * eps[(slice(None),) + window]
+    got = generate_batch(spec, dims, shift, seeds)
+    assert got.tobytes() == np.ascontiguousarray(want.real).tobytes()
+    assert not np.any(want.imag)

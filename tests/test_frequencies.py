@@ -152,3 +152,17 @@ def test_frequency_domain_validation():
     with pytest.raises(ValueError):
         Frequency((-math.pi,))  # open at -pi
     assert Frequency((math.pi,)).coords == (math.pi,)
+
+
+def test_separation_is_measured_on_the_circle():
+    """pi - 0.01 and -pi + 0.01 are 6.26 apart on the line but 0.02 apart on
+    the circle, below the 64^(-1/4) = 0.354 gap."""
+    lam, mu = Frequency((math.pi - 0.01,)), Frequency((-math.pi + 0.01,))
+    scheme = FrequencyScheme(base=lam, per_n=((lam, mu),), dims_sequence=(BoxDims((64,)),))
+    result = check_separation(scheme, SeparationSpec.uniform(2, 0.25))
+    assert not result.ok
+    assert result.witness == (1, 2, 1)
+    # a pair apart by more than the gap both ways round still passes
+    far = Frequency((-math.pi + 0.5,))
+    scheme = FrequencyScheme(base=lam, per_n=((lam, far),), dims_sequence=(BoxDims((64,)),))
+    assert check_separation(scheme, SeparationSpec.uniform(2, 0.25)).ok

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from specfield import _util, stats
-from specfield.domain import BoxDims
+from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 first_axis_ma1, spectral_density, white_noise)
 from specfield.frequencies import FrequencyScheme
@@ -283,3 +284,37 @@ def test_miller_weight_length_mismatch():
     scheme = scheme_for((math.pi / 2,), 2, 0.25, [(16,)])
     with pytest.raises(ValueError, match="weights"):
         miller_check(spec, scheme, [1.0, 0.0], [(16,)], 10, 0)
+
+
+# sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
+# recorded while real fields were carried as complex128 through the filter
+@pytest.mark.parametrize("kind, digest", [
+    (REAL_GAUSSIAN, "b56d3f480bdfc3aea17441c53324d786186b6443c8486c8e757a0975e6337e22"),
+    (CIRCULAR_GAUSSIAN, "15af709998be64ed5445e787d61fb9a5f34cde1e3a557cb6824c209166f42105"),
+], ids=["real", "circular"])
+def test_clt_report_bytes_are_pinned(kind, digest):
+    spec = first_axis_ma1(2, kind, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, 0.5), 2, 0.2, [(16, 16)])
+    report = run_clt_experiment(spec, scheme, (16, 16), 200, 7)
+    assert report.raw_sums.dtype == np.complex128
+    blob = report.to_json().encode() + report.raw_sums.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_miller_report_bytes_are_pinned():
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    dims = [(8, 8), (16, 16)]
+    scheme = scheme_for((math.pi / 2, 0.5), 2, 0.2, dims)
+    report = miller_check(spec, scheme, [1.0, 0.0, 0.5, -1.0], dims, 100, 3)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "1bf7399b0199f39490ce31a34523739cd0ac42121df0d3a35af8cd2a3d883d2c")
+
+
+def test_clt_refuses_frequencies_close_across_pi():
+    """pi - 0.01 and -pi + 0.01 are 0.02 apart on the circle, far inside the
+    64^(-1/4) gap, so the scheme is refused with its witness pair."""
+    box = BoxDims((64,))
+    lam, mu = Frequency((math.pi - 0.01,)), Frequency((-math.pi + 0.01,))
+    scheme = FrequencyScheme(base=lam, per_n=((lam, mu),), dims_sequence=(box,))
+    with pytest.raises(ValueError, match=r"violate separation at pair \(1, 2\)"):
+        run_clt_experiment(white_noise(1, CIRCULAR_GAUSSIAN, 1.0), scheme, box, 50, 1)
