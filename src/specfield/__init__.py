@@ -19,7 +19,7 @@ from .periodogram import modulated_sum, periodogram, periodogram_vector
 from .spectral import (ExpectationReport, InternalConsistencyError,
                        covariance_of_sums, expected_periodogram_exact,
                        expected_periodogram_quadrature, product_of_sums,
-                       uniform_convergence_report)
+                       sum_covariance, uniform_convergence_report)
 from .frequencies import (FrequencyScheme, SeparationSpec, build_separated,
                           check_separation, is_admissible)
 from .blocking import (BlockingPlan, IndexSlab, MixingProfile, TruncatedField,

@@ -31,6 +31,7 @@ import numpy as np
 from .domain import as_dims, as_frequency
 from .fieldgen import (FieldSample, LinearFieldSpec, autocovariance,
                        generate_batch, replication_seeds)
+from .frequencies import _validated_freqs
 from .periodogram import batched_modulated_sums, phase_grid
 from ._util import replication_chunks, run_chunked
 
@@ -300,8 +301,7 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
     prof = profile if profile is not None else dependence_profile(spec)
     rows = []
     for index, dims in enumerate(dims_sequence, start=1):
-        box = as_dims(dims, spec.dim)
-        freqs = scheme.freqs_for(box)
+        box, freqs = _validated_freqs(spec, scheme, dims)
         if weights.size != 2 * len(freqs):
             raise ValueError(
                 f"need {2 * len(freqs)} weights for {len(freqs)} frequencies, "

@@ -17,6 +17,7 @@ boxes intersect.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,6 +93,15 @@ class LinearFieldSpec:
         """
         return max(hi - lo for lo, hi in self.lag_bounds())
 
+    @functools.cached_property
+    def _lag_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on first use and kept with the spec, which is immutable
+        table = autocovariance_table(self)
+        lags = np.array(list(table), dtype=np.int64)
+        r = np.array(list(table.values()), dtype=np.complex128)
+        lags.flags.writeable = r.flags.writeable = False
+        return lags, r
+
 
 def spectral_density(spec: LinearFieldSpec, lam) -> float:
     """f(lam) = std^2 * |sum_j a_j exp(-i j.lam)|^2, nonnegative and even-symmetric."""
@@ -108,7 +118,9 @@ def autocovariance(spec: LinearFieldSpec, h) -> complex:
     lag = tuple(int(x) for x in h)
     if len(lag) != spec.dim:
         raise ValueError(f"lag {lag} is not {spec.dim}-dimensional")
-    return autocovariance_table(spec).get(lag, 0j)
+    lags, r = _lag_arrays(spec)
+    hit = np.flatnonzero(np.all(lags == lag, axis=1))
+    return complex(r[hit[0]]) if hit.size else 0j
 
 
 def autocovariance_table(spec: LinearFieldSpec):
@@ -126,10 +138,11 @@ def autocovariance_table(spec: LinearFieldSpec):
 
 
 def _lag_arrays(spec: LinearFieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The autocovariance table as lags (H, d) int64 and r (H,) complex128."""
-    table = autocovariance_table(spec)
-    lags = np.array(list(table), dtype=np.int64)
-    return lags, np.array(list(table.values()), dtype=np.complex128)
+    """The autocovariance table as lags (H, d) int64 and r (H,) complex128.
+
+    Built once per spec and cached on it, so both arrays are read-only.
+    """
+    return spec._lag_table
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,9 @@ def build_separated(lam, m: int, delta: float, axis: int, dims) -> list[Frequenc
 
     Neighbour j+1 sits SEPARATION_MARGIN * v_axis^{-(1/2-delta)} beyond
     neighbour j, so every pair beats the separation threshold strictly.
-    Raises if lam is inadmissible, delta is out of range, or the fan exits
-    (-pi, pi] on that axis.
+    Raises if lam is inadmissible, delta is out of range, the fan exits
+    (-pi, pi] on that axis, or its ends come within the threshold of each
+    other across +-pi on the circle.
     """
     base = as_frequency(lam)
     box = as_dims(dims, base.dim)
@@ -65,12 +66,21 @@ def build_separated(lam, m: int, delta: float, axis: int, dims) -> list[Frequenc
         raise ValueError(f"axis {axis} out of range for dimension {base.dim}")
     if not is_admissible(base):
         raise ValueError(f"base frequency {tuple(base)} is not admissible")
-    step = SEPARATION_MARGIN * separation_gap(box.v[axis], delta)
+    gap = separation_gap(box.v[axis], delta)
+    step = SEPARATION_MARGIN * gap
     top = base[axis] + (m - 1) * step
     if top > math.pi:
         raise ValueError(
             f"separated fan exits (-pi, pi]: coordinate reaches {top:.6f} > pi; "
             f"lower m or delta, or move the base frequency"
+        )
+    # the ends are closest the other way round the circle, across +-pi
+    wrap = 2.0 * math.pi - (top - base[axis])
+    if m >= 2 and wrap <= gap:
+        raise ValueError(
+            f"the fan's ends violate separation at pair (1, {m}) across +-pi: "
+            f"{wrap:.6f} apart on the circle, within the gap {gap:.6f}; "
+            f"lower m or delta"
         )
     out = []
     for j in range(m):
@@ -177,27 +187,54 @@ class SeparationCheck:
     witness: tuple | None
 
 
-def check_separation(scheme: FrequencyScheme, sep: SeparationSpec) -> SeparationCheck:
+def check_separation(scheme: FrequencyScheme, sep: SeparationSpec,
+                     real: bool = False) -> SeparationCheck:
     """Verify the separation condition for every pair past its onset index.
 
     Pair (j, k) passes at sequence entry n when SOME coordinate s satisfies
     dist(lam_s^{(j,n)}, lam_s^{(k,n)}) > v_s^{-(1/2 - delta(j,k))} strictly,
     where dist is the distance on the circle, min(|x|, 2 pi - |x|) for
     x = lam_s - mu_s: the kernels are 2 pi-periodic, so frequencies near
-    pi and near -pi are close.  Returns the first violating (j, k, n) as a
-    witness, 1-based.
+    pi and near -pi are close.  For a real field S(-mu) = conj S(mu), so
+    ``real`` also demands the same of lam and -mu, i.e. of lam + mu against
+    0.  Returns the first violating (j, k, n) as a witness, 1-based.
     """
     if sep.m != scheme.m:
         raise ValueError(f"separation spec is for m={sep.m}, scheme has m={scheme.m}")
+    signs = (1.0, -1.0) if real else (1.0,)
     for n, (dims, freqs) in enumerate(zip(scheme.dims_sequence, scheme.per_n), start=1):
         for (j, k), delta in sep.delta.items():
             if n < sep.onset[(j, k)]:
                 continue
             fj, fk = freqs[j - 1], freqs[k - 1]
-            hit = any(
-                _circle_distance(fj[s], fk[s]) > separation_gap(dims.v[s], delta)
-                for s in range(scheme.base.dim)
-            )
-            if not hit:
-                return SeparationCheck(ok=False, witness=(j, k, n))
+            gaps = [separation_gap(v, delta) for v in dims.v]
+            for sign in signs:
+                if not any(_circle_distance(a, sign * b) > gap
+                           for a, b, gap in zip(fj, fk, gaps)):
+                    return SeparationCheck(ok=False, witness=(j, k, n))
     return SeparationCheck(ok=True, witness=None)
+
+
+def _validated_freqs(spec, scheme: FrequencyScheme, dims):
+    """The box and the scheme's frequencies for it, for a field ``spec``.
+
+    Refuses an inadmissible base and a family that ``check_separation``
+    refuses at the scheme's delta (0.25 when it has none), measured against
+    -mu as well when the spec is real.
+    """
+    box = as_dims(dims, spec.dim)
+    freqs = scheme.freqs_for(box)
+    if not is_admissible(scheme.base):
+        raise ValueError("scheme base frequency is not admissible")
+    if len(freqs) >= 2:
+        single = FrequencyScheme(base=scheme.base, per_n=(freqs,), dims_sequence=(box,))
+        sep = SeparationSpec.uniform(len(freqs),
+                                     scheme.delta if scheme.delta is not None else 0.25)
+        for real in (False, True) if spec.is_real else (False,):
+            verdict = check_separation(single, sep, real)
+            if not verdict.ok:
+                against = " against -mu (a real field has S(-mu) = conj S(mu))" if real else ""
+                raise ValueError(
+                    f"frequencies for dims {box.v} violate separation at pair "
+                    f"{verdict.witness[:2]}{against}")
+    return box, freqs

@@ -35,8 +35,8 @@ _TWO_PI = 2.0 * np.pi
 def _wrap_angle(alpha):
     """Reduce an angle to (-pi, pi]."""
     a = np.asarray(alpha, dtype=float)
-    wrapped = a - _TWO_PI * np.round(a / _TWO_PI)
-    # round() sends pi to -pi; fold the boundary back to +pi
+    wrapped = a - _TWO_PI * np.rint(a / _TWO_PI)
+    # rint() sends pi to -pi; fold the boundary back to +pi
     return np.where(wrapped <= -np.pi, wrapped + _TWO_PI, wrapped)
 
 
@@ -47,8 +47,8 @@ def _sin_half(a):
 
 
 def _check_order(n):
-    orders = np.asarray(n).astype(np.int64)
-    if np.any(orders < 1):
+    orders = np.asarray(n).astype(np.int64, copy=False)
+    if orders.min(initial=1) < 1:
         raise ValueError(f"kernel order must be a positive integer, got {n}")
     return orders if orders.ndim else int(orders)
 
@@ -82,11 +82,16 @@ def dirichlet_mod(alpha, n):
     """
     n = _check_order(n)
     a = _wrap_angle(alpha)
-    sh = _sin_half(a)
-    near_zero = 2.0 * np.abs(sh) < SINGULARITY_EPS
-    ratio = np.sin(0.5 * n * a) / (np.where(near_zero, 1.0, sh) * np.sqrt(n))
+    root = np.sqrt(n)
     phase = np.exp(-0.5j * (n - 1) * a)
-    out = np.where(near_zero, np.sqrt(n) + 0j, ratio * phase)
+    if np.abs(a).min(initial=SERIES_CUTOFF) >= SERIES_CUTOFF:
+        # every angle is far from the singularity: no series, nothing to patch
+        out = np.sin(0.5 * n * a) / (np.sin(0.5 * a) * root) * phase
+    else:
+        sh = _sin_half(a)
+        near_zero = 2.0 * np.abs(sh) < SINGULARITY_EPS
+        ratio = np.sin(0.5 * n * a) / (np.where(near_zero, 1.0, sh) * root)
+        out = np.where(near_zero, root + 0j, ratio * phase)
     return out if np.ndim(out) else complex(out)
 
 

@@ -13,15 +13,21 @@ the integrand is a trigonometric polynomial, is itself exact once the grid
 out-resolves the degree.  Keeping both routes callable is the point: they
 check each other.
 
-The lag route tabulates r(h) once per (spec, box) as arrays and evaluates
-a whole array of frequencies with one matrix product; the same product
-gives f = sum_h r(h) e^{-i h.lam} on the grid of the convergence report.
+The lag table r(h) is built once per spec and cached on it.  The lag
+route evaluates a whole array of frequencies with one matrix product; the
+same product gives f = sum_h r(h) e^{-i h.lam} on the grid of the
+convergence report.
 
 The covariance between two modulated sums at frequencies lam and mu over
 the same box factorizes per axis into shifted geometric sums, handled by
 the modulated Dirichlet kernel at lam - mu; the no-conjugate pairing is the
 same sum at lam + mu, driven by the pseudo-covariance, which equals r for
-real fields and vanishes identically for circular ones.
+real fields and vanishes identically for circular ones.  The lag geometry
+of the box (in-box lags, run starts and lengths) is cached on the spec for
+the last box used, and one call evaluates a batch of (lam, mu) pairs:
+``covariance_of_sums`` and ``product_of_sums`` are batches of one, and
+``sum_covariance`` assembles the 2m x 2m covariance of the scaled real and
+imaginary parts from one batch per pairing.
 """
 
 from __future__ import annotations
@@ -108,29 +114,58 @@ def expected_periodogram_quadrature(spec: LinearFieldSpec, lam, dims,
     return float(integrand.mean())
 
 
-def _cross_moment(spec: LinearFieldSpec, lam, mu, dims, sign: int) -> complex:
-    """(1/V) sum_h r(h) e^{-i h.lam} prod_s G_s(h_s) at phi = lam - sign * mu.
+def _box_geometry(spec: LinearFieldSpec, box):
+    """The lags that pair points of ``box`` and their runs, cached on the spec.
 
-    G_s(h_s) sums e^{-i k phi_s} over the k with k and k + h_s both in
-    1..v_s: a run of v_s - |h_s| terms starting at max(1, 1 - h_s), which
-    is the modulated Dirichlet kernel up to a phase and sqrt(length).
+    Returns the in-box lags h (as float64), r(h), -i times the run starts
+    max(1, 1 - h), the run lengths v - |h| and their square roots.  The spec
+    keeps one entry, the tuple (box.v, arrays): memory stays bounded, and a
+    new box replaces the entry in one assignment, so a reader on another
+    thread sees the old entry or the new one, never a mix.
     """
-    box = as_dims(dims, spec.dim)
-    lamv = as_frequency(lam, spec.dim).as_array()
-    phi = lamv - sign * as_frequency(mu, spec.dim).as_array()
+    entry = getattr(spec, "_geometry", None)
+    if entry is not None and entry[0] == box.v:
+        return entry[1]
     lags, r = _lag_arrays(spec)
     inside = np.all(np.abs(lags) < np.asarray(box.v), axis=1)
     lags, r = lags[inside], r[inside]
     length = np.asarray(box.v) - np.abs(lags)
-    start = np.maximum(1, 1 - lags)
-    geometric = np.exp(-1j * start * phi) * np.sqrt(length) * dirichlet_mod(phi, length)
-    terms = r * np.exp(-1j * (lags @ lamv)) * np.prod(geometric, axis=1)
-    return complex(terms.sum() / box.volume)
+    geometry = (lags.astype(float), r, -1j * np.maximum(1, 1 - lags), length,
+                np.sqrt(length))
+    object.__setattr__(spec, "_geometry", (box.v, geometry))
+    return geometry
+
+
+def _cross_moment(spec: LinearFieldSpec, box, lam, phi) -> np.ndarray:
+    """(1/V) sum_h r(h) e^{-i h.lam} prod_s G_s(h_s) for each row of (P, d) lam and phi.
+
+    G_s(h_s) sums e^{-i k phi_s} over the k with k and k + h_s both in
+    1..v_s: a run of v_s - |h_s| terms starting at max(1, 1 - h_s), which
+    is the modulated Dirichlet kernel up to a phase and sqrt(length).  With
+    phi = lam - mu this is the covariance, with phi = lam + mu the product.
+    """
+    lags, r, neg_i_start, length, root = _box_geometry(spec, box)
+    phi = phi[:, np.newaxis, :]
+    geometric = np.exp(neg_i_start * phi) * root * dirichlet_mod(phi, length)
+    # a stack of (H, d) @ (d, 1) products, one matrix-vector product per row;
+    # a (P, d) @ (d, H) matrix product rounds h.lam differently, and a row
+    # would no longer equal the same pair alone
+    phase = np.exp(-1j * (lags @ lam[:, :, np.newaxis])[:, :, 0])
+    terms = r * phase * geometric.prod(axis=-1)
+    return terms.sum(axis=-1) / box.volume
+
+
+def _pair_moment(spec: LinearFieldSpec, lam, mu, dims, sign: int) -> complex:
+    """_cross_moment on a batch of one pair, at phi = lam - sign * mu."""
+    box = as_dims(dims, spec.dim)
+    pair = np.array([as_frequency(f, spec.dim).coords for f in (lam, mu)])
+    lam, mu = pair[:1], pair[1:]
+    return complex(_cross_moment(spec, box, lam, lam - sign * mu)[0])
 
 
 def covariance_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
     """E[S(lam) conj(S(mu))] / V over the box; reduces to E I at mu = lam."""
-    return _cross_moment(spec, lam, mu, dims, sign=1)
+    return _pair_moment(spec, lam, mu, dims, sign=1)
 
 
 def product_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
@@ -140,8 +175,33 @@ def product_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
     circular fields (returned exactly), equal to r(h) for real ones.
     """
     # evaluated for circular fields too, so malformed input is still rejected
-    moment = _cross_moment(spec, lam, mu, dims, sign=-1)
+    moment = _pair_moment(spec, lam, mu, dims, sign=-1)
     return moment if spec.is_real else 0j
+
+
+def sum_covariance(spec: LinearFieldSpec, freqs, dims) -> np.ndarray:
+    """Exact 2m x 2m covariance of (Re S_1, Im S_1, ..., Re S_m, Im S_m) / sqrt(V).
+
+    S_j = S(freqs[j]) over the box.  The blocks come from c = E S_j conj(S_k) / V
+    and p = E S_j S_k / V, one batched cross moment per sign over the m^2
+    ordered pairs: E Re Re = Re(c + p)/2, E Im Im = Re(c - p)/2,
+    E Re_j Im_k = Im(p - c)/2 and E Im_j Re_k = Im(c + p)/2.
+    """
+    box = as_dims(dims, spec.dim)
+    lam = np.array([as_frequency(f, spec.dim).as_array() for f in freqs])
+    m = len(lam)
+    if m < 1:
+        raise ValueError("need at least one frequency")
+    left, right = np.repeat(lam, m, axis=0), np.tile(lam, (m, 1))
+    c = _cross_moment(spec, box, left, left - right).reshape(m, m)
+    p = (_cross_moment(spec, box, left, left + right).reshape(m, m) if spec.is_real
+         else np.zeros((m, m), dtype=np.complex128))
+    cov = np.empty((2 * m, 2 * m))
+    cov[0::2, 0::2] = (c + p).real / 2.0
+    cov[1::2, 1::2] = (c - p).real / 2.0
+    cov[0::2, 1::2] = (p.imag - c.imag) / 2.0
+    cov[1::2, 0::2] = (c.imag + p.imag) / 2.0
+    return cov
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._util import replication_chunks, run_chunked
-from .domain import as_dims
 from .fieldgen import LinearFieldSpec, generate_batch, replication_seeds, spectral_density
-from .frequencies import FrequencyScheme, SeparationSpec, check_separation, is_admissible
+from .frequencies import FrequencyScheme, _validated_freqs
 from .periodogram import batched_modulated_sums
 from .rng import replication_seed
 
@@ -88,23 +87,6 @@ def cross_frequency_independence(periodograms) -> float:
     corr = np.corrcoef(p, rowvar=False)
     off = corr[~np.eye(corr.shape[0], dtype=bool)]
     return float(np.max(np.abs(off)))
-
-
-def _validated_freqs(spec: LinearFieldSpec, scheme: FrequencyScheme, dims):
-    box = as_dims(dims, spec.dim)
-    freqs = scheme.freqs_for(box)
-    if not is_admissible(scheme.base):
-        raise ValueError("scheme base frequency is not admissible")
-    if len(freqs) >= 2:
-        single = FrequencyScheme(base=scheme.base, per_n=(freqs,), dims_sequence=(box,))
-        sep = SeparationSpec.uniform(len(freqs),
-                                     scheme.delta if scheme.delta is not None else 0.25)
-        verdict = check_separation(single, sep)
-        if not verdict.ok:
-            raise ValueError(
-                f"frequencies for dims {box.v} violate separation at pair "
-                f"{verdict.witness[:2]}")
-    return box, freqs
 
 
 def _batched_sums(spec, box, freqs, seeds) -> np.ndarray:

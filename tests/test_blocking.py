@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from specfield.blocking import (BlockingPlan, MixingProfile, block_index_sets,
                                 dependence_profile, index_products,
                                 negligibility_report, plan, truncate,
                                 truncated_second_moments)
-from specfield.domain import BoxDims
+from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
                                 first_axis_ma1, generate, generate_batch,
                                 replication_seeds, white_noise)
@@ -373,3 +374,18 @@ def test_negligibility_report_bytes_are_pinned():
     blob = json.dumps(dataclasses.asdict(report), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
         "f4136cdedc8b5792fe4c5166e426c0df408ef90be37f3557792e52e4fd5c89cf")
+
+
+@pytest.mark.parametrize("kind, lam, mu, needle", [
+    (CIRCULAR_GAUSSIAN, math.pi - 0.01, -math.pi + 0.01, "pair (1, 2)"),
+    (REAL_GAUSSIAN, 1.0, -1.0, "pair (1, 2) against -mu"),
+])
+def test_negligibility_refuses_unseparated_frequencies(kind, lam, mu, needle):
+    """The report validates its frequencies as the clt and miller runs do:
+    on the circle, and against -mu for real fields."""
+    box = BoxDims((64,))
+    pair = (Frequency((lam,)), Frequency((mu,)))
+    scheme = FrequencyScheme(base=pair[0], per_n=(pair,), dims_sequence=(box,))
+    with pytest.raises(ValueError, match=re.escape(f"violate separation at {needle}")):
+        negligibility_report(first_axis_ma1(1, kind, 1.0, 0.5), scheme, [box], 0.2,
+                             [1.0, 0.0, 1.0, 0.0], 10, 5)

@@ -342,3 +342,35 @@ def test_fan_whose_ends_meet_across_pi_is_refused(clt_config_file):
     for cmd in ("clt-experiment", "miller"):
         _assert_one_line_refusal(run_cli(cmd, "--config", cfg),
                                  "violate separation at pair (1, 4)")
+
+
+def test_negligibility_refuses_a_fan_whose_ends_meet_across_pi(clt_config_file):
+    """White circular noise, v = 64, base -3.1, m = 4, delta = 0.49: the fan's
+    ends are 0.53 apart on the circle against a 0.96 gap."""
+    cfg = clt_config_file(delta=0.49)
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["dims"] = [64]
+    doc["scheme"].update(base=[-3.1], m=4)
+    doc["weights"] = [1.0, 0.0] * 4
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    _assert_one_line_refusal(run_cli("negligibility", "--config", cfg),
+                             "violate separation at pair (1, 4)")
+
+
+def test_real_fan_symmetric_about_zero_is_refused(clt_config_file):
+    """A real MA(1) fan from -0.3535 with step 2 * 64^(-1/4) ends at +0.3536:
+    lambda_1 + lambda_2 is 1e-4 from 0, so S(lambda_2) is nearly conj
+    S(lambda_1) and every Monte Carlo command refuses the pair."""
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["spec"] = json.loads(spec_to_json(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)))
+    doc["dims"] = [64]
+    doc["scheme"].update(base=[-0.3535])
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    for cmd in ("clt-experiment", "miller", "negligibility"):
+        _assert_one_line_refusal(run_cli(cmd, "--config", cfg),
+                                 "violate separation at pair (1, 2) against -mu")

@@ -166,3 +166,26 @@ def test_separation_is_measured_on_the_circle():
     far = Frequency((-math.pi + 0.5,))
     scheme = FrequencyScheme(base=lam, per_n=((lam, far),), dims_sequence=(BoxDims((64,)),))
     assert check_separation(scheme, SeparationSpec.uniform(2, 0.25)).ok
+
+
+def test_fan_whose_ends_meet_across_pi_is_not_built():
+    """v = 1, delta = 0.25 gives a step of 2: the fan -3.1, ..., 2.9 has its
+    ends 0.28 apart across +-pi, inside the gap of 1.  One frequency fewer
+    leaves them 2.28 apart, and that fan is built."""
+    with pytest.raises(ValueError, match=r"violate separation at pair \(1, 4\)"):
+        build_separated((-3.1,), 4, 0.25, 0, (1,))
+    fan = build_separated((-3.1,), 3, 0.25, 0, (1,))
+    scheme = FrequencyScheme(base=fan[0], per_n=(tuple(fan),), dims_sequence=(BoxDims((1,)),))
+    assert check_separation(scheme, SeparationSpec.uniform(3, 0.25)).ok
+
+
+def test_real_separation_compares_lambda_with_minus_mu():
+    """For a real field S(-mu) = conj S(mu): lambda = 1 and mu = -1 are 2
+    apart, but lambda + mu = 0 sits inside the 64^(-1/4) gap."""
+    lam, mu = Frequency((1.0,)), Frequency((-1.0,))
+    scheme = FrequencyScheme(base=lam, per_n=((lam, mu),), dims_sequence=(BoxDims((64,)),))
+    sep = SeparationSpec.uniform(2, 0.25)
+    assert check_separation(scheme, sep).ok
+    result = check_separation(scheme, sep, real=True)
+    assert not result.ok
+    assert result.witness == (1, 2, 1)

@@ -1,17 +1,24 @@
+import hashlib
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from specfield import fieldgen
 from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 LinearFieldSpec, autocovariance, first_axis_ma1,
                                 generate_batch, replication_seeds, white_noise)
 from specfield.periodogram import batched_modulated_sums
-from specfield.spectral import (covariance_of_sums, expected_periodogram_exact,
+from specfield.spectral import (_cross_moment, covariance_of_sums,
+                                expected_periodogram_exact,
                                 expected_periodogram_quadrature,
-                                product_of_sums, uniform_convergence_report)
+                                product_of_sums, sum_covariance,
+                                uniform_convergence_report)
+from test_acceptance import _exact_weighted_second_moment
 
 # exact lag-domain sums vs O(V^2) brute force: both are finite sums of the
 # same terms, so only accumulation rounding separates them
@@ -53,10 +60,10 @@ def brute_product(spec, lam, mu, dims):
     return total / math.prod(dims)
 
 
-def random_ma_spec(rng, d, kind=CIRCULAR_GAUSSIAN):
+def random_ma_spec(rng, d, kind=CIRCULAR_GAUSSIAN, reach=3):
     taps = {}
     for _ in range(int(rng.integers(1, 4))):
-        lag = tuple(int(x) for x in rng.integers(0, 3, size=d))
+        lag = tuple(int(x) for x in rng.integers(0, reach, size=d))
         if kind == REAL_GAUSSIAN:
             taps[lag] = float(rng.normal())
         else:
@@ -267,3 +274,140 @@ def test_monte_carlo_agrees_with_exact_expectation():
     se = periods.std(ddof=1) / math.sqrt(len(periods))
     want = expected_periodogram_exact(spec, lam, dims)
     assert abs(periods.mean() - want) < 3 * se
+
+
+def _pinned_moment_pairs(rng):
+    """Seeded (spec, lam, mu, dims) calls: d = 1..3, real and circular, boxes
+    with a side of 1, mu = lam, mu = -lam, Fourier-grid pairs and random
+    pairs; each spec is revisited on its first box after a second one.
+    Half the specs reach lags up to 5, where h.lam rounds."""
+    calls = []
+    for i in range(240):
+        d = 1 + i % 3
+        kind = REAL_GAUSSIAN if (i // 3) % 2 else CIRCULAR_GAUSSIAN
+        spec = random_ma_spec(rng, d, kind, reach=3 + 3 * (i // 6 % 2))
+        first = tuple(int(x) for x in rng.integers(1, 12, size=d))
+        second = tuple(int(x) for x in rng.integers(1, 12, size=d))
+        for dims in (first, second, first):
+            lam = tuple(float(x) for x in -rng.uniform(-math.pi, math.pi, size=d))
+            fourier = [2 * math.pi * int(rng.integers(0, v)) / v for v in dims]
+            grid_lam = tuple(x - 2 * math.pi if x > math.pi else x for x in fourier)
+            for mu in (lam, tuple(-x for x in lam),
+                       tuple(float(x) for x in -rng.uniform(-math.pi, math.pi, size=d))):
+                calls.append((spec, lam, mu, dims))
+            calls.append((spec, grid_lam, lam, dims))
+    return calls
+
+
+# sha256 of the complex128 bytes of covariance_of_sums then product_of_sums
+# per pinned call, recorded while both rebuilt the lag table on every call
+MOMENT_DIGEST = "6df12aec48297bc7fec0cfedfd64dfd2140dc03f8c460f4c6f6b5aa6b6c4804f"
+
+
+def test_cross_moments_are_pinned_by_digest():
+    values = []
+    for spec, lam, mu, dims in _pinned_moment_pairs(np.random.default_rng(2718)):
+        values.append(covariance_of_sums(spec, lam, mu, dims))
+        values.append(product_of_sums(spec, lam, mu, dims))
+    blob = np.array(values, dtype=np.complex128).tobytes()
+    assert hashlib.sha256(blob).hexdigest() == MOMENT_DIGEST
+
+
+def test_lag_table_is_built_once_per_spec(monkeypatch):
+    built = []
+    table = fieldgen.autocovariance_table
+
+    def spy(spec):
+        built.append(spec)
+        return table(spec)
+
+    monkeypatch.setattr(fieldgen, "autocovariance_table", spy)
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.7)
+    rng = np.random.default_rng(31)
+    for i in range(100):
+        lam = tuple(rng.uniform(-math.pi, math.pi, size=2))
+        mu = tuple(rng.uniform(-math.pi, math.pi, size=2))
+        covariance_of_sums(spec, lam, mu, [(8, 8), (5, 3)][i % 2])
+    uniform_convergence_report(spec, [(4, 4), (8, 8)], 16)
+    assert built == [spec]
+
+
+def test_batched_cross_moment_rows_equal_single_pairs():
+    """Row p of one batched call is bit for bit the pair p evaluated alone,
+    and the public scalar functions are that batch of one."""
+    rng = np.random.default_rng(41)
+    for i in range(30):
+        d = 1 + i % 3
+        spec = random_ma_spec(rng, d, REAL_GAUSSIAN if i % 2 else CIRCULAR_GAUSSIAN,
+                              reach=6)
+        dims = tuple(int(x) for x in rng.integers(1, 12, size=d))
+        box = BoxDims(dims)
+        lam = -rng.uniform(-math.pi, math.pi, size=(7, d))
+        mu = -rng.uniform(-math.pi, math.pi, size=(7, d))
+        mu[1], mu[2] = lam[1], -lam[2]
+        for sign, scalar in ((1, covariance_of_sums), (-1, product_of_sums)):
+            batch = _cross_moment(spec, box, lam, lam - sign * mu)
+            for p in range(len(lam)):
+                alone = _cross_moment(spec, box, lam[p:p + 1], lam[p:p + 1] - sign * mu[p:p + 1])
+                assert batch[p].tobytes() == alone[0].tobytes()
+                if spec.is_real or sign == 1:
+                    assert scalar(spec, lam[p], mu[p], dims) == complex(batch[p])
+
+
+def test_sum_covariance_matches_the_scalar_assembly():
+    """Each 2x2 block comes from covariance_of_sums and product_of_sums at
+    (lam_j, lam_k) by the same arithmetic, so the entries agree exactly; the
+    matrix is symmetric and its quadratic forms equal the acceptance oracle."""
+    rng = np.random.default_rng(43)
+    for kind in (REAL_GAUSSIAN, CIRCULAR_GAUSSIAN):
+        for d in (1, 2):
+            spec = random_ma_spec(rng, d, kind)
+            dims = tuple(int(x) for x in rng.integers(3, 12, size=d))
+            freqs = [tuple(-rng.uniform(-math.pi, math.pi, size=d)) for _ in range(3)]
+            cov = sum_covariance(spec, freqs, dims)
+            assert cov.shape == (6, 6)
+            for j, k in itertools.product(range(3), repeat=2):
+                c = covariance_of_sums(spec, freqs[j], freqs[k], dims)
+                p = product_of_sums(spec, freqs[j], freqs[k], dims)
+                assert cov[2 * j, 2 * k] == (c + p).real / 2.0
+                assert cov[2 * j + 1, 2 * k + 1] == (c - p).real / 2.0
+                assert cov[2 * j, 2 * k + 1] == (p.imag - c.imag) / 2.0
+                assert cov[2 * j + 1, 2 * k] == (c.imag + p.imag) / 2.0
+            assert np.allclose(cov, cov.T, rtol=0.0, atol=1e-12)
+            for _ in range(3):
+                b = rng.normal(size=6)
+                oracle = _exact_weighted_second_moment(spec, freqs, b, dims)
+                assert abs(b @ cov @ b - oracle) < 1e-12
+
+
+def test_sum_covariance_refuses_an_empty_family():
+    with pytest.raises(ValueError, match="at least one frequency"):
+        sum_covariance(white_noise(1, REAL_GAUSSIAN, 1.0), [], (8,))
+
+
+def test_box_geometry_cache_is_consistent_across_threads():
+    """Threads alternating two boxes on one spec keep replacing its cached
+    geometry; every value still equals the serial one, bit for bit."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.7)
+    cases = [((0.4, 1.1), (1.0, -0.3), dims) for dims in ((8, 8), (5, 3), (1, 9))]
+    want = [covariance_of_sums(spec, *case) for case in cases]
+    mismatches = []
+
+    def work():
+        for i in range(1000):
+            case = i % len(cases)
+            if covariance_of_sums(spec, *cases[case]) != want[case]:
+                mismatches.append(case)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []

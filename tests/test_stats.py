@@ -11,6 +11,7 @@ from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 first_axis_ma1, spectral_density, white_noise)
 from specfield.frequencies import FrequencyScheme
+from specfield.spectral import sum_covariance
 from specfield.stats import (cross_frequency_independence, g_functional,
                              ks_statistic, miller_check, run_clt_experiment)
 
@@ -318,3 +319,33 @@ def test_clt_refuses_frequencies_close_across_pi():
     scheme = FrequencyScheme(base=lam, per_n=((lam, mu),), dims_sequence=(box,))
     with pytest.raises(ValueError, match=r"violate separation at pair \(1, 2\)"):
         run_clt_experiment(white_noise(1, CIRCULAR_GAUSSIAN, 1.0), scheme, box, 50, 1)
+
+
+@pytest.mark.parametrize("kind, coeff", [(REAL_GAUSSIAN, 0.8), (CIRCULAR_GAUSSIAN, 0.6 - 0.5j)])
+def test_clt_covariance_matches_exact_sum_covariance(kind, coeff):
+    """The sums of a Gaussian field are exactly Gaussian, so the sample
+    covariance of R draws is Wishart around the exact finite-box matrix:
+    Var(C_ij) = (S_ij^2 + S_ii S_jj) / (R - 1).  Unlike the limit diag(f/2),
+    that target carries no finite-V bias, so 5 SEs hold entrywise."""
+    spec = first_axis_ma1(2, kind, 1.0, coeff)
+    dims = (12, 10)
+    scheme = scheme_for((1.1, 0.4), 3, 0.2, [dims])
+    report = run_clt_experiment(spec, scheme, dims, 2000, 8080)
+    exact = sum_covariance(spec, scheme.freqs_for(BoxDims(dims)), dims)
+    diag = np.diag(exact)
+    se = np.sqrt((exact ** 2 + np.outer(diag, diag)) / (report.replications - 1))
+    assert np.all(np.abs(report.covariance - exact) < 5 * se)
+
+
+def test_real_clt_refuses_lambda_against_minus_mu():
+    """Real MA(1), v = 64, lambda = 1 and mu = -1: S(mu) = conj S(lambda), so
+    the pair is one ordinate twice and is refused with its witness; the same
+    frequencies are distinct ordinates of a circular field."""
+    box = BoxDims((64,))
+    lam, mu = Frequency((1.0,)), Frequency((-1.0,))
+    scheme = FrequencyScheme(base=lam, per_n=((lam, mu),), dims_sequence=(box,))
+    with pytest.raises(ValueError, match=r"violate separation at pair \(1, 2\) against -mu"):
+        run_clt_experiment(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5), scheme, box, 50, 1)
+    report = run_clt_experiment(first_axis_ma1(1, CIRCULAR_GAUSSIAN, 1.0, 0.5), scheme,
+                                box, 50, 1)
+    assert report.replications == 50
