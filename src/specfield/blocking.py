@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import as_dims, as_frequency
+from .domain import as_dims
 from .fieldgen import (FieldSample, LinearFieldSpec, autocovariance,
                        generate_batch, replication_seeds)
 from .frequencies import _validated_freqs
-from .periodogram import batched_modulated_sums, phase_grid
+from .periodogram import _separable_grid, batched_modulated_sums, phase_grid
 from ._util import replication_chunks, run_chunked
 
 
@@ -196,21 +196,14 @@ class TruncatedField:
     thresholds: np.ndarray
 
 
-def index_products(sample_or_coords) -> np.ndarray:
-    """<k> = prod_i k_i over the box (absolute coordinates, all required >= 1)."""
-    if isinstance(sample_or_coords, FieldSample):
-        coords = sample_or_coords.axis_coords()
-    else:
-        coords = [np.asarray(c, dtype=np.int64) for c in sample_or_coords]
-    d = len(coords)
+def index_products(coords) -> np.ndarray:
+    """<k> = prod_i k_i over the box, from per-axis absolute coordinates
+    (all required >= 1), such as ``FieldSample.axis_coords()``."""
+    coords = [np.asarray(c, dtype=np.int64) for c in coords]
     if any(c.min() < 1 for c in coords):
         raise ValueError("index products need every box coordinate >= 1 "
                          "(use a nonnegative shift)")
-    grid = np.ones((1,) * d, dtype=np.float64)
-    for s, c in enumerate(coords):
-        grid = grid * c.astype(np.float64).reshape(
-            (1,) * s + (len(c),) + (1,) * (d - 1 - s))
-    return grid
+    return _separable_grid([c.astype(np.float64) for c in coords])
 
 
 def truncate(sample: FieldSample, lam, q: float) -> TruncatedField:
@@ -224,9 +217,9 @@ def truncate(sample: FieldSample, lam, q: float) -> TruncatedField:
     q = float(q)
     if not (0.0 < q < 0.25):
         raise ValueError(f"q must satisfy 0 < q < 1/4, got {q}")
-    freq = as_frequency(lam, sample.dim)
-    thresholds = index_products(sample) ** q
-    phases = phase_grid(sample, freq).reshape(sample.values.shape)
+    coords = sample.axis_coords()
+    thresholds = index_products(coords) ** q
+    phases = phase_grid(coords, lam).reshape(sample.values.shape)
     demod = phases * sample.values
     keep = np.abs(sample.values) <= thresholds
     return TruncatedField(bounded=np.where(keep, demod, 0.0),
@@ -310,6 +303,8 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
         _, leftover = block_index_sets(pl, box)
         coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
         thresholds = index_products(coords) ** q
+        # one grid per frequency, shared by the tail and leftover sums
+        phases = [phase_grid(coords, lam) for lam in freqs]
         leftover_cells = np.zeros(box.v, dtype=bool)
         for slab in leftover:
             leftover_cells[slab.first_slice] = True
@@ -323,10 +318,10 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
         def fill(lo, hi):
             vals = generate_batch(spec, box, None, seeds[lo:hi])
             keep = np.abs(vals) <= thresholds
-            tail[lo:hi] = batched_modulated_sums(np.where(keep, 0.0, vals), coords, freqs)
+            tail[lo:hi] = batched_modulated_sums(np.where(keep, 0.0, vals), phases)
             # bounded parts on the leftover set, zeroed in place to save a copy
             vals[~(keep & leftover_cells)] = 0.0
-            left[lo:hi] = batched_modulated_sums(vals, coords, freqs)
+            left[lo:hi] = batched_modulated_sums(vals, phases)
 
         run_chunked(chunks, fill)
         g = left.real @ weights[0::2] + left.imag @ weights[1::2]

@@ -6,11 +6,11 @@ For a sample on a (possibly shifted) box and a torus frequency lam,
     I(lam) = |S(lam)|^2 / V               (V = box volume)
 
 Sums are taken by direct summation — never an FFT — because the
-frequencies of interest are off the Fourier grid.  Only
-``batched_modulated_sums`` forms S, with one ``np.dot`` per (row, frequency),
-and single samples go through it as a batch of one, so a sample and a batch
-row agree bit for bit.  A BLAS matrix product would not: its last bits
-change with the batch size or the number of frequencies.
+frequencies of interest are off the Fourier grid.  Drivers build each grid
+exp(-i k.lam) once per box with ``phase_grid``; ``batched_modulated_sums``
+forms S with one ``np.dot`` per (row, grid), so a sample and a batch row
+agree bit for bit.  A BLAS matrix product would not: its last bits change
+with the batch size or the number of frequencies.
 """
 
 from __future__ import annotations
@@ -30,24 +30,25 @@ __all__ = [
 ]
 
 
-def phase_grid(sample_or_coords, lam) -> np.ndarray:
+def _separable_grid(axis_vectors) -> np.ndarray:
+    """prod_s vec_s[k_s] over the box, shape (v_1, ..., v_d), in axis order."""
+    d = len(axis_vectors)
+    grid = np.ones((1,) * d, dtype=np.result_type(*axis_vectors))
+    for s, vec in enumerate(axis_vectors):
+        grid = grid * vec.reshape((1,) * s + (len(vec),) + (1,) * (d - 1 - s))
+    return grid
+
+
+def phase_grid(coords, lam) -> np.ndarray:
     """exp(-i k.lam) over the box, as a flat (volume,) complex array.
 
-    Accepts a FieldSample or a list of per-axis absolute coordinate arrays.
-    The grid is the outer product of per-axis phase vectors, flattened in C
-    order to match ``values.ravel()``.
+    ``coords`` are per-axis absolute coordinates, e.g. ``sample.axis_coords()``;
+    the grid is flattened in C order to match ``values.ravel()``.
     """
-    if isinstance(sample_or_coords, FieldSample):
-        coords = sample_or_coords.axis_coords()
-    else:
-        coords = [np.asarray(c, dtype=np.int64) for c in sample_or_coords]
+    coords = [np.asarray(c, dtype=np.int64) for c in coords]
     freq = as_frequency(lam, len(coords))
-    grid = np.ones((1,) * len(coords), dtype=np.complex128)
-    for s, (c, w) in enumerate(zip(coords, freq)):
-        axis_phase = np.exp(-1j * w * c.astype(np.float64))
-        shape = (1,) * s + (len(c),) + (1,) * (len(coords) - 1 - s)
-        grid = grid * axis_phase.reshape(shape)
-    return grid.ravel()
+    return _separable_grid([np.exp(-1j * w * c.astype(np.float64))
+                            for c, w in zip(coords, freq)]).ravel()
 
 
 def modulated_sum(sample: FieldSample, lam) -> complex:
@@ -66,20 +67,19 @@ def periodogram_vector(sample: FieldSample, freqs) -> list[tuple[complex, float]
     ``modulated_sum`` and ``periodogram`` are this function at one frequency;
     all three call ``batched_modulated_sums`` on the sample as a batch of one.
     """
-    sums = batched_modulated_sums(sample.values[None], sample.axis_coords(), freqs)
+    phases = [phase_grid(sample.axis_coords(), lam) for lam in freqs]
+    sums = batched_modulated_sums(sample.values[None], phases)
     vol = sample.dims.volume
     return [(s, (s.real * s.real + s.imag * s.imag) / vol) for s in map(complex, sums[0])]
 
 
-def batched_modulated_sums(values: np.ndarray, coords, freqs) -> np.ndarray:
-    """S for a batch of realizations, shape (R, len(freqs)).
+def batched_modulated_sums(values: np.ndarray, phases) -> np.ndarray:
+    """S for a batch of realizations, shape (R, len(phases)).
 
-    ``values`` has shape (R, v_1, ..., v_d) and ``coords`` are the per-axis
-    absolute coordinates.  Each phase grid is built once per call; entry
-    (r, j) is ``np.dot`` of row r with grid j, so it is bit-identical to the
-    same row summed alone.
+    ``values`` has shape (R, v_1, ..., v_d) and ``phases`` are flat grids
+    from ``phase_grid`` over the same box.  Entry (r, j) is ``np.dot`` of
+    row r with grid j, so it is bit-identical to the same row summed alone.
     """
-    phases = [phase_grid(coords, lam) for lam in freqs]
     flat = values.reshape(values.shape[0], -1)
     out = np.empty((flat.shape[0], len(phases)), dtype=np.complex128)
     for j, ph in enumerate(phases):

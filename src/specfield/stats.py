@@ -29,7 +29,7 @@ import numpy as np
 from ._util import replication_chunks, run_chunked
 from .fieldgen import LinearFieldSpec, generate_batch, replication_seeds, spectral_density
 from .frequencies import FrequencyScheme, _validated_freqs
-from .periodogram import batched_modulated_sums
+from .periodogram import batched_modulated_sums, phase_grid
 from .rng import replication_seed
 
 
@@ -92,12 +92,13 @@ def cross_frequency_independence(periodograms) -> float:
 def _batched_sums(spec, box, freqs, seeds) -> np.ndarray:
     """Modulated sums for every seed and frequency, shape (R, m)."""
     coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
+    phases = [phase_grid(coords, lam) for lam in freqs]
     out = np.empty((len(seeds), len(freqs)), dtype=np.complex128)
     chunks = replication_chunks(len(seeds), 16 * box.volume * 3)
 
     def fill(lo, hi):
         vals = generate_batch(spec, box, None, seeds[lo:hi])
-        out[lo:hi] = batched_modulated_sums(vals, coords, freqs)
+        out[lo:hi] = batched_modulated_sums(vals, phases)
 
     run_chunked(chunks, fill)
     return out

@@ -152,13 +152,13 @@ def test_mixing_profile_validation():
 
 def test_index_products():
     sample = generate(white_noise(2, REAL_GAUSSIAN, 1.0), (3, 2), seed=0)
-    prods = index_products(sample)
+    prods = index_products(sample.axis_coords())
     assert prods.shape == (3, 2)
     assert prods[0, 0] == 1.0
     assert prods[2, 1] == 6.0
     bad = generate(white_noise(1, REAL_GAUSSIAN, 1.0), (4,), shift=(-2,), seed=0)
     with pytest.raises(ValueError):
-        index_products(bad)
+        index_products(bad.axis_coords())
 
 
 def test_truncation_reconstructs_demodulated_field():

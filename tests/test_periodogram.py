@@ -10,7 +10,7 @@ from specfield.fieldgen import (CIRCULAR_GAUSSIAN, FieldSample, first_axis_ma1,
 from specfield.frequencies import build_separated
 from specfield.kernels import fejer_product
 from specfield.periodogram import (batched_modulated_sums, modulated_sum,
-                                   periodogram, periodogram_vector)
+                                   periodogram, periodogram_vector, phase_grid)
 
 # two evaluation orders of the same O(V) sum
 SUM_TOL = 1e-10
@@ -81,7 +81,7 @@ def test_iid_mean_periodogram():
     seeds = replication_seeds(424242, 2000)
     vals = generate_batch(spec, (32, 32), None, seeds)
     coords = [np.arange(1, 33, dtype=np.int64)] * 2
-    sums = batched_modulated_sums(vals, coords, [Frequency((0.7, -1.9))])
+    sums = batched_modulated_sums(vals, [phase_grid(coords, Frequency((0.7, -1.9)))])
     periods = (np.abs(sums[:, 0]) ** 2) / 1024.0
     se = periods.std(ddof=1) / math.sqrt(len(periods))
     assert abs(periods.mean() - 1.0) < 3 * se
@@ -114,7 +114,7 @@ def test_batched_sums_match_scalar_path():
     vals = generate_batch(spec, (20,), None, seeds)
     coords = [np.arange(1, 21, dtype=np.int64)]
     freqs = [Frequency((0.5,)), Frequency((2.5,))]
-    table = batched_modulated_sums(vals, coords, freqs)
+    table = batched_modulated_sums(vals, [phase_grid(coords, f) for f in freqs])
     assert table.shape == (7, 2)
     for i, s in enumerate(seeds):
         sample = generate(spec, (20,), seed=int(s))

@@ -12,7 +12,7 @@ from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 LinearFieldSpec, autocovariance, first_axis_ma1,
                                 generate_batch, replication_seeds, white_noise)
-from specfield.periodogram import batched_modulated_sums
+from specfield.periodogram import batched_modulated_sums, phase_grid
 from specfield.spectral import (_cross_moment, covariance_of_sums,
                                 expected_periodogram_exact,
                                 expected_periodogram_quadrature,
@@ -269,7 +269,7 @@ def test_monte_carlo_agrees_with_exact_expectation():
     seeds = replication_seeds(20240201, 2000)
     vals = generate_batch(spec, dims, None, seeds)
     coords = [np.arange(1, 9, dtype=np.int64)] * 2
-    sums = batched_modulated_sums(vals, coords, [lam])
+    sums = batched_modulated_sums(vals, [phase_grid(coords, lam)])
     periods = np.abs(sums[:, 0]) ** 2 / 64.0
     se = periods.std(ddof=1) / math.sqrt(len(periods))
     want = expected_periodogram_exact(spec, lam, dims)
