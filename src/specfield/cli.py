@@ -1,7 +1,8 @@
 """Command-line entry point: one subcommand per capability.
 
 Exit codes: 0 success, 1 validation/config error, 2 internal-consistency
-error, 64 usage error (unknown subcommand, bad flags).  JSON goes to
+or other internal error, 64 usage error (unknown subcommand, bad flags);
+every failure is one stderr line, never a traceback.  JSON goes to
 reports, CSV to per-replication raw data; everything is deterministic in
 the config's master seed.  SPECFIELD_THREADS overrides the replication
 worker count.
@@ -15,11 +16,9 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__
 from .blocking import MixingProfile, block_index_sets, negligibility_report, plan
-from .domain import BoxDims, Frequency
+from .domain import BoxDims, Frequency, _json_int, _json_real
 from .fieldgen import LinearFieldSpec, _spec_from_doc, generate
 from .frequencies import FrequencyScheme
 from .kernels import dirichlet_mod, fejer
@@ -90,29 +89,13 @@ def _emit(doc, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _json_int(value, name: str) -> int:
-    """A JSON integer as is; floats and bools are refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {name!r} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _json_real(value, name: str) -> float:
-    """A finite JSON number as a float; bools, strings, NaN and infinities are refused."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not -sys.float_info.max <= value <= sys.float_info.max):
-        raise ValueError(f"field {name!r} must be a real number, got {json.dumps(value)}")
-    return float(value)
-
-
 @dataclass
 class ExperimentConfig:
     """Validated contents of an experiment config document."""
 
     spec: LinearFieldSpec
     scheme: FrequencyScheme
-    dims: BoxDims | None
-    dims_sequence: list[BoxDims]
+    dims_sequence: list[BoxDims]      # [dims] for a config that gives 'dims'
     replications: int
     seed: int
     q: float | None
@@ -121,7 +104,7 @@ class ExperimentConfig:
 
 def _config_from_doc(doc) -> ExperimentConfig:
     try:
-        spec = _spec_from_doc(doc["spec"])
+        spec = _spec_from_doc(doc["spec"], "spec.")
         dims = BoxDims(tuple(doc["dims"])) if "dims" in doc else None
         seq = [BoxDims(tuple(v)) for v in doc.get("dims_sequence", [])]
         scheme_doc = doc["scheme"]
@@ -138,6 +121,8 @@ def _config_from_doc(doc) -> ExperimentConfig:
         raise ValueError(f"config is missing required field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed config document: {exc}") from exc
+    if dims is not None and "dims_sequence" in doc:
+        raise ValueError("config gives both 'dims' and 'dims_sequence'; give one of them")
     if dims is None and not seq:
         raise ValueError("config needs 'dims' or a non-empty 'dims_sequence'")
     all_dims = seq if seq else [dims]
@@ -145,7 +130,7 @@ def _config_from_doc(doc) -> ExperimentConfig:
     if any(b <= a for a, b in zip(mins, mins[1:])):
         raise ValueError("dims_sequence must have strictly growing minimum side")
     scheme = FrequencyScheme.separated(base, m, delta, axis, all_dims)
-    return ExperimentConfig(spec=spec, scheme=scheme, dims=dims, dims_sequence=seq,
+    return ExperimentConfig(spec=spec, scheme=scheme, dims_sequence=all_dims,
                             replications=replications, seed=seed, q=q, weights=weights)
 
 
@@ -232,8 +217,8 @@ def _cmd_covariance(args) -> int:
 
 def _cmd_clt(args) -> int:
     cfg = _config_from_doc(_load_json_file(args.config))
-    dims = cfg.dims if cfg.dims is not None else cfg.dims_sequence[-1]
-    report = run_clt_experiment(cfg.spec, cfg.scheme, dims, cfg.replications, cfg.seed)
+    report = run_clt_experiment(cfg.spec, cfg.scheme, cfg.dims_sequence[-1],
+                                cfg.replications, cfg.seed)
     _emit(report.to_json(), args.out)
     if args.csv:
         m = len(report.frequencies)
@@ -257,8 +242,7 @@ def _cmd_miller(args) -> int:
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.weights is None:
         raise ValueError("miller config needs 'weights'")
-    seq = cfg.dims_sequence if cfg.dims_sequence else [cfg.dims]
-    report = miller_check(cfg.spec, cfg.scheme, cfg.weights, seq,
+    report = miller_check(cfg.spec, cfg.scheme, cfg.weights, cfg.dims_sequence,
                           cfg.replications, cfg.seed)
     _emit(report.to_json(), args.out)
     return 0
@@ -290,9 +274,8 @@ def _cmd_negligibility(args) -> int:
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.q is None or cfg.weights is None:
         raise ValueError("negligibility config needs 'q' and 'weights'")
-    seq = cfg.dims_sequence if cfg.dims_sequence else [cfg.dims]
-    report = negligibility_report(cfg.spec, cfg.scheme, seq, cfg.q, cfg.weights,
-                                  cfg.replications, cfg.seed)
+    report = negligibility_report(cfg.spec, cfg.scheme, cfg.dims_sequence, cfg.q,
+                                  cfg.weights, cfg.replications, cfg.seed)
     _emit(asdict(report), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -407,6 +390,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_EXIT
+    except Exception as exc:
+        # anything else is a defect: one line, never a traceback
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

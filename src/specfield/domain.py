@@ -1,4 +1,5 @@
-"""Shared value types: rectangular index boxes and torus frequencies.
+"""Shared value types: rectangular index boxes and torus frequencies, and
+the strict readers of JSON integers and reals used by every input document.
 
 Index boxes live on the d-dimensional integer lattice.  A box of dims
 ``v = (v_1, ..., v_d)`` anchored at shift ``w`` is the set of lattice
@@ -8,7 +9,9 @@ the d-torus, one coordinate per lattice axis, each in ``(-pi, pi]``.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,3 +109,18 @@ def as_shift(shift, dim: int) -> tuple[int, ...]:
     if len(out) != dim:
         raise ValueError(f"expected {dim}-dimensional shift, got {len(out)}")
     return out
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer as is; floats and bools are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {name!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_real(value, name: str) -> float:
+    """A finite JSON number as a float; bools, strings, NaN and infinities are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"field {name!r} must be a real number, got {json.dumps(value)}")
+    return float(value)

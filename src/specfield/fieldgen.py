@@ -21,10 +21,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .domain import BoxDims, as_dims, as_frequency, as_shift
+from .domain import BoxDims, _json_int, _json_real, as_dims, as_frequency, as_shift
 from .rng import _BLOCK_SITES, _replication_hash, check_seed, gaussian_lattice
 
 REAL_GAUSSIAN = "real-gaussian"
@@ -39,7 +40,8 @@ class LinearFieldSpec:
     ``taps`` maps d-dimensional integer lags to complex coefficients.  A
     real-gaussian innovation kind requires real taps so the field itself is
     real; the circular kind drives circularly-symmetric complex innovations
-    (zero pseudo-covariance).
+    (zero pseudo-covariance).  ``taps`` is read-only after construction,
+    because the lag table derived from it is cached on the spec.
     """
 
     dim: int
@@ -59,7 +61,7 @@ class LinearFieldSpec:
             if len(lag) != self.dim:
                 raise ValueError(f"lag {lag} is not {self.dim}-dimensional")
             norm[lag] = complex(coeff)
-        object.__setattr__(self, "taps", norm)
+        object.__setattr__(self, "taps", MappingProxyType(norm))
         if self.innovation_kind not in _KINDS:
             raise ValueError(
                 f"innovation_kind must be one of {_KINDS}, got {self.innovation_kind!r}"
@@ -74,6 +76,11 @@ class LinearFieldSpec:
         if std < 0:
             raise ValueError("innovation_std must be >= 0")
         object.__setattr__(self, "innovation_std", std)
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the spec from a plain dict of taps
+        return (type(self), (self.dim, dict(self.taps), self.innovation_kind,
+                             self.innovation_std))
 
     @property
     def is_real(self) -> bool:
@@ -256,15 +263,20 @@ def spec_from_json(text: str) -> LinearFieldSpec:
     return _spec_from_doc(json.loads(text))
 
 
-def _spec_from_doc(doc) -> LinearFieldSpec:
+def _spec_from_doc(doc, where: str = "") -> LinearFieldSpec:
+    """A spec from its JSON document; ``where`` prefixes the field names in errors."""
     try:
-        dim = doc["dim"]
-        taps = {
-            tuple(entry["lag"]): complex(entry["re"], entry.get("im", 0.0))
-            for entry in doc["taps"]
-        }
+        dim = _json_int(doc["dim"], f"{where}dim")
+        taps = {}
+        for i, entry in enumerate(doc["taps"]):
+            at = f"{where}taps[{i}]"
+            lag = tuple(_json_int(x, f"{at}.lag[{s}]") for s, x in enumerate(entry["lag"]))
+            if lag in taps:
+                raise ValueError(f"field {at!r} repeats the lag {list(lag)} of an earlier tap")
+            taps[lag] = complex(_json_real(entry["re"], f"{at}.re"),
+                                _json_real(entry.get("im", 0.0), f"{at}.im"))
         kind = doc["innovation_kind"]
-        std = doc["innovation_std"]
+        std = _json_real(doc["innovation_std"], f"{where}innovation_std")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed field spec document: {exc}") from exc
     return LinearFieldSpec(dim=dim, taps=taps, innovation_kind=kind, innovation_std=std)

@@ -174,9 +174,13 @@ def product_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
     Driven by the pseudo-covariance E[X_{l+h} X_l]: identically zero for
     circular fields (returned exactly), equal to r(h) for real ones.
     """
-    # evaluated for circular fields too, so malformed input is still rejected
-    moment = _pair_moment(spec, lam, mu, dims, sign=-1)
-    return moment if spec.is_real else 0j
+    if spec.is_real:
+        return _pair_moment(spec, lam, mu, dims, sign=-1)
+    # a known zero, but malformed input is still refused
+    as_dims(dims, spec.dim)
+    for f in (lam, mu):
+        as_frequency(f, spec.dim)
+    return 0j
 
 
 def sum_covariance(spec: LinearFieldSpec, freqs, dims) -> np.ndarray:

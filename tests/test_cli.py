@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from specfield import cli
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 first_axis_ma1, spec_to_json, white_noise)
 from specfield.kernels import dirichlet_mod, fejer
@@ -374,3 +375,67 @@ def test_real_fan_symmetric_about_zero_is_refused(clt_config_file):
     for cmd in ("clt-experiment", "miller", "negligibility"):
         _assert_one_line_refusal(run_cli(cmd, "--config", cfg),
                                  "violate separation at pair (1, 2) against -mu")
+
+
+def _ma1_doc():
+    return json.loads(spec_to_json(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)))
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("taps", 1, "lag"), [0], "field 'taps[1]' repeats the lag [0] of an earlier tap"),
+    (("dim",), None, "field 'dim' must be an integer, got null"),
+    (("innovation_std",), None, "field 'innovation_std' must be a real number, got null"),
+    (("dim",), 1.9, "field 'dim' must be an integer, got 1.9"),
+    (("taps", 0, "lag"), [0.7], "field 'taps[0].lag[0]' must be an integer, got 0.7"),
+    (("taps", 0, "re"), True, "field 'taps[0].re' must be a real number, got true"),
+    (("innovation_std",), "2", "field 'innovation_std' must be a real number, got \"2\""),
+    (("taps", 0, "im"), math.nan, "field 'taps[0].im' must be a real number, got NaN"),
+], ids=["repeated-lag", "dim-null", "std-null", "dim-float", "lag-float", "re-bool",
+        "std-string", "im-nan"])
+def test_malformed_spec_documents_exit_one(tmp_path, path, value, message):
+    doc = _ma1_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_cli("expectation", "--spec", str(spec), "--dims", "8", "--freq", "1.0")
+    _assert_one_line_refusal(proc, message)
+    assert proc.stderr.strip() == f"error: {message}"
+
+
+def test_config_spec_errors_name_the_path(clt_config_file):
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["spec"]["taps"][0]["re"] = "1"
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    _assert_one_line_refusal(run_cli("clt-experiment", "--config", cfg),
+                             "field 'spec.taps[0].re' must be a real number")
+
+
+def test_config_with_dims_and_dims_sequence_is_refused(clt_config_file):
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["dims_sequence"] = [[8], [16]]
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    for cmd in ("clt-experiment", "miller", "negligibility"):
+        proc = run_cli(cmd, "--config", cfg)
+        _assert_one_line_refusal(proc, "'dims' and 'dims_sequence'")
+
+
+def test_unexpected_errors_are_one_line_with_exit_two(monkeypatch, capsys):
+    """A defect surfaces as one stderr line and exit 2, never a traceback."""
+    def broken(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_kernels", broken)
+    assert cli.main(["kernels", "--alpha", "0.5", "--n", "4"]) == cli.INTERNAL_EXIT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: first line second line\n"
+

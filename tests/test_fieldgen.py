@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -299,3 +301,28 @@ def test_real_field_is_the_real_part_of_the_complex_filter():
     got = generate_batch(spec, dims, shift, seeds)
     assert got.tobytes() == np.ascontiguousarray(want.real).tobytes()
     assert not np.any(want.imag)
+
+
+def test_taps_are_read_only():
+    """The lag table is cached on the spec, so a tap assigned afterwards would
+    reach ``generate`` but not r(h); the assignment is refused instead."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN)
+    assert autocovariance(spec, (0,)) == 2
+    with pytest.raises(TypeError):
+        spec.taps[(1,)] = 3.0
+    with pytest.raises(TypeError):
+        del spec.taps[(0,)]
+    assert autocovariance(spec, (0,)) == 2
+    assert dict(spec.taps) == {(0,): 1.0, (1,): 1.0}
+
+
+@pytest.mark.parametrize("kind, coeff", [(REAL_GAUSSIAN, 0.5), (CIRCULAR_GAUSSIAN, 0.3 - 0.8j)])
+def test_specs_pickle_and_deepcopy(kind, coeff):
+    spec = first_axis_ma1(2, kind, 1.5, coeff)
+    autocovariance(spec, (1, 0))  # the cached table must not get in the way
+    want = generate_batch(spec, (6, 5), (1, -2), [3, 4]).tobytes()
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert twin == spec and twin is not spec
+        assert generate_batch(twin, (6, 5), (1, -2), [3, 4]).tobytes() == want
+        with pytest.raises(TypeError):
+            twin.taps[(0, 0)] = 2.0

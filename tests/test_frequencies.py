@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specfield.domain import BoxDims, Frequency
 from specfield.frequencies import (FrequencyScheme, SeparationSpec,
@@ -189,3 +190,54 @@ def test_real_separation_compares_lambda_with_minus_mu():
     result = check_separation(scheme, sep, real=True)
     assert not result.ok
     assert result.witness == (1, 2, 1)
+
+
+# whole coordinates meet the gap 1 of a side of 1 exactly, which tests the strict "<"
+_COORD = st.one_of(st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True),
+                   st.integers(-3, 3).map(float))
+
+
+@st.composite
+def _separation_cases(draw):
+    """A scheme of m arbitrary frequencies on 1 to 3 boxes in d = 1 or 2, a
+    separation spec with per-pair delta and onset, and the real flag."""
+    d, m, entries = draw(st.integers(1, 2)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    dims = [BoxDims(tuple(draw(st.sampled_from([1, 2, 7, 64, 256])) for _ in range(d)))
+            for _ in range(entries)]
+    per_n = [tuple(Frequency(tuple(draw(_COORD) for _ in range(d))) for _ in range(m))
+             for _ in range(entries)]
+    pairs = [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
+    sep = SeparationSpec(
+        m=m,
+        delta={p: draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+               for p in pairs},
+        onset={p: draw(st.integers(1, entries + 1)) for p in pairs})
+    scheme = FrequencyScheme(base=per_n[0][0], per_n=tuple(per_n), dims_sequence=tuple(dims))
+    return scheme, sep, draw(st.booleans())
+
+
+def _torus_witness(scheme, sep, real):
+    """Brute force: the first (j, k, n) past its onset where lam_j and
+    sign * lam_k come within the gap in every coordinate, the distance being
+    the least |x + 2 pi t| over the translates t = -1, 0, 1."""
+    for n, (dims, freqs) in enumerate(zip(scheme.dims_sequence, scheme.per_n), start=1):
+        for j in range(1, sep.m + 1):
+            for k in range(j + 1, sep.m + 1):
+                if n < sep.onset[(j, k)]:
+                    continue
+                for sign in ((1.0, -1.0) if real else (1.0,)):
+                    if all(min(abs(a - sign * b + 2.0 * math.pi * t) for t in (-1, 0, 1))
+                           <= separation_gap(v, sep.delta[(j, k)])
+                           for a, b, v in zip(freqs[j - 1], freqs[k - 1], dims.v)):
+                        return (j, k, n)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_separation_cases())
+def test_check_separation_agrees_with_a_brute_force_torus_check(case):
+    scheme, sep, real = case
+    witness = _torus_witness(scheme, sep, real)
+    result = check_separation(scheme, sep, real)
+    assert (result.ok, result.witness) == (witness is None, witness)
+

@@ -1,13 +1,16 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from specfield import _util, blocking, stats
+from specfield.blocking import negligibility_report
 from specfield.domain import BoxDims, Frequency
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, FieldSample, first_axis_ma1,
-                                generate, generate_batch, replication_seeds,
-                                white_noise)
-from specfield.frequencies import build_separated
+from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
+                                first_axis_ma1, generate, generate_batch,
+                                replication_seeds, white_noise)
+from specfield.frequencies import FrequencyScheme, build_separated
 from specfield.kernels import fejer_product
 from specfield.periodogram import (batched_modulated_sums, modulated_sum,
                                    periodogram, periodogram_vector, phase_grid)
@@ -170,3 +173,39 @@ def test_pairwise_accumulation_accuracy():
         -1j * lam[1] * coords)[None, :]
     exact = math.fsum((vals * phases).real.ravel())
     assert abs(s.real - exact) < 1e-9 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("chunk_bytes", [_util._CHUNK_BYTES, 1 << 12], ids=["one-chunk", "small"])
+def test_phase_grids_are_built_once_per_box(monkeypatch, threads, chunk_bytes):
+    """Each driver builds its m grids once per dims entry, before the chunk
+    loop, whatever the chunk size and thread count; the negligibility tail
+    and leftover sums share one set."""
+    built = []
+
+    def spy(coords, lam):
+        built.append(tuple(len(c) for c in coords))
+        return phase_grid(coords, lam)
+
+    # the package exports a function named periodogram, so fetch the module
+    for module in (importlib.import_module("specfield.periodogram"), stats, blocking):
+        monkeypatch.setattr(module, "phase_grid", spy, raising=False)
+    monkeypatch.setenv("SPECFIELD_THREADS", threads)
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", chunk_bytes)
+
+    circ = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    seq = [BoxDims((8, 6)), BoxDims((16, 8))]
+    scheme = FrequencyScheme.separated((math.pi / 2, -math.pi / 2), 3, 0.25, 1, seq)
+    stats.run_clt_experiment(circ, scheme, seq[1], 30, 17)
+    assert built == [(16, 8)] * 3
+    built.clear()
+    stats.miller_check(circ, scheme, [1.0, 0.5, -0.3, 0.8, 0.2, 0.1], seq, 30, 23)
+    assert built == [(8, 6)] * 3 + [(16, 8)] * 3
+
+    real = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    seq = [BoxDims((64,)), BoxDims((128,))]
+    scheme = FrequencyScheme.separated((math.pi / 2,), 2, 0.25, 0, seq)
+    built.clear()
+    negligibility_report(real, scheme, seq, 0.2, [1.0, -0.5, 0.3, 2.0], 30, 23)
+    assert built == [(64,)] * 2 + [(128,)] * 2
+

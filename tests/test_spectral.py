@@ -213,6 +213,22 @@ def test_product_is_zero_for_circular_fields():
     assert got == 0j
 
 
+@pytest.mark.parametrize("lam, mu, dims", [
+    ((0.5, 0.5), (1.0, -0.5), (6, 0)),
+    ((0.5, 0.5), (1.0, -0.5), (6,)),
+    ((0.5, 0.5), (1.0, -0.5), (6.0, 6)),
+    ((0.5,), (1.0, -0.5), (6, 6)),
+    ((0.5, 0.5), (1.0, 4.0), (6, 6)),
+    ((0.5, -math.pi), (1.0, -0.5), (6, 6)),
+], ids=["side-0", "dims-1d", "side-float", "lam-1d", "mu-outside", "lam-minus-pi"])
+def test_circular_product_still_refuses_malformed_input(lam, mu, dims):
+    """The circular product is a known 0j, returned without the cross
+    moment, but its input is validated as for real fields."""
+    for kind in (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN):
+        with pytest.raises(ValueError):
+            product_of_sums(first_axis_ma1(2, kind, 1.0, 0.8), lam, mu, dims)
+
+
 def test_product_matches_brute_force_real_fields():
     rng = np.random.default_rng(17)
     for _ in range(6):

@@ -337,6 +337,21 @@ def test_clt_covariance_matches_exact_sum_covariance(kind, coeff):
     assert np.all(np.abs(report.covariance - exact) < 5 * se)
 
 
+@pytest.mark.parametrize("kind, coeff", [(REAL_GAUSSIAN, 0.8), (CIRCULAR_GAUSSIAN, 0.6 - 0.5j)])
+def test_miller_estimate_matches_exact_weighted_moment(kind, coeff):
+    """E G(b, S)^2 / V is exactly b' Sigma b at every finite box, with Sigma
+    from ``sum_covariance``; each row's Monte Carlo mean lies within 4 of
+    its standard errors of it."""
+    spec = first_axis_ma1(2, kind, 1.0, coeff)
+    dims_seq = [(8, 6), (12, 10)]
+    scheme = scheme_for((-1.0, 0.4), 3, 0.2, dims_seq)
+    weights = np.array([1.0, -0.5, 0.3, 0.8, -1.2, 0.4])
+    report = miller_check(spec, scheme, weights, dims_seq, 2000, 9090)
+    for row, dims in zip(report.rows, dims_seq):
+        exact = sum_covariance(spec, scheme.freqs_for(BoxDims(dims)), dims)
+        assert abs(row.estimate - weights @ exact @ weights) < 4 * row.std_error
+
+
 def test_real_clt_refuses_lambda_against_minus_mu():
     """Real MA(1), v = 64, lambda = 1 and mu = -1: S(mu) = conj S(lambda), so
     the pair is one ordinate twice and is refused with its witness; the same
