@@ -438,4 +438,3 @@ def test_unexpected_errors_are_one_line_with_exit_two(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: first line second line\n"
-

@@ -240,4 +240,3 @@ def test_check_separation_agrees_with_a_brute_force_torus_check(case):
     witness = _torus_witness(scheme, sep, real)
     result = check_separation(scheme, sep, real)
     assert (result.ok, result.witness) == (witness is None, witness)
-

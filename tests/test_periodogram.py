@@ -208,4 +208,3 @@ def test_phase_grids_are_built_once_per_box(monkeypatch, threads, chunk_bytes):
     built.clear()
     negligibility_report(real, scheme, seq, 0.2, [1.0, -0.5, 0.3, 2.0], 30, 23)
     assert built == [(64,)] * 2 + [(128,)] * 2
-
