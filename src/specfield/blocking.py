@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import as_dims
-from .fieldgen import (FieldSample, LinearFieldSpec, autocovariance,
-                       generate_batch, replication_seeds)
+from .fieldgen import FieldSample, LinearFieldSpec, autocovariance, replication_seeds
 from .frequencies import _validated_freqs
-from .periodogram import _separable_grid, batched_modulated_sums, phase_grid
-from ._util import replication_chunks, run_chunked
+from .periodogram import _separable_grid, phase_grid
+from .stats import _replicated_sums, g_functional
 
 
 @dataclass(frozen=True)
@@ -288,8 +287,6 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
     both.  The blocking plan uses the field's own m-dependence profile
     unless one is passed explicitly.
     """
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
     weights = np.asarray(weights, dtype=float)
     prof = profile if profile is not None else dependence_profile(spec)
     rows = []
@@ -301,31 +298,22 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
                 f"got {weights.size}")
         pl = plan(box.v[0], prof, q)
         _, leftover = block_index_sets(pl, box)
-        coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
-        thresholds = index_products(coords) ** q
-        # one grid per frequency, shared by the tail and leftover sums
-        phases = [phase_grid(coords, lam) for lam in freqs]
+        thresholds = index_products([np.arange(1, v + 1) for v in box.v]) ** q
         leftover_cells = np.zeros(box.v, dtype=bool)
         for slab in leftover:
             leftover_cells[slab.first_slice] = True
 
-        seeds = replication_seeds(seed, replications, offset=index * replications)
-        left = np.empty((replications, len(freqs)), dtype=np.complex128)
-        tail = np.empty_like(left)
-        vol = box.volume
-        chunks = replication_chunks(replications, 16 * vol * (3 + len(freqs)))
-
-        def fill(lo, hi):
-            vals = generate_batch(spec, box, None, seeds[lo:hi])
+        def split(vals):
             keep = np.abs(vals) <= thresholds
-            tail[lo:hi] = batched_modulated_sums(np.where(keep, 0.0, vals), phases)
+            yield np.where(keep, 0.0, vals)
             # bounded parts on the leftover set, zeroed in place to save a copy
             vals[~(keep & leftover_cells)] = 0.0
-            left[lo:hi] = batched_modulated_sums(vals, phases)
+            yield vals
 
-        run_chunked(chunks, fill)
-        g = left.real @ weights[0::2] + left.imag @ weights[1::2]
-        g_sq = (g / math.sqrt(vol)) ** 2
+        seeds = replication_seeds(seed, replications, offset=index * replications)
+        vol = box.volume
+        tail, left = _replicated_sums(spec, box, freqs, seeds, split, 3 + len(freqs))
+        g_sq = (g_functional(weights, left) / math.sqrt(vol)) ** 2
         z_sq = ((tail.real ** 2 + tail.imag ** 2) / vol).mean(axis=1)
         rows.append(NegligibilityRow(
             index=index, dims=box.v, v1=pl.v1, s=pl.s, p=pl.p, r=pl.r,

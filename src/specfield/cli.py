@@ -76,6 +76,11 @@ def _load_field_spec(path: str) -> LinearFieldSpec:
     return _spec_from_doc(_load_json_file(path))
 
 
+def _json_list(values, name: str, read) -> list:
+    """Each entry of a JSON array through ``read``, named ``name[i]``."""
+    return [read(x, f"{name}[{i}]") for i, x in enumerate(values)]
+
+
 def _emit(doc, out_path: str | None):
     """Write a JSON report to ``out_path``, or to stdout.  ``doc`` is either
     already-serialised text or a JSON value, serialised refusing NaN and inf."""
@@ -105,18 +110,19 @@ class ExperimentConfig:
 def _config_from_doc(doc) -> ExperimentConfig:
     try:
         spec = _spec_from_doc(doc["spec"], "spec.")
-        dims = BoxDims(tuple(doc["dims"])) if "dims" in doc else None
-        seq = [BoxDims(tuple(v)) for v in doc.get("dims_sequence", [])]
+        dims = (BoxDims(tuple(_json_list(doc["dims"], "dims", _json_int)))
+                if "dims" in doc else None)
+        seq = [BoxDims(tuple(_json_list(v, f"dims_sequence[{j}]", _json_int)))
+               for j, v in enumerate(doc.get("dims_sequence", []))]
         scheme_doc = doc["scheme"]
-        base = Frequency(tuple(scheme_doc["base"]))
+        base = Frequency(tuple(_json_list(scheme_doc["base"], "scheme.base", _json_real)))
         m = _json_int(scheme_doc["m"], "scheme.m")
         delta = _json_real(scheme_doc["delta"], "scheme.delta")
         axis = _json_int(scheme_doc.get("axis", 0), "scheme.axis")
         replications = _json_int(doc["R"], "R")
         seed = _json_int(doc["seed"], "seed")
         q = _json_real(doc["q"], "q") if "q" in doc else None
-        weights = ([_json_real(x, f"weights[{i}]") for i, x in enumerate(doc["weights"])]
-                   if "weights" in doc else None)
+        weights = _json_list(doc["weights"], "weights", _json_real) if "weights" in doc else None
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc}") from exc
     except TypeError as exc:
@@ -134,8 +140,8 @@ def _config_from_doc(doc) -> ExperimentConfig:
                             replications=replications, seed=seed, q=q, weights=weights)
 
 
-def _cmd_kernels(args) -> int:
-    doc = {
+def _cmd_kernels(args) -> dict:
+    return {
         "alpha": args.alpha,
         "n": args.n,
         "fejer": fejer(args.alpha, args.n),
@@ -144,29 +150,25 @@ def _cmd_kernels(args) -> int:
             "im": dirichlet_mod(args.alpha, args.n).imag,
         },
     }
-    _emit(doc, args.out)
-    return 0
 
 
-def _cmd_periodogram(args) -> int:
+def _cmd_periodogram(args) -> dict:
     spec = _load_field_spec(args.spec)
     dims = BoxDims(_parse_ints(args.dims))
     freq = Frequency(_parse_floats(args.freq))
     shift = _parse_ints(args.shift) if args.shift else None
     sample = generate(spec, dims, shift, args.seed)
     s = modulated_sum(sample, freq)
-    doc = {
+    return {
         "dims": list(dims.v),
         "freq": list(freq.coords),
         "seed": args.seed,
         "S": {"re": s.real, "im": s.imag},
         "I": periodogram(sample, freq),
     }
-    _emit(doc, args.out)
-    return 0
 
 
-def _cmd_expectation(args) -> int:
+def _cmd_expectation(args) -> dict | None:
     spec = _load_field_spec(args.spec)
     if args.report_csv:
         if not args.dims_sequence:
@@ -179,7 +181,7 @@ def _cmd_expectation(args) -> int:
             for row in report.rows:
                 writer.writerow([row.index, "x".join(str(s) for s in row.dims),
                                  repr(row.sup_err)])
-        return 0
+        return None
     if not (args.dims and args.freq):
         raise ValueError("expectation needs --dims and --freq "
                          "(or --report-csv with --dims-sequence)")
@@ -193,33 +195,29 @@ def _cmd_expectation(args) -> int:
     if args.quadrature:
         doc["quadrature"] = expected_periodogram_quadrature(spec, freq, dims,
                                                             args.quadrature)
-    _emit(doc, args.out)
-    return 0
+    return doc
 
 
-def _cmd_covariance(args) -> int:
+def _cmd_covariance(args) -> dict:
     spec = _load_field_spec(args.spec)
     dims = BoxDims(_parse_ints(args.dims))
     lam = Frequency(_parse_floats(args.freq))
     mu = Frequency(_parse_floats(args.freq2))
     cov = covariance_of_sums(spec, lam, mu, dims)
     prod = product_of_sums(spec, lam, mu, dims)
-    doc = {
+    return {
         "dims": list(dims.v),
         "freq": list(lam.coords),
         "freq2": list(mu.coords),
         "covariance": {"re": cov.real, "im": cov.imag, "abs": abs(cov)},
         "product": {"re": prod.real, "im": prod.imag, "abs": abs(prod)},
     }
-    _emit(doc, args.out)
-    return 0
 
 
-def _cmd_clt(args) -> int:
+def _cmd_clt(args) -> str:
     cfg = _config_from_doc(_load_json_file(args.config))
     report = run_clt_experiment(cfg.spec, cfg.scheme, cfg.dims_sequence[-1],
                                 cfg.replications, cfg.seed)
-    _emit(report.to_json(), args.out)
     if args.csv:
         m = len(report.frequencies)
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -235,23 +233,26 @@ def _cmd_clt(args) -> int:
                     row += [repr(s.real), repr(s.imag),
                             repr(float(report.raw_periodograms[r, j]))]
                 writer.writerow(row)
-    return 0
+    return report.to_json()
 
 
-def _cmd_miller(args) -> int:
+def _cmd_miller(args) -> str:
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.weights is None:
         raise ValueError("miller config needs 'weights'")
     report = miller_check(cfg.spec, cfg.scheme, cfg.weights, cfg.dims_sequence,
                           cfg.replications, cfg.seed)
-    _emit(report.to_json(), args.out)
-    return 0
+    return report.to_json()
 
 
-def _cmd_blocking_plan(args) -> int:
+def _cmd_blocking_plan(args) -> dict:
     profile_doc = _load_json_file(args.profile)
     try:
-        values = {int(k): float(v) for k, v in profile_doc.get("values", {}).items()}
+        values = {}
+        for k, v in profile_doc.get("values", {}).items():
+            if not (k.isascii() and k.isdigit()):
+                raise ValueError(f"separation {json.dumps(k)} must be a decimal integer")
+            values[int(k)] = _json_real(v, f"values.{k}")
         dep = profile_doc.get("dependence_range")
         dep = None if dep is None else _json_int(dep, "dependence_range")
     except (AttributeError, TypeError, ValueError) as exc:
@@ -259,24 +260,21 @@ def _cmd_blocking_plan(args) -> int:
     profile = MixingProfile(values=values, dependence_range=dep)
     pl = plan(args.v1, profile, args.q)
     blocks, leftover = block_index_sets(pl, (pl.v1,))
-    doc = {
+    return {
         "v1": pl.v1, "s": pl.s, "p": pl.p, "r": pl.r, "q": pl.q,
         "block_first_ranges": [[b.first_lo, b.first_hi] for b in blocks],
         "block_cardinality_per_unit_cross_section": blocks[0].width,
         "leftover_first_ranges": [[z.first_lo, z.first_hi] for z in leftover],
         "leftover_width": pl.leftover_width,
     }
-    _emit(doc, args.out)
-    return 0
 
 
-def _cmd_negligibility(args) -> int:
+def _cmd_negligibility(args) -> dict:
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.q is None or cfg.weights is None:
         raise ValueError("negligibility config needs 'q' and 'weights'")
     report = negligibility_report(cfg.spec, cfg.scheme, cfg.dims_sequence, cfg.q,
                                   cfg.weights, cfg.replications, cfg.seed)
-    _emit(asdict(report), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -286,18 +284,16 @@ def _cmd_negligibility(args) -> int:
                 writer.writerow([row.index, row.v1, repr(row.leftover_mean),
                                  repr(row.leftover_se), repr(row.tail_mean),
                                  repr(row.tail_se)])
-    return 0
+    return asdict(report)
 
 
-def _cmd_mixing_estimate(args) -> int:
+def _cmd_mixing_estimate(args) -> dict:
     spec = _load_field_spec(args.spec)
     profile = rho_prime_profile(spec, args.window, args.set_size, args.n_max)
-    doc = {
+    return {
         "values": {str(n): v for n, v in profile.values.items()},
         "dependence_range": profile.dependence_range,
     }
-    _emit(doc, args.out)
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -305,23 +301,25 @@ def _build_parser() -> _Parser:
                      description="spectral analysis of stationary lattice random fields")
     parser.add_argument("--version", action="version", version=f"specfield {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
-    p = sub.add_parser("kernels", help="evaluate the Fejer and Dirichlet kernels")
+    p = sub.add_parser("kernels", parents=[out], help="evaluate the Fejer and Dirichlet kernels")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_kernels)
 
-    p = sub.add_parser("periodogram", help="one modulated sum and periodogram value")
+    p = sub.add_parser("periodogram", parents=[out],
+                       help="one modulated sum and periodogram value")
     p.add_argument("--spec", required=True, help="field spec JSON file")
     p.add_argument("--dims", required=True, help="comma-separated box sides")
     p.add_argument("--freq", required=True, help="comma-separated frequency")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shift", help="comma-separated box shift")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_periodogram)
 
-    p = sub.add_parser("expectation", help="expected periodogram, exact and quadrature")
+    p = sub.add_parser("expectation", parents=[out],
+                       help="expected periodogram, exact and quadrature")
     p.add_argument("--spec", required=True)
     p.add_argument("--dims")
     p.add_argument("--freq")
@@ -329,48 +327,41 @@ def _build_parser() -> _Parser:
     p.add_argument("--report-csv", help="write a sup-error convergence report CSV")
     p.add_argument("--dims-sequence", help="semicolon-separated dims, e.g. 8;16;32")
     p.add_argument("--grid", type=int, default=128, help="frequency grid size")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_expectation)
 
-    p = sub.add_parser("covariance",
+    p = sub.add_parser("covariance", parents=[out],
                        help="exact covariance and no-conjugate product of two sums")
     p.add_argument("--spec", required=True)
     p.add_argument("--dims", required=True)
     p.add_argument("--freq", required=True)
     p.add_argument("--freq2", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_covariance)
 
-    p = sub.add_parser("clt-experiment", help="replicated limit-law diagnostics")
+    p = sub.add_parser("clt-experiment", parents=[out], help="replicated limit-law diagnostics")
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
     p.add_argument("--csv", help="per-replication raw data CSV")
     p.set_defaults(func=_cmd_clt)
 
-    p = sub.add_parser("miller", help="weighted-functional convergence table")
+    p = sub.add_parser("miller", parents=[out], help="weighted-functional convergence table")
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_miller)
 
-    p = sub.add_parser("blocking-plan", help="Bernstein blocking integers")
+    p = sub.add_parser("blocking-plan", parents=[out], help="Bernstein blocking integers")
     p.add_argument("--v1", type=int, required=True)
     p.add_argument("--profile", required=True, help="mixing profile JSON file")
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_blocking_plan)
 
-    p = sub.add_parser("negligibility", help="leftover/tail second-moment table")
+    p = sub.add_parser("negligibility", parents=[out], help="leftover/tail second-moment table")
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_negligibility)
 
-    p = sub.add_parser("mixing-estimate", help="rho' lower-bound profile")
+    p = sub.add_parser("mixing-estimate", parents=[out], help="rho' lower-bound profile")
     p.add_argument("--spec", required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--set-size", dest="set_size", type=int, required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_mixing_estimate)
 
     return parser
@@ -383,7 +374,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     try:
-        return args.func(args)
+        doc = args.func(args)
+        if doc is not None:
+            _emit(doc, args.out)
+        return 0
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency error: {exc}\n")
         return INTERNAL_EXIT

@@ -33,15 +33,21 @@ from .periodogram import batched_modulated_sums, phase_grid
 from .rng import replication_seed
 
 
-def g_functional(weights, z) -> float:
-    """G(b, z) = sum_j a_j Re z_j + b_j Im z_j with b = (a_1, b_1, a_2, b_2, ...)."""
+def g_functional(weights, z):
+    """G(b, z) = sum_j a_j Re z_j + b_j Im z_j with b = (a_1, b_1, a_2, b_2, ...).
+
+    ``z`` is one vector of m entries (a float comes back) or an (R, m) batch
+    (an array of R values comes back, one per row).
+    """
     w = np.asarray(weights, dtype=float)
     zv = np.asarray(z, dtype=complex)
-    if w.ndim != 1 or zv.ndim != 1 or w.size != 2 * zv.size:
+    entries = zv.shape[-1] if zv.ndim else 1
+    if w.ndim != 1 or zv.ndim not in (1, 2) or w.size != 2 * entries:
         raise ValueError(
             f"need exactly two weights per complex entry: {w.size} weights "
-            f"for {zv.size} entries")
-    return float(np.dot(w[0::2], zv.real) + np.dot(w[1::2], zv.imag))
+            f"for {entries} entries")
+    g = zv.real @ w[0::2] + zv.imag @ w[1::2]
+    return float(g) if zv.ndim == 1 else g
 
 
 def ks_statistic(samples, cdf) -> tuple[float, float]:
@@ -89,19 +95,32 @@ def cross_frequency_independence(periodograms) -> float:
     return float(np.max(np.abs(off)))
 
 
-def _batched_sums(spec, box, freqs, seeds) -> np.ndarray:
-    """Modulated sums for every seed and frequency, shape (R, m)."""
+def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
+    """The one replication loop of the clt, miller and negligibility reports.
+
+    Draws the field once per seed and returns, for each part of it, the
+    (R, m) modulated sums at ``freqs``.  ``split(values)`` yields the parts
+    of a chunk's values in order (by default the one part is the field
+    itself); each part is summed, and dropped, before the next is built.
+    Chunks hold about 16 * V * ``workspace`` bytes per replication.
+    """
+    if len(seeds) < 2:
+        raise ValueError("need at least 2 replications")
     coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
     phases = [phase_grid(coords, lam) for lam in freqs]
-    out = np.empty((len(seeds), len(freqs)), dtype=np.complex128)
-    chunks = replication_chunks(len(seeds), 16 * box.volume * 3)
+    chunks = replication_chunks(len(seeds), 16 * box.volume * workspace)
+    done = dict.fromkeys(lo for lo, _ in chunks)   # one slot per chunk, in order
 
     def fill(lo, hi):
         vals = generate_batch(spec, box, None, seeds[lo:hi])
-        out[lo:hi] = batched_modulated_sums(vals, phases)
+        sums = []
+        for part in (split(vals) if split else (vals,)):
+            sums.append(batched_modulated_sums(part, phases))
+            del part
+        done[lo] = sums
 
     run_chunked(chunks, fill)
-    return out
+    return [np.concatenate(parts) for parts in zip(*done.values())]
 
 
 @dataclass(frozen=True)
@@ -150,11 +169,8 @@ def run_clt_experiment(spec: LinearFieldSpec, scheme: FrequencyScheme, dims,
     if f_base <= 0.0:
         raise ValueError("spectral density vanishes at the base frequency; "
                          "the limit law is degenerate")
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
     m = len(freqs)
-    seeds = replication_seeds(seed, replications)
-    sums = _batched_sums(spec, box, freqs, seeds)
+    sums, = _replicated_sums(spec, box, freqs, replication_seeds(seed, replications))
     scale = math.sqrt(box.volume)
     coords = np.empty((replications, 2 * m), dtype=float)
     coords[:, 0::2] = sums.real / scale
@@ -210,18 +226,14 @@ def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,
     f_base = spectral_density(spec, scheme.base)
     if f_base <= 0.0:
         raise ValueError("spectral density vanishes at the base frequency")
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
     target = 0.5 * f_base * float(np.dot(w, w))
     rows = []
     for index, dims in enumerate(dims_sequence, start=1):
         box, freqs = _validated_freqs(spec, scheme, dims)
         if w.size != 2 * len(freqs):
             raise ValueError(f"need {2 * len(freqs)} weights, got {w.size}")
-        entry_seed = replication_seed(seed, index)
-        seeds = replication_seeds(entry_seed, replications)
-        sums = _batched_sums(spec, box, freqs, seeds)
-        g = sums.real @ w[0::2] + sums.imag @ w[1::2]
+        seeds = replication_seeds(replication_seed(seed, index), replications)
+        g = g_functional(w, _replicated_sums(spec, box, freqs, seeds)[0])
         g_sq = g * g / box.volume
         estimate = float(g_sq.mean())
         rows.append(MillerRow(

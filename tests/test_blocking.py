@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from specfield import _util, blocking
+from specfield import _util, stats
 from specfield.blocking import (BlockingPlan, MixingProfile, block_index_sets,
                                 dependence_profile, index_products,
                                 negligibility_report, plan, truncate,
@@ -346,13 +346,13 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch):
     dims_seq = [(64,), (128,)]
     scheme = make_scheme(2, 0.25, dims_seq)
     chunk_counts = []
-    run_chunked = blocking.run_chunked
+    run_chunked = stats.run_chunked
 
     def counting(chunks, task):
         chunk_counts.append(len(chunks))
         run_chunked(chunks, task)
 
-    monkeypatch.setattr(blocking, "run_chunked", counting)
+    monkeypatch.setattr(stats, "run_chunked", counting)
     results = []
     for threads, chunk_bytes in [("1", _util._CHUNK_BYTES), ("2", _util._CHUNK_BYTES),
                                  ("1", 1 << 15), ("2", 1 << 15)]:

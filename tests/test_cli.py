@@ -279,7 +279,8 @@ def _assert_one_line_refusal(proc, needle):
     (("seed",), 3.7, "'seed'"),
     (("scheme", "m"), 2.0, "'scheme.m'"),
     (("scheme", "axis"), False, "'scheme.axis'"),
-], ids=["R-float", "R-bool", "seed-float", "m-float", "axis-bool"])
+    (("dims", 0), 16.0, "'dims[0]'"),
+], ids=["R-float", "R-bool", "seed-float", "m-float", "axis-bool", "dims-float"])
 def test_config_integer_fields_refuse_floats_and_bools(clt_config_file, path, value,
                                                        field):
     cfg = clt_config_file()
@@ -299,7 +300,11 @@ def test_config_integer_fields_refuse_floats_and_bools(clt_config_file, path, va
     {"values": {"4": 0.25}, "dependence_range": [1]},
     {"values": {"4": 0.25}, "dependence_range": 1.5},
     {"values": {"4": 0.25}, "dependence_range": True},
-], ids=["value-list", "range-list", "range-float", "range-bool"])
+    {"values": {"4": "0.25"}},
+    {"values": {"4": True}},
+    {"values": {" 4": 0.25}},
+], ids=["value-list", "range-list", "range-float", "range-bool", "value-string",
+        "value-bool", "key-space"])
 def test_malformed_profile_documents_exit_one(tmp_path, doc):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(doc))
@@ -312,7 +317,10 @@ def test_malformed_profile_documents_exit_one(tmp_path, doc):
     (("weights", 0), True, "error: field 'weights[0]' must be a real number, got true"),
     (("q",), "0.2", "error: field 'q' must be a real number, got \"0.2\""),
     (("scheme", "delta"), True, "error: field 'scheme.delta' must be a real number, got true"),
-], ids=["weight-bool", "q-string", "delta-bool"])
+    (("scheme", "base", 0), "1.5707963",
+     "error: field 'scheme.base[0]' must be a real number, got \"1.5707963\""),
+    (("scheme", "base", 0), True, "error: field 'scheme.base[0]' must be a real number, got true"),
+], ids=["weight-bool", "q-string", "delta-bool", "base-string", "base-bool"])
 def test_config_real_fields_refuse_bools_and_strings(clt_config_file, path, value,
                                                     message):
     cfg = clt_config_file()

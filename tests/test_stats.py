@@ -46,6 +46,20 @@ def test_g_functional_length_mismatch():
         g_functional([1.0, 0.0, 1.0], [1 + 1j, 2j])
 
 
+def test_g_functional_batch_matches_rows():
+    """An (R, m) batch gives one G per row, equal to the 1-d value of that
+    row up to rounding (a matrix-vector product against per-row dots)."""
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=6)
+    z = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    batch = g_functional(w, z)
+    rows = np.array([g_functional(w, row) for row in z])
+    assert batch.shape == (40,)
+    np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError, match="two weights per complex entry"):
+        g_functional(w[:4], z)
+
+
 def test_ks_single_sample_exact():
     # F(ln 2) = 1/2 under Exponential(1), so D = max(1 - 1/2, 1/2 - 0) = 1/2
     d, p = ks_statistic([math.log(2.0)], ("exponential", 1.0))
