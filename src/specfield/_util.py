@@ -1,11 +1,11 @@
-"""Runtime helpers shared by the replication-heavy experiment drivers."""
+"""Chunking and threading of the replication loop behind the Monte Carlo reports."""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-# keep one replication batch around this many bytes of innovation workspace
+# keep one chunk of replications around this many bytes of workspace
 _CHUNK_BYTES = 1 << 26
 
 
@@ -29,18 +29,14 @@ def replication_chunks(total: int, bytes_per_replication: int) -> list[tuple[int
     return [(lo, min(lo + per, total)) for lo in range(0, total, per)]
 
 
-def run_chunked(chunks, task):
-    """Run ``task(lo, hi)`` over every chunk, threaded when configured.
+def run_chunked(chunks, task) -> list:
+    """``[task(lo, hi) for lo, hi in chunks]``, threaded when configured.
 
-    Tasks must write into disjoint slots of preallocated output (indexed by
-    replication), which keeps results identical whatever the worker count.
+    Results come back in chunk order at any worker count, so a caller that
+    concatenates them gets the same rows however the work was spread.
     """
     workers = worker_count()
     if workers == 1 or len(chunks) <= 1:
-        for lo, hi in chunks:
-            task(lo, hi)
-        return
+        return [task(lo, hi) for lo, hi in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, lo, hi) for lo, hi in chunks]
-        for fut in futures:
-            fut.result()
+        return list(pool.map(task, *zip(*chunks)))

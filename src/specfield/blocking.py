@@ -276,19 +276,17 @@ class NegligibilityReport:
 
 
 def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
-                         weights, replications: int, seed: int,
-                         profile: MixingProfile | None = None) -> NegligibilityReport:
+                         weights, replications: int, seed: int) -> NegligibilityReport:
     """Monte Carlo second moments of the two discarded pieces, per dims entry.
 
     Column one: E[G(b, S_left)^2] / V, where S_left are the modulated sums
     of the bounded parts over the leftover set and G(b, z) = sum_j a_j Re z_j
     + b_j Im z_j.  Column two: mean over the scheme's frequencies of
     E |sum over the box of the tail parts|^2 / V.  Standard errors accompany
-    both.  The blocking plan uses the field's own m-dependence profile
-    unless one is passed explicitly.
+    both.  The blocking plan uses the field's own m-dependence profile.
     """
     weights = np.asarray(weights, dtype=float)
-    prof = profile if profile is not None else dependence_profile(spec)
+    prof = dependence_profile(spec)
     rows = []
     for index, dims in enumerate(dims_sequence, start=1):
         box, freqs = _validated_freqs(spec, scheme, dims)

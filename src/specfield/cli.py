@@ -43,22 +43,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind=int) -> tuple:
+    """Comma-separated integers (``kind=int``) or reals (``kind=float``)."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated reals, got {text!r}") from exc
+        what = "integers" if kind is int else "reals"
+        raise ValueError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
 def _parse_dims_sequence(text: str) -> list[tuple[int, ...]]:
-    return [_parse_ints(part) for part in text.split(";") if part]
+    return [_parse_list(part) for part in text.split(";") if part]
 
 
 def _load_json_file(path: str):
@@ -92,6 +87,14 @@ def _emit(doc, out_path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(path: str, header, rows):
+    """Write ``header`` and then ``rows`` to a utf-8 CSV file at ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -141,22 +144,20 @@ def _config_from_doc(doc) -> ExperimentConfig:
 
 
 def _cmd_kernels(args) -> dict:
+    d = dirichlet_mod(args.alpha, args.n)
     return {
         "alpha": args.alpha,
         "n": args.n,
         "fejer": fejer(args.alpha, args.n),
-        "dirichlet": {
-            "re": dirichlet_mod(args.alpha, args.n).real,
-            "im": dirichlet_mod(args.alpha, args.n).imag,
-        },
+        "dirichlet": {"re": d.real, "im": d.imag},
     }
 
 
 def _cmd_periodogram(args) -> dict:
     spec = _load_field_spec(args.spec)
-    dims = BoxDims(_parse_ints(args.dims))
-    freq = Frequency(_parse_floats(args.freq))
-    shift = _parse_ints(args.shift) if args.shift else None
+    dims = BoxDims(_parse_list(args.dims))
+    freq = Frequency(_parse_list(args.freq, float))
+    shift = _parse_list(args.shift) if args.shift else None
     sample = generate(spec, dims, shift, args.seed)
     s = modulated_sum(sample, freq)
     return {
@@ -175,18 +176,15 @@ def _cmd_expectation(args) -> dict | None:
             raise ValueError("--report-csv needs --dims-sequence")
         seq = _parse_dims_sequence(args.dims_sequence)
         report = uniform_convergence_report(spec, seq, args.grid)
-        with open(args.report_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "v", "sup_err"])
-            for row in report.rows:
-                writer.writerow([row.index, "x".join(str(s) for s in row.dims),
-                                 repr(row.sup_err)])
+        _write_csv(args.report_csv, ["n", "v", "sup_err"],
+                   ([row.index, "x".join(str(s) for s in row.dims), repr(row.sup_err)]
+                    for row in report.rows))
         return None
     if not (args.dims and args.freq):
         raise ValueError("expectation needs --dims and --freq "
                          "(or --report-csv with --dims-sequence)")
-    dims = BoxDims(_parse_ints(args.dims))
-    freq = Frequency(_parse_floats(args.freq))
+    dims = BoxDims(_parse_list(args.dims))
+    freq = Frequency(_parse_list(args.freq, float))
     doc = {
         "dims": list(dims.v),
         "freq": list(freq.coords),
@@ -200,9 +198,9 @@ def _cmd_expectation(args) -> dict | None:
 
 def _cmd_covariance(args) -> dict:
     spec = _load_field_spec(args.spec)
-    dims = BoxDims(_parse_ints(args.dims))
-    lam = Frequency(_parse_floats(args.freq))
-    mu = Frequency(_parse_floats(args.freq2))
+    dims = BoxDims(_parse_list(args.dims))
+    lam = Frequency(_parse_list(args.freq, float))
+    mu = Frequency(_parse_list(args.freq2, float))
     cov = covariance_of_sums(spec, lam, mu, dims)
     prod = product_of_sums(spec, lam, mu, dims)
     return {
@@ -219,20 +217,13 @@ def _cmd_clt(args) -> str:
     report = run_clt_experiment(cfg.spec, cfg.scheme, cfg.dims_sequence[-1],
                                 cfg.replications, cfg.seed)
     if args.csv:
-        m = len(report.frequencies)
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["replication"]
-            for j in range(1, m + 1):
-                header += [f"s{j}_re", f"s{j}_im", f"i{j}"]
-            writer.writerow(header)
-            for r in range(report.replications):
-                row = [r]
-                for j in range(m):
-                    s = complex(report.raw_sums[r, j])
-                    row += [repr(s.real), repr(s.imag),
-                            repr(float(report.raw_periodograms[r, j]))]
-                writer.writerow(row)
+        header = ["replication"]
+        for j in range(1, len(report.frequencies) + 1):
+            header += [f"s{j}_re", f"s{j}_im", f"i{j}"]
+        per_rep = zip(report.raw_sums.tolist(), report.raw_periodograms.tolist())
+        _write_csv(args.csv, header,
+                   ([r] + [repr(x) for s, i in zip(sums, pers) for x in (s.real, s.imag, i)]
+                    for r, (sums, pers) in enumerate(per_rep)))
     return report.to_json()
 
 
@@ -276,14 +267,10 @@ def _cmd_negligibility(args) -> dict:
     report = negligibility_report(cfg.spec, cfg.scheme, cfg.dims_sequence, cfg.q,
                                   cfg.weights, cfg.replications, cfg.seed)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "v1", "leftover_mean", "leftover_se",
-                             "tail_mean", "tail_se"])
-            for row in report.rows:
-                writer.writerow([row.index, row.v1, repr(row.leftover_mean),
-                                 repr(row.leftover_se), repr(row.tail_mean),
-                                 repr(row.tail_se)])
+        _write_csv(args.csv, ["n", "v1", "leftover_mean", "leftover_se", "tail_mean",
+                              "tail_se"],
+                   ([row.index, row.v1, repr(row.leftover_mean), repr(row.leftover_se),
+                     repr(row.tail_mean), repr(row.tail_se)] for row in report.rows))
     return asdict(report)
 
 

@@ -136,15 +136,14 @@ class FrequencyScheme:
 
     ``per_n[i]`` lists the m frequencies used with ``dims_sequence[i]``;
     ``base`` is the common anchor.  Schemes made by ``separated`` remember
-    their construction delta and axis (informational; used as validation
-    defaults downstream).
+    their construction delta, the default of the separation check
+    downstream.
     """
 
     base: Frequency
     per_n: tuple
     dims_sequence: tuple
     delta: float | None = None
-    axis: int | None = None
 
     def __post_init__(self):
         if len(self.per_n) != len(self.dims_sequence):
@@ -177,7 +176,7 @@ class FrequencyScheme:
         per_n = [build_separated(base, m, delta, axis, dims) for dims in dims_sequence]
         return cls(base=base, per_n=tuple(per_n),
                    dims_sequence=tuple(as_dims(d, base.dim) for d in dims_sequence),
-                   delta=float(delta), axis=int(axis))
+                   delta=float(delta))
 
 
 @dataclass(frozen=True)

@@ -156,9 +156,12 @@ def _cross_moment(spec: LinearFieldSpec, box, lam, phi) -> np.ndarray:
 
 
 def _pair_moment(spec: LinearFieldSpec, lam, mu, dims, sign: int) -> complex:
-    """_cross_moment on a batch of one pair, at phi = lam - sign * mu."""
+    """_cross_moment on a batch of one pair, at phi = lam - sign * mu; the
+    no-conjugate product (sign -1) of a circular field is exactly 0j."""
     box = as_dims(dims, spec.dim)
     pair = np.array([as_frequency(f, spec.dim).coords for f in (lam, mu)])
+    if sign < 0 and not spec.is_real:
+        return 0j
     lam, mu = pair[:1], pair[1:]
     return complex(_cross_moment(spec, box, lam, lam - sign * mu)[0])
 
@@ -174,13 +177,7 @@ def product_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
     Driven by the pseudo-covariance E[X_{l+h} X_l]: identically zero for
     circular fields (returned exactly), equal to r(h) for real ones.
     """
-    if spec.is_real:
-        return _pair_moment(spec, lam, mu, dims, sign=-1)
-    # a known zero, but malformed input is still refused
-    as_dims(dims, spec.dim)
-    for f in (lam, mu):
-        as_frequency(f, spec.dim)
-    return 0j
+    return _pair_moment(spec, lam, mu, dims, sign=-1)
 
 
 def sum_covariance(spec: LinearFieldSpec, freqs, dims) -> np.ndarray:

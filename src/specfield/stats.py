@@ -109,18 +109,16 @@ def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
     coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
     phases = [phase_grid(coords, lam) for lam in freqs]
     chunks = replication_chunks(len(seeds), 16 * box.volume * workspace)
-    done = dict.fromkeys(lo for lo, _ in chunks)   # one slot per chunk, in order
 
-    def fill(lo, hi):
+    def chunk_sums(lo, hi):
         vals = generate_batch(spec, box, None, seeds[lo:hi])
         sums = []
         for part in (split(vals) if split else (vals,)):
             sums.append(batched_modulated_sums(part, phases))
             del part
-        done[lo] = sums
+        return sums
 
-    run_chunked(chunks, fill)
-    return [np.concatenate(parts) for parts in zip(*done.values())]
+    return [np.concatenate(parts) for parts in zip(*run_chunked(chunks, chunk_sums))]
 
 
 @dataclass(frozen=True)

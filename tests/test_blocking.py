@@ -350,7 +350,7 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch):
 
     def counting(chunks, task):
         chunk_counts.append(len(chunks))
-        run_chunked(chunks, task)
+        return run_chunked(chunks, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     results = []

@@ -216,7 +216,7 @@ def test_clt_report_independent_of_threads_and_chunks(monkeypatch):
 
     def counting(chunks, task):
         chunk_counts.append(len(chunks))
-        run_chunked(chunks, task)
+        return run_chunked(chunks, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     results = []
@@ -241,7 +241,7 @@ def test_miller_report_independent_of_threads_and_chunks(monkeypatch):
 
     def counting(chunks, task):
         chunk_counts.append(len(chunks))
-        run_chunked(chunks, task)
+        return run_chunked(chunks, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     results = []
