@@ -30,11 +30,8 @@ def replication_chunks(total: int, bytes_per_replication: int) -> list[tuple[int
 
 
 def run_chunked(chunks, task) -> list:
-    """``[task(lo, hi) for lo, hi in chunks]``, threaded when configured.
-
-    Results come back in chunk order at any worker count, so a caller that
-    concatenates them gets the same rows however the work was spread.
-    """
+    """``[task(lo, hi) for lo, hi in chunks]``, threaded when configured; the
+    results come back in chunk order at any worker count."""
     workers = worker_count()
     if workers == 1 or len(chunks) <= 1:
         return [task(lo, hi) for lo, hi in chunks]

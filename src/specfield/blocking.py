@@ -286,15 +286,12 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
     both.  The blocking plan uses the field's own m-dependence profile.
     """
     weights = np.asarray(weights, dtype=float)
-    prof = dependence_profile(spec)
     rows = []
     for index, dims in enumerate(dims_sequence, start=1):
         box, freqs = _validated_freqs(spec, scheme, dims)
         if weights.size != 2 * len(freqs):
-            raise ValueError(
-                f"need {2 * len(freqs)} weights for {len(freqs)} frequencies, "
-                f"got {weights.size}")
-        pl = plan(box.v[0], prof, q)
+            raise ValueError(f"need {2 * len(freqs)} weights, got {weights.size}")
+        pl = plan(box.v[0], dependence_profile(spec), q)
         _, leftover = block_index_sets(pl, box)
         thresholds = index_products([np.arange(1, v + 1) for v in box.v]) ** q
         leftover_cells = np.zeros(box.v, dtype=bool)

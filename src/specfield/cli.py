@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
 from .blocking import MixingProfile, block_index_sets, negligibility_report, plan
-from .domain import BoxDims, Frequency, _json_int, _json_real
+from .domain import BoxDims, Frequency, _json_int, _json_list, _json_object, _json_real
 from .fieldgen import LinearFieldSpec, _spec_from_doc, generate
 from .frequencies import FrequencyScheme
 from .kernels import dirichlet_mod, fejer
@@ -53,7 +54,9 @@ def _parse_list(text: str, kind=int) -> tuple:
 
 
 def _parse_dims_sequence(text: str) -> list[tuple[int, ...]]:
-    return [_parse_list(part) for part in text.split(";") if part]
+    if "" in text.split(";"):
+        raise ValueError(f"--dims-sequence has an empty entry: {text!r}")
+    return [_parse_list(part) for part in text.split(";")]
 
 
 def _load_json_file(path: str):
@@ -65,15 +68,6 @@ def _load_json_file(path: str):
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-
-
-def _load_field_spec(path: str) -> LinearFieldSpec:
-    return _spec_from_doc(_load_json_file(path))
-
-
-def _json_list(values, name: str, read) -> list:
-    """Each entry of a JSON array through ``read``, named ``name[i]``."""
-    return [read(x, f"{name}[{i}]") for i, x in enumerate(values)]
 
 
 def _emit(doc, out_path: str | None):
@@ -112,12 +106,13 @@ class ExperimentConfig:
 
 def _config_from_doc(doc) -> ExperimentConfig:
     try:
+        doc = _json_object(doc, "", ("spec", "dims", "dims_sequence", "scheme", "R", "seed",
+                                     "q", "weights"))
         spec = _spec_from_doc(doc["spec"], "spec.")
-        dims = (BoxDims(tuple(_json_list(doc["dims"], "dims", _json_int)))
-                if "dims" in doc else None)
-        seq = [BoxDims(tuple(_json_list(v, f"dims_sequence[{j}]", _json_int)))
-               for j, v in enumerate(doc.get("dims_sequence", []))]
-        scheme_doc = doc["scheme"]
+        dims = BoxDims(_json_list(doc["dims"], "dims", _json_int)) if "dims" in doc else None
+        seq = _json_list(doc.get("dims_sequence", []), "dims_sequence",
+                         lambda v, at: BoxDims(_json_list(v, at, _json_int)))
+        scheme_doc = _json_object(doc["scheme"], "scheme", ("base", "m", "delta", "axis"))
         base = Frequency(tuple(_json_list(scheme_doc["base"], "scheme.base", _json_real)))
         m = _json_int(scheme_doc["m"], "scheme.m")
         delta = _json_real(scheme_doc["delta"], "scheme.delta")
@@ -144,6 +139,8 @@ def _config_from_doc(doc) -> ExperimentConfig:
 
 
 def _cmd_kernels(args) -> dict:
+    if not math.isfinite(args.alpha):
+        raise ValueError(f"--alpha must be a finite real, got {args.alpha}")
     d = dirichlet_mod(args.alpha, args.n)
     return {
         "alpha": args.alpha,
@@ -154,7 +151,7 @@ def _cmd_kernels(args) -> dict:
 
 
 def _cmd_periodogram(args) -> dict:
-    spec = _load_field_spec(args.spec)
+    spec = _spec_from_doc(_load_json_file(args.spec))
     dims = BoxDims(_parse_list(args.dims))
     freq = Frequency(_parse_list(args.freq, float))
     shift = _parse_list(args.shift) if args.shift else None
@@ -170,7 +167,7 @@ def _cmd_periodogram(args) -> dict:
 
 
 def _cmd_expectation(args) -> dict | None:
-    spec = _load_field_spec(args.spec)
+    spec = _spec_from_doc(_load_json_file(args.spec))
     if args.report_csv:
         if not args.dims_sequence:
             raise ValueError("--report-csv needs --dims-sequence")
@@ -197,7 +194,7 @@ def _cmd_expectation(args) -> dict | None:
 
 
 def _cmd_covariance(args) -> dict:
-    spec = _load_field_spec(args.spec)
+    spec = _spec_from_doc(_load_json_file(args.spec))
     dims = BoxDims(_parse_list(args.dims))
     lam = Frequency(_parse_list(args.freq, float))
     mu = Frequency(_parse_list(args.freq2, float))
@@ -239,14 +236,15 @@ def _cmd_miller(args) -> str:
 def _cmd_blocking_plan(args) -> dict:
     profile_doc = _load_json_file(args.profile)
     try:
+        profile_doc = _json_object(profile_doc, "", ("values", "dependence_range"))
         values = {}
-        for k, v in profile_doc.get("values", {}).items():
+        for k, v in _json_object(profile_doc.get("values", {}), "values").items():
             if not (k.isascii() and k.isdigit()):
                 raise ValueError(f"separation {json.dumps(k)} must be a decimal integer")
             values[int(k)] = _json_real(v, f"values.{k}")
         dep = profile_doc.get("dependence_range")
         dep = None if dep is None else _json_int(dep, "dependence_range")
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed profile document: {exc}") from exc
     profile = MixingProfile(values=values, dependence_range=dep)
     pl = plan(args.v1, profile, args.q)
@@ -275,7 +273,7 @@ def _cmd_negligibility(args) -> dict:
 
 
 def _cmd_mixing_estimate(args) -> dict:
-    spec = _load_field_spec(args.spec)
+    spec = _spec_from_doc(_load_json_file(args.spec))
     profile = rho_prime_profile(spec, args.window, args.set_size, args.n_max)
     return {
         "values": {str(n): v for n, v in profile.values.items()},

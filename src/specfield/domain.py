@@ -1,5 +1,6 @@
 """Shared value types: rectangular index boxes and torus frequencies, and
-the strict readers of JSON integers and reals used by every input document.
+the strict readers of JSON integers, reals, arrays and objects used by
+every input document.
 
 Index boxes live on the d-dimensional integer lattice.  A box of dims
 ``v = (v_1, ..., v_d)`` anchored at shift ``w`` is the set of lattice
@@ -124,3 +125,23 @@ def _json_real(value, name: str) -> float:
             or not -sys.float_info.max <= value <= sys.float_info.max):
         raise ValueError(f"field {name!r} must be a real number, got {json.dumps(value)}")
     return float(value)
+
+
+def _json_list(value, name: str, read) -> list:
+    """Each entry of a JSON array through ``read(entry, "name[i]")``."""
+    if not isinstance(value, list):
+        raise TypeError(f"field {name!r} must be an array, got {json.dumps(value)}")
+    return [read(x, f"{name}[{i}]") for i, x in enumerate(value)]
+
+
+def _json_object(value, name: str, keys=None) -> dict:
+    """A JSON object with no key outside ``keys`` (None allows any); ``name`` is
+    its path, "" for a whole document.  Refusals are TypeErrors naming the
+    field or the unknown key."""
+    if not isinstance(value, dict):
+        what = f"field {name!r}" if name else "the document"
+        raise TypeError(f"{what} must be an object, got {json.dumps(value)}")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise TypeError(f"unknown key {(f'{name}.' if name else '') + key!r}")
+    return value

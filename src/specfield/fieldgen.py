@@ -17,6 +17,7 @@ boxes intersect.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -25,7 +26,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .domain import BoxDims, _json_int, _json_real, as_dims, as_frequency, as_shift
+from .domain import (BoxDims, _json_int, _json_list, _json_object, _json_real, as_dims,
+                     as_frequency, as_shift)
 from .rng import _BLOCK_SITES, _replication_hash, check_seed, gaussian_lattice
 
 REAL_GAUSSIAN = "real-gaussian"
@@ -61,6 +63,8 @@ class LinearFieldSpec:
             if len(lag) != self.dim:
                 raise ValueError(f"lag {lag} is not {self.dim}-dimensional")
             norm[lag] = complex(coeff)
+            if not cmath.isfinite(norm[lag]):
+                raise ValueError(f"tap {lag} = {norm[lag]} is not finite")
         object.__setattr__(self, "taps", MappingProxyType(norm))
         if self.innovation_kind not in _KINDS:
             raise ValueError(
@@ -73,8 +77,12 @@ class LinearFieldSpec:
                         f"real-gaussian innovations require real taps; tap {lag} = {coeff}"
                     )
         std = float(self.innovation_std)
-        if std < 0:
-            raise ValueError("innovation_std must be >= 0")
+        if not 0.0 <= std < math.inf:
+            raise ValueError(f"innovation_std must be finite and >= 0, got {std}")
+        # products, not powers: a float power that overflows raises
+        if not math.isfinite(std * std * sum(c.real * c.real + c.imag * c.imag
+                                             for c in norm.values())):
+            raise ValueError("the field variance innovation_std^2 * sum |tap|^2 overflows")
         object.__setattr__(self, "innovation_std", std)
 
     def __reduce__(self):
@@ -256,7 +264,7 @@ def spec_to_json(spec: LinearFieldSpec) -> str:
         "innovation_kind": spec.innovation_kind,
         "innovation_std": spec.innovation_std,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def spec_from_json(text: str) -> LinearFieldSpec:
@@ -264,13 +272,15 @@ def spec_from_json(text: str) -> LinearFieldSpec:
 
 
 def _spec_from_doc(doc, where: str = "") -> LinearFieldSpec:
-    """A spec from its JSON document; ``where`` prefixes the field names in errors."""
+    """A spec from its JSON document; ``where`` (``spec.`` in a config) prefixes names."""
+    tap = functools.partial(_json_object, keys=("lag", "re", "im"))
     try:
+        doc = _json_object(doc, where[:-1], ("dim", "taps", "innovation_kind", "innovation_std"))
         dim = _json_int(doc["dim"], f"{where}dim")
         taps = {}
-        for i, entry in enumerate(doc["taps"]):
+        for i, entry in enumerate(_json_list(doc["taps"], f"{where}taps", tap)):
             at = f"{where}taps[{i}]"
-            lag = tuple(_json_int(x, f"{at}.lag[{s}]") for s, x in enumerate(entry["lag"]))
+            lag = tuple(_json_list(entry["lag"], f"{at}.lag", _json_int))
             if lag in taps:
                 raise ValueError(f"field {at!r} repeats the lag {list(lag)} of an earlier tap")
             taps[lag] = complex(_json_real(entry["re"], f"{at}.re"),

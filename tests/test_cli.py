@@ -1,12 +1,15 @@
 """End-to-end checks of the command-line surface, via subprocess."""
 
+import copy
 import csv
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from specfield import cli
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
@@ -280,7 +283,17 @@ def _assert_one_line_refusal(proc, needle):
     (("scheme", "m"), 2.0, "'scheme.m'"),
     (("scheme", "axis"), False, "'scheme.axis'"),
     (("dims", 0), 16.0, "'dims[0]'"),
-], ids=["R-float", "R-bool", "seed-float", "m-float", "axis-bool", "dims-float"])
+    (("seeds",), 7, "unknown key 'seeds'"),
+    (("scheme", "axes"), 1, "unknown key 'scheme.axes'"),
+    (("dims",), 16, "field 'dims' must be an array, got 16"),
+    (("weights",), 5, "field 'weights' must be an array, got 5"),
+    (("dims_sequence",), [16], "field 'dims_sequence[0]' must be an array, got 16"),
+    (("scheme", "base"), 1.57, "field 'scheme.base' must be an array, got 1.57"),
+    (("spec",), [1], "field 'spec' must be an object, got [1]"),
+    (("spec", "innovation_std"), 1e200, "innovation_std"),
+], ids=["R-float", "R-bool", "seed-float", "m-float", "axis-bool", "dims-float",
+        "unknown-key", "unknown-scheme-key", "dims-int", "weights-int",
+        "dims-sequence-entry-int", "base-float", "spec-list", "std-overflow"])
 def test_config_integer_fields_refuse_floats_and_bools(clt_config_file, path, value,
                                                        field):
     cfg = clt_config_file()
@@ -303,8 +316,11 @@ def test_config_integer_fields_refuse_floats_and_bools(clt_config_file, path, va
     {"values": {"4": "0.25"}},
     {"values": {"4": True}},
     {"values": {" 4": 0.25}},
+    {"value": {"4": 0.25}},
+    [{"values": {"4": 0.25}}],
+    {"values": [0.25]},
 ], ids=["value-list", "range-list", "range-float", "range-bool", "value-string",
-        "value-bool", "key-space"])
+        "value-bool", "key-space", "unknown-key", "document-list", "values-list"])
 def test_malformed_profile_documents_exit_one(tmp_path, doc):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(doc))
@@ -398,8 +414,15 @@ def _ma1_doc():
     (("taps", 0, "re"), True, "field 'taps[0].re' must be a real number, got true"),
     (("innovation_std",), "2", "field 'innovation_std' must be a real number, got \"2\""),
     (("taps", 0, "im"), math.nan, "field 'taps[0].im' must be a real number, got NaN"),
+    (("taps", 0, "imag"), 0.5, "malformed field spec document: unknown key 'taps[0].imag'"),
+    (("taps", 0, "lag"), 0,
+     "malformed field spec document: field 'taps[0].lag' must be an array, got 0"),
+    (("taps",), {"0": 1},
+     "malformed field spec document: field 'taps' must be an array, got {\"0\": 1}"),
+    (("taps", 0, "re"), 1e300, "the field variance innovation_std^2 * sum |tap|^2 overflows"),
 ], ids=["repeated-lag", "dim-null", "std-null", "dim-float", "lag-float", "re-bool",
-        "std-string", "im-nan"])
+        "std-string", "im-nan", "unknown-tap-key", "lag-int", "taps-object",
+        "tap-overflow"])
 def test_malformed_spec_documents_exit_one(tmp_path, path, value, message):
     doc = _ma1_doc()
     target = doc
@@ -446,3 +469,105 @@ def test_unexpected_errors_are_one_line_with_exit_two(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: first line second line\n"
+
+
+@pytest.mark.parametrize("sequence", [";", "8;;16"])
+def test_dims_sequence_refuses_an_empty_entry(ma1_spec_file, tmp_path, sequence):
+    proc = run_cli("expectation", "--spec", ma1_spec_file, "--report-csv",
+                   str(tmp_path / "sup.csv"), "--dims-sequence", sequence)
+    _assert_one_line_refusal(proc, "--dims-sequence has an empty entry")
+    assert not (tmp_path / "sup.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf"])
+def test_kernels_refuses_a_non_finite_alpha(alpha):
+    proc = run_cli("kernels", f"--alpha={alpha}", "--n", "5")
+    _assert_one_line_refusal(proc, f"--alpha must be a finite real, got {alpha}")
+
+
+# Fuzzing the documents: each case mutates one node of a valid document
+# (the whole document included) by dropping a key, adding an unknown key, or
+# replacing the value.  Sizes stay small (R <= 8, sides <= 32, lags within
+# +-3), so no case allocates much.
+_FUZZ_DOCS = {
+    "config": ({"spec": json.loads(spec_to_json(white_noise(1, CIRCULAR_GAUSSIAN, 1.0))),
+                "dims": [16], "scheme": {"base": [math.pi / 2], "m": 2, "delta": 0.25},
+                "R": 8, "seed": 2024, "q": 0.2, "weights": [1.0, 0.0, 1.0, 0.0]},
+               [["clt-experiment", "--config"], ["miller", "--config"],
+                ["negligibility", "--config"]]),
+    "spec": (_ma1_doc(), [["expectation", "--dims", "8", "--freq", "1.0", "--spec"]]),
+    "profile": ({"values": {"4": 0.25}, "dependence_range": 3},
+                [["blocking-plan", "--v1", "100", "--q", "0.2", "--profile"]]),
+}
+# every key some document reads; an added key is none of them
+_KNOWN_KEYS = {"spec", "dims", "dims_sequence", "scheme", "R", "seed", "q", "weights",
+               "base", "m", "delta", "axis", "dim", "taps", "innovation_kind",
+               "innovation_std", "lag", "re", "im", "values", "dependence_range"}
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(-1e6, 1e6), st.text(max_size=4))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2))
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, doc
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _dotted(path) -> str:
+    """A node's path as the CLI names it: ``spec.taps[0].re``."""
+    name = ""
+    for key in path:
+        name += f"[{key}]" if isinstance(key, int) else (f".{key}" if name else key)
+    return name
+
+
+@st.composite
+def _mutations(draw, kind):
+    """A mutated copy of the ``kind`` document, and the path of an added key or None."""
+    doc = copy.deepcopy(_FUZZ_DOCS[kind][0])
+    path, node = draw(st.sampled_from(list(_nodes(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    # a profile's "values" object takes any separation as a key
+    op = draw(st.sampled_from(["drop", "add", "replace"]))
+    if op == "add" and isinstance(node, dict) and path != ("values",):
+        key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in _KNOWN_KEYS))
+        node[key] = draw(_VALUES)
+        return doc, path + (key,)
+    if op == "drop" and path and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = draw(_VALUES)
+    else:
+        doc = draw(_VALUES)
+    return doc, None
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_DOCS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_documents_exit_zero_or_one_with_one_line(tmp_path, capsys, kind, data):
+    """Any mutated document either runs or is refused with exit 1, empty
+    stdout and one ``error:`` line; an unknown key is refused by name.  A
+    warning fails the case too, because the CLI would print it to stderr."""
+    doc, added = data.draw(_mutations(kind))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in _FUZZ_DOCS[kind][1]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + [str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1), err
+        assert "Traceback" not in err and "internal error" not in err
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        if added is not None:
+            assert code == 1 and f"unknown key {_dotted(added)!r}" in err, err

@@ -259,6 +259,27 @@ def test_spec_validation():
                         innovation_kind=REAL_GAUSSIAN, innovation_std=-1.0)
 
 
+@pytest.mark.parametrize("taps, std, message", [
+    ({(0,): math.nan}, 1.0, r"tap \(0,\) = \(nan\+0j\) is not finite"),
+    ({(0,): 1.0, (1,): complex(0.0, math.inf)}, 1.0, r"tap \(1,\) = .* is not finite"),
+    ({(0,): 1.0}, math.nan, "innovation_std must be finite and >= 0, got nan"),
+    ({(0,): 1.0}, math.inf, "innovation_std must be finite and >= 0, got inf"),
+    ({(0,): 1.0}, 1e200, r"variance innovation_std\^2 \* sum \|tap\|\^2 overflows"),
+    ({(0,): 1e300, (1,): 1.0}, 1.0, r"variance innovation_std\^2 \* sum \|tap\|\^2 overflows"),
+], ids=["tap-nan", "tap-inf", "std-nan", "std-inf", "std-overflow", "tap-overflow"])
+def test_non_finite_specs_are_refused(taps, std, message):
+    with pytest.raises(ValueError, match=message):
+        LinearFieldSpec(dim=1, taps=taps, innovation_kind=CIRCULAR_GAUSSIAN,
+                        innovation_std=std)
+
+
+def test_spec_to_json_refuses_nan():
+    spec = white_noise(1, CIRCULAR_GAUSSIAN, 1.0)
+    object.__setattr__(spec, "innovation_std", math.nan)   # past the validation
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        spec_to_json(spec)
+
+
 def test_dependence_range():
     assert white_noise(2, REAL_GAUSSIAN, 1.0).dependence_range == 0
     assert ma1_real().dependence_range == 1
