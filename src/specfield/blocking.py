@@ -32,6 +32,7 @@ from .domain import as_dims
 from .fieldgen import FieldSample, LinearFieldSpec, autocovariance, replication_seeds
 from .frequencies import _validated_freqs
 from .periodogram import _separable_grid, phase_grid
+from .rng import RNG_STREAM
 from .stats import _replicated_sums, g_functional
 
 
@@ -273,6 +274,7 @@ class NegligibilityReport:
     q: float
     replications: int
     seed: int
+    rng_stream: int = RNG_STREAM
 
 
 def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,

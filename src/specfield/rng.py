@@ -6,10 +6,20 @@ generated inside, which is what makes overlapping or shifted boxes agree
 sample-path-wise.  Stock generators hand out a stream, not a function of
 the index, so we hash instead: a splitmix64-style avalanche over the seed
 and the coordinates (Steele, Lea & Flood, OOPSLA'14; used counter-style as
-in Salmon et al., SC'11), then Box-Muller.  With u1, u2 from the top 53
-bits of two salted hashes of the site, r = sqrt(-2 log1p(-u1)) and
-t = 2 pi u2, a real draw is ``std * r cos t`` and a circular one is
-``(std / sqrt 2) * (r cos t + 1j * r sin t)`` in complex arithmetic.
+in Salmon et al., SC'11), then Box-Muller (Box & Muller, 1958).
+
+Stream 2 (``RNG_STREAM``) is defined as follows.  Two salted hashes of the
+site give 53-bit integers k1 and k.  The radius is
+r = sqrt(-2 log1p(-u1)) with u1 = k1 2^-53, and the angle is
+t = 2 pi k 2^-53.  With rho = scale * r, a real draw is ``rho * cos t``
+(scale = std) and a circular one is ``rho * cos t + 1j * rho * sin t``,
+each part written on its own (scale = std / sqrt 2).  cos t and sin t come
+from ``_angle_factors``, which reduces t exactly in integers to [0, pi/4]
+(circular) or [0, pi/2] (real) before calling numpy's cos and sin: this is
+cheaper than the whole circle and keeps relative accuracy near the zeros.
+Stream 1 evaluated cos and sin of the rounded t directly and scaled the
+complex result last; its draws differ from stream 2's only in rounding,
+by at most about 1e-14 * std.
 
 ``gaussian_lattice`` hashes the seed and every axis but the last up front, then
 walks the box in blocks of ``_BLOCK_SITES`` sites: whole rows of the last
@@ -21,13 +31,17 @@ replication of millions of sites.  Every step is elementwise and exactly
 rounded the same way at any block size, so blocking moves no bit of the
 stream; the tests pin sha256 digests of it.
 
-All integer work is done on uint64 ndarrays (numpy wraps silently for
-arrays; scalars would warn on overflow).
+All integer work is done on uint64 ndarrays and their int64 views (numpy
+wraps silently for arrays; scalars would warn on overflow).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# version of the innovation stream, recorded in the clt, miller and
+# negligibility reports; it changes whenever a draw changes in any bit
+RNG_STREAM = 2
 
 # splitmix64 constants (Steele, Lea & Flood's mixer; also used by xorshift-family seeders)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -37,6 +51,11 @@ _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
+_SH1 = np.uint64(1)
+_SH2 = np.uint64(2)
+_SH12 = np.uint64(12)
+_SH13 = np.uint64(13)
+_SH63 = np.int64(63)
 
 # domain-separation salts, arbitrary odd constants
 _FIELD_SALT = np.uint64(0xA5A5A5A5A5A5A5A5)
@@ -46,7 +65,12 @@ _U1_SALT = np.uint64(0x27220A95FE7A0A5B)
 _U2_SALT = np.uint64(0x9FB21C651E98DF25)
 
 _INV_2_53 = float(2.0 ** -53)
-_TWO_PI = 2.0 * np.pi
+# pi 2^-52 is the angle of one step of k, exactly the double nearest pi/4 times 2^-50
+_PI_2_52 = float(np.pi * 2.0 ** -52)
+# adding these to a hash adds 1 to its top 3 bits (the octant) or 2 bits (the quadrant)
+_OCTANT = np.uint64(1 << 61)
+_QUADRANT = np.uint64(1 << 62)
+_SIGN = np.uint64(1 << 63)
 
 # sites hashed and transformed per block; the scratch is six arrays this long.
 # 2^14 to 2^16 run alike in perfbench's mc_clt2d and mc_neglig1d traces;
@@ -108,17 +132,56 @@ def _hash_rows(seeds: np.ndarray, axis_coords: list[np.ndarray]) -> np.ndarray:
     return h
 
 
-def _uniforms(h: np.ndarray, salt: np.uint64, factor: float, bits: np.ndarray,
-              tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``factor * u`` for u in [0, 1) from the top 53 bits k of mix(h ^ salt).
+def _salted_hash(h: np.ndarray, salt: np.uint64, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    """mix(h ^ salt) into ``out``; ``tmp`` is scratch shaped like ``h``."""
+    return _mix64(np.bitwise_xor(h, salt, out=out), out=out, tmp=tmp)
 
-    u = k * 2^-53 is exact, so ``k * (factor * 2^-53)`` rounds once, to the
-    same double as ``factor * u``.  Below 2^53 the int64 view of k holds the
-    same value, and numpy converts it several times faster than uint64.
+
+def _angle_factors(w: np.ndarray, tmp: np.ndarray, phi: np.ndarray, x: np.ndarray,
+                   y: np.ndarray | None = None) -> None:
+    """cos t into ``x`` and, given ``y``, sin t into ``y``, for t = 2 pi k 2^-53.
+
+    k is the top 53 bits of the uint64 hashes ``w``.  The angle is reduced
+    exactly in integers: the top bits of k pick a sector (3 bits with ``y``,
+    2 bits without) and the rest is the offset f inside it, so
+    t = sector * pi/4 + f * pi 2^-52 (or sector * pi/2 + ...).  With ``y``,
+    odd octants reflect f to 2^50 - f, numpy's cos and sin are evaluated on
+    phi in [0, pi/4], and the octant then swaps the pair and sets the signs.
+    Without it, even quadrants reflect f to 2^51 - f and cos t is
+    +-sin(phi) for phi in [0, pi/2], so exact zeros of cos t come out +-0.
+    Swap and signs are bit operations on the float64 views.  ``w`` and
+    ``tmp`` (uint64) are overwritten; ``phi`` is float64 scratch; all five
+    arrays have the same shape.
     """
-    _mix64(np.bitwise_xor(h, salt, out=bits), out=bits, tmp=tmp)
-    np.right_shift(bits, _SH11, out=bits)
-    return np.multiply(bits.view(np.int64), factor * _INV_2_53, out=out)
+    circular = y is not None
+    half = np.int64(1 << (50 if circular else 51))
+    # g: the low 51 (52) bits of k, the sector's parity bit and f;
+    # |g - half| is half - f in the sectors reflected below and f in the others
+    g = np.right_shift(np.left_shift(w, _SH2 if circular else _SH1, out=tmp),
+                       _SH13 if circular else _SH12, out=tmp).view(np.int64)
+    np.subtract(g, half, out=g)
+    np.abs(g, out=g)
+    if circular:
+        np.subtract(half, g, out=g)
+    np.multiply(g, _PI_2_52, out=phi)
+    if not circular:
+        np.sin(phi, out=x)
+    else:
+        np.cos(phi, out=x)
+        np.sin(phi, out=y)
+        xb, yb = x.view(np.uint64), y.view(np.uint64)
+        # octants 1, 2, 5 and 6 swap cos and sin: bit 1 of (octant + 1)
+        swap = np.left_shift(np.add(w, _OCTANT, out=tmp), _SH1, out=tmp)
+        np.right_shift(swap.view(np.int64), _SH63, out=swap.view(np.int64))
+        np.bitwise_and(swap, np.bitwise_xor(xb, yb, out=phi.view(np.uint64)), out=swap)
+        np.bitwise_xor(xb, swap, out=xb)
+        np.bitwise_xor(yb, swap, out=yb)
+        # sin t < 0 in octants 4 to 7, the top bit of k
+        np.bitwise_xor(yb, np.bitwise_and(w, _SIGN, out=tmp), out=yb)
+    # cos t < 0 in quadrants 1 and 2: bit 1 of (quadrant + 1)
+    sign = np.bitwise_and(np.add(w, _QUADRANT, out=w), _SIGN, out=w)
+    np.bitwise_xor(x.view(np.uint64), sign, out=x.view(np.uint64))
 
 
 def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
@@ -182,27 +245,25 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
         for r0 in range(0, rows.size, step):
             r1 = min(rows.size, r0 + step)
             size = (r1 - r0) * (c1 - c0)
-            h, bits, tmp, radius, angle, trig = (
+            h, bits, tmp, radius, phi, x = (
                 buf[:size].reshape(r1 - r0, c1 - c0) for buf in ints + floats)
             _mix64(np.bitwise_xor(rows[r0:r1, None], key, out=h), out=h, tmp=tmp)
-            # Box-Muller; 1 - u1 lies in (0, 1] so the log is finite.
-            np.log1p(_uniforms(h, _U1_SALT, -1.0, bits, tmp, radius), out=radius)
+            # Box-Muller radius times scale; u1 = k * 2^-53 is exact and
+            # 1 - u1 lies in (0, 1], so the log is finite
+            np.right_shift(_salted_hash(h, _U1_SALT, bits, tmp), _SH11, out=bits)
+            np.log1p(np.multiply(bits.view(np.int64), -_INV_2_53, out=radius), out=radius)
             np.multiply(radius, -2.0, out=radius)
             np.sqrt(radius, out=radius)
-            _uniforms(h, _U2_SALT, _TWO_PI, bits, tmp, angle)
+            np.multiply(radius, scale, out=radius)
+            # the angle's hash; h is free after it and holds sin t
+            _salted_hash(h, _U2_SALT, bits, tmp)
             block = grid[r0:r1, c0:c1]
-            np.cos(angle, out=trig)
             if dtype is np.float64:
-                np.multiply(radius, trig, out=block)
+                _angle_factors(bits, tmp, phi, x)
+                np.multiply(radius, x, out=block)
             else:
-                np.multiply(radius, trig, out=block.real)
-                np.sin(angle, out=trig)
-                np.multiply(radius, trig, out=block.imag)
-                if not radius.all():
-                    # the complex sum z0 + 1j * z1 moves the sign of a zero
-                    # part, and the stream is defined by that sum
-                    block[...] = block.real + 1j * block.imag
-            # scale last, as the formula does: for circular draws a complex
-            # times real multiply, which also sets the signed zeros at std = 0
-            np.multiply(block, scale, out=block)
+                y = h.view(np.float64)
+                _angle_factors(bits, tmp, phi, x, y)
+                np.multiply(radius, x, out=block.real)
+                np.multiply(radius, y, out=block.imag)
     return out[0] if scalar else out

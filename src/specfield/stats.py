@@ -30,7 +30,7 @@ from ._util import replication_chunks, run_chunked
 from .fieldgen import LinearFieldSpec, generate_batch, replication_seeds, spectral_density
 from .frequencies import FrequencyScheme, _validated_freqs
 from .periodogram import batched_modulated_sums, phase_grid
-from .rng import replication_seed
+from .rng import RNG_STREAM, replication_seed
 
 
 def g_functional(weights, z):
@@ -137,6 +137,7 @@ class CltReport:
     seed: int
     raw_sums: np.ndarray = field(repr=False, compare=False)
     raw_periodograms: np.ndarray = field(repr=False, compare=False)
+    rng_stream: int = RNG_STREAM
 
     def to_json(self) -> str:
         doc = {
@@ -150,6 +151,7 @@ class CltReport:
             "max_cross_correlation": self.max_cross_correlation,
             "replications": self.replications,
             "seed": self.seed,
+            "rng_stream": self.rng_stream,
         }
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
@@ -207,6 +209,7 @@ class MillerReport:
     weights: tuple[float, ...]
     replications: int
     seed: int
+    rng_stream: int = RNG_STREAM
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)

@@ -365,15 +365,14 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch):
 
 
 def test_negligibility_report_bytes_are_pinned():
-    """sha256 of the report's JSON, recorded while real fields were carried as
-    complex128 through the filter; float64 fields give the same bytes."""
+    """sha256 of the report's JSON, recorded on innovation stream 2."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     dims = [BoxDims((64,)), BoxDims((512,))]
     scheme = FrequencyScheme.separated((math.pi / 2,), 2, 0.2, 0, dims)
     report = negligibility_report(spec, scheme, dims, 0.2, [1.0, 0.0, 1.0, 0.0], 50, 5)
     blob = json.dumps(dataclasses.asdict(report), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
-        "f4136cdedc8b5792fe4c5166e426c0df408ef90be37f3557792e52e4fd5c89cf")
+        "35c27030462b6a1c8393be67e6f934b60513e5f4606875c6a52abf3f27230796")
 
 
 @pytest.mark.parametrize("kind, lam, mu, needle", [

@@ -1,6 +1,8 @@
 """The lattice innovation stream: pinned digests, block invariance, bounded scratch."""
 
+import dataclasses
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,28 +16,28 @@ from specfield.rng import gaussian_lattice
 # evaluation of the stream; the last two cases span several blocks
 PINNED = {
     "real-1d-scalar": ((0, [(-5, 40)], REAL_GAUSSIAN, 1.0),
-                       "e89dd6d8680e0a0a63db097a27ee4c5f6de1161fb2911d99c164ef50d031bd64"),
+                       "664fb75315695c3091579774b18da0098f02f0b91d5d156f06b309d22dda54e4"),
     "circ-2d-batch": (([1, 2, 2**64 - 1], [(-3, 7), (-10, 12)], CIRCULAR_GAUSSIAN, 1.7),
-                      "061c7a3f8bc844e5e1c8d069e24d01e8af1e8c31ad88784ed696b6622d8b2b1f"),
+                      "011febb98f280f808cd877347172fb39966ed057ac41dfe127faf141c2b4cb3a"),
     "circ-3d-maxseed": ((2**64 - 1, [(-2, 3), (0, 4), (-7, -1)], CIRCULAR_GAUSSIAN, 0.5),
-                        "013ec7448ea13c679c59bbf8f4afa4aca9c4c245618be2c7d71ae0df92811feb"),
+                        "7d5597433fd154f68ea463793f47255199b6330bc68853f071bf53d63a6deec2"),
     "real-3d-batch": (([5, 6], [(-1, 2), (-3, 3), (4, 9)], REAL_GAUSSIAN, 2.0),
-                      "820888d940746c3884c0228be73409291109a8a7f9c0ac9c22ef55cd8eb93d16"),
+                      "c7f06d15c7ab27492e8f83852be749283fab41d086cbc797bbc283b424101e26"),
     "circ-2d-std0": (([3, 4], [(-2, 5), (-1, 9)], CIRCULAR_GAUSSIAN, 0.0),
-                     "7e10aedc50aeccc559cbefaf5ee542e4461747362482761452d6aade460dd2d1"),
+                     "22ef2ac2390ecb83379e4a8a9a9d7d2b9fe88ac9a1c45e4c9eb2fff6926ae4b8"),
     "real-1d-std0": ((9, [(-20, 20)], REAL_GAUSSIAN, 0.0),
                      "239e6c544f8c4e07999b55ca44073f3f26e77bca5e06b880897588044fe1ae1d"),
     "circ-1d-long": ((11, [(-40000, 60000)], CIRCULAR_GAUSSIAN, 1.0),
-                     "afc1d6e8c404039fb7826009d7cd606a07fa3eecf4f256a653dd2a53da110200"),
+                     "de93af6b5b77d47871d3c5582b9076cca464b8507d89fac9cd14031f2a278c08"),
     "real-2d-wide": (([12, 13, 14, 15], [(0, 299), (-150, 149)], REAL_GAUSSIAN, 0.75),
-                     "91014adcd86d76e7c91f928c2db83586955f4eb567fa2fe9263f282a5bd31dfb"),
+                     "3cf36eff80229d84863edd46fb459ae813bcb7a98023ef89e02b666291449a79"),
 }
 SMALL = ["real-1d-scalar", "circ-2d-batch", "circ-3d-maxseed", "real-3d-batch",
          "circ-2d-std0", "real-1d-std0"]
 
 # seeds whose draw at coordinate 0 of a 1-d box has u1 = 0 exactly, found by
-# inverting the mixer: a zero radius, where the signs of the zero parts
-# depend on how z0 + 1j * z1 is evaluated
+# inverting the mixer: a zero radius, where the zero parts take the signs
+# of cos t and sin t
 ZERO_RADIUS_SEEDS = [778968244261077030, 15983577244521280148, 6332314581139372613,
                      11474959887424836914, 2259259785936663301, 8018576334471034043]
 
@@ -53,13 +55,50 @@ def _site_hashes(seeds, ranges):
     return h
 
 
-def _reference_lattice(seeds, ranges, kind, std):
-    """The stream's defining formula evaluated on whole arrays, without blocks."""
+def _v2_factors(k, circular):
+    """cos and sin of t = 2 pi k 2^-53 by the stream's exact sector reduction,
+    written from the octant (quadrant) table with np.where; sin is None for
+    a real draw."""
+    low = 50 if circular else 51
+    sector = (k >> np.uint64(low)).astype(np.int64)
+    f = (k & np.uint64((1 << low) - 1)).astype(np.int64)
+    step = np.pi * 2.0 ** -52
+    if not circular:
+        # cos t = +-sin(phi), phi = pi/2 - theta in quadrants 0 and 2, theta in 1 and 3
+        s = np.sin(np.where(sector % 2 == 0, (1 << low) - f, f) * step)
+        return np.where(np.isin(sector, [1, 2]), -s, s), None
+    phi = np.where(sector % 2 == 1, (1 << low) - f, f) * step
+    c, s = np.cos(phi), np.sin(phi)
+    swap = np.isin(sector, [1, 2, 5, 6])
+    x, y = np.where(swap, s, c), np.where(swap, c, s)
+    return np.where(np.isin(sector, [2, 3, 4, 5]), -x, x), np.where(sector >= 4, -y, y)
+
+
+def _radius_and_angle(seeds, ranges):
+    """r = sqrt(-2 log1p(-u1)) and the 53-bit angle integer k of every site."""
     h = _site_hashes(np.atleast_1d(np.asarray(seeds, dtype=np.uint64)), ranges)
     u1 = (rng._mix64(h ^ rng._U1_SALT) >> rng._SH11).astype(np.float64) * rng._INV_2_53
-    u2 = (rng._mix64(h ^ rng._U2_SALT) >> rng._SH11).astype(np.float64) * rng._INV_2_53
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = rng._TWO_PI * u2
+    return np.sqrt(-2.0 * np.log1p(-u1)), rng._mix64(h ^ rng._U2_SALT) >> rng._SH11
+
+
+def _reference_lattice(seeds, ranges, kind, std):
+    """The stream's defining formula (v2) evaluated on whole arrays, without blocks."""
+    radius, k = _radius_and_angle(seeds, ranges)
+    circular = kind == CIRCULAR_GAUSSIAN
+    rho = (std / np.sqrt(2.0) if circular else std) * radius
+    x, y = _v2_factors(k, circular)
+    if circular:
+        out = np.empty(rho.shape, dtype=np.complex128)
+        out.real, out.imag = rho * x, rho * y
+    else:
+        out = rho * x
+    return out[0] if np.ndim(seeds) == 0 else out
+
+
+def _v1_reference(seeds, ranges, kind, std):
+    """Stream v1: cos and sin of t = 2 pi u2 over the whole circle, scaled last."""
+    radius, k = _radius_and_angle(seeds, ranges)
+    angle = 2.0 * np.pi * (k.astype(np.float64) * rng._INV_2_53)
     z0 = radius * np.cos(angle)
     if kind == REAL_GAUSSIAN:
         out = std * z0
@@ -111,6 +150,58 @@ def test_zero_radius_draws_keep_their_signed_zeros(std):
             got = gaussian_lattice(seed, ranges, CIRCULAR_GAUSSIAN, std)
             want = _reference_lattice(seed, ranges, CIRCULAR_GAUSSIAN, std)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
+def test_stream_v2_is_v1_with_better_rounding(kind):
+    """Same hashes, radius and angle integer: over 10^5 draws the two streams
+    differ only by the rounding of cos and sin."""
+    std = 1.7
+    args = ([3, 2**64 - 1], [(-50, 49), (0, 499)], kind, std)
+    v2 = gaussian_lattice(*args)
+    assert v2.size == 100_000
+    assert np.max(np.abs(v2 - _v1_reference(*args))) <= 1e-14 * std
+
+
+def test_angle_factors_are_within_two_ulp():
+    """The helper's cos t and sin t, t = 2 pi k 2^-53, against mpmath at the
+    sector edges and at random k; at the exact zeros they are +-0."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 128
+    edges = {0, 2**53 - 1} | {j * 2**50 + e for j in range(1, 8) for e in (-1, 0, 1)}
+    ks = sorted(edges) + [int(k) for k in np.random.default_rng(53).integers(
+        0, 2**53, size=2000, dtype=np.uint64)]
+    k = np.asarray(ks, dtype=np.uint64)
+    for circular in (False, True):
+        w = k << np.uint64(11)
+        x, y = np.empty(k.size), (np.empty(k.size) if circular else None)
+        rng._angle_factors(w, np.empty_like(w), np.empty(k.size), x, y)
+        factors = [(x, mpmath.cos)] + ([(y, mpmath.sin)] if circular else [])
+        for got, exact in factors:
+            for kk, value in zip(ks, got.tolist()):
+                want = exact(2 * mpmath.pi * kk / mpmath.mpf(2) ** 53)
+                if kk % 2**51 == 0 and abs(want) < 1e-30:
+                    assert value == 0.0, kk
+                else:
+                    ulp = np.spacing(abs(float(want)))
+                    assert abs(mpmath.mpf(value) - want) <= 2 * ulp, (circular, kk)
+
+
+def test_stream_version_is_pinned_and_reported():
+    from specfield.blocking import negligibility_report
+    from specfield.fieldgen import first_axis_ma1
+    from specfield.frequencies import FrequencyScheme
+    from specfield.stats import miller_check, run_clt_experiment
+
+    assert rng.RNG_STREAM == 2
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5)
+    dims = [(16,)]
+    scheme = FrequencyScheme.separated((1.5,), 1, 0.2, 0, dims)
+    clt = json.loads(run_clt_experiment(spec, scheme, dims[0], 8, 1).to_json())
+    miller = json.loads(miller_check(spec, scheme, [1.0, 0.0], dims, 8, 1).to_json())
+    neglig = dataclasses.asdict(negligibility_report(spec, scheme, dims, 0.2,
+                                                     [1.0, 0.0], 8, 1))
+    assert clt["rng_stream"] == miller["rng_stream"] == neglig["rng_stream"] == 2
 
 
 def test_lattice_scratch_is_bounded():

@@ -302,10 +302,10 @@ def test_miller_weight_length_mismatch():
 
 
 # sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
-# recorded while real fields were carried as complex128 through the filter
+# recorded on innovation stream 2
 @pytest.mark.parametrize("kind, digest", [
-    (REAL_GAUSSIAN, "b56d3f480bdfc3aea17441c53324d786186b6443c8486c8e757a0975e6337e22"),
-    (CIRCULAR_GAUSSIAN, "15af709998be64ed5445e787d61fb9a5f34cde1e3a557cb6824c209166f42105"),
+    (REAL_GAUSSIAN, "61a24f34080f89918af47fe3e4ef6c37fcbcef60a7c9216e2e355bdbc20b454c"),
+    (CIRCULAR_GAUSSIAN, "b59461fe7a3476401bf188e6add26070b6ccb94558ebaf33ab772c34066ee1f7"),
 ], ids=["real", "circular"])
 def test_clt_report_bytes_are_pinned(kind, digest):
     spec = first_axis_ma1(2, kind, 1.0, 0.5)
@@ -322,7 +322,7 @@ def test_miller_report_bytes_are_pinned():
     scheme = scheme_for((math.pi / 2, 0.5), 2, 0.2, dims)
     report = miller_check(spec, scheme, [1.0, 0.0, 0.5, -1.0], dims, 100, 3)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "1bf7399b0199f39490ce31a34523739cd0ac42121df0d3a35af8cd2a3d883d2c")
+        "86206cad9b64a61a7a46bc8a8e61d7ccf44cb00fd7720490c1509268782ed703")
 
 
 def test_clt_refuses_frequencies_close_across_pi():
