@@ -65,7 +65,8 @@ _U1_SALT = np.uint64(0x27220A95FE7A0A5B)
 _U2_SALT = np.uint64(0x9FB21C651E98DF25)
 
 _INV_2_53 = float(2.0 ** -53)
-# pi 2^-52 is the angle of one step of k, exactly the double nearest pi/4 times 2^-50
+# one step of k in angle, 2 pi 2^-53 = pi 2^-52: the double nearest pi times a
+# power of two, so f * _PI_2_52 rounds once
 _PI_2_52 = float(np.pi * 2.0 ** -52)
 # adding these to a hash adds 1 to its top 3 bits (the octant) or 2 bits (the quadrant)
 _OCTANT = np.uint64(1 << 61)

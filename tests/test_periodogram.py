@@ -1,5 +1,8 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +126,41 @@ def test_batched_sums_match_scalar_path():
         sample = generate(spec, (20,), seed=int(s))
         for j, freq in enumerate(freqs):
             assert table[i, j] == modulated_sum(sample, freq)
+
+
+def test_real_rows_are_summed_in_real_arithmetic():
+    """A float64 batch: each row, on an odd volume over 10^4 (rows start at
+    every 8-byte alignment), equals the row summed alone bit for bit, and
+    the complex-cast sum within rounding."""
+    v = 10_007
+    vals = np.random.default_rng(5).standard_normal((4, v))
+    phases = [phase_grid([np.arange(1, v + 1)], (lam,)) for lam in (0.5, 2.5)]
+    table = batched_modulated_sums(vals, phases)
+    for r, row in enumerate(vals):
+        assert table[r].tobytes() == batched_modulated_sums(row.copy()[None], phases).tobytes()
+        cast = [np.dot(row.astype(np.complex128), ph) for ph in phases]
+        assert np.allclose(table[r], cast, rtol=0, atol=1e-12 * np.abs(row).sum())
+
+
+_BLAS_THREADS_PROBE = """
+import hashlib, numpy as np
+from specfield.periodogram import batched_modulated_sums, phase_grid
+v = 65_537
+vals = np.random.default_rng(6).standard_normal((3, v))
+phases = [phase_grid([np.arange(1, v + 1)], (lam,)) for lam in (0.5, 2.5)]
+print(hashlib.sha256(batched_modulated_sums(vals, phases).tobytes()).hexdigest())
+"""
+
+
+def test_real_sums_do_not_depend_on_blas_threads():
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_shift_preserves_modulus_for_translated_wave():

@@ -302,9 +302,9 @@ def test_miller_weight_length_mismatch():
 
 
 # sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
-# recorded on innovation stream 2
+# recorded on innovation stream 2, real rows summed in real arithmetic
 @pytest.mark.parametrize("kind, digest", [
-    (REAL_GAUSSIAN, "61a24f34080f89918af47fe3e4ef6c37fcbcef60a7c9216e2e355bdbc20b454c"),
+    (REAL_GAUSSIAN, "98b7570276cfe4c5446cb3d1976b010ed525d4c7542d42acce551bb087759b01"),
     (CIRCULAR_GAUSSIAN, "b59461fe7a3476401bf188e6add26070b6ccb94558ebaf33ab772c34066ee1f7"),
 ], ids=["real", "circular"])
 def test_clt_report_bytes_are_pinned(kind, digest):
@@ -322,7 +322,7 @@ def test_miller_report_bytes_are_pinned():
     scheme = scheme_for((math.pi / 2, 0.5), 2, 0.2, dims)
     report = miller_check(spec, scheme, [1.0, 0.0, 0.5, -1.0], dims, 100, 3)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "86206cad9b64a61a7a46bc8a8e61d7ccf44cb00fd7720490c1509268782ed703")
+        "98ffd9e2e6e78d0e958a218c7f066cb1de4e8c3a64c4c5ff691d4c995c895604")
 
 
 def test_clt_refuses_frequencies_close_across_pi():
