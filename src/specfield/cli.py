@@ -187,7 +187,7 @@ def _cmd_expectation(args) -> dict | None:
         "freq": list(freq.coords),
         "exact": expected_periodogram_exact(spec, freq, dims),
     }
-    if args.quadrature:
+    if args.quadrature is not None:
         doc["quadrature"] = expected_periodogram_quadrature(spec, freq, dims,
                                                             args.quadrature)
     return doc

@@ -79,16 +79,21 @@ class LinearFieldSpec:
         std = float(self.innovation_std)
         if not 0.0 <= std < math.inf:
             raise ValueError(f"innovation_std must be finite and >= 0, got {std}")
-        # products, not powers: a float power that overflows raises
-        if not math.isfinite(std * std * sum(c.real * c.real + c.imag * c.imag
-                                             for c in norm.values())):
-            raise ValueError("the field variance innovation_std^2 * sum |tap|^2 overflows")
         object.__setattr__(self, "innovation_std", std)
+        if not math.isfinite(self.variance):
+            raise ValueError("the field variance innovation_std^2 * sum |tap|^2 overflows")
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the spec from a plain dict of taps
         return (type(self), (self.dim, dict(self.taps), self.innovation_kind,
                              self.innovation_std))
+
+    @property
+    def variance(self) -> float:
+        """E|X_k|^2 = innovation_std^2 * sum |tap|^2 (inf if that overflows)."""
+        # products, not powers: a float power that overflows raises
+        std = self.innovation_std
+        return std * std * sum(c.real * c.real + c.imag * c.imag for c in self.taps.values())
 
     @property
     def is_real(self) -> bool:

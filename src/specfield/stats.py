@@ -95,6 +95,11 @@ def cross_frequency_independence(periodograms) -> float:
     return float(np.max(np.abs(off)))
 
 
+# the largest field variance the Monte Carlo reports accept: their second
+# moments then stay below about 1e100 * V, far from overflow
+_MAX_VARIANCE = 1e100
+
+
 def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
     """The one replication loop of the clt, miller and negligibility reports.
 
@@ -106,6 +111,10 @@ def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 replications")
+    if spec.variance > _MAX_VARIANCE:
+        raise ValueError(f"the field variance innovation_std^2 * sum |tap|^2 = "
+                         f"{spec.variance:.6g} exceeds {_MAX_VARIANCE:g}, the largest "
+                         f"the Monte Carlo reports accept")
     coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
     phases = [phase_grid(coords, lam) for lam in freqs]
     chunks = replication_chunks(len(seeds), 16 * box.volume * workspace)

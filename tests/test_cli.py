@@ -485,6 +485,41 @@ def test_kernels_refuses_a_non_finite_alpha(alpha):
     _assert_one_line_refusal(proc, f"--alpha must be a finite real, got {alpha}")
 
 
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_expectation_refuses_a_coarse_quadrature(ma1_spec_file, points):
+    """0 grid points is refused like 1, not read as an absent flag."""
+    proc = run_cli("expectation", "--spec", ma1_spec_file, "--dims", "8", "--freq", "1.0",
+                   "--quadrature", points)
+    _assert_one_line_refusal(proc, f"quadrature grid too coarse: {points} < 4*max(v) = 32")
+
+
+def _real_ma1_config(clt_config_file, taps, std):
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["spec"] = {"dim": 1, "taps": [{"lag": [lag], "re": re} for lag, re in taps],
+                   "innovation_kind": REAL_GAUSSIAN, "innovation_std": std}
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    return cfg
+
+
+@pytest.mark.parametrize("cmd", ["clt-experiment", "miller", "negligibility"])
+def test_monte_carlo_reports_bound_the_field_variance(clt_config_file, cmd):
+    """A finite variance of 1e200 is refused by name before any draw; at
+    exactly 1e100 the report runs with every warning an error."""
+    huge = _real_ma1_config(clt_config_file, [(0, 1e100), (1, 1.0)], 1.0)
+    proc = run_cli(cmd, "--config", huge)
+    _assert_one_line_refusal(proc, "sum |tap|^2 = 1e+200 exceeds 1e+100")
+    # 0.9999999999999999^2 * (1e50^2 + 1) rounds to 1e100 exactly
+    edge = _real_ma1_config(clt_config_file, [(0, 1e50), (1, 1.0)], 0.9999999999999999)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "specfield", cmd,
+                           "--config", edge], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["rng_stream"] == 2
+
+
 # Fuzzing the documents: each case mutates one node of a valid document
 # (the whole document included) by dropping a key, adding an unknown key, or
 # replacing the value.  Sizes stay small (R <= 8, sides <= 32, lags within
