@@ -24,7 +24,7 @@ closed Gaussian forms used by the reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -274,7 +274,7 @@ class NegligibilityReport:
     q: float
     replications: int
     seed: int
-    rng_stream: int = RNG_STREAM
+    rng_stream: int = field(default=RNG_STREAM, init=False)
 
 
 def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,

@@ -8,9 +8,9 @@ For a sample on a (possibly shifted) box and a torus frequency lam,
 Sums are taken by direct summation — never an FFT — because the
 frequencies of interest are off the Fourier grid.  Drivers build each grid
 exp(-i k.lam) once per box with ``phase_grid``; ``batched_modulated_sums``
-forms S with one ``np.dot`` per (row, grid), so a sample and a batch row
-agree bit for bit.  A BLAS matrix product would not: its last bits change
-with the batch size or the number of frequencies.
+forms S with one product per (row, grid), so a sample and a batch row
+agree bit for bit.  A BLAS matrix product over the whole batch would not:
+its last bits change with the batch size or the number of frequencies.
 """
 
 from __future__ import annotations
@@ -77,20 +77,20 @@ def batched_modulated_sums(values: np.ndarray, phases) -> np.ndarray:
     """S for a batch of realizations, shape (R, len(phases)).
 
     ``values`` has shape (R, v_1, ..., v_d) and ``phases`` are flat grids
-    from ``phase_grid`` over the same box.  Entry (r, j) is ``np.dot`` of
-    row r with grid j, so it is bit-identical to the same row summed alone.
-    A real row is not cast to complex: it is multiplied by the grid viewed
-    as a (volume, 2) real matrix of (re, im) pairs, with no copy.  That one
-    matrix-vector product reads the row once, and unlike a dot of more than
-    10^4 entries its bits do not depend on the number of BLAS threads.
+    from ``phase_grid`` over the same box.  Entry (r, j) is one product of
+    row r with grid j, so it is bit-identical to the same row summed alone:
+    ``np.dot`` for a complex row.  A real row is not cast to complex; it is
+    multiplied by the grid viewed as a (volume, 2) real matrix of (re, im)
+    pairs, with no copy.  That matrix-vector product reads the row once, and
+    unlike a dot of more than 10^4 entries its bits do not depend on the
+    number of BLAS threads.
     """
     flat = values.reshape(values.shape[0], -1)
     out = np.empty((flat.shape[0], len(phases)), dtype=np.complex128)
     real = not np.iscomplexobj(flat)
     for j, ph in enumerate(phases):
         if real:
-            pairs = np.ascontiguousarray(ph, dtype=np.complex128).view(np.float64)
-            pairs = pairs.reshape(-1, 2)
+            pairs = ph.view(np.float64).reshape(-1, 2)
             for r, row in enumerate(flat):
                 out[r, j] = complex(*(row @ pairs))
         else:

@@ -133,12 +133,6 @@ def _hash_rows(seeds: np.ndarray, axis_coords: list[np.ndarray]) -> np.ndarray:
     return h
 
 
-def _salted_hash(h: np.ndarray, salt: np.uint64, out: np.ndarray,
-                 tmp: np.ndarray) -> np.ndarray:
-    """mix(h ^ salt) into ``out``; ``tmp`` is scratch shaped like ``h``."""
-    return _mix64(np.bitwise_xor(h, salt, out=out), out=out, tmp=tmp)
-
-
 def _angle_factors(w: np.ndarray, tmp: np.ndarray, phi: np.ndarray, x: np.ndarray,
                    y: np.ndarray | None = None) -> None:
     """cos t into ``x`` and, given ``y``, sin t into ``y``, for t = 2 pi k 2^-53.
@@ -249,15 +243,17 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
             h, bits, tmp, radius, phi, x = (
                 buf[:size].reshape(r1 - r0, c1 - c0) for buf in ints + floats)
             _mix64(np.bitwise_xor(rows[r0:r1, None], key, out=h), out=h, tmp=tmp)
-            # Box-Muller radius times scale; u1 = k * 2^-53 is exact and
-            # 1 - u1 lies in (0, 1], so the log is finite
-            np.right_shift(_salted_hash(h, _U1_SALT, bits, tmp), _SH11, out=bits)
+            # Box-Muller radius times scale; u1 = k1 * 2^-53 is exact and
+            # 1 - u1 lies in (0, 1], so the log is finite.  k1 < 2^53 is read
+            # through its int64 view, which numpy converts faster than uint64
+            _mix64(np.bitwise_xor(h, _U1_SALT, out=bits), out=bits, tmp=tmp)
+            np.right_shift(bits, _SH11, out=bits)
             np.log1p(np.multiply(bits.view(np.int64), -_INV_2_53, out=radius), out=radius)
             np.multiply(radius, -2.0, out=radius)
             np.sqrt(radius, out=radius)
             np.multiply(radius, scale, out=radius)
             # the angle's hash; h is free after it and holds sin t
-            _salted_hash(h, _U2_SALT, bits, tmp)
+            _mix64(np.bitwise_xor(h, _U2_SALT, out=bits), out=bits, tmp=tmp)
             block = grid[r0:r1, c0:c1]
             if dtype is np.float64:
                 _angle_factors(bits, tmp, phi, x)

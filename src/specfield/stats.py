@@ -146,7 +146,7 @@ class CltReport:
     seed: int
     raw_sums: np.ndarray = field(repr=False, compare=False)
     raw_periodograms: np.ndarray = field(repr=False, compare=False)
-    rng_stream: int = RNG_STREAM
+    rng_stream: int = field(default=RNG_STREAM, init=False)
 
     def to_json(self) -> str:
         doc = {
@@ -218,7 +218,7 @@ class MillerReport:
     weights: tuple[float, ...]
     replications: int
     seed: int
-    rng_stream: int = RNG_STREAM
+    rng_stream: int = field(default=RNG_STREAM, init=False)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
