@@ -155,20 +155,22 @@ def _cross_moment(spec: LinearFieldSpec, box, lam, phi) -> np.ndarray:
     return terms.sum(axis=-1) / box.volume
 
 
-def _pair_moment(spec: LinearFieldSpec, lam, mu, dims, sign: int) -> complex:
-    """_cross_moment on a batch of one pair, at phi = lam - sign * mu; the
-    no-conjugate product (sign -1) of a circular field is exactly 0j."""
+def _moments_of_sums(spec: LinearFieldSpec, lams, mus, dims, sign: int) -> np.ndarray:
+    """_cross_moment at phi = lam - sign * mu on paired rows, each read by
+    ``as_frequency``; a circular field's product (sign -1) is exactly 0."""
     box = as_dims(dims, spec.dim)
-    pair = np.array([as_frequency(f, spec.dim).coords for f in (lam, mu)])
+    rows = np.array([as_frequency(f, spec.dim).coords for f in (*lams, *mus)])
+    if not rows.size:
+        raise ValueError("need at least one frequency")
+    lam, mu = rows[:len(lams)], rows[len(lams):]
     if sign < 0 and not spec.is_real:
-        return 0j
-    lam, mu = pair[:1], pair[1:]
-    return complex(_cross_moment(spec, box, lam, lam - sign * mu)[0])
+        return np.zeros(len(lam), dtype=np.complex128)
+    return _cross_moment(spec, box, lam, lam - sign * mu)
 
 
 def covariance_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
     """E[S(lam) conj(S(mu))] / V over the box; reduces to E I at mu = lam."""
-    return _pair_moment(spec, lam, mu, dims, sign=1)
+    return complex(_moments_of_sums(spec, [lam], [mu], dims, sign=1)[0])
 
 
 def product_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
@@ -177,7 +179,7 @@ def product_of_sums(spec: LinearFieldSpec, lam, mu, dims) -> complex:
     Driven by the pseudo-covariance E[X_{l+h} X_l]: identically zero for
     circular fields (returned exactly), equal to r(h) for real ones.
     """
-    return _pair_moment(spec, lam, mu, dims, sign=-1)
+    return complex(_moments_of_sums(spec, [lam], [mu], dims, sign=-1)[0])
 
 
 def sum_covariance(spec: LinearFieldSpec, freqs, dims) -> np.ndarray:
@@ -188,15 +190,10 @@ def sum_covariance(spec: LinearFieldSpec, freqs, dims) -> np.ndarray:
     ordered pairs: E Re Re = Re(c + p)/2, E Im Im = Re(c - p)/2,
     E Re_j Im_k = Im(p - c)/2 and E Im_j Re_k = Im(c + p)/2.
     """
-    box = as_dims(dims, spec.dim)
-    lam = np.array([as_frequency(f, spec.dim).as_array() for f in freqs])
-    m = len(lam)
-    if m < 1:
-        raise ValueError("need at least one frequency")
-    left, right = np.repeat(lam, m, axis=0), np.tile(lam, (m, 1))
-    c = _cross_moment(spec, box, left, left - right).reshape(m, m)
-    p = (_cross_moment(spec, box, left, left + right).reshape(m, m) if spec.is_real
-         else np.zeros((m, m), dtype=np.complex128))
+    freqs = list(freqs)
+    m = len(freqs)
+    left = [f for f in freqs for _ in freqs]
+    c, p = (_moments_of_sums(spec, left, freqs * m, dims, s).reshape(m, m) for s in (1, -1))
     cov = np.empty((2 * m, 2 * m))
     cov[0::2, 0::2] = (c + p).real / 2.0
     cov[1::2, 1::2] = (c - p).real / 2.0
