@@ -20,6 +20,8 @@ import numpy as np
 from .domain import BoxDims, Frequency, as_frequency
 from .fieldgen import FieldSample
 
+_DOT_CHUNK = 8192
+
 __all__ = [
     "BoxDims",
     "Frequency",
@@ -77,13 +79,12 @@ def batched_modulated_sums(values: np.ndarray, phases) -> np.ndarray:
     """S for a batch of realizations, shape (R, len(phases)).
 
     ``values`` has shape (R, v_1, ..., v_d) and ``phases`` are flat grids
-    from ``phase_grid`` over the same box.  Entry (r, j) is one product of
-    row r with grid j, so it is bit-identical to the same row summed alone:
-    ``np.dot`` for a complex row.  A real row is not cast to complex; it is
-    multiplied by the grid viewed as a (volume, 2) real matrix of (re, im)
-    pairs, with no copy.  That matrix-vector product reads the row once, and
-    unlike a dot of more than 10^4 entries its bits do not depend on the
-    number of BLAS threads.
+    from ``phase_grid`` over the same box.  Entry (r, j) is one sum of row r
+    with grid j, bit-identical to the row summed alone and at any number of
+    BLAS threads.  A complex row is dotted in chunks of ``_DOT_CHUNK``
+    entries added in order, since OpenBLAS splits a dot of more than 10^4
+    entries across its threads.  A real row is multiplied, with no cast and
+    no copy, by the grid viewed as a (volume, 2) real matrix of (re, im) pairs.
     """
     flat = values.reshape(values.shape[0], -1)
     out = np.empty((flat.shape[0], len(phases)), dtype=np.complex128)
@@ -95,5 +96,7 @@ def batched_modulated_sums(values: np.ndarray, phases) -> np.ndarray:
                 out[r, j] = complex(*(row @ pairs))
         else:
             for r, row in enumerate(flat):
-                out[r, j] = np.dot(row, ph)
+                out[r, j] = np.dot(row[:_DOT_CHUNK], ph[:_DOT_CHUNK])
+                for lo in range(_DOT_CHUNK, len(row), _DOT_CHUNK):
+                    out[r, j] += np.dot(row[lo:lo + _DOT_CHUNK], ph[lo:lo + _DOT_CHUNK])
     return out
