@@ -36,11 +36,11 @@ INTERNAL_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit 64 instead of 2."""
+    """argparse that reports usage problems in one line, with exit 64 instead of 2."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        usage = " ".join(self.format_usage().split())
+        sys.stderr.write(f"{self.prog}: error: {message}; {usage}\n")
         sys.exit(USAGE_EXIT)
 
 

@@ -30,8 +30,8 @@ class BoxDims:
         for side in self.v:
             if not isinstance(side, (int, np.integer)) or isinstance(side, bool):
                 raise ValueError(f"box sides must be integers, got {side!r}")
-            if side < 1:
-                raise ValueError(f"box sides must be >= 1, got {side}")
+            if not 1 <= side < 2 ** 63:
+                raise ValueError(f"box sides must be in [1, 2^63), got {side}")
         object.__setattr__(self, "v", tuple(int(side) for side in self.v))
 
     @property

@@ -47,9 +47,12 @@ def _sin_half(a):
 
 
 def _check_order(n):
-    orders = np.asarray(n).astype(np.int64, copy=False)
+    try:
+        orders = np.asarray(n).astype(np.int64, copy=False)
+    except OverflowError:  # beyond int64: refused below, like 0
+        orders = np.zeros(1, dtype=np.int64)
     if orders.min(initial=1) < 1:
-        raise ValueError(f"kernel order must be a positive integer, got {n}")
+        raise ValueError(f"kernel order must be a positive 64-bit integer, got {n}")
     return orders if orders.ndim else int(orders)
 
 

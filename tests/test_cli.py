@@ -485,6 +485,12 @@ def test_kernels_refuses_a_non_finite_alpha(alpha):
     _assert_one_line_refusal(proc, f"--alpha must be a finite real, got {alpha}")
 
 
+@pytest.mark.parametrize("n", ["0", "99999999999999999999"])
+def test_kernels_refuses_an_order_outside_int64(n):
+    proc = run_cli("kernels", "--alpha", "0.5", "--n", n)
+    _assert_one_line_refusal(proc, f"kernel order must be a positive 64-bit integer, got {n}")
+
+
 @pytest.mark.parametrize("points", ["0", "1"])
 def test_expectation_refuses_a_coarse_quadrature(ma1_spec_file, points):
     """0 grid points is refused like 1, not read as an absent flag."""
@@ -606,3 +612,68 @@ def test_mutated_documents_exit_zero_or_one_with_one_line(tmp_path, capsys, kind
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
         if added is not None:
             assert code == 1 and f"unknown key {_dotted(added)!r}" in err, err
+
+
+# Fuzzing the flags: each case replaces the value of one flag in a valid
+# command line over a 1-d spec.  A value is one entry, or entries joined by
+# commas (and by semicolons for --dims-sequence), so empty and trailing
+# entries and wrong dimensions come up.  Entries stay small where a flag sizes
+# an output or an allocation: --n-max lists every separation up to it, so it
+# draws no huge integer, and --v1 is not fuzzed (a huge --v1 writes a block
+# list of that length).  Huge integers elsewhere are refused before any work.
+_FUZZ_COMMANDS = [
+    ["kernels", "--alpha", "0.5", "--n", "5"],
+    ["periodogram", "--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--shift", "2"],
+    ["expectation", "--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--quadrature", "32"],
+    ["expectation", "--spec", "{spec}", "--report-csv", "{csv}", "--dims-sequence", "8;16",
+     "--grid", "8"],
+    ["covariance", "--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--freq2", "1.5"],
+    ["blocking-plan", "--v1", "100", "--q", "0.2", "--profile", "{profile}"],
+    ["mixing-estimate", "--spec", "{spec}", "--window", "1", "--set-size", "2", "--n-max", "3"],
+]
+_FUZZ_FLAGS = ["--alpha", "--dims", "--dims-sequence", "--freq", "--n", "--n-max", "--q",
+               "--quadrature", "--shift"]
+_HUGE = [str(2 ** 63), str(10 ** 20), str(-2 ** 63 - 1), "-" + str(10 ** 20)]
+_ENTRIES = ["nan", "inf", "-inf", "x", "", "0", "-1", "-7", "1.5", "1e400", "3", "8"]
+
+
+@st.composite
+def _flag_values(draw, flag):
+    entries = _ENTRIES + [h for h in _HUGE if flag != "--n-max" or h.startswith("-")]
+    entry = st.sampled_from(entries)
+    value = st.one_of(entry, st.lists(entry, min_size=2, max_size=3).map(",".join))
+    if flag == "--dims-sequence":
+        value = st.one_of(value, st.lists(value, min_size=2, max_size=3).map(";".join))
+    return draw(value)
+
+
+@pytest.mark.parametrize("flag", _FUZZ_FLAGS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_flags_exit_zero_one_or_64_with_one_line(tmp_path, capsys, flag, data):
+    """Any value of a flag either runs, is refused with exit 1, or is a usage
+    error with exit 64; a failure prints one stderr line and nothing on
+    stdout, a success nothing on stderr, and a warning fails the case."""
+    files = {"spec": tmp_path / "spec.json", "profile": tmp_path / "profile.json",
+             "csv": tmp_path / "sup.csv"}
+    files["spec"].write_text(json.dumps(_ma1_doc()))
+    files["profile"].write_text(json.dumps({"values": {"4": 0.25}, "dependence_range": 3}))
+    value = data.draw(_flag_values(flag))
+    for command in _FUZZ_COMMANDS:
+        if flag not in command:
+            continue
+        argv = [a.format(**files) for a in command]
+        argv[argv.index(flag) + 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 64), (argv, err)
+        if code:
+            assert out == "" and err.count("\n") == 1 and "error: " in err, (argv, err)
+        else:
+            assert err == "", (argv, err)

@@ -179,3 +179,12 @@ def test_product_is_product_of_factors():
             expected *= fejer(float(t), int(n))
         assert fejer_product(theta, tuple(int(n) for n in v)) == pytest.approx(
             expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**63, 10**20, -2**63 - 1, [3, 10**20]])
+def test_orders_outside_int64_are_refused_like_zero(n):
+    """An order int64 cannot hold is refused by the ValueError of order 0,
+    not raised as an OverflowError from the conversion."""
+    for kernel in (fejer, dirichlet_mod):
+        with pytest.raises(ValueError, match="kernel order must be a positive 64-bit integer"):
+            kernel(0.5, n)
