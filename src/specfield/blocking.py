@@ -69,12 +69,8 @@ class MixingProfile:
         n = int(n)
         if self.dependence_range is not None and n > self.dependence_range:
             return 0.0
-        if n in self.values:
-            return self.values[n]
         below = [k for k in self.values if k <= n]
-        if below:
-            return self.values[max(below)]
-        return 1.0
+        return self.values[max(below)] if below else 1.0
 
 
 def dependence_profile(spec: LinearFieldSpec) -> MixingProfile:

@@ -96,8 +96,7 @@ class ExperimentConfig:
     """Validated contents of an experiment config document."""
 
     spec: LinearFieldSpec
-    scheme: FrequencyScheme
-    dims_sequence: list[BoxDims]      # [dims] for a config that gives 'dims'
+    scheme: FrequencyScheme   # its dims_sequence is (dims,) for a config that gives 'dims'
     replications: int
     seed: int
     q: float | None
@@ -134,8 +133,8 @@ def _config_from_doc(doc) -> ExperimentConfig:
     if any(b <= a for a, b in zip(mins, mins[1:])):
         raise ValueError("dims_sequence must have strictly growing minimum side")
     scheme = FrequencyScheme.separated(base, m, delta, axis, all_dims)
-    return ExperimentConfig(spec=spec, scheme=scheme, dims_sequence=all_dims,
-                            replications=replications, seed=seed, q=q, weights=weights)
+    return ExperimentConfig(spec=spec, scheme=scheme, replications=replications, seed=seed,
+                            q=q, weights=weights)
 
 
 def _cmd_kernels(args) -> dict:
@@ -211,7 +210,7 @@ def _cmd_covariance(args) -> dict:
 
 def _cmd_clt(args) -> str:
     cfg = _config_from_doc(_load_json_file(args.config))
-    report = run_clt_experiment(cfg.spec, cfg.scheme, cfg.dims_sequence[-1],
+    report = run_clt_experiment(cfg.spec, cfg.scheme, cfg.scheme.dims_sequence[-1],
                                 cfg.replications, cfg.seed)
     if args.csv:
         header = ["replication"]
@@ -228,7 +227,7 @@ def _cmd_miller(args) -> str:
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.weights is None:
         raise ValueError("miller config needs 'weights'")
-    report = miller_check(cfg.spec, cfg.scheme, cfg.weights, cfg.dims_sequence,
+    report = miller_check(cfg.spec, cfg.scheme, cfg.weights, cfg.scheme.dims_sequence,
                           cfg.replications, cfg.seed)
     return report.to_json()
 
@@ -262,7 +261,7 @@ def _cmd_negligibility(args) -> dict:
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.q is None or cfg.weights is None:
         raise ValueError("negligibility config needs 'q' and 'weights'")
-    report = negligibility_report(cfg.spec, cfg.scheme, cfg.dims_sequence, cfg.q,
+    report = negligibility_report(cfg.spec, cfg.scheme, cfg.scheme.dims_sequence, cfg.q,
                                   cfg.weights, cfg.replications, cfg.seed)
     if args.csv:
         _write_csv(args.csv, ["n", "v1", "leftover_mean", "leftover_se", "tail_mean",

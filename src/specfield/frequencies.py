@@ -106,7 +106,7 @@ class SeparationSpec:
             raise ValueError("m must be >= 1")
         delta = {}
         onset = {}
-        for (j, k) in self._pairs():
+        for (j, k) in self._pairs(self.m):
             d = self.delta.get((j, k))
             if d is None:
                 raise ValueError(f"missing delta for pair ({j},{k})")
@@ -120,14 +120,14 @@ class SeparationSpec:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "onset", onset)
 
-    def _pairs(self):
-        return [(j, k) for j in range(1, self.m + 1) for k in range(j + 1, self.m + 1)]
+    @staticmethod
+    def _pairs(m: int):
+        return [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
 
     @classmethod
     def uniform(cls, m: int, delta: float, onset: int = 1) -> "SeparationSpec":
-        pairs = [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
-        return cls(m=m, delta={p: delta for p in pairs},
-                   onset={p: onset for p in pairs})
+        pairs = cls._pairs(m)
+        return cls(m=m, delta=dict.fromkeys(pairs, delta), onset=dict.fromkeys(pairs, onset))
 
 
 @dataclass(frozen=True)
