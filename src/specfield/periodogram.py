@@ -8,7 +8,7 @@ For a sample on a (possibly shifted) box and a torus frequency lam,
 Sums are taken by direct summation — never an FFT — because the
 frequencies of interest are off the Fourier grid.  Drivers build each grid
 exp(-i k.lam) once per box with ``phase_grid``; ``batched_modulated_sums``
-forms S with one product per (row, grid), so a sample and a batch row
+forms each S from one (row, grid) pair alone, so a sample and a batch row
 agree bit for bit.  A BLAS matrix product over the whole batch would not:
 its last bits change with the batch size or the number of frequencies.
 """
