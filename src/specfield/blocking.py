@@ -188,8 +188,6 @@ class TruncatedField:
 
     bounded: np.ndarray
     tail: np.ndarray
-    q: float
-    thresholds: np.ndarray
 
 
 def index_products(coords) -> np.ndarray:
@@ -219,8 +217,7 @@ def truncate(sample: FieldSample, lam, q: float) -> TruncatedField:
     demod = phases * sample.values
     keep = np.abs(sample.values) <= thresholds
     return TruncatedField(bounded=np.where(keep, demod, 0.0),
-                          tail=np.where(keep, 0.0, demod),
-                          q=q, thresholds=thresholds)
+                          tail=np.where(keep, 0.0, demod))
 
 
 def truncated_second_moments(spec: LinearFieldSpec, thresholds):

@@ -284,7 +284,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="specfield",
                      description="spectral analysis of stationary lattice random fields")
     parser.add_argument("--version", action="version", version=f"specfield {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    sub = parser.add_subparsers(dest="command", metavar="subcommand", required=True)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
 
@@ -352,11 +352,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return USAGE_EXIT
+    args = _build_parser().parse_args(argv)
     try:
         doc = args.func(args)
         if doc is not None:

@@ -45,12 +45,6 @@ class BoxDims:
     def __iter__(self):
         return iter(self.v)
 
-    def __len__(self):
-        return len(self.v)
-
-    def __getitem__(self, i):
-        return self.v[i]
-
 
 @dataclass(frozen=True)
 class Frequency:

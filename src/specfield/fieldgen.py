@@ -175,10 +175,6 @@ class FieldSample:
     values: np.ndarray
     seed: int
 
-    @property
-    def dim(self) -> int:
-        return self.dims.dim
-
     def axis_coords(self) -> list[np.ndarray]:
         """Absolute integer coordinates along each axis."""
         return [

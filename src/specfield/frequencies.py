@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import BoxDims, Frequency, as_dims, as_frequency
+from .domain import Frequency, as_dims, as_frequency
 
 # The builder separates neighbours by margin * v^{-(1/2-delta)}; any factor
 # > 1 satisfies the strict separation inequality with room to spare.

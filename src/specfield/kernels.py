@@ -25,9 +25,6 @@ import numpy as np
 # Below this distance of |1 - exp(-i*alpha)| the ratio is treated as the
 # removable singularity and replaced by its analytic limit.
 SINGULARITY_EPS = 1e-12
-# Below this |alpha| the half-angle sine uses the cubic series x - x^3/6;
-# the series' relative error there is < 1e-25, beyond double precision.
-SERIES_CUTOFF = 1e-6
 
 _TWO_PI = 2.0 * np.pi
 
@@ -38,12 +35,6 @@ def _wrap_angle(alpha):
     wrapped = a - _TWO_PI * np.rint(a / _TWO_PI)
     # rint() sends pi to -pi; fold the boundary back to +pi
     return np.where(wrapped <= -np.pi, wrapped + _TWO_PI, wrapped)
-
-
-def _sin_half(a):
-    """sin(a/2) with the small-angle series below SERIES_CUTOFF."""
-    x = 0.5 * a
-    return np.where(np.abs(a) < SERIES_CUTOFF, x * (1.0 - x * x / 6.0), np.sin(x))
 
 
 def _check_order(n):
@@ -63,7 +54,7 @@ def fejer(alpha, n):
     """
     n = _check_order(n)
     a = _wrap_angle(alpha)
-    sh = _sin_half(a)
+    sh = np.sin(0.5 * a)
     near_zero = 2.0 * np.abs(sh) < SINGULARITY_EPS  # |1 - exp(-i a)| = 2|sin(a/2)|
     denom = np.where(near_zero, 1.0, sh * sh)
     num = np.sin(0.5 * n * a) ** 2
@@ -87,11 +78,11 @@ def dirichlet_mod(alpha, n):
     a = _wrap_angle(alpha)
     root = np.sqrt(n)
     phase = np.exp(-0.5j * (n - 1) * a)
-    if np.abs(a).min(initial=SERIES_CUTOFF) >= SERIES_CUTOFF:
-        # every angle is far from the singularity: no series, nothing to patch
-        out = np.sin(0.5 * n * a) / (np.sin(0.5 * a) * root) * phase
+    sh = np.sin(0.5 * a)
+    if np.abs(sh).min(initial=1.0) >= 0.5 * SINGULARITY_EPS:
+        # every angle is off the singularity: nothing to patch
+        out = np.sin(0.5 * n * a) / (sh * root) * phase
     else:
-        sh = _sin_half(a)
         near_zero = 2.0 * np.abs(sh) < SINGULARITY_EPS
         ratio = np.sin(0.5 * n * a) / (np.where(near_zero, 1.0, sh) * root)
         out = np.where(near_zero, root + 0j, ratio * phase)

@@ -24,9 +24,8 @@ stacked kernel call; a call warns once, with the count of ridged pairs.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +50,7 @@ class IndexSetPair:
     left: tuple
     right: tuple
     axis: int
-    separation: int = 0
+    separation: int = field(default=0, init=False)
 
     def __post_init__(self):
         left = tuple(tuple(int(x) for x in point) for point in self.left)

@@ -17,19 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import BoxDims, Frequency, as_frequency
+from .domain import as_frequency
 from .fieldgen import FieldSample
 
 _DOT_CHUNK = 8192
-
-__all__ = [
-    "BoxDims",
-    "Frequency",
-    "modulated_sum",
-    "periodogram",
-    "periodogram_vector",
-    "phase_grid",
-]
 
 
 def _separable_grid(axis_vectors) -> np.ndarray:

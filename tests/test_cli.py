@@ -67,6 +67,13 @@ def test_no_subcommand_is_usage_error():
     assert proc.returncode == 64
 
 
+def test_no_subcommand_is_one_line_usage_error():
+    proc = run_cli()
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("specfield: error: ") and proc.stderr.count("\n") == 1
+    assert "subcommand" in proc.stderr
+
+
 def test_unknown_subcommand_is_usage_error():
     proc = run_cli("frobnicate")
     assert proc.returncode == 64
