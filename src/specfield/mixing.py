@@ -135,13 +135,17 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     maximizes the canonical correlation among pairs separated by >= n in
     some axis.  Values are exact zeros for n beyond the dependence range
     and lower bounds elsewhere (the true sup ranges over all finite sets).
-    Scores one pair per translation class and raises, reporting the count,
-    when more than ``budget`` are left; one RuntimeWarning counts ridging.
+    Scores one pair per translation class and raises, reporting the count so
+    far, as soon as more than ``budget`` are found, or when ``n_max`` exceeds
+    ``budget``; one RuntimeWarning counts ridging.
     """
     if window_radius < 0:
         raise ValueError("window_radius must be >= 0")
     if max_set_size < 1 or n_max < 1:
         raise ValueError("max_set_size and n_max must be >= 1")
+    if n_max > budget:
+        raise ValueError(f"n_max {n_max} exceeds the mixing budget {budget}: "
+                         f"the profile lists one value per separation")
     dep = spec.dependence_range
     points = np.argwhere(np.ones((2 * window_radius + 1,) * spec.dim)) - window_radius
     subsets = [c for size in range(1, max_set_size + 1)
@@ -163,11 +167,10 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
         anchored = (np.minimum(low[i], low[i + 1:]) == -window_radius).all(axis=-1)
         keep = np.flatnonzero((gap >= 1) & (gap <= dep) & anchored)
         total += len(keep)
-        if total <= budget:
-            found.append(np.column_stack([np.full(len(keep), i), i + 1 + keep, gap[keep]]))
-    if total > budget:
-        raise ValueError(f"mixing enumeration budget exceeded: {total} pairs to score > "
-                         f"budget {budget}; shrink the window or the set size")
+        if total > budget:
+            raise ValueError(f"mixing enumeration budget exceeded: {total} pairs counted "
+                             f"so far > budget {budget}; shrink the window or the set size")
+        found.append(np.column_stack([np.full(len(keep), i), i + 1 + keep, gap[keep]]))
     found = np.concatenate(found)
 
     # translates slice the same r(k - l) out of the window covariance; rows go left then

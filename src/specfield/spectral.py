@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from .domain import as_dims, as_frequency
 from .fieldgen import LinearFieldSpec, _lag_arrays
 from .kernels import dirichlet_mod, fejer
@@ -96,8 +97,14 @@ def expected_periodogram_quadrature(spec: LinearFieldSpec, lam, dims,
         raise ValueError(
             f"quadrature grid too coarse: {n_grid} < 4*max(v) = {required}"
         )
-    theta = -np.pi + 2.0 * np.pi * np.arange(n_grid) / n_grid
     d = spec.dim
+    cap = _util._CHUNK_BYTES // 16  # complex128 grid points in the workspace budget
+    if n_grid ** d > cap:
+        fit = round(cap ** (1.0 / d))
+        fit -= fit ** d > cap
+        raise ValueError(f"quadrature grid too large: {n_grid}^{d} points exceed the "
+                         f"workspace budget; at most {fit} per axis fits")
+    theta = -np.pi + 2.0 * np.pi * np.arange(n_grid) / n_grid
 
     amp = np.zeros((n_grid,) * d, dtype=np.complex128)
     for tap_lag, coeff in spec.taps.items():

@@ -506,6 +506,12 @@ def test_expectation_refuses_a_coarse_quadrature(ma1_spec_file, points):
     _assert_one_line_refusal(proc, f"quadrature grid too coarse: {points} < 4*max(v) = 32")
 
 
+def test_expectation_refuses_a_quadrature_grid_beyond_the_budget(ma1_spec_file):
+    proc = run_cli("expectation", "--spec", ma1_spec_file, "--dims", "8", "--freq", "1.0",
+                   "--quadrature", "99999999999999999999")
+    _assert_one_line_refusal(proc, "quadrature grid too large: 99999999999999999999^1 points")
+
+
 def _real_ma1_config(clt_config_file, taps, std):
     cfg = clt_config_file()
     with open(cfg) as fh:
@@ -624,10 +630,9 @@ def test_mutated_documents_exit_zero_or_one_with_one_line(tmp_path, capsys, kind
 # Fuzzing the flags: each case replaces the value of one flag in a valid
 # command line over a 1-d spec.  A value is one entry, or entries joined by
 # commas (and by semicolons for --dims-sequence), so empty and trailing
-# entries and wrong dimensions come up.  Entries stay small where a flag sizes
-# an output or an allocation: --n-max lists every separation up to it, so it
-# draws no huge integer, and --v1 is not fuzzed (a huge --v1 writes a block
-# list of that length).  Huge integers elsewhere are refused before any work.
+# entries and wrong dimensions come up.  --v1 is not fuzzed (a huge --v1
+# writes a block list of that length); huge integers elsewhere are refused
+# before any work.
 _FUZZ_COMMANDS = [
     ["kernels", "--alpha", "0.5", "--n", "5"],
     ["periodogram", "--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--shift", "2"],
@@ -646,8 +651,7 @@ _ENTRIES = ["nan", "inf", "-inf", "x", "", "0", "-1", "-7", "1.5", "1e400", "3",
 
 @st.composite
 def _flag_values(draw, flag):
-    entries = _ENTRIES + [h for h in _HUGE if flag != "--n-max" or h.startswith("-")]
-    entry = st.sampled_from(entries)
+    entry = st.sampled_from(_ENTRIES + _HUGE)
     value = st.one_of(entry, st.lists(entry, min_size=2, max_size=3).map(",".join))
     if flag == "--dims-sequence":
         value = st.one_of(value, st.lists(value, min_size=2, max_size=3).map(";".join))

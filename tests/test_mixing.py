@@ -144,6 +144,21 @@ def test_budget_error_reports_count():
                           budget=3)
 
 
+def test_budget_stops_the_search_early():
+    """Window 14 with sets of up to 4 points has tens of millions of pairs;
+    the search stops at the first subset that passes the budget."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"budget exceeded: (\d+) pairs") as info:
+        rho_prime_profile(spec, window_radius=14, max_set_size=4, n_max=2)
+    assert int(re.search(r"(\d+) pairs", str(info.value)).group(1)) < 1_000_000
+
+
+def test_n_max_beyond_budget_is_refused():
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    with pytest.raises(ValueError, match="n_max 4 exceeds the mixing budget 3"):
+        rho_prime_profile(spec, window_radius=1, max_set_size=1, n_max=4, budget=3)
+
+
 def test_profile_argument_validation():
     spec = white_noise(1, REAL_GAUSSIAN, 1.0)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from specfield import fieldgen
+from specfield import _util, fieldgen
 from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 LinearFieldSpec, autocovariance, first_axis_ma1,
@@ -123,6 +123,16 @@ def test_quadrature_grid_too_coarse():
     spec = white_noise(1, CIRCULAR_GAUSSIAN, 1.0)
     with pytest.raises(ValueError):
         expected_periodogram_quadrature(spec, (0.3,), (16,), 63)
+
+
+def test_quadrature_grid_beyond_the_workspace_budget(monkeypatch):
+    """The default grid of 4*max(v) = 32 per axis needs 32^2 complex points;
+    a 4 KiB budget holds 256 of them, 16 per axis, so it is refused before
+    any grid is allocated."""
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", 1 << 12)
+    spec = white_noise(2, CIRCULAR_GAUSSIAN, 1.0)
+    with pytest.raises(ValueError, match=r"too large: 32\^2 points .* at most 16 per axis"):
+        expected_periodogram_quadrature(spec, (0.3, 0.4), (8, 8))
 
 
 def test_quadrature_linear_in_density():
