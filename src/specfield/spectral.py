@@ -101,7 +101,7 @@ def expected_periodogram_quadrature(spec: LinearFieldSpec, lam, dims,
     cap = _util._CHUNK_BYTES // 16  # complex128 grid points in the workspace budget
     if n_grid ** d > cap:
         fit = round(cap ** (1.0 / d))
-        fit -= fit ** d > cap
+        fit -= fit ** d > cap  # round() may land one above the floor
         raise ValueError(f"quadrature grid too large: {n_grid}^{d} points exceed the "
                          f"workspace budget; at most {fit} per axis fits")
     theta = -np.pi + 2.0 * np.pi * np.arange(n_grid) / n_grid
