@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _util
 from .domain import as_dims
 from .fieldgen import FieldSample, LinearFieldSpec, autocovariance, replication_seeds
 from .frequencies import _validated_freqs
@@ -159,16 +160,25 @@ class IndexSlab:
         return slice(self.first_lo - 1, self.first_hi)
 
 
+# a listed block, its leftover run and their JSON take about 1 KiB, so the
+# replication workspace budget bounds the listing at 2^16 blocks
+_MAX_BLOCKS = _util._CHUNK_BYTES >> 10
+
+
 def block_index_sets(pl: BlockingPlan, dims) -> tuple[list[IndexSlab], list[IndexSlab]]:
     """Big blocks and leftover runs for a box whose first side is pl.v1.
 
     Returns (blocks, leftover): p blocks of first-axis width r, and the
     leftover runs (the s-wide gaps between consecutive blocks plus the tail
     after the last one) whose total cardinality is (v1 - p*r) * v2...vd.
+    More than ``_MAX_BLOCKS`` blocks are refused before listing.
     """
     box = as_dims(dims)
     if box.v[0] != pl.v1:
         raise ValueError(f"plan is for v1={pl.v1}, box has first side {box.v[0]}")
+    if pl.p > _MAX_BLOCKS:
+        raise ValueError(f"blocking plan has p={pl.p} blocks, more than the {_MAX_BLOCKS} "
+                         f"that the workspace budget lists; use a smaller v1")
     blocks = []
     leftover = []
     for l in range(1, pl.p + 1):

@@ -196,23 +196,34 @@ def _filter_batch(spec, dims, eps, bounds):
     """Apply the moving-average filter to an innovation block (leading batch axis).
 
     The result has the dtype of ``eps``: float64 for real specs, whose taps
-    enter as their real parts, and complex128 for circular ones.  Rows are
-    filtered a few at a time through one reused product buffer, so the
-    working set stays in cache.
+    enter as their real parts, and complex128 for circular ones.  A circular
+    spec whose taps are all real filters the float64 views of ``eps`` and of
+    the result, two reals per site, so its last-axis windows are twice as
+    long; that gives the complex products' values with real multiplies.
+    Rows are filtered a few at a time: the first tap's product is written
+    into them and the others are added through one reused product buffer,
+    so the working set stays in cache.
     """
-    taps = [(coeff.real if spec.is_real else coeff,
-             tuple(slice(hi - j, hi - j + v) for (_, hi), j, v in zip(bounds, lag, dims)))
+    real_taps = all(coeff.imag == 0.0 for coeff in spec.taps.values())
+    pairs = real_taps and not spec.is_real
+    # floats per site along each axis of the filtered arrays
+    width = [1] * (len(dims) - 1) + [2 if pairs else 1]
+    taps = [(coeff.real if real_taps else coeff,
+             tuple(slice(k * (hi - j), k * (hi - j + v))
+                   for (_, hi), j, v, k in zip(bounds, lag, dims, width)))
             for lag, coeff in spec.taps.items()]
     out = np.empty(eps.shape[:1] + tuple(dims), dtype=eps.dtype)
+    src, dst = (eps.view(np.float64), out.view(np.float64)) if pairs else (eps, out)
     step = max(1, _BLOCK_SITES // math.prod(dims))
-    term = np.empty((min(step, len(out)),) + tuple(dims), dtype=eps.dtype)
+    term = np.empty((min(step, len(out)),) + dst.shape[1:], dtype=dst.dtype)
+    (lead, lead_window), rest = taps[0], taps[1:]
     for r0 in range(0, len(out), step):
         rows = slice(r0, r0 + step)
-        acc = out[rows]
+        acc = dst[rows]
         prod = term[:len(acc)]
-        acc.fill(0.0)
-        for coeff, window in taps:
-            np.multiply(coeff, eps[(rows,) + window], out=prod)
+        np.multiply(lead, src[(rows,) + lead_window], out=acc)
+        for coeff, window in rest:
+            np.multiply(coeff, src[(rows,) + window], out=prod)
             acc += prod
     return out
 

@@ -24,6 +24,7 @@ stacked kernel call; a call warns once, with the count of ridged pairs.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -136,8 +137,10 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     some axis.  Values are exact zeros for n beyond the dependence range
     and lower bounds elsewhere (the true sup ranges over all finite sets).
     Scores one pair per translation class and raises, reporting the count so
-    far, as soon as more than ``budget`` are found, or when ``n_max`` exceeds
-    ``budget``; one RuntimeWarning counts ridging.
+    far, as soon as more than ``budget`` are found.  It raises before any
+    work when ``n_max`` exceeds ``budget``, or when the window has more
+    than ``budget`` subsets, a count taken from binomials; one
+    RuntimeWarning counts ridging.
     """
     if window_radius < 0:
         raise ValueError("window_radius must be >= 0")
@@ -146,6 +149,17 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     if n_max > budget:
         raise ValueError(f"n_max {n_max} exceeds the mixing budget {budget}: "
                          f"the profile lists one value per separation")
+    # no subset is larger than the window
+    sites = (2 * window_radius + 1) ** spec.dim
+    max_set_size = min(max_set_size, sites)
+    count = 0
+    for size in range(1, max_set_size + 1):
+        count += math.comb(sites, size)
+        if count > budget:
+            raise ValueError(f"mixing enumeration budget exceeded: {math.comb(count, 2)} pairs "
+                             f"of {count} subsets of 1 to {size} of the {sites} window sites "
+                             f"to compare, more subsets than the budget {budget}; "
+                             f"shrink the window or the set size")
     dep = spec.dependence_range
     points = np.argwhere(np.ones((2 * window_radius + 1,) * spec.dim)) - window_radius
     subsets = [c for size in range(1, max_set_size + 1)

@@ -8,18 +8,27 @@ the index, so we hash instead: a splitmix64-style avalanche over the seed
 and the coordinates (Steele, Lea & Flood, OOPSLA'14; used counter-style as
 in Salmon et al., SC'11), then Box-Muller (Box & Muller, 1958).
 
-Stream 2 (``RNG_STREAM``) is defined as follows.  Two salted hashes of the
+Stream 3 (``RNG_STREAM``) is defined as follows.  Two salted hashes of the
 site give 53-bit integers k1 and k.  The radius is
 r = sqrt(-2 log1p(-u1)) with u1 = k1 2^-53, and the angle is
 t = 2 pi k 2^-53.  With rho = scale * r, a real draw is ``rho * cos t``
 (scale = std) and a circular one is ``rho * cos t + 1j * rho * sin t``,
 each part written on its own (scale = std / sqrt 2).  cos t and sin t come
-from ``_angle_factors``, which reduces t exactly in integers to [0, pi/4]
-(circular) or [0, pi/2] (real) before calling numpy's cos and sin: this is
-cheaper than the whole circle and keeps relative accuracy near the zeros.
-Stream 1 evaluated cos and sin of the rounded t directly and scaled the
-complex result last; its draws differ from stream 2's only in rounding,
-by at most about 1e-14 * std.
+from ``_angle_factors``, which reduces t exactly in integers to an angle
+phi in [0, pi/4] (circular) or [0, pi/2] (real).  A real draw takes numpy's
+sin of phi.  A circular draw takes both factors from fdlibm's polynomial
+kernels on phi, in numpy multiplies and adds only (``_sincos``): with
+z = phi^2,
+
+    sin phi = phi + phi z S(z),   cos phi = w + (((1 - w) - z/2) + z^2 C(z)),
+
+where w = 1 - z/2, 1 - w is exact, and S and C are the degree-5 minimax
+polynomials of fdlibm's ``__kernel_sin`` and ``__kernel_cos``.
+Stream 2 took numpy's cos and sin on the same phi, and stream 1 took them
+on the rounded t over the whole circle, scaling the complex result last.
+Real draws are the same bits in streams 2 and 3; circular ones differ from
+stream 2's, and stream 2's from stream 1's, only in rounding, by at most
+about 1e-14 * std.
 
 ``gaussian_lattice`` hashes the seed and every axis but the last up front, then
 walks the box in blocks of ``_BLOCK_SITES`` sites: whole rows of the last
@@ -41,7 +50,7 @@ import numpy as np
 
 # version of the innovation stream, recorded in the clt, miller and
 # negligibility reports; it changes whenever a draw changes in any bit
-RNG_STREAM = 2
+RNG_STREAM = 3
 
 # splitmix64 constants (Steele, Lea & Flood's mixer; also used by xorshift-family seeders)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -72,6 +81,15 @@ _PI_2_52 = float(np.pi * 2.0 ** -52)
 _OCTANT = np.uint64(1 << 61)
 _QUADRANT = np.uint64(1 << 62)
 _SIGN = np.uint64(1 << 63)
+
+# fdlibm's minimax coefficients (k_sin.c and k_cos.c, Sun Microsystems 1993),
+# highest power first.  On 0 <= phi <= pi/4, with z = phi^2, these doubles give
+#   |sin(phi)/phi - (1 + z S(z))| < 3.5e-18   and   |cos(phi) - (1 - z/2 + z^2 C(z))| < 1e-18
+# (fdlibm states 2^-58 = 3.47e-18 for both; the tests hold them to these bounds)
+_S = (1.58969099521155010221e-10, -2.50507602534068634195e-08, 2.75573137070700676789e-06,
+      -1.98412698298579493134e-04, 8.33333333332248946124e-03, -1.66666666666666324348e-01)
+_C = (-1.13596475577881948265e-11, 2.08757232129817482790e-09, -2.75573143513906633035e-07,
+      2.48015872894767294178e-05, -1.38888888888741095749e-03, 4.16666666666666019037e-02)
 
 # sites hashed and transformed per block; the scratch is six arrays this long.
 # 2^14 to 2^16 run alike in perfbench's mc_clt2d and mc_neglig1d traces;
@@ -133,6 +151,30 @@ def _hash_rows(seeds: np.ndarray, axis_coords: list[np.ndarray]) -> np.ndarray:
     return h
 
 
+def _sincos(phi: np.ndarray, z: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """cos phi into ``c`` and sin phi into ``s`` for phi in [0, pi/4], by
+    fdlibm's ``__kernel_cos`` and ``__kernel_sin`` with a zero tail.
+
+    Horner's rule on z = phi^2 in place: ``z`` is float64 scratch and ``phi``
+    is overwritten.  1 - w, the part of z/2 that w = 1 - z/2 keeps, is
+    formed as (z/2 + 1/2) - 1/2, which rounds z/2 to the same multiple of
+    2^-53 and frees the slot that w would hold meanwhile.
+    """
+    np.multiply(phi, phi, out=z)
+    np.multiply(z, _S[0], out=s)
+    for coef in _S[1:]:
+        np.multiply(np.add(s, coef, out=s), z, out=s)
+    np.add(np.multiply(s, phi, out=s), phi, out=s)
+    np.multiply(z, _C[0], out=c)
+    for coef in _C[1:]:
+        np.multiply(np.add(c, coef, out=c), z, out=c)
+    np.multiply(c, z, out=c)
+    hz = np.multiply(z, 0.5, out=phi)
+    one_minus_w = np.subtract(np.add(hz, 0.5, out=z), 0.5, out=z)
+    np.add(np.subtract(one_minus_w, hz, out=phi), c, out=c)
+    np.add(np.subtract(1.0, one_minus_w, out=z), c, out=c)
+
+
 def _angle_factors(w: np.ndarray, tmp: np.ndarray, phi: np.ndarray, x: np.ndarray,
                    y: np.ndarray | None = None) -> None:
     """cos t into ``x`` and, given ``y``, sin t into ``y``, for t = 2 pi k 2^-53.
@@ -141,7 +183,7 @@ def _angle_factors(w: np.ndarray, tmp: np.ndarray, phi: np.ndarray, x: np.ndarra
     exactly in integers: the top bits of k pick a sector (3 bits with ``y``,
     2 bits without) and the rest is the offset f inside it, so
     t = sector * pi/4 + f * pi 2^-52 (or sector * pi/2 + ...).  With ``y``,
-    odd octants reflect f to 2^50 - f, numpy's cos and sin are evaluated on
+    odd octants reflect f to 2^50 - f, ``_sincos`` evaluates cos and sin on
     phi in [0, pi/4], and the octant then swaps the pair and sets the signs.
     Without it, even quadrants reflect f to 2^51 - f and cos t is
     +-sin(phi) for phi in [0, pi/2], so exact zeros of cos t come out +-0.
@@ -163,8 +205,7 @@ def _angle_factors(w: np.ndarray, tmp: np.ndarray, phi: np.ndarray, x: np.ndarra
     if not circular:
         np.sin(phi, out=x)
     else:
-        np.cos(phi, out=x)
-        np.sin(phi, out=y)
+        _sincos(phi, tmp.view(np.float64), x, y)
         xb, yb = x.view(np.uint64), y.view(np.uint64)
         # octants 1, 2, 5 and 6 swap cos and sin: bit 1 of (octant + 1)
         swap = np.left_shift(np.add(w, _OCTANT, out=tmp), _SH1, out=tmp)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from specfield import _util, stats
+from specfield import _util, blocking, stats
 from specfield.blocking import (BlockingPlan, MixingProfile, block_index_sets,
                                 dependence_profile, index_products,
                                 negligibility_report, plan, truncate,
@@ -134,6 +134,16 @@ def test_consecutive_blocks_gap_is_s():
     blocks, _ = block_index_sets(pl, (500,))
     for a, b in zip(blocks, blocks[1:]):
         assert b.first_lo - a.first_hi - 1 == pl.s
+
+
+def test_block_count_beyond_the_budget_is_refused(monkeypatch):
+    """With the listing bound at 7 blocks, a plan of p = 7 blocks is listed
+    and p = 8 is refused before any block is."""
+    monkeypatch.setattr(blocking, "_MAX_BLOCKS", 7)
+    profile = MixingProfile(values={}, dependence_range=2)
+    assert len(block_index_sets(plan(343, profile, 0.2), (343,))[0]) == 7
+    with pytest.raises(ValueError, match="p=8 blocks, more than the 7 "):
+        block_index_sets(plan(512, profile, 0.2), (512,))
 
 
 def test_mixing_profile_validation():
@@ -365,7 +375,7 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch):
 
 
 def test_negligibility_report_bytes_are_pinned():
-    """sha256 of the report's JSON, recorded on innovation stream 2 with real
+    """sha256 of the report's JSON, recorded on innovation stream 3 with real
     rows summed in real arithmetic."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     dims = [BoxDims((64,)), BoxDims((512,))]
@@ -373,7 +383,7 @@ def test_negligibility_report_bytes_are_pinned():
     report = negligibility_report(spec, scheme, dims, 0.2, [1.0, 0.0, 1.0, 0.0], 50, 5)
     blob = json.dumps(dataclasses.asdict(report), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
-        "195f97ee12054f2042c740cbd8e93d913c180563ef9fe42b0114ff264ec7423b")
+        "c4e33da21bf0302854c496fc5f82cc5e7aef4f44228788068cd1da34f373d7c5")
 
 
 @pytest.mark.parametrize("kind, lam, mu, needle", [

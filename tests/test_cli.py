@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -512,6 +513,26 @@ def test_expectation_refuses_a_quadrature_grid_beyond_the_budget(ma1_spec_file):
     _assert_one_line_refusal(proc, "quadrature grid too large: 99999999999999999999^1 points")
 
 
+def test_mixing_estimate_refuses_a_wide_window_at_once(ma1_spec_file, capsys):
+    """1,752,381 subsets are refused from their count, before any is listed."""
+    start = time.perf_counter()
+    code = cli.main(["mixing-estimate", "--spec", ma1_spec_file, "--window", "40",
+                     "--set-size", "4", "--n-max", "2"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "1752381 subsets of 1 to 4 of the 81 window sites" in err
+    assert elapsed < 1.0
+
+
+def test_blocking_plan_refuses_more_blocks_than_the_budget(tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"values": {"4": 0.25}, "dependence_range": 3}))
+    proc = run_cli("blocking-plan", "--v1", str(10 ** 18), "--profile", str(profile),
+                   "--q", "0.2")
+    _assert_one_line_refusal(proc, "blocking plan has p=1000000 blocks, more than the 65536")
+
+
 def _real_ma1_config(clt_config_file, taps, std):
     cfg = clt_config_file()
     with open(cfg) as fh:
@@ -536,7 +557,7 @@ def test_monte_carlo_reports_bound_the_field_variance(clt_config_file, cmd):
                            "--config", edge], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert json.loads(proc.stdout)["rng_stream"] == 2
+    assert json.loads(proc.stdout)["rng_stream"] == 3
 
 
 # Fuzzing the documents: each case mutates one node of a valid document
@@ -630,9 +651,7 @@ def test_mutated_documents_exit_zero_or_one_with_one_line(tmp_path, capsys, kind
 # Fuzzing the flags: each case replaces the value of one flag in a valid
 # command line over a 1-d spec.  A value is one entry, or entries joined by
 # commas (and by semicolons for --dims-sequence), so empty and trailing
-# entries and wrong dimensions come up.  --v1 is not fuzzed (a huge --v1
-# writes a block list of that length); huge integers elsewhere are refused
-# before any work.
+# entries and wrong dimensions come up.
 _FUZZ_COMMANDS = [
     ["kernels", "--alpha", "0.5", "--n", "5"],
     ["periodogram", "--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--shift", "2"],
@@ -644,7 +663,7 @@ _FUZZ_COMMANDS = [
     ["mixing-estimate", "--spec", "{spec}", "--window", "1", "--set-size", "2", "--n-max", "3"],
 ]
 _FUZZ_FLAGS = ["--alpha", "--dims", "--dims-sequence", "--freq", "--n", "--n-max", "--q",
-               "--quadrature", "--shift"]
+               "--quadrature", "--shift", "--v1"]
 _HUGE = [str(2 ** 63), str(10 ** 20), str(-2 ** 63 - 1), "-" + str(10 ** 20)]
 _ENTRIES = ["nan", "inf", "-inf", "x", "", "0", "-1", "-7", "1.5", "1e400", "3", "8"]
 

@@ -324,6 +324,54 @@ def test_real_field_is_the_real_part_of_the_complex_filter():
     assert not np.any(want.imag)
 
 
+def _complex_accumulation(spec, dims, shift, seeds):
+    """sum_j a_j eps_{k-j}, tap by tap in complex arithmetic, from a zero start."""
+    bounds, ranges = fieldgen._innovation_ranges(spec, dims, shift)
+    eps = gaussian_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std)
+    want = np.zeros((len(seeds),) + dims, dtype=np.complex128)
+    for lag, coeff in spec.taps.items():
+        window = tuple(slice(hi - j, hi - j + v) for (_, hi), j, v in zip(bounds, lag, dims))
+        want += coeff * eps[(slice(None),) + window]
+    return want
+
+
+def _same_bits_where_nonzero(got, want):
+    a, b = got.view(np.float64), want.view(np.float64)
+    nonzero = b != 0
+    return np.array_equal(got, want) and a[nonzero].tobytes() == b[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("d, dims, shift", [(1, (13,), (-5,)), (2, (6, 7), (-2, 3)),
+                                            (3, (4, 3, 5), (1, -4, 2))])
+def test_real_circular_taps_filter_on_float_pairs(d, dims, shift):
+    """Real taps of both signs on circular innovations are filtered on the
+    (re, im) float64 view: the values equal the complex accumulation, with
+    the same bits wherever a part is nonzero.  A zero part may keep the
+    first tap's -0.0, where 0.0 + x gives +0.0."""
+    taps = {(0,) * d: 1.0, (1,) + (-1,) * (d - 1): -0.7, (0,) * (d - 1) + (2,): 0.3,
+            (-1,) + (0,) * (d - 1): -1.2}
+    seeds = [4, 5, 6]
+    for std in (1.3, 0.0):
+        spec = LinearFieldSpec(dim=d, taps=taps, innovation_kind=CIRCULAR_GAUSSIAN,
+                               innovation_std=std)
+        got = generate_batch(spec, dims, shift, seeds)
+        want = _complex_accumulation(spec, dims, shift, seeds)
+        assert got.dtype == np.complex128
+        assert _same_bits_where_nonzero(got, want)
+        assert np.any(want) == (std > 0)
+
+
+@pytest.mark.parametrize("coeff", [0.4 - 0.9j, 0.5j])
+def test_complex_taps_keep_the_complex_filter(coeff):
+    """One tap with an imaginary part sends the spec down the complex path:
+    the cross terms Re a Im eps + Im a Re eps are in the imaginary part."""
+    spec = LinearFieldSpec(dim=2, taps={(0, 0): 1.0, (1, 0): coeff, (0, -1): -0.6},
+                           innovation_kind=CIRCULAR_GAUSSIAN, innovation_std=1.1)
+    dims, shift, seeds = (5, 6), (3, -1), [7, 8]
+    got = generate_batch(spec, dims, shift, seeds)
+    assert _same_bits_where_nonzero(got, _complex_accumulation(spec, dims, shift, seeds))
+
+
 def test_taps_are_read_only():
     """The lag table is cached on the spec, so a tap assigned afterwards would
     reach ``generate`` but not r(h); the assignment is refused instead."""

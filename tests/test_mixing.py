@@ -153,6 +153,30 @@ def test_budget_stops_the_search_early():
     assert int(re.search(r"(\d+) pairs", str(info.value)).group(1)) < 1_000_000
 
 
+def test_subsets_beyond_budget_are_refused_before_the_search(monkeypatch):
+    """The subset count is a sum of binomials, checked before any list is
+    built: 7 + 21 subsets of a 7-site window pass a budget of 20, and the
+    1,752,381 subsets of 1 to 4 of 81 sites pass the default."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    monkeypatch.setattr(np, "argwhere", None)  # reached only past the check
+    with pytest.raises(ValueError, match="of 28 subsets of 1 to 2 of the 7 window sites"):
+        rho_prime_profile(spec, window_radius=3, max_set_size=2, n_max=1, budget=20)
+    with pytest.raises(ValueError, match=r"budget exceeded: \d+ pairs of 1752381 subsets "
+                                         r"of 1 to 4 of the 81 window sites"):
+        rho_prime_profile(spec, window_radius=40, max_set_size=4, n_max=2)
+    plane = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    with pytest.raises(ValueError, match="of 325 subsets of 1 to 2 of the 25 window sites"):
+        rho_prime_profile(plane, window_radius=2, max_set_size=2, n_max=1, budget=324)
+
+
+def test_set_size_beyond_the_window_is_capped():
+    """No subset has more points than the window: a huge set size gives the
+    profile of the whole window's subsets."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5)
+    want = rho_prime_profile(spec, window_radius=1, max_set_size=3, n_max=2)
+    assert rho_prime_profile(spec, window_radius=1, max_set_size=10**20, n_max=2) == want
+
+
 def test_n_max_beyond_budget_is_refused():
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     with pytest.raises(ValueError, match="n_max 4 exceeds the mixing budget 3"):

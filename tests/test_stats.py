@@ -302,10 +302,10 @@ def test_miller_weight_length_mismatch():
 
 
 # sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
-# recorded on innovation stream 2, real rows summed in real arithmetic
+# recorded on innovation stream 3, real rows summed in real arithmetic
 @pytest.mark.parametrize("kind, digest", [
-    (REAL_GAUSSIAN, "98b7570276cfe4c5446cb3d1976b010ed525d4c7542d42acce551bb087759b01"),
-    (CIRCULAR_GAUSSIAN, "b59461fe7a3476401bf188e6add26070b6ccb94558ebaf33ab772c34066ee1f7"),
+    (REAL_GAUSSIAN, "dbff9a2b71785ae82888b28b11acc33baa7ba5c2738b0646aef1a065d3c6f163"),
+    (CIRCULAR_GAUSSIAN, "05e09181a713f2714d65ed165596cd8b7b3ec6959c6ed14297d9a47e0ef9547e"),
 ], ids=["real", "circular"])
 def test_clt_report_bytes_are_pinned(kind, digest):
     spec = first_axis_ma1(2, kind, 1.0, 0.5)
@@ -322,7 +322,7 @@ def test_miller_report_bytes_are_pinned():
     scheme = scheme_for((math.pi / 2, 0.5), 2, 0.2, dims)
     report = miller_check(spec, scheme, [1.0, 0.0, 0.5, -1.0], dims, 100, 3)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "98ffd9e2e6e78d0e958a218c7f066cb1de4e8c3a64c4c5ff691d4c995c895604")
+        "d08cee52aa04a14fd999bbe64fd7e9b563dec0c7f79e64891c26189c4fd54d26")
 
 
 def test_clt_refuses_frequencies_close_across_pi():
