@@ -156,9 +156,9 @@ def _sincos(phi: np.ndarray, z: np.ndarray, c: np.ndarray, s: np.ndarray) -> Non
     fdlibm's ``__kernel_cos`` and ``__kernel_sin`` with a zero tail.
 
     Horner's rule on z = phi^2 in place: ``z`` is float64 scratch and ``phi``
-    is overwritten.  1 - w, the part of z/2 that w = 1 - z/2 keeps, is
-    formed as (z/2 + 1/2) - 1/2, which rounds z/2 to the same multiple of
-    2^-53 and frees the slot that w would hold meanwhile.
+    is overwritten.  1 - w, for w = 1 - z/2 rounded, is formed as
+    (z/2 + 1/2) - 1/2: both round z/2 to the same multiple of 2^-53, so it
+    is the same double, and no slot holds w while it is needed.
     """
     np.multiply(phi, phi, out=z)
     np.multiply(z, _S[0], out=s)
