@@ -1,12 +1,11 @@
 """Bernstein blocking layout, truncation moments, and mixing lower bounds
 for a two-tap moving average."""
 
-from specfield.blocking import (BlockingPlan, block_index_sets,
-                                dependence_profile, plan,
+from specfield.blocking import (BlockingPlan, block_index_sets, plan,
                                 truncated_second_moments)
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 first_axis_ma1, white_noise)
-from specfield.mixing import rho_prime_profile
+from specfield.mixing import dependence_profile, rho_prime_profile
 
 
 def show_plan(v1, profile, q):

@@ -22,10 +22,10 @@ from .spectral import (ExpectationReport, InternalConsistencyError,
                        sum_covariance, uniform_convergence_report)
 from .frequencies import (FrequencyScheme, SeparationSpec, build_separated,
                           check_separation, is_admissible)
-from .blocking import (BlockingPlan, IndexSlab, MixingProfile, TruncatedField,
-                       block_index_sets, dependence_profile, negligibility_report,
-                       plan, truncate, truncated_second_moments)
-from .mixing import IndexSetPair, canonical_rho, rho_prime_profile
+from .blocking import (BlockingPlan, IndexSlab, TruncatedField, block_index_sets,
+                       negligibility_report, plan, truncate, truncated_second_moments)
+from .mixing import (IndexSetPair, MixingProfile, canonical_rho, dependence_profile,
+                     rho_prime_profile)
 from .stats import (CltReport, MillerReport, cross_frequency_independence,
                     g_functional, ks_statistic, miller_check, run_clt_experiment)
 

@@ -32,52 +32,10 @@ from . import _util
 from .domain import as_dims
 from .fieldgen import FieldSample, LinearFieldSpec, autocovariance, replication_seeds
 from .frequencies import _validated_freqs
+from .mixing import MixingProfile, dependence_profile
 from .periodogram import _separable_grid, phase_grid
 from .rng import RNG_STREAM
 from .stats import _replicated_sums, g_functional
-
-
-@dataclass(frozen=True)
-class MixingProfile:
-    """Known values (or certified lower bounds) of rho'(n), plus the range
-    beyond which the field is exactly independent under axis separation."""
-
-    values: dict
-    dependence_range: int | None = None
-
-    def __post_init__(self):
-        vals = {}
-        for n, rho in sorted(self.values.items()):
-            n = int(n)
-            rho = float(rho)
-            if n < 1:
-                raise ValueError("profile separations are 1-based")
-            if not (0.0 <= rho <= 1.0):
-                raise ValueError(f"rho'({n}) = {rho} outside [0, 1]")
-            vals[n] = rho
-        keys = sorted(vals)
-        for a, b in zip(keys, keys[1:]):
-            if vals[b] > vals[a] + 1e-12:
-                raise ValueError("rho' profile must be nonincreasing")
-        object.__setattr__(self, "values", vals)
-        if self.dependence_range is not None:
-            object.__setattr__(self, "dependence_range", int(self.dependence_range))
-
-    def value_at(self, n: int) -> float:
-        """rho'(n): exact zero beyond the dependence range, else the recorded
-        value at the largest separation <= n (a valid bound: rho' is
-        nonincreasing), else the trivial bound 1."""
-        n = int(n)
-        if self.dependence_range is not None and n > self.dependence_range:
-            return 0.0
-        below = [k for k in self.values if k <= n]
-        return self.values[max(below)] if below else 1.0
-
-
-def dependence_profile(spec: LinearFieldSpec) -> MixingProfile:
-    """The m-dependence profile of a finite moving average: rho' vanishes
-    exactly once the separation clears the filter support diameter."""
-    return MixingProfile(values={}, dependence_range=spec.dependence_range)
 
 
 @dataclass(frozen=True)

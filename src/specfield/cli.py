@@ -18,12 +18,12 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .blocking import MixingProfile, block_index_sets, negligibility_report, plan
+from .blocking import block_index_sets, negligibility_report, plan
 from .domain import BoxDims, Frequency, _json_int, _json_list, _json_object, _json_real
 from .fieldgen import LinearFieldSpec, _spec_from_doc, generate
 from .frequencies import FrequencyScheme
 from .kernels import dirichlet_mod, fejer
-from .mixing import rho_prime_profile
+from .mixing import MixingProfile, rho_prime_profile
 from .periodogram import modulated_sum, periodogram
 from .spectral import (InternalConsistencyError, covariance_of_sums,
                        expected_periodogram_exact, expected_periodogram_quadrature,

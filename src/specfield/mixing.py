@@ -16,8 +16,8 @@ lower bounds from an exhaustive search over a window, together with the
 exact zero beyond the moving-average dependence range.
 
 Covariances are looked up in the autocovariance table, vectorised over
-all point pairs.  The search builds the window covariance once, keeps one
-pair per translation class, and scores each (|left|, |right|) shape in one
+all point pairs.  The search keeps one pair per translation class, builds
+the covariance of the points those pairs use, and scores each shape in one
 stacked kernel call; a call warns once, with the count of ridged pairs.
 """
 
@@ -30,13 +30,56 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocking import MixingProfile
 from .fieldgen import LinearFieldSpec, _lag_arrays
 
+_BUDGET = 250_000  # pairs, subsets or separations one profile may list; read at call time
 # ridge added to a (near-)singular block covariance before whitening
 RIDGE = 1e-12
 # eigenvalues below this relative level mark the block as singular
 _SINGULAR_REL = 1e-10
+
+
+@dataclass(frozen=True)
+class MixingProfile:
+    """Upper or certified lower bounds of rho'(n), keyed by n, and the range
+    beyond which axis-separated sets of the field are exactly independent."""
+
+    values: dict
+    dependence_range: int | None = None
+
+    def __post_init__(self):
+        vals = {}
+        for n, rho in sorted(self.values.items()):
+            n = int(n)
+            rho = float(rho)
+            if n < 1:
+                raise ValueError("profile separations are 1-based")
+            if not (0.0 <= rho <= 1.0):
+                raise ValueError(f"rho'({n}) = {rho} outside [0, 1]")
+            vals[n] = rho
+        keys = sorted(vals)
+        for a, b in zip(keys, keys[1:]):
+            if vals[b] > vals[a] + 1e-12:
+                raise ValueError("rho' profile must be nonincreasing")
+        object.__setattr__(self, "values", vals)
+        if self.dependence_range is not None:
+            object.__setattr__(self, "dependence_range", int(self.dependence_range))
+
+    def value_at(self, n: int) -> float:
+        """rho'(n): exact zero beyond the dependence range, else the value at the
+        largest recorded separation <= n (an upper bound on rho'(n) only if that
+        value is one, rho' being nonincreasing), else the trivial bound 1."""
+        n = int(n)
+        if self.dependence_range is not None and n > self.dependence_range:
+            return 0.0
+        below = [k for k in self.values if k <= n]
+        return self.values[max(below)] if below else 1.0
+
+
+def dependence_profile(spec: LinearFieldSpec) -> MixingProfile:
+    """The m-dependence profile of a finite moving average: rho' vanishes
+    exactly once the separation clears the filter support diameter."""
+    return MixingProfile(values={}, dependence_range=spec.dependence_range)
 
 
 @dataclass(frozen=True)
@@ -127,8 +170,7 @@ def canonical_rho(spec: LinearFieldSpec, pair: IndexSetPair) -> float:
 
 
 def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
-                      max_set_size: int, n_max: int,
-                      budget: int = 250_000) -> MixingProfile:
+                      max_set_size: int, n_max: int) -> MixingProfile:
     """Certified lower bounds for rho'(1..n_max) by exhaustive window search.
 
     Covers every pair of disjoint non-empty subsets (sizes up to
@@ -137,17 +179,17 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     some axis.  Values are exact zeros for n beyond the dependence range
     and lower bounds elsewhere (the true sup ranges over all finite sets).
     Scores one pair per translation class and raises, reporting the count so
-    far, as soon as more than ``budget`` are found.  It raises before any
-    work when ``n_max`` exceeds ``budget``, or when the window has more
-    than ``budget`` subsets, a count taken from binomials; one
+    far, as soon as more than ``_BUDGET`` are found.  It raises before any
+    work when ``n_max`` exceeds ``_BUDGET``, or when the window has more
+    than ``_BUDGET`` subsets, a count taken from binomials; one
     RuntimeWarning counts ridging.
     """
     if window_radius < 0:
         raise ValueError("window_radius must be >= 0")
     if max_set_size < 1 or n_max < 1:
         raise ValueError("max_set_size and n_max must be >= 1")
-    if n_max > budget:
-        raise ValueError(f"n_max {n_max} exceeds the mixing budget {budget}: "
+    if n_max > _BUDGET:
+        raise ValueError(f"n_max {n_max} exceeds the mixing budget {_BUDGET}: "
                          f"the profile lists one value per separation")
     # no subset is larger than the window
     sites = (2 * window_radius + 1) ** spec.dim
@@ -155,10 +197,10 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     count = 0
     for size in range(1, max_set_size + 1):
         count += math.comb(sites, size)
-        if count > budget:
+        if count > _BUDGET:
             raise ValueError(f"mixing enumeration budget exceeded: {math.comb(count, 2)} pairs "
                              f"of {count} subsets of 1 to {size} of the {sites} window sites "
-                             f"to compare, more subsets than the budget {budget}; "
+                             f"to compare, more subsets than the budget {_BUDGET}; "
                              f"shrink the window or the set size")
     dep = spec.dependence_range
     points = np.argwhere(np.ones((2 * window_radius + 1,) * spec.dim)) - window_radius
@@ -181,26 +223,28 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
         anchored = (np.minimum(low[i], low[i + 1:]) == -window_radius).all(axis=-1)
         keep = np.flatnonzero((gap >= 1) & (gap <= dep) & anchored)
         total += len(keep)
-        if total > budget:
+        if total > _BUDGET:
             raise ValueError(f"mixing enumeration budget exceeded: {total} pairs counted "
-                             f"so far > budget {budget}; shrink the window or the set size")
+                             f"so far > budget {_BUDGET}; shrink the window or the set size")
         found.append(np.column_stack([np.full(len(keep), i), i + 1 + keep, gap[keep]]))
     found = np.concatenate(found)
 
-    # translates slice the same r(k - l) out of the window covariance; rows go left then
-    # right points, Re/Im interleaved; one stacked kernel call per (|left|, |right|) shape
-    cov = _real_coordinate_cov(spec, points)
+    # translates slice the same r(k - l) out of the covariance of the points that found
+    # pairs use; rows go left then right points, Re/Im interleaved; one kernel call a shape
+    used = np.unique(padded[found[:, :2]])
+    cov = _real_coordinate_cov(spec, points[used])
     width = 1 if spec.is_real else 2
     shape = sizes[found[:, :2]]
     rhos, ridged = np.zeros(len(found)), 0
     for a, b in np.unique(shape, axis=0):
         sel = (shape == (a, b)).all(axis=1)
         idx = np.hstack([padded[found[sel, 0], :a], padded[found[sel, 1], :b]])
+        idx = np.searchsorted(used, idx)  # window point index -> row of cov
         rows = (width * idx[..., np.newaxis] + np.arange(width)).reshape(len(idx), -1)
         rhos[sel], count = _top_canonical(cov[rows[..., np.newaxis], rows[:, np.newaxis]],
                                           width * a)
         ridged += count
     _warn_ridged(ridged)
-    values = {n: float(rhos[found[:, 2] >= n].max(initial=0.0))
+    values = {n: float(rhos[found[:, 2] >= n].max(initial=0.0)) if n <= dep else 0.0
               for n in range(1, n_max + 1)}
     return MixingProfile(values=values, dependence_range=dep)

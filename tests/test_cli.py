@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from specfield import cli
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
+from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec,
                                 first_axis_ma1, spec_to_json, white_noise)
 from specfield.kernels import dirichlet_mod, fejer
 
@@ -525,6 +526,41 @@ def test_mixing_estimate_refuses_a_wide_window_at_once(ma1_spec_file, capsys):
     assert elapsed < 1.0
 
 
+def test_mixing_estimate_runs_a_wide_window_at_set_size_one(ma1_spec_file, capsys):
+    """20,001 window sites: the covariance covers only the points that scored
+    pairs use, where the whole window's would take 17.9 GiB."""
+    code = cli.main(["mixing-estimate", "--spec", ma1_spec_file, "--window", "10000",
+                     "--set-size", "1", "--n-max", "2"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out)["values"] == {"1": pytest.approx(0.5, abs=1e-12), "2": 0.0}
+
+
+# sha256 of mixing-estimate's stdout, recorded when the search still built
+# the whole window's covariance and rescanned every pair for each n
+@pytest.mark.parametrize("dim, kind, taps, flags, digest", [
+    (2, REAL_GAUSSIAN, [((0, 0), 1.0), ((1, 0), 1.0)], (2, 2, 3),
+     "7428d24cd8e06f60dbf28184a0c69fadb219fef813fa426c9de82d57c948473a"),
+    (1, REAL_GAUSSIAN, [((0,), 1.0), ((1,), 1.0)], (3, 4, 3),
+     "580a18c388c21f9380b8e249deb2da31f54b14cfbc469815b2c1c2d9241dc299"),
+    (1, CIRCULAR_GAUSSIAN, [((0,), 1.0), ((1,), 0.8), ((2,), 0.5)], (4, 3, 4),
+     "f601c2a66c607dbc8a579a58c81ee1af6423984e150cc333d69ad4024f9075ab"),
+    (2, REAL_GAUSSIAN, [((0, 0), 1.0), ((1, 0), 0.5), ((0, 1), 0.4)], (2, 2, 2),
+     "f220d85751107c9b3bf3f1f04deeef79be2757ef6e927ff983dd769b3ee4f601"),
+    (2, CIRCULAR_GAUSSIAN, [((0, 0), 1.0), ((1, 0), 0.5 + 0.3j), ((0, 1), -0.4j)], (1, 2, 2),
+     "7d1d19a53f1927b094e34c773be16403d0913d5629c50e8f8dd205db410f1ded"),
+], ids=["theory-2d-ma1", "real-1d-ma1", "circ-1d-3tap", "real-2d-3tap", "circ-2d-3tap"])
+def test_mixing_estimate_bytes_are_pinned(tmp_path, capsys, dim, kind, taps, flags, digest):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_to_json(LinearFieldSpec(dim=dim, taps=dict(taps),
+                                                 innovation_kind=kind)))
+    window, set_size, n_max = map(str, flags)
+    assert cli.main(["mixing-estimate", "--spec", str(spec), "--window", window,
+                     "--set-size", set_size, "--n-max", n_max]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_blocking_plan_refuses_more_blocks_than_the_budget(tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"values": {"4": 0.25}, "dependence_range": 3}))
@@ -663,7 +699,7 @@ _FUZZ_COMMANDS = [
     ["mixing-estimate", "--spec", "{spec}", "--window", "1", "--set-size", "2", "--n-max", "3"],
 ]
 _FUZZ_FLAGS = ["--alpha", "--dims", "--dims-sequence", "--freq", "--n", "--n-max", "--q",
-               "--quadrature", "--shift", "--v1"]
+               "--quadrature", "--set-size", "--shift", "--v1", "--window"]
 _HUGE = [str(2 ** 63), str(10 ** 20), str(-2 ** 63 - 1), "-" + str(10 ** 20)]
 _ENTRIES = ["nan", "inf", "-inf", "x", "", "0", "-1", "-7", "1.5", "1e400", "3", "8"]
 

@@ -1,5 +1,7 @@
 import itertools
 import re
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,11 +139,11 @@ def test_profile_nonincreasing():
     assert vals[3] == 0.0  # past the dependence range
 
 
-def test_budget_error_reports_count():
+def test_budget_error_reports_count(monkeypatch):
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    monkeypatch.setattr(mixing, "_BUDGET", 3)
     with pytest.raises(ValueError, match=r"budget exceeded: \d+ pairs"):
-        rho_prime_profile(spec, window_radius=2, max_set_size=2, n_max=1,
-                          budget=3)
+        rho_prime_profile(spec, window_radius=2, max_set_size=2, n_max=1)
 
 
 def test_budget_stops_the_search_early():
@@ -159,14 +161,17 @@ def test_subsets_beyond_budget_are_refused_before_the_search(monkeypatch):
     1,752,381 subsets of 1 to 4 of 81 sites pass the default."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     monkeypatch.setattr(np, "argwhere", None)  # reached only past the check
-    with pytest.raises(ValueError, match="of 28 subsets of 1 to 2 of the 7 window sites"):
-        rho_prime_profile(spec, window_radius=3, max_set_size=2, n_max=1, budget=20)
+    with monkeypatch.context() as patch:
+        patch.setattr(mixing, "_BUDGET", 20)
+        with pytest.raises(ValueError, match="of 28 subsets of 1 to 2 of the 7 window sites"):
+            rho_prime_profile(spec, window_radius=3, max_set_size=2, n_max=1)
     with pytest.raises(ValueError, match=r"budget exceeded: \d+ pairs of 1752381 subsets "
                                          r"of 1 to 4 of the 81 window sites"):
         rho_prime_profile(spec, window_radius=40, max_set_size=4, n_max=2)
     plane = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    monkeypatch.setattr(mixing, "_BUDGET", 324)
     with pytest.raises(ValueError, match="of 325 subsets of 1 to 2 of the 25 window sites"):
-        rho_prime_profile(plane, window_radius=2, max_set_size=2, n_max=1, budget=324)
+        rho_prime_profile(plane, window_radius=2, max_set_size=2, n_max=1)
 
 
 def test_set_size_beyond_the_window_is_capped():
@@ -177,10 +182,43 @@ def test_set_size_beyond_the_window_is_capped():
     assert rho_prime_profile(spec, window_radius=1, max_set_size=10**20, n_max=2) == want
 
 
-def test_n_max_beyond_budget_is_refused():
+def test_profile_memory_covers_only_the_scored_points():
+    """At set size 1 a window has thousands of sites but few scored pairs;
+    the covariance covers only the points those pairs use, so the peak stays
+    far below a whole-window covariance (hundreds of MB here)."""
+    plane = LinearFieldSpec(dim=2, taps={(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.4},
+                            innovation_kind=REAL_GAUSSIAN)
+    cases = [(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0), 1000),
+             (first_axis_ma1(1, CIRCULAR_GAUSSIAN, 1.0, 1.0), 1000), (plane, 30)]
+    for spec, window in cases:
+        tracemalloc.start()
+        try:
+            rho_prime_profile(spec, window_radius=window, max_set_size=1, n_max=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (spec.dim, spec.innovation_kind, peak)
+
+
+def test_profile_past_the_dependence_range_needs_no_rescan():
+    """Every found pair has gap <= dependence range, so each larger n is an
+    exact 0 without another pass over the pairs: n_max at the budget is fast."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    start = time.perf_counter()
+    prof = rho_prime_profile(spec, window_radius=8, max_set_size=3, n_max=250_000)
+    elapsed = time.perf_counter() - start
+    short = rho_prime_profile(spec, window_radius=8, max_set_size=3, n_max=2)
+    assert {n: prof.values[n] for n in (1, 2)} == short.values
+    assert len(prof.values) == 250_000
+    assert all(prof.values[n] == 0.0 for n in range(3, 250_001))
+    assert elapsed < 6.0
+
+
+def test_n_max_beyond_budget_is_refused(monkeypatch):
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    monkeypatch.setattr(mixing, "_BUDGET", 3)
     with pytest.raises(ValueError, match="n_max 4 exceeds the mixing budget 3"):
-        rho_prime_profile(spec, window_radius=1, max_set_size=1, n_max=4, budget=3)
+        rho_prime_profile(spec, window_radius=1, max_set_size=1, n_max=4)
 
 
 def test_profile_argument_validation():
