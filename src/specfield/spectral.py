@@ -39,7 +39,7 @@ import numpy as np
 from . import _util
 from .domain import as_dims, as_frequency
 from .fieldgen import LinearFieldSpec, _lag_arrays
-from .kernels import dirichlet_mod, fejer
+from .kernels import _dirichlet, _wrap_angle, fejer
 
 # imaginary residue of the lag sum: expected below 1e-10, fatal at 1e-8
 IMAG_RESIDUAL_FATAL = 1e-8
@@ -125,7 +125,8 @@ def _box_geometry(spec: LinearFieldSpec, box):
     """The lags that pair points of ``box`` and their runs, cached on the spec.
 
     Returns the in-box lags h (as float64), r(h), -i times the run starts
-    max(1, 1 - h), the run lengths v - |h| and their square roots.  The spec
+    max(1, 1 - h), and for the run lengths n = v - |h| the factors 0.5 n,
+    -0.5i (n - 1) and sqrt(n) of their Dirichlet kernels.  The spec
     keeps one entry, the tuple (box.v, arrays): memory stays bounded, and a
     new box replaces the entry in one assignment, so a reader on another
     thread sees the old entry or the new one, never a mix.
@@ -137,8 +138,8 @@ def _box_geometry(spec: LinearFieldSpec, box):
     inside = np.all(np.abs(lags) < np.asarray(box.v), axis=1)
     lags, r = lags[inside], r[inside]
     length = np.asarray(box.v) - np.abs(lags)
-    geometry = (lags.astype(float), r, -1j * np.maximum(1, 1 - lags), length,
-                np.sqrt(length))
+    geometry = (lags.astype(float), r, -1j * np.maximum(1, 1 - lags), 0.5 * length,
+                -0.5j * (length - 1), np.sqrt(length))
     object.__setattr__(spec, "_geometry", (box.v, geometry))
     return geometry
 
@@ -151,9 +152,10 @@ def _cross_moment(spec: LinearFieldSpec, box, lam, phi) -> np.ndarray:
     is the modulated Dirichlet kernel up to a phase and sqrt(length).  With
     phi = lam - mu this is the covariance, with phi = lam + mu the product.
     """
-    lags, r, neg_i_start, length, root = _box_geometry(spec, box)
+    lags, r, neg_i_start, half_length, phase_rate, root = _box_geometry(spec, box)
     phi = phi[:, np.newaxis, :]
-    geometric = np.exp(neg_i_start * phi) * root * dirichlet_mod(phi, length)
+    geometric = (np.exp(neg_i_start * phi) * root
+                 * _dirichlet(_wrap_angle(phi), half_length, phase_rate, root))
     # a stack of (H, d) @ (d, 1) products, one matrix-vector product per row;
     # a (P, d) @ (d, H) matrix product rounds h.lam differently, and a row
     # would no longer equal the same pair alone

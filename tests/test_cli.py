@@ -593,7 +593,7 @@ def test_monte_carlo_reports_bound_the_field_variance(clt_config_file, cmd):
                            "--config", edge], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert json.loads(proc.stdout)["rng_stream"] == 3
+    assert json.loads(proc.stdout)["rng_stream"] == 4
 
 
 # Fuzzing the documents: each case mutates one node of a valid document

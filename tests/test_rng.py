@@ -13,24 +13,26 @@ from specfield.fieldgen import CIRCULAR_GAUSSIAN, REAL_GAUSSIAN
 from specfield.rng import gaussian_lattice
 
 # sha256 of gaussian_lattice(*args).tobytes(), recorded with the whole-array
-# evaluation of the stream; the last two cases span several blocks
+# evaluation of the stream (the real cases on stream 4, the circular ones on
+# stream 3, whose circular bits stream 4 keeps); the last two cases span
+# several blocks
 PINNED = {
     "real-1d-scalar": ((0, [(-5, 40)], REAL_GAUSSIAN, 1.0),
-                       "664fb75315695c3091579774b18da0098f02f0b91d5d156f06b309d22dda54e4"),
+                       "ebfb8a4357d9b63efabc6c6e8689f65f8dd48b2daf7e97d9356fdd13c2dcfb79"),
     "circ-2d-batch": (([1, 2, 2**64 - 1], [(-3, 7), (-10, 12)], CIRCULAR_GAUSSIAN, 1.7),
                       "8497fbbe6a3e99f55494c574eef26ef82711ee2e342597c81b5579fc98ede4a4"),
     "circ-3d-maxseed": ((2**64 - 1, [(-2, 3), (0, 4), (-7, -1)], CIRCULAR_GAUSSIAN, 0.5),
                         "d6359143e762d7a9e6248d4878826ad43e2853545d1b232f0253019661132e28"),
     "real-3d-batch": (([5, 6], [(-1, 2), (-3, 3), (4, 9)], REAL_GAUSSIAN, 2.0),
-                      "c7f06d15c7ab27492e8f83852be749283fab41d086cbc797bbc283b424101e26"),
+                      "884054f992255cdf8f44c512c811ef0da2e8cc2efb48a35d2320d573de36a289"),
     "circ-2d-std0": (([3, 4], [(-2, 5), (-1, 9)], CIRCULAR_GAUSSIAN, 0.0),
                      "22ef2ac2390ecb83379e4a8a9a9d7d2b9fe88ac9a1c45e4c9eb2fff6926ae4b8"),
     "real-1d-std0": ((9, [(-20, 20)], REAL_GAUSSIAN, 0.0),
-                     "239e6c544f8c4e07999b55ca44073f3f26e77bca5e06b880897588044fe1ae1d"),
+                     "f4efbd9fd058b99b31d66d002bf303426798b3d74eaa772dfcfade7f2b2136ac"),
     "circ-1d-long": ((11, [(-40000, 60000)], CIRCULAR_GAUSSIAN, 1.0),
                      "efcaf25e71c84904bbde3aa56a8ae264a88abbca5b20a87f47d02aba8af2204b"),
     "real-2d-wide": (([12, 13, 14, 15], [(0, 299), (-150, 149)], REAL_GAUSSIAN, 0.75),
-                     "3cf36eff80229d84863edd46fb459ae813bcb7a98023ef89e02b666291449a79"),
+                     "4e00e4e5ee51bd16b1890a03720a887d45eb0b864a4d24c8482170ebb7091b6a"),
 }
 SMALL = ["real-1d-scalar", "circ-2d-batch", "circ-3d-maxseed", "real-3d-batch",
          "circ-2d-std0", "real-1d-std0"]
@@ -46,8 +48,8 @@ def _digest(args) -> str:
     return hashlib.sha256(gaussian_lattice(*args).tobytes()).hexdigest()
 
 
-def _site_hashes(seeds, ranges):
-    h = rng._mix64(np.asarray(seeds, dtype=np.uint64) ^ rng._FIELD_SALT)
+def _site_hashes(seeds, ranges, salt=rng._FIELD_SALT):
+    h = rng._mix64(np.asarray(seeds, dtype=np.uint64) ^ salt)
     for s, (lo, hi) in enumerate(ranges):
         salt = rng._mix64(np.asarray([s + 1], dtype=np.uint64) ^ rng._AXIS_SALT)
         key = rng._mix64(np.arange(lo, hi + 1, dtype=np.int64).astype(np.uint64) ^ salt)
@@ -75,8 +77,10 @@ def _fdlibm_kernel(phi):
 def _v2_factors(k, circular, kernel=_numpy_kernel):
     """cos and sin of t = 2 pi k 2^-53 by the stream's exact sector reduction,
     written from the octant (quadrant) table with np.where; sin is None for
-    a real draw.  ``kernel`` gives cos and sin on [0, pi/4]: numpy's in
-    stream 2, fdlibm's polynomials in stream 3 (``_v3_factors``)."""
+    a real draw of streams 2 and 3, whose cos t is numpy's sin on the
+    quadrant-reduced angle.  ``kernel`` gives cos and sin on [0, pi/4]:
+    numpy's in stream 2, fdlibm's polynomials from stream 3 on
+    (``_v3_factors``)."""
     low = 50 if circular else 51
     sector = (k >> np.uint64(low)).astype(np.int64)
     f = (k & np.uint64((1 << low) - 1)).astype(np.int64)
@@ -96,15 +100,16 @@ def _v3_factors(k, circular):
     return _v2_factors(k, circular, _fdlibm_kernel)
 
 
-def _radius_and_angle(seeds, ranges):
+def _radius_and_angle(seeds, ranges, salt=rng._FIELD_SALT):
     """r = sqrt(-2 log1p(-u1)) and the 53-bit angle integer k of every site."""
-    h = _site_hashes(np.atleast_1d(np.asarray(seeds, dtype=np.uint64)), ranges)
+    h = _site_hashes(np.atleast_1d(np.asarray(seeds, dtype=np.uint64)), ranges, salt)
     u1 = (rng._mix64(h ^ rng._U1_SALT) >> rng._SH11).astype(np.float64) * rng._INV_2_53
     return np.sqrt(-2.0 * np.log1p(-u1)), rng._mix64(h ^ rng._U2_SALT) >> rng._SH11
 
 
-def _reference_lattice(seeds, ranges, kind, std, factors=_v3_factors):
-    """The stream's defining formula (v3) evaluated on whole arrays, without blocks."""
+def _per_site_lattice(seeds, ranges, kind, std, factors):
+    """One draw per site from that site's hashes, as streams 1 to 3 drew real
+    and circular values, with the stream's ``factors``, on whole arrays."""
     radius, k = _radius_and_angle(seeds, ranges)
     circular = kind == CIRCULAR_GAUSSIAN
     rho = (std / np.sqrt(2.0) if circular else std) * radius
@@ -114,6 +119,22 @@ def _reference_lattice(seeds, ranges, kind, std, factors=_v3_factors):
         out.real, out.imag = rho * x, rho * y
     else:
         out = rho * x
+    return out[0] if np.ndim(seeds) == 0 else out
+
+
+def _reference_lattice(seeds, ranges, kind, std):
+    """The stream's defining formula (v4) evaluated on whole arrays, without
+    blocks: stream 3's circular draws, and a real draw at last coordinate j
+    from the cosine (j even) or sine (j odd) of the pair at j >> 1, drawn on
+    the real salt with scale std."""
+    if kind == CIRCULAR_GAUSSIAN:
+        return _per_site_lattice(seeds, ranges, kind, std, _v3_factors)
+    *lead, (lo, hi) = ranges
+    radius, k = _radius_and_angle(seeds, [*lead, (lo >> 1, hi >> 1)], rng._REAL_SALT)
+    x, y = _v3_factors(k, circular=True)
+    j = np.arange(lo, hi + 1)
+    pair = (j >> 1) - (lo >> 1)
+    out = (std * radius)[..., pair] * np.where(j % 2 == 0, x[..., pair], y[..., pair])
     return out[0] if np.ndim(seeds) == 0 else out
 
 
@@ -177,22 +198,30 @@ def test_zero_radius_draws_keep_their_signed_zeros(std):
 @pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
 def test_stream_v2_is_v1_with_better_rounding(kind):
     """Same hashes, radius and angle integer: over 10^5 draws the two streams
-    differ only by the rounding of cos and sin."""
+    differ only by the rounding of cos and sin.  Stream 4 draws real values
+    from other hashes, so the real case compares the streams' formulas."""
     std = 1.7
     args = ([3, 2**64 - 1], [(-50, 49), (0, 499)], kind, std)
-    v2 = gaussian_lattice(*args)
+    if kind == REAL_GAUSSIAN:
+        v2 = _per_site_lattice(*args, _v2_factors)
+    else:
+        v2 = gaussian_lattice(*args)
     assert v2.size == 100_000
     assert np.max(np.abs(v2 - _v1_reference(*args))) <= 1e-14 * std
 
 
 @pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
 def test_stream_v3_is_v2_up_to_rounding(kind):
-    """Real draws keep their bits; over 10^5 circular draws the polynomial
+    """Real draws keep their bits (stream 4 changed them, so the real case
+    compares the streams' formulas); over 10^5 circular draws the polynomial
     kernel moves a draw by at most 1e-14 * std."""
     std = 1.7
     args = ([5, 2**63 + 3], [(-40, 59), (7, 506)], kind, std)
-    v3 = gaussian_lattice(*args)
-    v2 = _reference_lattice(*args, factors=_v2_factors)
+    if kind == REAL_GAUSSIAN:
+        v3 = _per_site_lattice(*args, _v3_factors)
+    else:
+        v3 = gaussian_lattice(*args)
+    v2 = _per_site_lattice(*args, _v2_factors)
     assert v3.size == 100_000
     if kind == REAL_GAUSSIAN:
         assert v3.tobytes() == v2.tobytes()
@@ -227,19 +256,17 @@ def test_angle_factors_are_within_two_ulp():
     ks = sorted(edges) + [int(k) for k in np.random.default_rng(53).integers(
         0, 2**53, size=20_000, dtype=np.uint64)]
     k = np.asarray(ks, dtype=np.uint64)
-    for circular in (False, True):
-        w = k << np.uint64(11)
-        x, y = np.empty(k.size), (np.empty(k.size) if circular else None)
-        rng._angle_factors(w, np.empty_like(w), np.empty(k.size), x, y)
-        factors = [(x, mpmath.cos)] + ([(y, mpmath.sin)] if circular else [])
-        for got, exact in factors:
-            for kk, value in zip(ks, got.tolist()):
-                want = exact(2 * mpmath.pi * kk / mpmath.mpf(2) ** 53)
-                if kk % 2**51 == 0 and abs(want) < 1e-30:
-                    assert value == 0.0, kk
-                else:
-                    ulp = np.spacing(abs(float(want)))
-                    assert abs(mpmath.mpf(value) - want) <= 2 * ulp, (circular, kk)
+    w = k << np.uint64(11)
+    x, y = np.empty(k.size), np.empty(k.size)
+    rng._angle_factors(w, np.empty_like(w), np.empty(k.size), x, y)
+    for got, exact in ((x, mpmath.cos), (y, mpmath.sin)):
+        for kk, value in zip(ks, got.tolist()):
+            want = exact(2 * mpmath.pi * kk / mpmath.mpf(2) ** 53)
+            if kk % 2**51 == 0 and abs(want) < 1e-30:
+                assert value == 0.0, kk
+            else:
+                ulp = np.spacing(abs(float(want)))
+                assert abs(mpmath.mpf(value) - want) <= 2 * ulp, kk
 
 
 def test_stream_version_is_pinned_and_reported():
@@ -248,7 +275,7 @@ def test_stream_version_is_pinned_and_reported():
     from specfield.frequencies import FrequencyScheme
     from specfield.stats import miller_check, run_clt_experiment
 
-    assert rng.RNG_STREAM == 3
+    assert rng.RNG_STREAM == 4
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5)
     dims = [(16,)]
     scheme = FrequencyScheme.separated((1.5,), 1, 0.2, 0, dims)
@@ -256,20 +283,62 @@ def test_stream_version_is_pinned_and_reported():
     miller = json.loads(miller_check(spec, scheme, [1.0, 0.0], dims, 8, 1).to_json())
     neglig = dataclasses.asdict(negligibility_report(spec, scheme, dims, 0.2,
                                                      [1.0, 0.0], 8, 1))
-    assert clt["rng_stream"] == miller["rng_stream"] == neglig["rng_stream"] == 3
+    assert clt["rng_stream"] == miller["rng_stream"] == neglig["rng_stream"] == 4
 
 
 def test_lattice_scratch_is_bounded():
-    """One 1-d circular replication of 2^20 sites (16 MiB of output) is
-    hashed in blocks: the traced peak stays within the output plus 4 MiB."""
-    tracemalloc.start()
-    try:
-        out = gaussian_lattice(7, [(1, 1 << 20)], CIRCULAR_GAUSSIAN, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.nbytes == 16 << 20
-    assert peak - out.nbytes < 4 << 20
+    """One 1-d replication of 2^20 sites, circular (16 MiB of output) or real
+    (8 MiB, on 2^19 + 1 pair sites), is hashed in blocks: the traced peak
+    stays within the output plus 4 MiB."""
+    for kind, nbytes in ((CIRCULAR_GAUSSIAN, 16 << 20), (REAL_GAUSSIAN, 8 << 20)):
+        tracemalloc.start()
+        try:
+            out = gaussian_lattice(7, [(1, 1 << 20)], kind, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == nbytes
+        assert peak - out.nbytes < 4 << 20
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_real_boxes_are_slices_of_one_wider_box(monkeypatch, block):
+    """Real boxes in d = 1, 2 and 3 whose last axis starts and ends on even
+    or odd coordinates, negative ones included, hold bit for bit their
+    sites of one wider box."""
+    if block is not None:
+        monkeypatch.setattr(rng, "_BLOCK_SITES", block)
+    seeds = [8, 2**64 - 1]
+    for lead in ([], [(-1, 1)], [(-2, 0), (1, 2)]):
+        wide = gaussian_lattice(seeds, [(-4, 3)] * len(lead) + [(-9, 8)], REAL_GAUSSIAN, 1.3)
+        for lo, hi in [(-8, 6), (-8, 5), (-7, 6), (-7, 5), (-6, -6), (-5, -5), (3, 8), (-9, 8)]:
+            got = gaussian_lattice(seeds, lead + [(lo, hi)], REAL_GAUSSIAN, 1.3)
+            window = tuple(slice(a + 4, b + 5) for a, b in lead) + (slice(lo + 9, hi + 10),)
+            assert got.tobytes() == wide[(slice(None),) + window].tobytes(), (lead, lo, hi)
+
+
+def test_real_pairs_are_independent_normals_on_their_own_salt(monkeypatch):
+    """4 * 10^5 real draws at std 1.7: the two halves of each pair are
+    uncorrelated, each half has variance std^2, and the draws are
+    uncorrelated with the circular lattice's parts on the same pair sites.
+    Sharing the circular salt would make them equal up to scale."""
+    std, (lo, hi) = 1.7, (-200_000, 199_999)
+
+    def circular_parts():
+        circ = gaussian_lattice(31, [(lo >> 1, hi >> 1)], CIRCULAR_GAUSSIAN, std)
+        return np.sqrt(2.0) * circ.view(np.float64)
+
+    x = gaussian_lattice(31, [(lo, hi)], REAL_GAUSSIAN, std)
+    even, odd = x[0::2], x[1::2]
+    pairs = even.size
+    assert pairs == 200_000
+    assert abs(np.corrcoef(even, odd)[0, 1]) < 5 / np.sqrt(pairs)
+    for half in (even, odd):
+        assert abs(np.mean(half ** 2) - std ** 2) < 5 * std ** 2 * np.sqrt(2 / pairs)
+    assert abs(np.corrcoef(x, circular_parts())[0, 1]) < 5 / np.sqrt(x.size)
+    monkeypatch.setattr(rng, "_REAL_SALT", rng._FIELD_SALT)
+    shared = gaussian_lattice(31, [(lo, hi)], REAL_GAUSSIAN, std)
+    assert np.corrcoef(shared, circular_parts())[0, 1] > 0.999
 
 
 def test_lattice_refuses_bad_arguments():

@@ -302,10 +302,11 @@ def test_miller_weight_length_mismatch():
 
 
 # sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
-# recorded on innovation stream 3, real rows summed in real arithmetic
+# recorded on innovation stream 4, real rows summed in real arithmetic; the
+# circular report differs from stream 3's only in its rng_stream field
 @pytest.mark.parametrize("kind, digest", [
-    (REAL_GAUSSIAN, "dbff9a2b71785ae82888b28b11acc33baa7ba5c2738b0646aef1a065d3c6f163"),
-    (CIRCULAR_GAUSSIAN, "05e09181a713f2714d65ed165596cd8b7b3ec6959c6ed14297d9a47e0ef9547e"),
+    (REAL_GAUSSIAN, "93f34339efa1ccc9865f7d29bc22d61e79896406875fa3c0b8e7184218b958eb"),
+    (CIRCULAR_GAUSSIAN, "6a177d343d434099f51d9efd7e1b237a7285130ff3044f57336f29a8c9195fff"),
 ], ids=["real", "circular"])
 def test_clt_report_bytes_are_pinned(kind, digest):
     spec = first_axis_ma1(2, kind, 1.0, 0.5)
@@ -322,7 +323,7 @@ def test_miller_report_bytes_are_pinned():
     scheme = scheme_for((math.pi / 2, 0.5), 2, 0.2, dims)
     report = miller_check(spec, scheme, [1.0, 0.0, 0.5, -1.0], dims, 100, 3)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "d08cee52aa04a14fd999bbe64fd7e9b563dec0c7f79e64891c26189c4fd54d26")
+        "9a48f668f02e69d1c2ed1667529ffe2c815ff02c33a87b3458cc0dc4e78922f3")
 
 
 def test_clt_refuses_frequencies_close_across_pi():
