@@ -23,9 +23,13 @@ def worker_count() -> int:
     return n
 
 
-def replication_chunks(total: int, bytes_per_replication: int) -> list[tuple[int, int]]:
-    """Split range(total) into contiguous (start, stop) chunks of bounded memory."""
-    per = max(1, _CHUNK_BYTES // max(1, bytes_per_replication))
+def replication_chunks(total: int, sites: int, bytes_per_site: int) -> list[tuple[int, int]]:
+    """(start, stop) chunks of range(total) in the memory budget; one replication must fit."""
+    per = _CHUNK_BYTES // (sites * bytes_per_site)
+    if per < 1:
+        raise ValueError(f"one replication of the {sites}-site box needs {sites * bytes_per_site}"
+                         f" bytes, over the {_CHUNK_BYTES}-byte chunk budget; boxes of up to "
+                         f"{_CHUNK_BYTES // bytes_per_site} sites fit")
     return [(lo, min(lo + per, total)) for lo in range(0, total, per)]
 
 

@@ -261,11 +261,15 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
         for slab in leftover:
             leftover_cells[slab.first_slice] = True
 
-        def split(vals):
-            keep = np.abs(vals) <= thresholds
-            yield np.where(keep, 0.0, vals)
+        def split(vals, tail):
+            # |x| and then the tail parts go into the loop's scratch buffer
+            keep = np.abs(vals, out=tail.real) <= thresholds
+            np.copyto(tail, vals)
+            tail[keep] = 0.0
+            yield tail
             # bounded parts on the leftover set, zeroed in place to save a copy
-            vals[~(keep & leftover_cells)] = 0.0
+            np.logical_and(keep, leftover_cells, out=keep)
+            vals[np.logical_not(keep, out=keep)] = 0.0
             yield vals
 
         seeds = replication_seeds(seed, replications, offset=index * replications)

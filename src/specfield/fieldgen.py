@@ -28,7 +28,7 @@ import numpy as np
 
 from .domain import (BoxDims, _json_int, _json_list, _json_object, _json_real, as_dims,
                      as_frequency, as_shift)
-from .rng import _BLOCK_SITES, _replication_hash, check_seed, gaussian_lattice
+from .rng import _BLOCK_SITES, _lattice_size, _replication_hash, check_seed, gaussian_lattice
 
 REAL_GAUSSIAN = "real-gaussian"
 CIRCULAR_GAUSSIAN = "circular-complex-gaussian"
@@ -192,7 +192,7 @@ def _innovation_ranges(spec, dims, shift):
     return bounds, ranges
 
 
-def _filter_batch(spec, dims, eps, bounds):
+def _filter_batch(spec, dims, eps, bounds, *, out=None):
     """Apply the moving-average filter to an innovation block (leading batch axis).
 
     The result has the dtype of ``eps``: float64 for real specs, whose taps
@@ -202,7 +202,7 @@ def _filter_batch(spec, dims, eps, bounds):
     long; that gives the complex products' values with real multiplies.
     Rows are filtered a few at a time: the first tap's product is written
     into them and the others are added through one reused product buffer,
-    so the working set stays in cache.
+    so the working set stays in cache.  Given ``out``, it is the leading rows.
     """
     real_taps = all(coeff.imag == 0.0 for coeff in spec.taps.values())
     pairs = real_taps and not spec.is_real
@@ -212,7 +212,7 @@ def _filter_batch(spec, dims, eps, bounds):
              tuple(slice(k * (hi - j), k * (hi - j + v))
                    for (_, hi), j, v, k in zip(bounds, lag, dims, width)))
             for lag, coeff in spec.taps.items()]
-    out = np.empty(eps.shape[:1] + tuple(dims), dtype=eps.dtype)
+    out = np.empty(eps.shape[:1] + tuple(dims), eps.dtype) if out is None else out[:len(eps)]
     src, dst = (eps.view(np.float64), out.view(np.float64)) if pairs else (eps, out)
     step = max(1, _BLOCK_SITES // math.prod(dims))
     term = np.empty((min(step, len(out)),) + dst.shape[1:], dtype=dst.dtype)
@@ -242,19 +242,29 @@ def generate(spec: LinearFieldSpec, dims, shift=None, seed: int = 0) -> FieldSam
                        seed=seed)
 
 
-def generate_batch(spec: LinearFieldSpec, dims, shift, seeds) -> np.ndarray:
+def generate_batch(spec: LinearFieldSpec, dims, shift, seeds, *,
+                   out=(None, None)) -> np.ndarray:
     """Values for many seeds at once, shape (len(seeds), v_1, ..., v_d).
 
     Row i is ``generate(spec, dims, shift, seeds[i]).values``, which is this
     function on a batch of one; the batch exists because hashing the
     innovation lattice vectorizes across seeds, which replication loops need.
+    ``out``, a (lattice, field) pair from ``_batch_workspace``, receives the
+    innovations and the values in place of new arrays.
     """
     box = as_dims(dims, spec.dim)
     w = as_shift(shift, spec.dim)
     seeds = [check_seed(s) for s in seeds]
     bounds, ranges = _innovation_ranges(spec, box.v, w)
-    eps = gaussian_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std)
-    return _filter_batch(spec, box.v, eps, bounds)
+    eps = gaussian_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std, out=out[0])
+    return _filter_batch(spec, box.v, eps, bounds, out=out[1])
+
+
+def _batch_workspace(spec: LinearFieldSpec, box: BoxDims, rows: int):
+    """Uninitialised (lattice, field) buffers with a row for each of ``rows`` seeds."""
+    _, ranges = _innovation_ranges(spec, box.v, (0,) * spec.dim)
+    return (np.empty((rows, _lattice_size(ranges, spec.is_real)), dtype=np.complex128),
+            np.empty((rows,) + box.v, dtype=np.float64 if spec.is_real else np.complex128))
 
 
 def replication_seeds(master_seed, count: int, offset: int = 0) -> list[int]:

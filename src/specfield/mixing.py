@@ -33,6 +33,7 @@ import numpy as np
 from .fieldgen import LinearFieldSpec, _lag_arrays
 
 _BUDGET = 250_000  # pairs, subsets or separations one profile may list; read at call time
+_SEARCH_BYTES = 1 << 24  # bytes of point differences one block of the pair search holds
 # ridge added to a (near-)singular block covariance before whitening
 RIDGE = 1e-12
 # eigenvalues below this relative level mark the block as singular
@@ -211,22 +212,31 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     # a subset's gaps to other subsets nor its lowest coordinates
     padded = np.array([c + c[-1:] * (max_set_size - len(c)) for c in subsets])
     coords = points[padded]
-    low = coords.min(axis=1)
 
     # each left subset against every later one: keep (left, right, gap) if
     # 1 <= gap <= dependence range (so disjoint; past it rho is 0) and the
-    # union touches the window's lower face on every axis (one per class)
+    # union touches the window's lower face on every axis (one per class). A block of
+    # left subsets goes at once, against only later subsets on every face it misses
+    miss = (coords.min(axis=1) > -window_radius) @ (1 << np.arange(spec.dim))
+    cands = {need: np.flatnonzero((miss & need) == 0) for need in np.unique(miss)}
+    step = max(1, _SEARCH_BYTES // (8 * len(subsets) * max_set_size ** 2 * spec.dim))
     found, total = [], 0
-    for i in range(len(subsets)):
-        diff = np.abs(coords[i, :, np.newaxis] - coords[i + 1:, np.newaxis])
-        gap = diff.min(axis=(1, 2)).max(axis=-1)
-        anchored = (np.minimum(low[i], low[i + 1:]) == -window_radius).all(axis=-1)
-        keep = np.flatnonzero((gap >= 1) & (gap <= dep) & anchored)
-        total += len(keep)
-        if total > _BUDGET:
+    for a in range(0, len(subsets), step):
+        block = []
+        for need in np.unique(miss[a:a + step]):
+            i = a + np.flatnonzero(miss[a:a + step] == need)
+            j = cands[need][np.searchsorted(cands[need], i[0], side="right"):]
+            gap = np.abs(coords[i, None, :, None] - coords[None, j, None, :]).min((2, 3)).max(-1)
+            left, right = np.nonzero((gap >= 1) & (gap <= dep) & (j > i[:, None]))
+            block.append(np.column_stack([i[left], j[right], gap[left, right]]))
+        block = np.concatenate(block)
+        block = block[np.lexsort((block[:, 1], block[:, 0]))]  # i ascending, then j
+        if total + len(block) > _BUDGET:  # count through the subset that passes it
+            total += np.searchsorted(block[:, 0], block[_BUDGET - total, 0], side="right")
             raise ValueError(f"mixing enumeration budget exceeded: {total} pairs counted "
                              f"so far > budget {_BUDGET}; shrink the window or the set size")
-        found.append(np.column_stack([np.full(len(keep), i), i + 1 + keep, gap[keep]]))
+        total += len(block)
+        found.append(block)
     found = np.concatenate(found)
 
     # translates slice the same r(k - l) out of the covariance of the points that found

@@ -211,7 +211,14 @@ def _angle_factors(w: np.ndarray, tmp: np.ndarray, phi: np.ndarray, x: np.ndarra
     np.bitwise_xor(xb, np.bitwise_and(np.add(w, _QUADRANT, out=w), _SIGN, out=w), out=xb)
 
 
-def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
+def _lattice_size(axis_ranges, real: bool) -> int:
+    """complex128 entries per seed that ``gaussian_lattice`` draws into."""
+    *lead, (lo, hi) = axis_ranges
+    last = (hi >> 1) - (lo >> 1) if real else hi - lo
+    return int(np.prod([b - a + 1 for a, b in lead])) * (last + 1)
+
+
+def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None) -> np.ndarray:
     """Deterministic Gaussian draws on a lattice box, one layer per seed.
 
     Parameters
@@ -225,6 +232,8 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
         std^2 / 2).
     std : float
         Innovation standard deviation (>= 0).
+    out : complex128 ndarray, optional
+        Receives the draws in its leading rows, of ``_lattice_size`` entries each.
 
     Returns
     -------
@@ -264,7 +273,8 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float) -> np.ndarray:
     first, last = (lo >> 1, hi >> 1) if real else (lo, hi)
     rows = _hash_rows(seed_arr, salt, [np.arange(a, b + 1, dtype=np.int64) for a, b in lead])
     n = last - first + 1
-    out = np.empty(rows.shape + (n,), dtype=np.complex128)
+    shape = rows.shape + (n,)
+    out = np.empty(shape, np.complex128) if out is None else out[:len(seed_arr)].reshape(shape)
     rows, grid = rows.reshape(-1), out.reshape(-1, n)
     # a block is a run of whole rows, or a piece of one row longer than the block
     cols = min(n, _BLOCK_SITES)

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._util import replication_chunks, run_chunked
-from .fieldgen import LinearFieldSpec, generate_batch, replication_seeds, spectral_density
+from .fieldgen import (LinearFieldSpec, _batch_workspace, generate_batch, replication_seeds,
+                       spectral_density)
 from .frequencies import FrequencyScheme, _validated_freqs
 from .periodogram import batched_modulated_sums, phase_grid
 from .rng import RNG_STREAM, replication_seed
@@ -104,10 +106,12 @@ def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
     """The one replication loop of the clt, miller and negligibility reports.
 
     Draws the field once per seed and returns, for each part of it, the
-    (R, m) modulated sums at ``freqs``.  ``split(values)`` yields the parts
-    of a chunk's values in order (by default the one part is the field
-    itself); each part is summed, and dropped, before the next is built.
-    Chunks hold about 16 * V * ``workspace`` bytes per replication.
+    (R, m) modulated sums at ``freqs``.  ``split(values, scratch)`` yields the
+    parts of a chunk's values in order (by default the one part is the field
+    itself); each part is summed before the next is built.  Chunks hold about
+    16 * V * ``workspace`` bytes per replication.  Each worker draws its chunks
+    into one lattice and one field buffer, sized for the largest chunk and kept
+    for this call only; ``scratch`` is the lattice buffer, free once filtered.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 replications")
@@ -115,17 +119,18 @@ def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
         raise ValueError(f"the field variance innovation_std^2 * sum |tap|^2 = "
                          f"{spec.variance:.6g} exceeds {_MAX_VARIANCE:g}, the largest "
                          f"the Monte Carlo reports accept")
+    chunks = replication_chunks(len(seeds), box.volume, 16 * workspace)
     coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
     phases = [phase_grid(coords, lam) for lam in freqs]
-    chunks = replication_chunks(len(seeds), 16 * box.volume * workspace)
+    local = threading.local()
 
     def chunk_sums(lo, hi):
-        vals = generate_batch(spec, box, None, seeds[lo:hi])
-        sums = []
-        for part in (split(vals) if split else (vals,)):
-            sums.append(batched_modulated_sums(part, phases))
-            del part
-        return sums
+        if not hasattr(local, "buffers"):  # sized for the first chunk, the largest
+            local.buffers = _batch_workspace(spec, box, chunks[0][1])
+        vals = generate_batch(spec, box, None, seeds[lo:hi], out=local.buffers)
+        scratch = local.buffers[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
+        return [batched_modulated_sums(part, phases)
+                for part in (split(vals, scratch) if split else (vals,))]
 
     return [np.concatenate(parts) for parts in zip(*run_chunked(chunks, chunk_sums))]
 

@@ -374,6 +374,24 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch):
     assert all(r == results[0] for r in results[1:])
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_negligibility_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_fields,
+                                                             threads):
+    """Each worker draws every chunk into the memory of its first one; the
+    split's temporaries live in the chunk's lattice buffer, and the rows
+    equal those drawn in one chunk."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    scheme = make_scheme(2, 0.25, [(128,)])
+    args = (spec, scheme, [(128,)], 0.2, [1.0, -0.5, 0.3, 2.0], 40, 23)
+    whole = negligibility_report(*args).rows
+    drawn_fields.clear()
+    monkeypatch.setenv("SPECFIELD_THREADS", threads)
+    # 16 * V * 5 bytes a replication: 5 replications a chunk, 8 chunks
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", 5 * 16 * 128 * 5)
+    assert negligibility_report(*args).rows == whole
+    drawn_fields.assert_one_workspace_per_worker(8)
+
+
 def test_negligibility_report_bytes_are_pinned():
     """sha256 of the report's JSON, recorded on innovation stream 4 with real
     rows summed in real arithmetic."""

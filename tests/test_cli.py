@@ -596,6 +596,23 @@ def test_monte_carlo_reports_bound_the_field_variance(clt_config_file, cmd):
     assert json.loads(proc.stdout)["rng_stream"] == 4
 
 
+@pytest.mark.parametrize("cmd, fit", [("clt-experiment", 1398101), ("miller", 1398101),
+                                      ("negligibility", 838860)])
+def test_monte_carlo_reports_refuse_a_replication_over_the_chunk_budget(clt_config_file,
+                                                                        cmd, fit):
+    """A 2,000,000-site box needs more than the 64 MiB chunk budget for one
+    replication; the refusal names the volume and the largest one that fits."""
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["dims"] = [2_000_000]
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    proc = run_cli(cmd, "--config", cfg)
+    _assert_one_line_refusal(proc, "one replication of the 2000000-site box")
+    assert f"boxes of up to {fit} sites fit" in proc.stderr
+
+
 # Fuzzing the documents: each case mutates one node of a valid document
 # (the whole document included) by dropping a key, adding an unknown key, or
 # replacing the value.  Sizes stay small (R <= 8, sides <= 32, lags within

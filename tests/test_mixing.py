@@ -214,6 +214,56 @@ def test_profile_past_the_dependence_range_needs_no_rescan():
     assert elapsed < 6.0
 
 
+def _reference_pair_counts(spec, window, set_size):
+    """Kept pairs counted through each left subset, by the per-pair rule:
+    1 <= gap <= dependence range, and the union touches the window's lower
+    face on every axis."""
+    points = np.argwhere(np.ones((2 * window + 1,) * spec.dim)) - window
+    subsets = [points[list(c)] for size in range(1, set_size + 1)
+               for c in itertools.combinations(range(len(points)), size)]
+    counts, total = [], 0
+    for i, left in enumerate(subsets):
+        for right in subsets[i + 1:]:
+            gap = np.abs(left[:, None] - right[None]).min(axis=(0, 1)).max()
+            low = np.minimum(left.min(axis=0), right.min(axis=0))
+            total += bool(1 <= gap <= spec.dependence_range and (low == -window).all())
+        counts.append(total)
+    return counts
+
+
+@pytest.mark.parametrize("search_bytes", [1, 3000, mixing._SEARCH_BYTES])
+def test_budget_refusal_counts_through_the_first_subset_past_it(monkeypatch, search_bytes):
+    """Blocks of left subsets of any size report the count that the pair
+    rule gives through the first subset whose pairs pass the budget."""
+    monkeypatch.setattr(mixing, "_SEARCH_BYTES", search_bytes)
+    # 389 pairs of 63 subsets, and 249 pairs of 45: budgets of 64 and up
+    # pass the subset count and reach the pair search
+    cases = [(LinearFieldSpec(dim=1, taps={(0,): 1.0, (1,): 0.8, (3,): 0.5},
+                              innovation_kind=REAL_GAUSSIAN), 3, 3),
+             (LinearFieldSpec(dim=2, taps={(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.4},
+                              innovation_kind=CIRCULAR_GAUSSIAN), 1, 2)]
+    for spec, window, set_size in cases:
+        counts = _reference_pair_counts(spec, window, set_size)
+        for budget in (64, counts[-1] // 2, counts[-1] - 1):
+            monkeypatch.setattr(mixing, "_BUDGET", budget)
+            want = next(c for c in counts if c > budget)
+            with pytest.raises(ValueError, match=f"budget exceeded: {want} pairs counted"):
+                rho_prime_profile(spec, window, set_size, 1)
+        monkeypatch.setattr(mixing, "_BUDGET", counts[-1])
+        rho_prime_profile(spec, window, set_size, 1)
+
+
+def test_wide_window_search_skips_unanchored_pairs():
+    """At set size 1 only pairs through the window's lower corner faces are
+    compared: 40,001 sites take well under the 4 s that comparing every
+    pair of them took."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    start = time.perf_counter()
+    prof = rho_prime_profile(spec, window_radius=20_000, max_set_size=1, n_max=2)
+    assert time.perf_counter() - start < 1.5
+    assert prof.values == rho_prime_profile(spec, 1, 1, 2).values
+
+
 def test_n_max_beyond_budget_is_refused(monkeypatch):
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     monkeypatch.setattr(mixing, "_BUDGET", 3)

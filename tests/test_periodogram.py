@@ -220,7 +220,7 @@ def test_pairwise_accumulation_accuracy():
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("chunk_bytes", [_util._CHUNK_BYTES, 1 << 12], ids=["one-chunk", "small"])
+@pytest.mark.parametrize("chunk_bytes", [_util._CHUNK_BYTES, 1 << 14], ids=["one-chunk", "small"])
 def test_phase_grids_are_built_once_per_box(monkeypatch, threads, chunk_bytes):
     """Each driver builds its m grids once per dims entry, before the chunk
     loop, whatever the chunk size and thread count; the negligibility tail

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,3 +381,78 @@ def test_real_clt_refuses_lambda_against_minus_mu():
     report = run_clt_experiment(first_axis_ma1(1, CIRCULAR_GAUSSIAN, 1.0, 0.5), scheme,
                                 box, 50, 1)
     assert report.replications == 50
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
+def test_clt_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_fields, kind, threads):
+    spec = first_axis_ma1(2, kind, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    monkeypatch.setenv("SPECFIELD_THREADS", threads)
+    # 16 * V * 3 bytes a replication: 5 replications a chunk, 8 chunks
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", 5 * 16 * 128 * 3)
+    run_clt_experiment(spec, scheme, (16, 8), 40, 17)
+    drawn_fields.assert_one_workspace_per_worker(8)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
+def test_replication_peak_is_one_chunk_workspace_per_worker(monkeypatch, kind, threads):
+    """Under tracemalloc a call's peak stays within one chunk's workspace
+    per worker, the results and a fixed slack (the lattice's block scratch
+    and the filter's product rows), though it runs 5 chunks."""
+    spec = first_axis_ma1(2, kind, 1.0, 0.5)
+    dims = (128, 64)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [dims])
+    budget = 8 << 20
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", budget)
+    monkeypatch.setenv("SPECFIELD_THREADS", str(threads))
+    replications = 100  # 21 a chunk
+    tracemalloc.start()
+    try:
+        run_clt_experiment(spec, scheme, dims, replications, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    results = 16 * replications * 2 * 8
+    assert peak < threads * (budget + (2 << 20)) + results + (1 << 20), peak
+
+
+def test_replication_over_the_chunk_budget_is_refused_first():
+    """One replication needing more than the chunk budget is refused, by
+    name, before the field or its phase grids are allocated."""
+    dims = (2_000_000,)
+    scheme = scheme_for((math.pi / 2,), 2, 0.25, [dims])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="one replication of the 2000000-site box needs "
+                                             "96000000 bytes, .* up to 1398101 sites fit"):
+            run_clt_experiment(white_noise(1, CIRCULAR_GAUSSIAN, 1.0), scheme, dims, 50, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_workers_never_share_a_workspace(monkeypatch, drawn_fields):
+    """Four workers on a short switch interval draw 20 chunks into their own
+    buffers: the sums equal a one-worker run's bit for bit, and no two
+    workers' fields overlap."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", 2 * 16 * 128 * 3)
+    want = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
+    drawn_fields.clear()
+    monkeypatch.setenv("SPECFIELD_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == want.tobytes()
+    first = {}
+    for thread, values in drawn_fields:
+        first.setdefault(thread, values)
+    assert not any(np.shares_memory(a, b) for a in first.values() for b in first.values()
+                   if a is not b)
