@@ -1,16 +1,18 @@
-"""Chunking and threading of the replication loop behind the Monte Carlo reports."""
+"""Chunking and forked workers of the replication loop behind the Monte Carlo reports."""
 
 from __future__ import annotations
 
+import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 # keep one chunk of replications around this many bytes of workspace
 _CHUNK_BYTES = 1 << 26
+# the tasks of the run_chunked calls in flight, by token; forked workers inherit them
+_TASKS, _TOKENS = {}, itertools.count()
 
 
 def worker_count() -> int:
-    """Worker threads for replication batches; SPECFIELD_THREADS overrides (>=1)."""
+    """Forked replication worker processes: SPECFIELD_THREADS (>=1), serial without fork."""
     raw = os.environ.get("SPECFIELD_THREADS")
     if raw is None:
         return 1
@@ -33,11 +35,24 @@ def replication_chunks(total: int, sites: int, bytes_per_site: int) -> list[tupl
     return [(lo, min(lo + per, total)) for lo in range(0, total, per)]
 
 
+def _run(token, lo, hi):
+    return _TASKS[token](lo, hi)
+
+
 def run_chunked(chunks, task) -> list:
-    """``[task(lo, hi) for lo, hi in chunks]``, threaded when configured; the
-    results come back in chunk order at any worker count."""
-    workers = worker_count()
-    if workers == 1 or len(chunks) <= 1:
+    """``[task(lo, hi) for lo, hi in chunks]``, in up to ``worker_count()`` forked
+    processes but no more than the chunks (in this process where ``fork`` is
+    missing); results come back in chunk order.  Workers inherit the task: only
+    ``(token, lo, hi)`` and the results are pickled."""
+    workers = min(worker_count(), len(chunks))
+    if workers <= 1 or not hasattr(os, "fork"):
         return [task(lo, hi) for lo, hi in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, *zip(*chunks)))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    token = next(_TOKENS)
+    _TASKS[token] = task
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run, [token] * len(chunks), *zip(*chunks)))
+    finally:
+        del _TASKS[token]

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 validation/config error, 2 internal-consistency
 or other internal error, 64 usage error (unknown subcommand, bad flags);
 every failure is one stderr line, never a traceback.  JSON goes to
 reports, CSV to per-replication raw data; everything is deterministic in
-the config's master seed.  SPECFIELD_THREADS overrides the replication
-worker count.
+the config's master seed.  SPECFIELD_THREADS sets the number of forked
+replication worker processes.
 """
 
 from __future__ import annotations

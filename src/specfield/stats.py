@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -109,9 +108,9 @@ def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
     (R, m) modulated sums at ``freqs``.  ``split(values, scratch)`` yields the
     parts of a chunk's values in order (by default the one part is the field
     itself); each part is summed before the next is built.  Chunks hold about
-    16 * V * ``workspace`` bytes per replication.  Each worker draws its chunks
-    into one lattice and one field buffer, sized for the largest chunk and kept
-    for this call only; ``scratch`` is the lattice buffer, free once filtered.
+    16 * V * ``workspace`` bytes per replication.  Each worker process draws its
+    chunks into one lattice and one field buffer, sized for the largest chunk and
+    kept for this call only; ``scratch`` is the lattice buffer, free once filtered.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 replications")
@@ -122,13 +121,14 @@ def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
     chunks = replication_chunks(len(seeds), box.volume, 16 * workspace)
     coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
     phases = [phase_grid(coords, lam) for lam in freqs]
-    local = threading.local()
+    buffers = None
 
     def chunk_sums(lo, hi):
-        if not hasattr(local, "buffers"):  # sized for the first chunk, the largest
-            local.buffers = _batch_workspace(spec, box, chunks[0][1])
-        vals = generate_batch(spec, box, None, seeds[lo:hi], out=local.buffers)
-        scratch = local.buffers[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
+        nonlocal buffers
+        if buffers is None:  # sized for the first chunk, the largest
+            buffers = _batch_workspace(spec, box, chunks[0][1])
+        vals = generate_batch(spec, box, None, seeds[lo:hi], out=buffers)
+        scratch = buffers[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
         return [batched_modulated_sums(part, phases)
                 for part in (split(vals, scratch) if split else (vals,))]
 

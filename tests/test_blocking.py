@@ -389,7 +389,7 @@ def test_negligibility_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_
     # 16 * V * 5 bytes a replication: 5 replications a chunk, 8 chunks
     monkeypatch.setattr(_util, "_CHUNK_BYTES", 5 * 16 * 128 * 5)
     assert negligibility_report(*args).rows == whole
-    drawn_fields.assert_one_workspace_per_worker(8)
+    drawn_fields.assert_one_workspace_per_worker(8, int(threads))
 
 
 def test_negligibility_report_bytes_are_pinned():

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import time
@@ -478,6 +479,24 @@ def test_unexpected_errors_are_one_line_with_exit_two(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: first line second line\n"
+
+
+def test_a_worker_error_is_one_line_with_exit_one(monkeypatch, capsys, clt_config_file):
+    """A refusal raised in a forked replication worker reaches the command
+    line as one stderr line and exit 1, with no worker left behind."""
+    from specfield import _util, stats
+
+    def failing(*args, **kwargs):
+        raise ValueError("draw refused in a worker")
+
+    monkeypatch.setattr(stats, "generate_batch", failing)
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", 16 * 16 * 3 * 10)  # 5 chunks of R = 50
+    monkeypatch.setenv("SPECFIELD_THREADS", "2")
+    assert cli.main(["clt-experiment", "--config", clt_config_file()]) == cli.VALIDATION_EXIT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: draw refused in a worker\n"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("sequence", [";", "8;;16"])

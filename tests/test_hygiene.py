@@ -1,14 +1,21 @@
 """Source hygiene: every name a module imports is used in that module,
-`mixing` depends on no other part of the package than `fieldgen`, and the
-benchmark's trace finds the library names it wraps."""
+`mixing` depends on no other part of the package than `fieldgen`, the
+benchmark's trace finds the library names it wraps, the CLI starts
+without the process pool's modules, and forked workers raise no warning."""
 
 import ast
 import importlib
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from specfield import blocking, mixing
+from specfield.fieldgen import REAL_GAUSSIAN, first_axis_ma1, spec_to_json
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "specfield"
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
@@ -63,3 +70,29 @@ def test_trace_boundaries_resolve_but_the_known_absent():
     absent = {f"{module.removeprefix('specfield.')}.{attr}" for module, attr in entries
               if not hasattr(importlib.import_module(module), attr)}
     assert absent <= _KNOWN_ABSENT
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """The worker pool's modules load on the first parallel call, never at
+    CLI start."""
+    code = ("import sys, specfield.cli; print(sorted({'multiprocessing', "
+            "'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n", proc.stdout
+
+
+def test_forked_workers_print_what_one_worker_prints(tmp_path):
+    """Under ``-W error``, two forked workers write the 1-worker report's
+    bytes and nothing on stderr."""
+    config = tmp_path / "clt.json"
+    config.write_text(json.dumps({
+        "spec": json.loads(spec_to_json(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5))),
+        "dims": [65536], "scheme": {"base": [math.pi / 2], "m": 2, "delta": 0.25},
+        "R": 30, "seed": 7}))  # 2 chunks in the 64 MiB budget
+    runs = [subprocess.run([sys.executable, "-W", "error", "-m", "specfield", "clt-experiment",
+                            "--config", str(config)], capture_output=True,
+                           env=dict(os.environ, SPECFIELD_THREADS=threads), timeout=120)
+            for threads in ("1", "2")]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, b"")] * 2
+    assert runs[1].stdout == runs[0].stdout

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
-import sys
+import multiprocessing
+import multiprocessing.context
+import os
 import tracemalloc
 
 import numpy as np
@@ -392,15 +394,17 @@ def test_clt_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_fields, ki
     # 16 * V * 3 bytes a replication: 5 replications a chunk, 8 chunks
     monkeypatch.setattr(_util, "_CHUNK_BYTES", 5 * 16 * 128 * 3)
     run_clt_experiment(spec, scheme, (16, 8), 40, 17)
-    drawn_fields.assert_one_workspace_per_worker(8)
+    drawn_fields.assert_one_workspace_per_worker(8, int(threads))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
 def test_replication_peak_is_one_chunk_workspace_per_worker(monkeypatch, kind, threads):
-    """Under tracemalloc a call's peak stays within one chunk's workspace
-    per worker, the results and a fixed slack (the lattice's block scratch
-    and the filter's product rows), though it runs 5 chunks."""
+    """Under tracemalloc a call's peak stays within one chunk's workspace,
+    the results and a fixed slack (the lattice's block scratch and the
+    filter's product rows), though it runs 5 chunks.  Forked workers run
+    the same chunk code outside this process's trace, which then holds
+    little more than the results."""
     spec = first_axis_ma1(2, kind, 1.0, 0.5)
     dims = (128, 64)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [dims])
@@ -408,6 +412,7 @@ def test_replication_peak_is_one_chunk_workspace_per_worker(monkeypatch, kind, t
     monkeypatch.setattr(_util, "_CHUNK_BYTES", budget)
     monkeypatch.setenv("SPECFIELD_THREADS", str(threads))
     replications = 100  # 21 a chunk
+    import concurrent.futures.process  # noqa: F401  imported before the trace starts
     tracemalloc.start()
     try:
         run_clt_experiment(spec, scheme, dims, replications, 5)
@@ -415,7 +420,8 @@ def test_replication_peak_is_one_chunk_workspace_per_worker(monkeypatch, kind, t
     finally:
         tracemalloc.stop()
     results = 16 * replications * 2 * 8
-    assert peak < threads * (budget + (2 << 20)) + results + (1 << 20), peak
+    workspace = budget + (2 << 20) if threads == 1 else 0
+    assert peak < workspace + results + (1 << 20), peak
 
 
 def test_replication_over_the_chunk_budget_is_refused_first():
@@ -435,24 +441,57 @@ def test_replication_over_the_chunk_budget_is_refused_first():
 
 
 def test_workers_never_share_a_workspace(monkeypatch, drawn_fields):
-    """Four workers on a short switch interval draw 20 chunks into their own
-    buffers: the sums equal a one-worker run's bit for bit, and no two
-    workers' fields overlap."""
+    """Four forked workers draw 20 chunks into their own buffers: the sums
+    equal a one-worker run's bit for bit, every chunk ran in a child, and
+    each child kept one buffer."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     monkeypatch.setattr(_util, "_CHUNK_BYTES", 2 * 16 * 128 * 3)
     want = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
     drawn_fields.clear()
     monkeypatch.setenv("SPECFIELD_THREADS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
-    finally:
-        sys.setswitchinterval(interval)
+    got = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
     assert got.tobytes() == want.tobytes()
-    first = {}
-    for thread, values in drawn_fields:
-        first.setdefault(thread, values)
-    assert not any(np.shares_memory(a, b) for a in first.values() for b in first.values()
-                   if a is not b)
+    drawn_fields.assert_one_workspace_per_worker(20, 4)
+
+
+def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
+    """No worker process outlives a 2-worker report, nor one whose worker
+    raised; that worker's error reaches the caller with its type and message."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    monkeypatch.setenv("SPECFIELD_THREADS", "2")
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", 5 * 16 * 128 * 3)  # 8 chunks
+    run_clt_experiment(spec, scheme, (16, 8), 40, 17)
+    assert multiprocessing.active_children() == []
+
+    def failing(*args, **kwargs):
+        raise ValueError(f"draw failed in process {os.getpid()}")
+
+    monkeypatch.setattr(stats, "generate_batch", failing)
+    with pytest.raises(ValueError, match=r"^draw failed in process \d+$") as caught:
+        run_clt_experiment(spec, scheme, (16, 8), 40, 17)
+    assert str(os.getpid()) not in str(caught.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_never_outnumber_the_chunks(monkeypatch):
+    """SPECFIELD_THREADS=8 on 3 chunks forks at most 3 workers, and the
+    sums equal a one-worker run's."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", 14 * 16 * 128 * 3)  # 3 chunks of 40
+    want = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
+    monkeypatch.setenv("SPECFIELD_THREADS", "8")
+    got = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    assert got.tobytes() == want.tobytes()
+    assert 2 <= len(started) <= 3
+    assert multiprocessing.active_children() == []
