@@ -1,12 +1,20 @@
-"""Chunking and forked workers of the replication loop behind the Monte Carlo reports."""
+"""Chunks, batches and forked workers of the replication loop behind the Monte Carlo reports.
+
+A chunk is the unit of scheduling: each report hands all its chunks to one
+``run_chunked`` call, so it forks at most once.  A batch is the unit of
+memory: a worker draws, filters and sums a chunk about ``_BATCH_BYTES`` at a
+time, in one workspace it keeps for the whole call.
+"""
 
 from __future__ import annotations
 
 import itertools
 import os
 
-# keep one chunk of replications around this many bytes of workspace
+# refuse a replication, a quadrature grid or a block list needing more than this
 _CHUNK_BYTES = 1 << 26
+# draw, filter and sum the replications of a chunk about this many bytes at a time
+_BATCH_BYTES = 1 << 22
 # the tasks of the run_chunked calls in flight, by token; forked workers inherit them
 _TASKS, _TOKENS = {}, itertools.count()
 
@@ -25,28 +33,40 @@ def worker_count() -> int:
     return n
 
 
-def replication_chunks(total: int, sites: int, bytes_per_site: int) -> list[tuple[int, int]]:
-    """(start, stop) chunks of range(total) in the memory budget; one replication must fit."""
-    per = _CHUNK_BYTES // (sites * bytes_per_site)
-    if per < 1:
-        raise ValueError(f"one replication of the {sites}-site box needs {sites * bytes_per_site}"
+def check_replication(sites: int, bytes_per_site: int) -> None:
+    """Refuse a box whose one replication needs more than ``_CHUNK_BYTES``."""
+    need = sites * bytes_per_site
+    if need > _CHUNK_BYTES:
+        raise ValueError(f"one replication of the {sites}-site box needs {need}"
                          f" bytes, over the {_CHUNK_BYTES}-byte chunk budget; boxes of up to "
                          f"{_CHUNK_BYTES // bytes_per_site} sites fit")
-    return [(lo, min(lo + per, total)) for lo in range(0, total, per)]
 
 
-def _run(token, lo, hi):
-    return _TASKS[token](lo, hi)
+def replication_batch(replication_bytes: int) -> int:
+    """Replications a batch holds: max(1, ``_BATCH_BYTES`` // the bytes of one)."""
+    return max(1, _BATCH_BYTES // replication_bytes)
+
+
+def replication_chunks(total: int) -> list[tuple[int, int]]:
+    """range(total) in order as min(total, ``worker_count()``) (start, stop) chunks
+    whose sizes differ by at most one: chunks schedule work, batches bound memory."""
+    parts = min(total, worker_count())
+    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
+
+
+def _run(token, *chunk):
+    return _TASKS[token](*chunk)
 
 
 def run_chunked(chunks, task) -> list:
-    """``[task(lo, hi) for lo, hi in chunks]``, in up to ``worker_count()`` forked
+    """``[task(*chunk) for chunk in chunks]``, in up to ``worker_count()`` forked
     processes but no more than the chunks (in this process where ``fork`` is
-    missing); results come back in chunk order.  Workers inherit the task: only
-    ``(token, lo, hi)`` and the results are pickled."""
+    missing); results come back in chunk order.  The workers live for this call
+    only and inherit the task: only the token, the chunks and the results are
+    pickled."""
     workers = min(worker_count(), len(chunks))
     if workers <= 1 or not hasattr(os, "fork"):
-        return [task(lo, hi) for lo, hi in chunks]
+        return [task(*chunk) for chunk in chunks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     token = next(_TOKENS)

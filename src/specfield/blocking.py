@@ -35,7 +35,7 @@ from .frequencies import _validated_freqs
 from .mixing import MixingProfile, dependence_profile
 from .periodogram import _separable_grid, phase_grid
 from .rng import RNG_STREAM
-from .stats import _replicated_sums, g_functional
+from .stats import _entry, _replicated_sums, g_functional
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,28 @@ class NegligibilityReport:
     rng_stream: int = field(default=RNG_STREAM, init=False)
 
 
+def _splitter(box, leftover, q):
+    """The replication loop's split of a batch: the tail parts over the box,
+    then the bounded parts on the leftover set."""
+    thresholds = index_products([np.arange(1, v + 1) for v in box.v]) ** q
+    leftover_cells = np.zeros(box.v, dtype=bool)
+    for slab in leftover:
+        leftover_cells[slab.first_slice] = True
+
+    def split(vals, tail):
+        # |x| and then the tail parts go into the loop's scratch buffer
+        keep = np.abs(vals, out=tail.real) <= thresholds
+        np.copyto(tail, vals)
+        np.putmask(tail, keep, 0.0)  # a quarter faster than tail[keep] = 0.0
+        yield tail
+        # bounded parts on the leftover set, zeroed in place to save a copy
+        np.logical_and(keep, leftover_cells, out=keep)
+        np.putmask(vals, np.logical_not(keep, out=keep), 0.0)
+        yield vals
+
+    return split
+
+
 def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
                          weights, replications: int, seed: int) -> NegligibilityReport:
     """Monte Carlo second moments of the two discarded pieces, per dims entry.
@@ -249,37 +271,26 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
     both.  The blocking plan uses the field's own m-dependence profile.
     """
     weights = np.asarray(weights, dtype=float)
-    rows = []
+    entries, plans = [], []
     for index, dims in enumerate(dims_sequence, start=1):
         box, freqs = _validated_freqs(spec, scheme, dims)
         if weights.size != 2 * len(freqs):
             raise ValueError(f"need {2 * len(freqs)} weights, got {weights.size}")
         pl = plan(box.v[0], dependence_profile(spec), q)
         _, leftover = block_index_sets(pl, box)
-        thresholds = index_products([np.arange(1, v + 1) for v in box.v]) ** q
-        leftover_cells = np.zeros(box.v, dtype=bool)
-        for slab in leftover:
-            leftover_cells[slab.first_slice] = True
-
-        def split(vals, tail):
-            # |x| and then the tail parts go into the loop's scratch buffer
-            keep = np.abs(vals, out=tail.real) <= thresholds
-            np.copyto(tail, vals)
-            tail[keep] = 0.0
-            yield tail
-            # bounded parts on the leftover set, zeroed in place to save a copy
-            np.logical_and(keep, leftover_cells, out=keep)
-            vals[np.logical_not(keep, out=keep)] = 0.0
-            yield vals
-
         seeds = replication_seeds(seed, replications, offset=index * replications)
-        vol = box.volume
-        tail, left = _replicated_sums(spec, box, freqs, seeds, split, 3 + len(freqs))
+        entries.append(_entry(spec, box, freqs, seeds, _splitter(box, leftover, q),
+                              3 + len(freqs)))
+        plans.append((pl, sum(sl.cardinality for sl in leftover)))
+    rows = []
+    for index, (e, (pl, cardinality), (tail, left)) in enumerate(
+            zip(entries, plans, _replicated_sums(spec, entries)), start=1):
+        vol = e.box.volume
         g_sq = (g_functional(weights, left) / math.sqrt(vol)) ** 2
         z_sq = ((tail.real ** 2 + tail.imag ** 2) / vol).mean(axis=1)
         rows.append(NegligibilityRow(
-            index=index, dims=box.v, v1=pl.v1, s=pl.s, p=pl.p, r=pl.r,
-            leftover_cardinality=sum(sl.cardinality for sl in leftover),
+            index=index, dims=e.box.v, v1=pl.v1, s=pl.s, p=pl.p, r=pl.r,
+            leftover_cardinality=cardinality,
             leftover_mean=float(g_sq.mean()),
             leftover_se=float(g_sq.std(ddof=1) / math.sqrt(replications)),
             tail_mean=float(z_sq.mean()),

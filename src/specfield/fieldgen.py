@@ -28,7 +28,8 @@ import numpy as np
 
 from .domain import (BoxDims, _json_int, _json_list, _json_object, _json_real, as_dims,
                      as_frequency, as_shift)
-from .rng import _BLOCK_SITES, _lattice_size, _replication_hash, check_seed, gaussian_lattice
+from .rng import (_BLOCK_SITES, _SCRATCH_BYTES, _lattice_size, _replication_hash, check_seed,
+                  gaussian_lattice)
 
 REAL_GAUSSIAN = "real-gaussian"
 CIRCULAR_GAUSSIAN = "circular-complex-gaussian"
@@ -192,7 +193,7 @@ def _innovation_ranges(spec, dims, shift):
     return bounds, ranges
 
 
-def _filter_batch(spec, dims, eps, bounds, *, out=None):
+def _filter_batch(spec, dims, eps, bounds, *, out=None, scratch=None):
     """Apply the moving-average filter to an innovation block (leading batch axis).
 
     The result has the dtype of ``eps``: float64 for real specs, whose taps
@@ -202,7 +203,8 @@ def _filter_batch(spec, dims, eps, bounds, *, out=None):
     long; that gives the complex products' values with real multiplies.
     Rows are filtered a few at a time: the first tap's product is written
     into them and the others are added through one reused product buffer,
-    so the working set stays in cache.  Given ``out``, it is the leading rows.
+    so the working set stays in cache.  Given ``out``, it is the leading rows;
+    given ``scratch``, the product rows are carved from it.
     """
     real_taps = all(coeff.imag == 0.0 for coeff in spec.taps.values())
     pairs = real_taps and not spec.is_real
@@ -215,7 +217,9 @@ def _filter_batch(spec, dims, eps, bounds, *, out=None):
     out = np.empty(eps.shape[:1] + tuple(dims), eps.dtype) if out is None else out[:len(eps)]
     src, dst = (eps.view(np.float64), out.view(np.float64)) if pairs else (eps, out)
     step = max(1, _BLOCK_SITES // math.prod(dims))
-    term = np.empty((min(step, len(out)),) + dst.shape[1:], dtype=dst.dtype)
+    size = min(step, len(out)) * math.prod(dst.shape[1:])
+    term = (np.empty(size, dst.dtype) if scratch is None
+            else scratch.view(dst.dtype)[:size]).reshape((-1,) + dst.shape[1:])
     (lead, lead_window), rest = taps[0], taps[1:]
     for r0 in range(0, len(out), step):
         rows = slice(r0, r0 + step)
@@ -243,28 +247,42 @@ def generate(spec: LinearFieldSpec, dims, shift=None, seed: int = 0) -> FieldSam
 
 
 def generate_batch(spec: LinearFieldSpec, dims, shift, seeds, *,
-                   out=(None, None)) -> np.ndarray:
+                   out=(None, None, None)) -> np.ndarray:
     """Values for many seeds at once, shape (len(seeds), v_1, ..., v_d).
 
     Row i is ``generate(spec, dims, shift, seeds[i]).values``, which is this
     function on a batch of one; the batch exists because hashing the
     innovation lattice vectorizes across seeds, which replication loops need.
-    ``out``, a (lattice, field) pair from ``_batch_workspace``, receives the
-    innovations and the values in place of new arrays.
+    ``out``, the (lattice, field, scratch) arrays of ``_batch_workspace``,
+    receives the innovations and the values and holds both stages' scratch,
+    in place of new arrays.
     """
     box = as_dims(dims, spec.dim)
     w = as_shift(shift, spec.dim)
     seeds = [check_seed(s) for s in seeds]
     bounds, ranges = _innovation_ranges(spec, box.v, w)
-    eps = gaussian_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std, out=out[0])
-    return _filter_batch(spec, box.v, eps, bounds, out=out[1])
+    lattice, values, scratch = out
+    eps = gaussian_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std,
+                           out=lattice, scratch=scratch)
+    return _filter_batch(spec, box.v, eps, bounds, out=values, scratch=scratch)
 
 
-def _batch_workspace(spec: LinearFieldSpec, box: BoxDims, rows: int):
-    """Uninitialised (lattice, field) buffers with a row for each of ``rows`` seeds."""
+def _workspace_sizes(spec: LinearFieldSpec, box: BoxDims, rows: int) -> list[int]:
+    """Bytes of the lattice, the field and the scratch of a batch of ``rows`` seeds;
+    the scratch holds the lattice's block arrays, then the filter's product rows."""
     _, ranges = _innovation_ranges(spec, box.v, (0,) * spec.dim)
-    return (np.empty((rows, _lattice_size(ranges, spec.is_real)), dtype=np.complex128),
-            np.empty((rows,) + box.v, dtype=np.float64 if spec.is_real else np.complex128))
+    return [16 * rows * _lattice_size(ranges, spec.is_real),
+            rows * box.volume * (8 if spec.is_real else 16),
+            max(_SCRATCH_BYTES, 16 * max(_BLOCK_SITES, box.volume))]
+
+
+def _batch_workspace(spec: LinearFieldSpec, box: BoxDims, rows: int, buffer: np.ndarray):
+    """The (lattice, field, scratch) arrays of a batch of ``rows`` seeds, carved in
+    turn from the front of the uint8 ``buffer``, which holds ``_workspace_sizes``."""
+    lattice, values, scratch, _ = np.split(buffer, np.cumsum(_workspace_sizes(spec, box, rows)))
+    return (lattice.view(np.complex128).reshape(rows, -1),
+            values.view(np.float64 if spec.is_real else np.complex128).reshape((rows,) + box.v),
+            scratch)
 
 
 def replication_seeds(master_seed, count: int, offset: int = 0) -> list[int]:

@@ -30,10 +30,11 @@ differs from the next only in rounding, within about 1e-14 * std.
 ``gaussian_lattice`` hashes the seed and every axis but the last up front, then
 walks the box in blocks of ``_BLOCK_SITES`` sites: whole rows of the last
 axis, or pieces of one row longer than a block.  Each block is hashed and
-transformed in place, in six block-sized scratch arrays allocated per call,
-and written straight into the output.  A real box is drawn as the complex
-box of its pair sites and returned as a slice of that box's float64 view,
-whose rows carry at most two float64 of padding.  Beyond the output, memory
+transformed in place, in six block-sized scratch arrays (carved from the
+caller's ``scratch``, or allocated per call without one), and written
+straight into the output.  A real box is drawn as the complex box of its
+pair sites and returned as a slice of that box's float64 view, whose rows
+carry at most two float64 of padding.  Beyond the output, memory
 is therefore a few uint64 per row plus a fixed budget, even for a single
 replication of millions of sites.  Every step is elementwise and exactly
 rounded the same way at any block size, so blocking moves no bit of the
@@ -96,6 +97,8 @@ _C = (-1.13596475577881948265e-11, 2.08757232129817482790e-09, -2.75573143513906
 # 2^14 to 2^16 run alike in perfbench's mc_clt2d and mc_neglig1d traces;
 # 2^12 pays for per-call overhead and 2^17 falls out of the core's L2.
 _BLOCK_SITES = 1 << 15
+# the most bytes of block scratch one call uses
+_SCRATCH_BYTES = 6 * 8 * _BLOCK_SITES
 
 
 def _mix64(x: np.ndarray, out: np.ndarray | None = None,
@@ -218,7 +221,8 @@ def _lattice_size(axis_ranges, real: bool) -> int:
     return int(np.prod([b - a + 1 for a, b in lead])) * (last + 1)
 
 
-def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None) -> np.ndarray:
+def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
+                     scratch=None) -> np.ndarray:
     """Deterministic Gaussian draws on a lattice box, one layer per seed.
 
     Parameters
@@ -234,6 +238,8 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None) -> 
         Innovation standard deviation (>= 0).
     out : complex128 ndarray, optional
         Receives the draws in its leading rows, of ``_lattice_size`` entries each.
+    scratch : 1-d contiguous ndarray, optional
+        Holds the block scratch, at most ``_SCRATCH_BYTES``, in place of new arrays.
 
     Returns
     -------
@@ -279,8 +285,10 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None) -> 
     # a block is a run of whole rows, or a piece of one row longer than the block
     cols = min(n, _BLOCK_SITES)
     step = max(1, _BLOCK_SITES // n)
-    ints = [np.empty(step * cols, dtype=np.uint64) for _ in range(3)]
-    floats = [np.empty(step * cols) for _ in range(3)]
+    size = 6 * step * cols
+    blocks = (np.empty(size, np.uint64) if scratch is None
+              else scratch.view(np.uint64)[:size]).reshape(6, -1)
+    ints, floats = list(blocks[:3]), [b.view(np.float64) for b in blocks[3:]]
     for c0 in range(0, n, cols):
         c1 = min(n, c0 + cols)
         key = _axis_key(len(lead), np.arange(first + c0, first + c1, dtype=np.int64))

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._util import replication_chunks, run_chunked
-from .fieldgen import (LinearFieldSpec, _batch_workspace, generate_batch, replication_seeds,
-                       spectral_density)
+from ._util import check_replication, replication_batch, replication_chunks, run_chunked
+from .fieldgen import (LinearFieldSpec, _batch_workspace, _workspace_sizes, generate_batch,
+                       replication_seeds, spectral_density)
 from .frequencies import FrequencyScheme, _validated_freqs
 from .periodogram import batched_modulated_sums, phase_grid
 from .rng import RNG_STREAM, replication_seed
@@ -101,38 +102,65 @@ def cross_frequency_independence(periodograms) -> float:
 _MAX_VARIANCE = 1e100
 
 
-def _replicated_sums(spec, box, freqs, seeds, split=None, workspace=3) -> list:
-    """The one replication loop of the clt, miller and negligibility reports.
+# one dims entry of a report, with the replications a batch of it holds
+_Entry = namedtuple("_Entry", "box freqs seeds split rows")
 
-    Draws the field once per seed and returns, for each part of it, the
-    (R, m) modulated sums at ``freqs``.  ``split(values, scratch)`` yields the
-    parts of a chunk's values in order (by default the one part is the field
-    itself); each part is summed before the next is built.  Chunks hold about
-    16 * V * ``workspace`` bytes per replication.  Each worker process draws its
-    chunks into one lattice and one field buffer, sized for the largest chunk and
-    kept for this call only; ``scratch`` is the lattice buffer, free once filtered.
-    """
+
+def _entry(spec, box, freqs, seeds, split=None, workspace=3) -> _Entry:
+    """An entry of ``_replicated_sums``, refused before any draw when it has
+    fewer than 2 replications, too large a field variance, or one replication
+    over the chunk budget at 16 * V * ``workspace`` bytes.  A batch holds the
+    replications whose lattice and field rows fit the batch budget."""
     if len(seeds) < 2:
         raise ValueError("need at least 2 replications")
     if spec.variance > _MAX_VARIANCE:
         raise ValueError(f"the field variance innovation_std^2 * sum |tap|^2 = "
                          f"{spec.variance:.6g} exceeds {_MAX_VARIANCE:g}, the largest "
                          f"the Monte Carlo reports accept")
-    chunks = replication_chunks(len(seeds), box.volume, 16 * workspace)
-    coords = [np.arange(1, v + 1, dtype=np.int64) for v in box.v]
-    phases = [phase_grid(coords, lam) for lam in freqs]
-    buffers = None
+    check_replication(box.volume, 16 * workspace)
+    lattice, values, _ = _workspace_sizes(spec, box, 1)
+    return _Entry(box, freqs, seeds, split, replication_batch(lattice + values))
 
-    def chunk_sums(lo, hi):
-        nonlocal buffers
-        if buffers is None:  # sized for the first chunk, the largest
-            buffers = _batch_workspace(spec, box, chunks[0][1])
-        vals = generate_batch(spec, box, None, seeds[lo:hi], out=buffers)
-        scratch = buffers[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
-        return [batched_modulated_sums(part, phases)
-                for part in (split(vals, scratch) if split else (vals,))]
 
-    return [np.concatenate(parts) for parts in zip(*run_chunked(chunks, chunk_sums))]
+def _replicated_sums(spec, entries) -> list:
+    """The one replication loop of the clt, miller and negligibility reports.
+
+    Draws the field once per seed of each ``_entry`` and returns, for each
+    entry and each part of its field, the (R, m) modulated sums at its
+    frequencies.  ``split(values, scratch)`` yields the parts of a batch's
+    values in order (by default the one part is the field itself); each part
+    is summed before the next is built.  All entries' ``replication_chunks``
+    go to one ``run_chunked`` call, so a report forks at most once.  A worker
+    draws, filters, splits and sums its chunks a batch at a time, each batch
+    in one workspace sized for the largest and kept for this call only;
+    ``scratch`` is the batch's lattice, free once filtered.
+    """
+    phases = [[phase_grid([np.arange(1, v + 1, dtype=np.int64) for v in e.box.v], lam)
+               for lam in e.freqs] for e in entries]
+    per_entry = [replication_chunks(len(e.seeds)) for e in entries]
+    chunks = [(k, lo, hi) for k, bounds in enumerate(per_entry) for lo, hi in bounds]
+    size = max((sum(_workspace_sizes(spec, entries[k].box, min(hi - lo, entries[k].rows)))
+                for k, lo, hi in chunks), default=0)
+    buffer = None
+
+    def chunk_sums(k, lo, hi):
+        nonlocal buffer
+        if buffer is None:
+            buffer = np.empty(size, np.uint8)
+        e = entries[k]
+        batches = []
+        for b0 in range(lo, hi, e.rows):
+            b1 = min(hi, b0 + e.rows)
+            out = _batch_workspace(spec, e.box, b1 - b0, buffer)
+            vals = generate_batch(spec, e.box, None, e.seeds[b0:b1], out=out)
+            scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
+            batches.append([batched_modulated_sums(part, phases[k])
+                            for part in (e.split(vals, scratch) if e.split else (vals,))])
+        return batches
+
+    sums = iter(run_chunked(chunks, chunk_sums))
+    return [[np.concatenate(parts) for parts in zip(*[b for _ in bounds for b in next(sums)])]
+            for bounds in per_entry]
 
 
 @dataclass(frozen=True)
@@ -184,7 +212,8 @@ def run_clt_experiment(spec: LinearFieldSpec, scheme: FrequencyScheme, dims,
         raise ValueError("spectral density vanishes at the base frequency; "
                          "the limit law is degenerate")
     m = len(freqs)
-    sums, = _replicated_sums(spec, box, freqs, replication_seeds(seed, replications))
+    (sums,), = _replicated_sums(spec, [_entry(spec, box, freqs,
+                                              replication_seeds(seed, replications))])
     scale = math.sqrt(box.volume)
     coords = np.empty((replications, 2 * m), dtype=float)
     coords[:, 0::2] = sums.real / scale
@@ -242,17 +271,20 @@ def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,
     if f_base <= 0.0:
         raise ValueError("spectral density vanishes at the base frequency")
     target = 0.5 * f_base * float(np.dot(w, w))
-    rows = []
+    entries = []
     for index, dims in enumerate(dims_sequence, start=1):
         box, freqs = _validated_freqs(spec, scheme, dims)
         if w.size != 2 * len(freqs):
             raise ValueError(f"need {2 * len(freqs)} weights, got {w.size}")
         seeds = replication_seeds(replication_seed(seed, index), replications)
-        g = g_functional(w, _replicated_sums(spec, box, freqs, seeds)[0])
-        g_sq = g * g / box.volume
+        entries.append(_entry(spec, box, freqs, seeds))
+    rows = []
+    for index, (e, (sums,)) in enumerate(zip(entries, _replicated_sums(spec, entries)), start=1):
+        g = g_functional(w, sums)
+        g_sq = g * g / e.box.volume
         estimate = float(g_sq.mean())
         rows.append(MillerRow(
-            index=index, dims=box.v, estimate=estimate, target=target,
+            index=index, dims=e.box.v, estimate=estimate, target=target,
             discrepancy=abs(estimate - target),
             std_error=float(g_sq.std(ddof=1) / math.sqrt(replications))))
     return MillerReport(rows=tuple(rows), weights=tuple(float(x) for x in w),

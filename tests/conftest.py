@@ -2,7 +2,7 @@
 
 ``src`` goes on ``sys.path`` for the tests themselves and at the front of
 ``PYTHONPATH`` for the ``python -m specfield`` and demo subprocesses that
-some tests start.  ``drawn_fields`` records the chunks of the replication
+some tests start.  ``drawn_fields`` records the batches of the replication
 loop, in this process and in its forked workers.
 """
 
@@ -22,8 +22,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 class DrawnFields:
-    """(pid, data address, nbytes) of every chunk the replication loop draws,
-    in order, read from a file that forked workers append to."""
+    """(pid, data address, nbytes, buffer address) of every batch the
+    replication loop draws, in order, read from a file that forked workers
+    append to.  The buffer is the array that owns the batch's memory."""
 
     def __init__(self, path):
         self.path = path
@@ -35,19 +36,22 @@ class DrawnFields:
     def records(self):
         return [tuple(map(int, line.split())) for line in self.path.read_text().splitlines()]
 
-    def assert_one_workspace_per_worker(self, chunks, workers=1):
-        """Each worker drew every chunk into the memory of its first one, and
-        some worker ran at least 4 chunks; past one worker, at least 2 forked
-        children drew them all."""
+    def assert_one_workspace_per_worker(self, workers=1):
+        """All of each worker's draws lie in one buffer, within a span of it no
+        larger than the batch budget, and some worker drew at least 4 batches;
+        past one worker, at least 2 forked children drew them all."""
+        from specfield import _util
+
         records = self.records()
-        assert len(records) == chunks
-        first = {}
-        for pid, address, nbytes in records:
-            start, size = first.setdefault(pid, (address, nbytes))
-            assert address < start + size and start < address + nbytes
-        assert max(sum(p == pid for p, _, _ in records) for pid in first) >= 4
+        spans = {}
+        for pid, address, nbytes, _ in records:
+            lo, hi = spans.get(pid, (address, address + nbytes))
+            spans[pid] = (min(lo, address), max(hi, address + nbytes))
+        assert all(hi - lo <= _util._BATCH_BYTES for lo, hi in spans.values())
+        assert len({(pid, buffer) for pid, _, _, buffer in records}) == len(spans)
+        assert max(sum(p == pid for p, *_ in records) for pid in spans) >= 4
         if workers > 1:
-            assert len(first) >= 2 and os.getpid() not in first
+            assert len(spans) >= 2 and os.getpid() not in spans
 
 
 @pytest.fixture
@@ -57,11 +61,17 @@ def drawn_fields(monkeypatch, tmp_path):
     fields = DrawnFields(tmp_path / "drawn_fields.txt")
     generate_batch = stats.generate_batch
     parent = os.getpid()
+    owners = []  # held, so that no later buffer can take a drawn one's address
 
     def recording(*args, **kwargs):
         values = generate_batch(*args, **kwargs)
+        owner = values
+        while owner.base is not None:
+            owner = owner.base
+        owners.append(owner)
         with open(fields.path, "a") as fh:
-            fh.write(f"{os.getpid()} {values.ctypes.data} {values.nbytes}\n")
+            fh.write(f"{os.getpid()} {values.ctypes.data} {values.nbytes} "
+                     f"{owner.ctypes.data}\n")
         if os.getpid() != parent:
             time.sleep(0.01)  # leave chunks for the other workers to take
         return values

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
+import multiprocessing.context
 import re
 
 import numpy as np
@@ -16,7 +18,7 @@ from specfield.blocking import (BlockingPlan, MixingProfile, block_index_sets,
                                 truncated_second_moments)
 from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
-                                first_axis_ma1, generate, generate_batch,
+                                _workspace_sizes, first_axis_ma1, generate, generate_batch,
                                 replication_seeds, white_noise)
 from specfield.frequencies import FrequencyScheme
 
@@ -349,13 +351,20 @@ def test_negligibility_2d_oracle_with_imaginary_weights():
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_negligibility_independent_of_threads_and_chunks(monkeypatch):
-    """One seed gives identical rows at 1 and 2 worker threads, with one
-    chunk per box or with the replications split into several."""
+def replication_bytes(spec, dims):
+    """The workspace bytes of one replication: its lattice and field rows."""
+    lattice, values, _ = _workspace_sizes(spec, BoxDims(dims), 1)
+    return lattice + values
+
+
+def test_negligibility_independent_of_threads_and_chunks(monkeypatch, drawn_fields):
+    """One seed gives identical rows at 1 and 2 workers, with one replication
+    a batch, several, or the whole chunk; both dims entries go to one runner
+    call."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     dims_seq = [(64,), (128,)]
     scheme = make_scheme(2, 0.25, dims_seq)
-    chunk_counts = []
+    chunk_counts, draws = [], []
     run_chunked = stats.run_chunked
 
     def counting(chunks, task):
@@ -364,32 +373,71 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch):
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     results = []
-    for threads, chunk_bytes in [("1", _util._CHUNK_BYTES), ("2", _util._CHUNK_BYTES),
-                                 ("1", 1 << 15), ("2", 1 << 15)]:
+    # the middle budget holds 4 replications of the 128-site box and 7 of the 64-site one
+    four = 4 * replication_bytes(spec, (128,))
+    for threads, batch_bytes in [("1", 1), ("2", 1), ("1", four), ("2", four),
+                                 ("1", 1 << 40), ("2", 1 << 40)]:
         monkeypatch.setenv("SPECFIELD_THREADS", threads)
-        monkeypatch.setattr(_util, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(_util, "_BATCH_BYTES", batch_bytes)
+        drawn_fields.clear()
         results.append(negligibility_report(spec, scheme, dims_seq, 0.2,
                                             [1.0, -0.5, 0.3, 2.0], 40, 23).rows)
-    assert chunk_counts[:4] == [1] * 4 and min(chunk_counts[4:]) >= 3
+        draws.append(len(drawn_fields.records()))
+    assert chunk_counts == [2, 4] * 3
+    assert draws == [80, 80, 6 + 10, 6 + 10, 2, 4]
     assert all(r == results[0] for r in results[1:])
+
+
+def test_negligibility_report_forks_once(monkeypatch):
+    """A 3-entry report at 2 workers starts exactly 2 worker processes, for
+    all its entries, and leaves none behind."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    dims_seq = [(64,), (128,), (256,)]
+    scheme = make_scheme(2, 0.25, dims_seq)
+    args = (spec, scheme, dims_seq, 0.2, [1.0, -0.5, 0.3, 2.0], 20, 23)
+    want = negligibility_report(*args).rows
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
+    monkeypatch.setenv("SPECFIELD_THREADS", "2")
+    assert negligibility_report(*args).rows == want
+    assert len(started) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_negligibility_refuses_an_entry_over_the_budget_before_any_draw(drawn_fields):
+    """The second entry's one replication exceeds the chunk budget: the
+    report is refused by name before the first entry draws anything."""
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    dims_seq = [(64,), (1_000_000,)]
+    scheme = make_scheme(2, 0.25, dims_seq)
+    with pytest.raises(ValueError, match="one replication of the 1000000-site box"):
+        negligibility_report(spec, scheme, dims_seq, 0.2, [1.0, 0.0, 1.0, 0.0], 20, 5)
+    assert drawn_fields.records() == []
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_negligibility_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_fields,
                                                              threads):
-    """Each worker draws every chunk into the memory of its first one; the
-    split's temporaries live in the chunk's lattice buffer, and the rows
-    equal those drawn in one chunk."""
+    """Each worker draws every batch into one workspace; the split's
+    temporaries live in the batch's lattice buffer, and the rows equal those
+    drawn in one batch."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     scheme = make_scheme(2, 0.25, [(128,)])
     args = (spec, scheme, [(128,)], 0.2, [1.0, -0.5, 0.3, 2.0], 40, 23)
     whole = negligibility_report(*args).rows
     drawn_fields.clear()
     monkeypatch.setenv("SPECFIELD_THREADS", threads)
-    # 16 * V * 5 bytes a replication: 5 replications a chunk, 8 chunks
-    monkeypatch.setattr(_util, "_CHUNK_BYTES", 5 * 16 * 128 * 5)
+    # 5 replications a batch, 8 batches
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 5 * replication_bytes(spec, (128,)))
     assert negligibility_report(*args).rows == whole
-    drawn_fields.assert_one_workspace_per_worker(8, int(threads))
+    assert len(drawn_fields.records()) == 8
+    drawn_fields.assert_one_workspace_per_worker(int(threads))
 
 
 def test_negligibility_report_bytes_are_pinned():

@@ -490,7 +490,8 @@ def test_a_worker_error_is_one_line_with_exit_one(monkeypatch, capsys, clt_confi
         raise ValueError("draw refused in a worker")
 
     monkeypatch.setattr(stats, "generate_batch", failing)
-    monkeypatch.setattr(_util, "_CHUNK_BYTES", 16 * 16 * 3 * 10)  # 5 chunks of R = 50
+    # 512 bytes of lattice and field a replication: 10 replications a batch
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 512 * 10)
     monkeypatch.setenv("SPECFIELD_THREADS", "2")
     assert cli.main(["clt-experiment", "--config", clt_config_file()]) == cli.VALIDATION_EXIT
     out, err = capsys.readouterr()
@@ -630,6 +631,20 @@ def test_monte_carlo_reports_refuse_a_replication_over_the_chunk_budget(clt_conf
     proc = run_cli(cmd, "--config", cfg)
     _assert_one_line_refusal(proc, "one replication of the 2000000-site box")
     assert f"boxes of up to {fit} sites fit" in proc.stderr
+
+
+def test_negligibility_refuses_an_entry_over_the_budget_before_any_draw(clt_config_file):
+    """The second dims entry's one replication exceeds the chunk budget: the
+    report exits 1 with one line, before the first entry is drawn."""
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    del doc["dims"]
+    doc.update(dims_sequence=[[500_000], [1_000_000]], R=20)
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    proc = run_cli("negligibility", "--config", cfg)
+    _assert_one_line_refusal(proc, "one replication of the 1000000-site box")
 
 
 # Fuzzing the documents: each case mutates one node of a valid document

@@ -89,7 +89,7 @@ def test_forked_workers_print_what_one_worker_prints(tmp_path):
     config.write_text(json.dumps({
         "spec": json.loads(spec_to_json(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5))),
         "dims": [65536], "scheme": {"base": [math.pi / 2], "m": 2, "delta": 0.25},
-        "R": 30, "seed": 7}))  # 2 chunks in the 64 MiB budget
+        "R": 30, "seed": 7}))  # one replication a batch
     runs = [subprocess.run([sys.executable, "-W", "error", "-m", "specfield", "clt-experiment",
                             "--config", str(config)], capture_output=True,
                            env=dict(os.environ, SPECFIELD_THREADS=threads), timeout=120)

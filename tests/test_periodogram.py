@@ -220,10 +220,10 @@ def test_pairwise_accumulation_accuracy():
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("chunk_bytes", [_util._CHUNK_BYTES, 1 << 14], ids=["one-chunk", "small"])
-def test_phase_grids_are_built_once_per_box(monkeypatch, threads, chunk_bytes):
+@pytest.mark.parametrize("batch_bytes", [_util._BATCH_BYTES, 1 << 14], ids=["one-chunk", "small"])
+def test_phase_grids_are_built_once_per_box(monkeypatch, threads, batch_bytes):
     """Each driver builds its m grids once per dims entry, before the chunk
-    loop, whatever the chunk size and thread count; the negligibility tail
+    loop, whatever the batch size and thread count; the negligibility tail
     and leftover sums share one set."""
     built = []
 
@@ -235,7 +235,7 @@ def test_phase_grids_are_built_once_per_box(monkeypatch, threads, chunk_bytes):
     for module in (importlib.import_module("specfield.periodogram"), stats, blocking):
         monkeypatch.setattr(module, "phase_grid", spy, raising=False)
     monkeypatch.setenv("SPECFIELD_THREADS", threads)
-    monkeypatch.setattr(_util, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(_util, "_BATCH_BYTES", batch_bytes)
 
     circ = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
     seq = [BoxDims((8, 6)), BoxDims((16, 8))]

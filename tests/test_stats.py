@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import multiprocessing.context
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,7 @@ from scipy import stats as sps
 
 from specfield import _util, stats
 from specfield.domain import BoxDims, Frequency
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
+from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, _workspace_sizes,
                                 first_axis_ma1, spectral_density, white_noise)
 from specfield.frequencies import FrequencyScheme
 from specfield.spectral import sum_covariance
@@ -210,12 +212,26 @@ def test_clt_rejects_few_replications():
         run_clt_experiment(spec, scheme, (16,), 1, 0)
 
 
-def test_clt_report_independent_of_threads_and_chunks(monkeypatch):
-    """One seed gives the same report bytes and raw sums at 1 and 2 worker
-    threads, with one chunk or with the replications split into several."""
+def replication_bytes(spec, dims):
+    """The workspace bytes of one replication: its lattice and field rows."""
+    lattice, values, _ = _workspace_sizes(spec, BoxDims(dims), 1)
+    return lattice + values
+
+
+def batch_budgets(spec):
+    """One replication a batch, four of the 16 x 8 box, and a whole chunk,
+    each at 1 and at 2 workers."""
+    four = 4 * replication_bytes(spec, (16, 8))
+    return [("1", 1), ("2", 1), ("1", four), ("2", four), ("1", 1 << 40), ("2", 1 << 40)]
+
+
+def test_clt_report_independent_of_threads_and_chunks(monkeypatch, drawn_fields):
+    """One seed gives the same report bytes and raw sums at 1 and 2 workers,
+    with one replication a batch, several, or the whole chunk; the report
+    makes one runner call of one chunk a worker."""
     spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
-    chunk_counts = []
+    chunk_counts, draws = [], []
     run_chunked = stats.run_chunked
 
     def counting(chunks, task):
@@ -224,23 +240,26 @@ def test_clt_report_independent_of_threads_and_chunks(monkeypatch):
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     results = []
-    for threads, chunk_bytes in [("1", _util._CHUNK_BYTES), ("2", _util._CHUNK_BYTES),
-                                 ("1", 1 << 15), ("2", 1 << 15)]:
+    for threads, batch_bytes in batch_budgets(spec):
         monkeypatch.setenv("SPECFIELD_THREADS", threads)
-        monkeypatch.setattr(_util, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(_util, "_BATCH_BYTES", batch_bytes)
+        drawn_fields.clear()
         report = run_clt_experiment(spec, scheme, (16, 8), 30, 17)
+        draws.append(len(drawn_fields.records()))
         results.append((report.to_json(), report.raw_sums.tobytes()))
-    assert chunk_counts[:2] == [1, 1] and min(chunk_counts[2:]) >= 3
+    assert chunk_counts == [1, 2] * 3
+    assert draws == [30, 30, 8, 8, 1, 2]
     assert all(r == results[0] for r in results[1:])
 
 
-def test_miller_report_independent_of_threads_and_chunks(monkeypatch):
-    """One seed gives the same miller report bytes at 1 and 2 worker threads,
-    with one chunk or with the replications split into several."""
+def test_miller_report_independent_of_threads_and_chunks(monkeypatch, drawn_fields):
+    """One seed gives the same miller report bytes at 1 and 2 workers, with
+    one replication a batch, several, or the whole chunk; both dims entries
+    go to one runner call."""
     spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
     dims_seq = [(8, 6), (16, 8)]
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, dims_seq)
-    chunk_counts = []
+    chunk_counts, draws = [], []
     run_chunked = stats.run_chunked
 
     def counting(chunks, task):
@@ -249,14 +268,17 @@ def test_miller_report_independent_of_threads_and_chunks(monkeypatch):
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     results = []
-    for threads, chunk_bytes in [("1", _util._CHUNK_BYTES), ("2", _util._CHUNK_BYTES),
-                                 ("1", 1 << 15), ("2", 1 << 15)]:
+    for threads, batch_bytes in batch_budgets(spec):
         monkeypatch.setenv("SPECFIELD_THREADS", threads)
-        monkeypatch.setattr(_util, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(_util, "_BATCH_BYTES", batch_bytes)
+        drawn_fields.clear()
         report = miller_check(spec, scheme, [1.0, 0.5, -0.3, 0.8], dims_seq, 30, 23)
+        draws.append(len(drawn_fields.records()))
         results.append(report.to_json())
     assert len(json.loads(results[0])["rows"]) == 2
-    assert chunk_counts[:4] == [1, 1, 1, 1] and min(chunk_counts[4:]) >= 3
+    assert chunk_counts == [2, 4] * 3
+    # at the middle budget the 48-site box holds 10 replications a batch
+    assert draws == [60, 60, 3 + 8, 4 + 8, 2, 4]
     assert all(r == results[0] for r in results[1:])
 
 
@@ -391,10 +413,11 @@ def test_clt_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_fields, ki
     spec = first_axis_ma1(2, kind, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     monkeypatch.setenv("SPECFIELD_THREADS", threads)
-    # 16 * V * 3 bytes a replication: 5 replications a chunk, 8 chunks
-    monkeypatch.setattr(_util, "_CHUNK_BYTES", 5 * 16 * 128 * 3)
+    # 5 replications a batch, 8 batches
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 5 * replication_bytes(spec, (16, 8)))
     run_clt_experiment(spec, scheme, (16, 8), 40, 17)
-    drawn_fields.assert_one_workspace_per_worker(8, int(threads))
+    assert len(drawn_fields.records()) == 8
+    drawn_fields.assert_one_workspace_per_worker(int(threads))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -440,19 +463,84 @@ def test_replication_over_the_chunk_budget_is_refused_first():
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_replication_chunks_split_the_replications_in_order(monkeypatch, workers):
+    """min(R, workers) contiguous chunks cover range(R) in order, their sizes
+    differing by at most one."""
+    monkeypatch.setenv("SPECFIELD_THREADS", str(workers))
+    for total in (1, 2, 3, 7, 8, 100, 4001):
+        chunks = _util.replication_chunks(total)
+        assert len(chunks) == min(total, workers)
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == total
+        sizes = [hi - lo for lo, hi in chunks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+def test_replication_batch_fills_the_budget(monkeypatch):
+    """A batch holds max(1, budget // bytes per replication) replications,
+    so one over the budget runs alone; only one replication over the chunk
+    budget is refused."""
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 1000)
+    assert [_util.replication_batch(b) for b in (1, 16, 80, 500, 501, 1000, 1001, 10 ** 9)] == \
+        [1000, 62, 12, 2, 1, 1, 1, 1]
+    _util.check_replication(_util._CHUNK_BYTES // 48, 48)
+    with pytest.raises(ValueError, match="over the 67108864-byte chunk budget"):
+        _util.check_replication(_util._CHUNK_BYTES // 48 + 1, 48)
+
+
+def test_miller_refuses_an_entry_outside_its_scheme_before_any_draw(drawn_fields):
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(8, 6)])
+    with pytest.raises(ValueError, match=r"dims \(16, 8\) not part of this scheme"):
+        miller_check(spec, scheme, [1.0, 0.5, -0.3, 0.8], [(8, 6), (16, 8)], 30, 23)
+    assert drawn_fields.records() == []
+
+
+def test_miller_on_an_empty_dims_sequence_has_no_rows():
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(8, 6)])
+    assert miller_check(spec, scheme, [1.0, 0.5, -0.3, 0.8], [], 30, 23).rows == ()
+
+
+def test_repeated_reports_keep_their_peak():
+    """In one fresh interpreter at 1 worker, three clt reports on a 64 x 64
+    box at R = 700 leave the peak RSS within 8 MiB of the first report's:
+    each report reuses a batch-sized workspace, so no report's chunk buffers
+    pile up in the heap."""
+    code = """if True:
+        import math, resource
+        from specfield.domain import BoxDims
+        from specfield.fieldgen import CIRCULAR_GAUSSIAN, first_axis_ma1
+        from specfield.frequencies import FrequencyScheme
+        from specfield.stats import run_clt_experiment
+        spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+        scheme = FrequencyScheme.separated((math.pi / 2, 0.5), 2, 0.2, 0, [BoxDims((64, 64))])
+        for seed in range(3):
+            run_clt_experiment(spec, scheme, (64, 64), 700, seed)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """
+    env = {k: v for k, v in os.environ.items() if k != "SPECFIELD_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    first, _, third = map(int, proc.stdout.split())  # KiB
+    assert third - first < 8 << 10, proc.stdout
+
+
 def test_workers_never_share_a_workspace(monkeypatch, drawn_fields):
-    """Four forked workers draw 20 chunks into their own buffers: the sums
-    equal a one-worker run's bit for bit, every chunk ran in a child, and
-    each child kept one buffer."""
+    """Four forked workers draw 4 chunks of 5 batches into their own buffers:
+    the sums equal a one-worker run's bit for bit, every batch ran in a
+    child, and each child kept one buffer."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
-    monkeypatch.setattr(_util, "_CHUNK_BYTES", 2 * 16 * 128 * 3)
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 2 * replication_bytes(spec, (16, 8)))
     want = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
     drawn_fields.clear()
     monkeypatch.setenv("SPECFIELD_THREADS", "4")
     got = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
     assert got.tobytes() == want.tobytes()
-    drawn_fields.assert_one_workspace_per_worker(20, 4)
+    assert len(drawn_fields.records()) == 20
+    drawn_fields.assert_one_workspace_per_worker(4)
 
 
 def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
@@ -461,7 +549,8 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     monkeypatch.setenv("SPECFIELD_THREADS", "2")
-    monkeypatch.setattr(_util, "_CHUNK_BYTES", 5 * 16 * 128 * 3)  # 8 chunks
+    # 5 replications a batch, 4 batches a worker
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 5 * replication_bytes(spec, (16, 8)))
     run_clt_experiment(spec, scheme, (16, 8), 40, 17)
     assert multiprocessing.active_children() == []
 
@@ -476,12 +565,11 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
 
 
 def test_workers_never_outnumber_the_chunks(monkeypatch):
-    """SPECFIELD_THREADS=8 on 3 chunks forks at most 3 workers, and the
-    sums equal a one-worker run's."""
+    """SPECFIELD_THREADS=8 on 3 replications, so 3 chunks, forks at most 3
+    workers, and the sums equal a one-worker run's."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
-    monkeypatch.setattr(_util, "_CHUNK_BYTES", 14 * 16 * 128 * 3)  # 3 chunks of 40
-    want = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    want = run_clt_experiment(spec, scheme, (16, 8), 3, 17).raw_sums
     started = []
     start = multiprocessing.context.ForkProcess.start
 
@@ -491,7 +579,7 @@ def test_workers_never_outnumber_the_chunks(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
     monkeypatch.setenv("SPECFIELD_THREADS", "8")
-    got = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    got = run_clt_experiment(spec, scheme, (16, 8), 3, 17).raw_sums
     assert got.tobytes() == want.tobytes()
     assert 2 <= len(started) <= 3
     assert multiprocessing.active_children() == []
