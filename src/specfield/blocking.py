@@ -238,26 +238,32 @@ class NegligibilityReport:
     rng_stream: int = field(default=RNG_STREAM, init=False)
 
 
-def _splitter(box, leftover, q):
-    """The replication loop's split of a batch: the tail parts over the box,
-    then the bounded parts on the leftover set."""
+def _part_sums(box, leftover, q):
+    """The replication loop's sums of a batch, shape (2, rows, m): of the tail
+    parts over the box, then of the bounded parts over the leftover set.  Each
+    row is summed alone over its part's own sites, in index order, by
+    ``np.add.reduce``, so no BLAS kernel or batch size reaches its bits."""
     thresholds = index_products([np.arange(1, v + 1) for v in box.v]) ** q
-    leftover_cells = np.zeros(box.v, dtype=bool)
-    for slab in leftover:
-        leftover_cells[slab.first_slice] = True
+    # the leftover cells' flat indices in order; a slab is one run of them
+    rest = math.prod(box.v[1:])
+    left = np.concatenate([np.arange((sl.first_lo - 1) * rest, sl.first_hi * rest)
+                           for sl in leftover])
 
-    def split(vals, tail):
-        # |x| and then the tail parts go into the loop's scratch buffer
-        keep = np.abs(vals, out=tail.real) <= thresholds
-        np.copyto(tail, vals)
-        np.putmask(tail, keep, 0.0)  # a quarter faster than tail[keep] = 0.0
-        yield tail
-        # bounded parts on the leftover set, zeroed in place to save a copy
-        np.logical_and(keep, leftover_cells, out=keep)
-        np.putmask(vals, np.logical_not(keep, out=keep), 0.0)
-        yield vals
+    def sums(vals, scratch, phases):
+        # |x| goes into the loop's scratch buffer
+        tail = (np.abs(vals, out=scratch.real) > thresholds).reshape(len(vals), -1)
+        kept = ~tail[:, left]
+        out = np.empty((2, len(vals), len(phases)), dtype=np.complex128)
+        for r, row in enumerate(vals.reshape(len(vals), -1)):
+            for part, sites in enumerate((np.flatnonzero(tail[r]), left[kept[r]])):
+                x = row[sites]
+                for j, p in enumerate(ph[sites] for ph in phases):
+                    out[part, r, j] = (np.add.reduce(x * p) if np.iscomplexobj(x) else
+                                       complex(np.add.reduce(x * p.real),
+                                               np.add.reduce(x * p.imag)))
+        return out
 
-    return split
+    return sums
 
 
 def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
@@ -279,7 +285,7 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
         pl = plan(box.v[0], dependence_profile(spec), q)
         _, leftover = block_index_sets(pl, box)
         seeds = replication_seeds(seed, replications, offset=index * replications)
-        entries.append(_entry(spec, box, freqs, seeds, _splitter(box, leftover, q),
+        entries.append(_entry(spec, box, freqs, seeds, _part_sums(box, leftover, q),
                               3 + len(freqs)))
         plans.append((pl, sum(sl.cardinality for sl in leftover)))
     rows = []

@@ -103,14 +103,15 @@ _MAX_VARIANCE = 1e100
 
 
 # one dims entry of a report, with the replications a batch of it holds
-_Entry = namedtuple("_Entry", "box freqs seeds split rows")
+_Entry = namedtuple("_Entry", "box freqs seeds sums rows")
 
 
-def _entry(spec, box, freqs, seeds, split=None, workspace=3) -> _Entry:
-    """An entry of ``_replicated_sums``, refused before any draw when it has
-    fewer than 2 replications, too large a field variance, or one replication
-    over the chunk budget at 16 * V * ``workspace`` bytes.  A batch holds the
-    replications whose lattice and field rows fit the batch budget."""
+def _entry(spec, box, freqs, seeds, sums=None, workspace=3) -> _Entry:
+    """An entry of ``_replicated_sums``, with its ``sums`` hook, refused before
+    any draw when it has fewer than 2 replications, too large a field variance,
+    or one replication over the chunk budget at 16 * V * ``workspace`` bytes.
+    A batch holds the replications whose lattice and field rows fit the batch
+    budget."""
     if len(seeds) < 2:
         raise ValueError("need at least 2 replications")
     if spec.variance > _MAX_VARIANCE:
@@ -119,7 +120,7 @@ def _entry(spec, box, freqs, seeds, split=None, workspace=3) -> _Entry:
                          f"the Monte Carlo reports accept")
     check_replication(box.volume, 16 * workspace)
     lattice, values, _ = _workspace_sizes(spec, box, 1)
-    return _Entry(box, freqs, seeds, split, replication_batch(lattice + values))
+    return _Entry(box, freqs, seeds, sums, replication_batch(lattice + values))
 
 
 def _replicated_sums(spec, entries) -> list:
@@ -127,13 +128,13 @@ def _replicated_sums(spec, entries) -> list:
 
     Draws the field once per seed of each ``_entry`` and returns, for each
     entry and each part of its field, the (R, m) modulated sums at its
-    frequencies.  ``split(values, scratch)`` yields the parts of a batch's
-    values in order (by default the one part is the field itself); each part
-    is summed before the next is built.  All entries' ``replication_chunks``
-    go to one ``run_chunked`` call, so a report forks at most once.  A worker
-    draws, filters, splits and sums its chunks a batch at a time, each batch
-    in one workspace sized for the largest and kept for this call only;
-    ``scratch`` is the batch's lattice, free once filtered.
+    frequencies.  ``sums(values, scratch, phases)`` returns the (rows, m) sums
+    of each part of a batch's values (by default the one part is the field
+    itself, summed by ``batched_modulated_sums``).  All entries'
+    ``replication_chunks`` go to one ``run_chunked`` call, so a report forks
+    at most once.  A worker draws, filters and sums its chunks a batch at a
+    time, each batch in one workspace sized for the largest and kept for this
+    call only; ``scratch`` is the batch's lattice, free once filtered.
     """
     phases = [[phase_grid([np.arange(1, v + 1, dtype=np.int64) for v in e.box.v], lam)
                for lam in e.freqs] for e in entries]
@@ -154,8 +155,8 @@ def _replicated_sums(spec, entries) -> list:
             out = _batch_workspace(spec, e.box, b1 - b0, buffer)
             vals = generate_batch(spec, e.box, None, e.seeds[b0:b1], out=out)
             scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
-            batches.append([batched_modulated_sums(part, phases[k])
-                            for part in (e.split(vals, scratch) if e.split else (vals,))])
+            batches.append(e.sums(vals, scratch, phases[k]) if e.sums
+                           else [batched_modulated_sums(vals, phases[k])])
         return batches
 
     sums = iter(run_chunked(chunks, chunk_sums))

@@ -1,11 +1,16 @@
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import itertools
 import json
 import math
 import multiprocessing
 import multiprocessing.context
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
                                 _workspace_sizes, first_axis_ma1, generate, generate_batch,
                                 replication_seeds, white_noise)
 from specfield.frequencies import FrequencyScheme
+from specfield.periodogram import phase_grid
 
 
 def gaussian_tail_quad(sigma2, t):
@@ -440,16 +446,101 @@ def test_negligibility_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_
     drawn_fields.assert_one_workspace_per_worker(int(threads))
 
 
-def test_negligibility_report_bytes_are_pinned():
-    """sha256 of the report's JSON, recorded on innovation stream 4 with real
-    rows summed in real arithmetic."""
+NEGLIGIBILITY_DIGEST = "8bb3099af4b4097e8c61da0728eb122c9bf47d39075754273a1a89863043454d"
+
+
+def negligibility_digest():
+    """sha256 of the JSON of a pinned 2-entry negligibility report."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     dims = [BoxDims((64,)), BoxDims((512,))]
     scheme = FrequencyScheme.separated((math.pi / 2,), 2, 0.2, 0, dims)
     report = negligibility_report(spec, scheme, dims, 0.2, [1.0, 0.0, 1.0, 0.0], 50, 5)
-    blob = json.dumps(dataclasses.asdict(report), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == (
-        "9ad4049b9aa314c968a002738a115f1b0b8f88471fdc14029168b16cd244dd1c")
+    return hashlib.sha256(json.dumps(dataclasses.asdict(report), sort_keys=True).encode()
+                          ).hexdigest()
+
+
+def openblas_core():
+    """The kernel core of numpy's bundled OpenBLAS, or None where numpy bundles none."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    corename = libs and getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
+    if not corename:
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def test_negligibility_report_bytes_are_pinned():
+    """sha256 of the report's JSON, recorded on innovation stream 4 with each
+    row's tail and leftover parts summed over their own sites, in index order,
+    in real arithmetic."""
+    assert negligibility_digest() == NEGLIGIBILITY_DIGEST
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_negligibility_report_bytes_do_not_depend_on_the_blas_core(core):
+    """The pinned report, recomputed in a child process whose OpenBLAS is
+    forced onto another kernel core, has the one pinned digest; skipped by
+    name where the host's OpenBLAS does not take the setting."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = "import test_blocking as t; print(t.openblas_core(), t.negligibility_digest())"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    ran, digest = proc.stdout.split()
+    if ran in ("None", openblas_core()):
+        pytest.skip(f"OPENBLAS_CORETYPE={core} is not taken here: the core stays {ran}")
+    assert digest == NEGLIGIBILITY_DIGEST
+
+
+@pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
+@pytest.mark.parametrize("dims", [(27,), (4097,), (27, 5)])
+def test_negligibility_sums_of_a_batch_equal_its_rows_summed_alone(kind, dims):
+    """Each row's tail and leftover sums from a batch equal those of the row
+    summed alone, bit for bit.  Real rows of odd length start at every 8-byte
+    alignment in the batch, and the 4,097-site box has 241 leftover sites."""
+    spec = first_axis_ma1(len(dims), kind, 1.0, 0.5)
+    box = BoxDims(dims)
+    _, leftover = block_index_sets(plan(dims[0], dependence_profile(spec), 0.2), box)
+    sums = blocking._part_sums(box, leftover, 0.2)
+    coords = [np.arange(1, v + 1) for v in dims]
+    phases = [phase_grid(coords, (lam,) * len(dims)) for lam in (0.5, 2.5)]
+    vals = generate_batch(spec, box, None, replication_seeds(3, 5))
+    batch = sums(vals, np.empty_like(vals), phases)
+    assert np.all(batch != 0)
+    for r in range(len(vals)):
+        row = vals[r:r + 1].copy()
+        assert sums(row, np.empty_like(row), phases).tobytes() == batch[:, r:r + 1].tobytes()
+
+
+def test_negligibility_dense_tail_matches_truncation_oracle():
+    """Real white noise of std 1e3 puts nearly every site past its threshold
+    <k>^q <= 5.3; the rows equal a per-replication recomputation through
+    ``generate`` and ``truncate``, as in the sparse 2-d oracle test."""
+    spec = white_noise(1, REAL_GAUSSIAN, 1e3)
+    box = BoxDims((4097,))
+    scheme = make_scheme(2, 0.25, [box.v])
+    weights = np.array([0.7, -1.3, 0.4, 0.9])
+    q, reps, seed = 0.2, 6, 41
+    row = negligibility_report(spec, scheme, [box], q, weights, reps, seed).rows[0]
+
+    _, leftover = block_index_sets(plan(box.v[0], dependence_profile(spec), q), box)
+    mask = np.zeros(box.v, dtype=bool)
+    for z in leftover:
+        mask[z.first_slice] = True
+    g_sq, z_sq = [], []
+    for s in replication_seeds(seed, reps, offset=reps):
+        sample = generate(spec, box, seed=s)
+        assert np.mean(np.abs(sample.values) > 5.3) > 0.99
+        parts = [truncate(sample, lam, q) for lam in scheme.freqs_for(box)]
+        g = sum(a * w.real + b * w.imag for a, b, w in
+                zip(weights[0::2], weights[1::2], [tf.bounded[mask].sum() for tf in parts]))
+        g_sq.append(g * g / box.volume)
+        z_sq.append(np.mean([abs(tf.tail.sum()) ** 2 / box.volume for tf in parts]))
+    se = math.sqrt(reps)
+    want = (np.mean(g_sq), np.std(g_sq, ddof=1) / se,
+            np.mean(z_sq), np.std(z_sq, ddof=1) / se)
+    got = (row.leftover_mean, row.leftover_se, row.tail_mean, row.tail_se)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kind, lam, mu, needle", [
