@@ -33,7 +33,7 @@ from .domain import as_dims
 from .fieldgen import FieldSample, LinearFieldSpec, autocovariance, replication_seeds
 from .frequencies import _validated_freqs
 from .mixing import MixingProfile, dependence_profile
-from .periodogram import _separable_grid, phase_grid
+from .periodogram import _row_sums, _separable_grid, phase_grid
 from .rng import RNG_STREAM
 from .stats import _entry, _replicated_sums, g_functional
 
@@ -64,12 +64,12 @@ def _integer_cuberoot(n: int) -> int:
 def plan(v1: int, profile: MixingProfile, q: float) -> BlockingPlan:
     """Compute the blocking integers for first-axis length v1.
 
-    Requires v1 >= 8 (so s >= 2) and 0 < q < 1/4.  rho'(s) = 0 yields p = s
-    (the floor(1/sqrt(0)) = infinity convention, capped by s).
+    Requires 8 <= v1 < 2^63 (so s >= 2) and 0 < q < 1/4.  rho'(s) = 0 yields
+    p = s (the floor(1/sqrt(0)) = infinity convention, capped by s).
     """
     v1 = int(v1)
-    if v1 < 8:
-        raise ValueError(f"v1 must be >= 8, got {v1}")
+    if not 8 <= v1 < 2 ** 63:
+        raise ValueError(f"v1 must be in [8, 2^63), got {v1}")
     q = float(q)
     if not (0.0 < q < 0.25):
         raise ValueError(f"q must satisfy 0 < q < 1/4, got {q}")
@@ -241,8 +241,8 @@ class NegligibilityReport:
 def _part_sums(box, leftover, q):
     """The replication loop's sums of a batch, shape (2, rows, m): of the tail
     parts over the box, then of the bounded parts over the leftover set.  Each
-    row is summed alone over its part's own sites, in index order, by
-    ``np.add.reduce``, so no BLAS kernel or batch size reaches its bits."""
+    row's part is its own sites, gathered in index order and summed by
+    ``periodogram._row_sums``, the kernel of every other S."""
     thresholds = index_products([np.arange(1, v + 1) for v in box.v]) ** q
     # the leftover cells' flat indices in order; a slab is one run of them
     rest = math.prod(box.v[1:])
@@ -256,11 +256,7 @@ def _part_sums(box, leftover, q):
         out = np.empty((2, len(vals), len(phases)), dtype=np.complex128)
         for r, row in enumerate(vals.reshape(len(vals), -1)):
             for part, sites in enumerate((np.flatnonzero(tail[r]), left[kept[r]])):
-                x = row[sites]
-                for j, p in enumerate(ph[sites] for ph in phases):
-                    out[part, r, j] = (np.add.reduce(x * p) if np.iscomplexobj(x) else
-                                       complex(np.add.reduce(x * p.real),
-                                               np.add.reduce(x * p.imag)))
+                out[part, r] = _row_sums(row[sites], [ph[sites] for ph in phases])
         return out
 
     return sums

@@ -7,10 +7,11 @@ For a sample on a (possibly shifted) box and a torus frequency lam,
 
 Sums are taken by direct summation — never an FFT — because the
 frequencies of interest are off the Fourier grid.  Drivers build each grid
-exp(-i k.lam) once per box with ``phase_grid``; ``batched_modulated_sums``
-forms each S from one (row, grid) pair alone, so a sample and a batch row
-agree bit for bit.  A BLAS matrix product over the whole batch would not:
-its last bits change with the batch size or the number of frequencies.
+exp(-i k.lam) once per box with ``phase_grid``.  Every S of the library,
+of a single sample, a batch row or a part of one, is summed by
+``_row_sums``: one row against each grid, in index order, by numpy
+multiplies and ``np.add.reduce``, so no batch size, BLAS kernel or thread
+count reaches its bits.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 
 from .domain import as_frequency
 from .fieldgen import FieldSample
-
-_DOT_CHUNK = 8192
 
 
 def _separable_grid(axis_vectors) -> np.ndarray:
@@ -58,36 +57,31 @@ def periodogram_vector(sample: FieldSample, freqs) -> list[tuple[complex, float]
     """(S, I) pairs for several frequencies of one sample.
 
     ``modulated_sum`` and ``periodogram`` are this function at one frequency;
-    all three call ``batched_modulated_sums`` on the sample as a batch of one.
+    all three sum the sample with ``_row_sums``, as a batch row is summed.
     """
     phases = [phase_grid(sample.axis_coords(), lam) for lam in freqs]
-    sums = batched_modulated_sums(sample.values[None], phases)
     vol = sample.dims.volume
-    return [(s, (s.real * s.real + s.imag * s.imag) / vol) for s in map(complex, sums[0])]
+    return [(s, (s.real * s.real + s.imag * s.imag) / vol)
+            for s in map(complex, _row_sums(sample.values.ravel(), phases))]
+
+
+def _row_sums(x, phases) -> list:
+    """S of one flat row ``x`` against each equally long grid of ``phases``, in
+    index order: each product with the grid (with its real and imaginary parts
+    for a real row) is summed by ``np.add.reduce``, so equal values in equal
+    order give equal bits, be they a whole row or a part's gathered sites."""
+    if np.iscomplexobj(x):
+        return [np.add.reduce(x * ph) for ph in phases]
+    return [complex(np.add.reduce(x * ph.real), np.add.reduce(x * ph.imag)) for ph in phases]
 
 
 def batched_modulated_sums(values: np.ndarray, phases) -> np.ndarray:
     """S for a batch of realizations, shape (R, len(phases)).
 
     ``values`` has shape (R, v_1, ..., v_d) and ``phases`` are flat grids
-    from ``phase_grid`` over the same box.  Entry (r, j) is one sum of row r
-    with grid j, bit-identical to the row summed alone and at any number of
-    BLAS threads.  A complex row is dotted in chunks of ``_DOT_CHUNK``
-    entries added in order, since OpenBLAS splits a dot of more than 10^4
-    entries across its threads.  A real row is multiplied, with no cast and
-    no copy, by the grid viewed as a (volume, 2) real matrix of (re, im) pairs.
+    from ``phase_grid`` over the same box.  Row r is ``_row_sums`` of that
+    row alone, so it is bit-identical to the row summed as a sample.
     """
     flat = values.reshape(values.shape[0], -1)
-    out = np.empty((flat.shape[0], len(phases)), dtype=np.complex128)
-    real = not np.iscomplexobj(flat)
-    for j, ph in enumerate(phases):
-        if real:
-            pairs = ph.view(np.float64).reshape(-1, 2)
-            for r, row in enumerate(flat):
-                out[r, j] = complex(*(row @ pairs))
-        else:
-            for r, row in enumerate(flat):
-                out[r, j] = np.dot(row[:_DOT_CHUNK], ph[:_DOT_CHUNK])
-                for lo in range(_DOT_CHUNK, len(row), _DOT_CHUNK):
-                    out[r, j] += np.dot(row[lo:lo + _DOT_CHUNK], ph[lo:lo + _DOT_CHUNK])
-    return out
+    return np.array([_row_sums(row, phases) for row in flat],
+                    dtype=np.complex128).reshape(len(flat), len(phases))

@@ -92,9 +92,19 @@ def cross_frequency_independence(periodograms) -> float:
         raise ValueError("need a (replications >= 2) x (frequencies >= 2) array")
     if np.any(p.std(axis=0) == 0.0):
         raise ValueError("a periodogram column is constant; correlation undefined")
-    corr = np.corrcoef(p, rowvar=False)
+    cov = _sample_covariance(p)
+    sd = np.sqrt(np.diag(cov))
+    corr = np.clip(cov / sd[:, None] / sd, -1.0, 1.0)
     off = corr[~np.eye(corr.shape[0], dtype=bool)]
     return float(np.max(np.abs(off)))
+
+
+def _sample_covariance(x) -> np.ndarray:
+    """Sample covariance of the columns of an (R, n) array: each entry is one
+    ``np.add.reduce`` of a product of two centred columns, so no BLAS kernel
+    reaches it, and nothing larger than a column is allocated."""
+    c = (x - x.mean(axis=0)).T
+    return np.array([[np.add.reduce(a * b) for b in c] for a in c]) / (len(x) - 1)
 
 
 # the largest field variance the Monte Carlo reports accept: their second
@@ -222,8 +232,7 @@ def run_clt_experiment(spec: LinearFieldSpec, scheme: FrequencyScheme, dims,
     periodograms = (sums.real ** 2 + sums.imag ** 2) / box.volume
 
     target = f_base / 2.0
-    centered = coords - coords.mean(axis=0)
-    cov = centered.T @ centered / (replications - 1)
+    cov = _sample_covariance(coords)
     max_err = float(np.max(np.abs(cov - target * np.eye(2 * m))))
     coord_ks = tuple(ks_statistic(coords[:, i], ("normal", 0.0, target))
                      for i in range(2 * m))

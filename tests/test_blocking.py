@@ -1,16 +1,11 @@
-import ctypes
 import dataclasses
-import glob
 import hashlib
 import itertools
 import json
 import math
 import multiprocessing
 import multiprocessing.context
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -26,7 +21,7 @@ from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
                                 _workspace_sizes, first_axis_ma1, generate, generate_batch,
                                 replication_seeds, white_noise)
 from specfield.frequencies import FrequencyScheme
-from specfield.periodogram import phase_grid
+from specfield.periodogram import batched_modulated_sums, phase_grid
 
 
 def gaussian_tail_quad(sigma2, t):
@@ -67,6 +62,8 @@ def test_plan_validation():
     profile = MixingProfile(values={}, dependence_range=0)
     with pytest.raises(ValueError):
         plan(7, profile, 0.2)
+    with pytest.raises(ValueError, match=r"v1 must be in \[8, 2\^63\), got 10{400}$"):
+        plan(10 ** 400, profile, 0.2)
     with pytest.raises(ValueError):
         plan(100, profile, 0.3)
     with pytest.raises(ValueError):
@@ -459,37 +456,11 @@ def negligibility_digest():
                           ).hexdigest()
 
 
-def openblas_core():
-    """The kernel core of numpy's bundled OpenBLAS, or None where numpy bundles none."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas*"))
-    corename = libs and getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
-    if not corename:
-        return None
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
-
-
 def test_negligibility_report_bytes_are_pinned():
     """sha256 of the report's JSON, recorded on innovation stream 4 with each
     row's tail and leftover parts summed over their own sites, in index order,
     in real arithmetic."""
     assert negligibility_digest() == NEGLIGIBILITY_DIGEST
-
-
-@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
-def test_negligibility_report_bytes_do_not_depend_on_the_blas_core(core):
-    """The pinned report, recomputed in a child process whose OpenBLAS is
-    forced onto another kernel core, has the one pinned digest; skipped by
-    name where the host's OpenBLAS does not take the setting."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(sys.path))
-    probe = "import test_blocking as t; print(t.openblas_core(), t.negligibility_digest())"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True)
-    ran, digest = proc.stdout.split()
-    if ran in ("None", openblas_core()):
-        pytest.skip(f"OPENBLAS_CORETYPE={core} is not taken here: the core stays {ran}")
-    assert digest == NEGLIGIBILITY_DIGEST
 
 
 @pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
@@ -510,6 +481,22 @@ def test_negligibility_sums_of_a_batch_equal_its_rows_summed_alone(kind, dims):
     for r in range(len(vals)):
         row = vals[r:r + 1].copy()
         assert sums(row, np.empty_like(row), phases).tobytes() == batch[:, r:r + 1].tobytes()
+
+
+@pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
+def test_a_full_tail_is_summed_as_the_whole_row(kind):
+    """White noise of std 1e12 puts every site past its threshold, so the tail
+    is the whole row; its tail sums equal ``batched_modulated_sums`` of the
+    row, bit for bit, because one kernel sums both."""
+    spec = white_noise(1, kind, 1e12)
+    box = BoxDims((4097,))
+    _, leftover = block_index_sets(plan(4097, dependence_profile(spec), 0.2), box)
+    coords = [np.arange(1, 4098)]
+    phases = [phase_grid(coords, (lam,)) for lam in (0.5, 2.5)]
+    vals = generate_batch(spec, box, None, replication_seeds(7, 1))
+    assert np.all(np.abs(vals) > index_products(coords) ** 0.2)
+    tail, _ = blocking._part_sums(box, leftover, 0.2)(vals, np.empty_like(vals), phases)
+    assert tail.tobytes() == batched_modulated_sums(vals, phases).tobytes()
 
 
 def test_negligibility_dense_tail_matches_truncation_oracle():

@@ -751,7 +751,8 @@ _FUZZ_COMMANDS = [
 ]
 _FUZZ_FLAGS = ["--alpha", "--dims", "--dims-sequence", "--freq", "--n", "--n-max", "--q",
                "--quadrature", "--set-size", "--shift", "--v1", "--window"]
-_HUGE = [str(2 ** 63), str(10 ** 20), str(-2 ** 63 - 1), "-" + str(10 ** 20)]
+_HUGE = [str(2 ** 63), str(10 ** 20), str(-2 ** 63 - 1), "-" + str(10 ** 20),
+         str(10 ** 400)]
 _ENTRIES = ["nan", "inf", "-inf", "x", "", "0", "-1", "-7", "1.5", "1e400", "3", "8"]
 
 

@@ -156,9 +156,10 @@ for batch in (vals, vals + 1j * rng.standard_normal((3, v))):
 
 
 def test_real_sums_do_not_depend_on_blas_threads():
-    """Real and complex batches of 65,537 sites, far above the 10^4 entries
-    at which OpenBLAS splits a dot across threads, give the same bytes at one
-    and at two BLAS threads."""
+    """Real and complex batches of 65,537 sites give the same bytes at one and
+    at two BLAS threads.  The sums use no BLAS; this guards against a BLAS
+    dot, which OpenBLAS splits across its threads past 10^4 entries, coming
+    back into them."""
     digests = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,

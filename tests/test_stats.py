@@ -1,3 +1,6 @@
+import ctypes
+import functools
+import glob
 import hashlib
 import json
 import math
@@ -11,6 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats as sps
+
+import test_blocking
 
 from specfield import _util, stats
 from specfield.domain import BoxDims, Frequency
@@ -122,6 +127,21 @@ def test_cross_frequency_independent_streams():
     rng = np.random.default_rng(97)
     p = rng.exponential(scale=1.0, size=(10_000, 3))
     assert cross_frequency_independence(p) < 0.05
+
+
+def test_sample_covariance_matches_numpy():
+    """The fixed-order covariance is exactly symmetric and agrees with
+    ``np.cov`` to rounding; the largest cross correlation agrees with
+    ``np.corrcoef``'s."""
+    rng = np.random.default_rng(4)
+    x = rng.exponential(scale=1.0, size=(500, 4))
+    x[:, 1] += 0.5 * x[:, 0]
+    cov = stats._sample_covariance(x)
+    assert np.array_equal(cov, cov.T)
+    assert np.allclose(cov, np.cov(x, rowvar=False), rtol=1e-12, atol=0)
+    corr = np.corrcoef(x, rowvar=False)
+    want = np.max(np.abs(corr[~np.eye(4, dtype=bool)]))
+    assert cross_frequency_independence(x) == pytest.approx(want, rel=1e-12)
 
 
 def test_cross_frequency_validation():
@@ -328,28 +348,84 @@ def test_miller_weight_length_mismatch():
 
 
 # sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
-# recorded on innovation stream 4, real rows summed in real arithmetic; the
-# circular report differs from stream 3's only in its rng_stream field
-@pytest.mark.parametrize("kind, digest", [
-    (REAL_GAUSSIAN, "93f34339efa1ccc9865f7d29bc22d61e79896406875fa3c0b8e7184218b958eb"),
-    (CIRCULAR_GAUSSIAN, "6a177d343d434099f51d9efd7e1b237a7285130ff3044f57336f29a8c9195fff"),
-], ids=["real", "circular"])
-def test_clt_report_bytes_are_pinned(kind, digest):
-    spec = first_axis_ma1(2, kind, 1.0, 0.5)
+# recorded on innovation stream 4 with every S summed by
+# ``periodogram._row_sums`` and the covariances reduced by ``np.add.reduce``
+CLT_DIGESTS = {"real": "9f40e3c0085451bd0b82e82a9613a0e046df92cffd88d4c52aa5e110977a6878",
+               "circular": "ca66f74442ff5a9ddd4d89d83e4122f3fad689e5c0654950eac4977a5a21aeb7"}
+MILLER_DIGEST = "20e98a041a5ef978499718d32f4e3cd2050118547258eeefd404699340bd5408"
+
+
+def clt_digest(kind):
+    """sha256 of a pinned clt report on a real or a circular field."""
+    spec = first_axis_ma1(2, {"real": REAL_GAUSSIAN, "circular": CIRCULAR_GAUSSIAN}[kind],
+                          1.0, 0.5)
     scheme = scheme_for((math.pi / 2, 0.5), 2, 0.2, [(16, 16)])
     report = run_clt_experiment(spec, scheme, (16, 16), 200, 7)
     assert report.raw_sums.dtype == np.complex128
-    blob = report.to_json().encode() + report.raw_sums.tobytes()
-    assert hashlib.sha256(blob).hexdigest() == digest
+    return hashlib.sha256(report.to_json().encode() + report.raw_sums.tobytes()).hexdigest()
 
 
-def test_miller_report_bytes_are_pinned():
+def miller_digest():
+    """sha256 of a pinned 2-entry miller report."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     dims = [(8, 8), (16, 16)]
     scheme = scheme_for((math.pi / 2, 0.5), 2, 0.2, dims)
     report = miller_check(spec, scheme, [1.0, 0.0, 0.5, -1.0], dims, 100, 3)
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "9a48f668f02e69d1c2ed1667529ffe2c815ff02c33a87b3458cc0dc4e78922f3")
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["real", "circular"])
+def test_clt_report_bytes_are_pinned(kind):
+    assert clt_digest(kind) == CLT_DIGESTS[kind]
+
+
+def test_miller_report_bytes_are_pinned():
+    assert miller_digest() == MILLER_DIGEST
+
+
+PINNED_DIGESTS = {"clt-real": CLT_DIGESTS["real"], "clt-circular": CLT_DIGESTS["circular"],
+                  "miller": MILLER_DIGEST, "negligibility": test_blocking.NEGLIGIBILITY_DIGEST}
+
+
+def pinned_digests():
+    """Each report of ``PINNED_DIGESTS`` recomputed, by name."""
+    return {"clt-real": clt_digest("real"), "clt-circular": clt_digest("circular"),
+            "miller": miller_digest(), "negligibility": test_blocking.negligibility_digest()}
+
+
+def openblas_core():
+    """The kernel core of numpy's bundled OpenBLAS, or None where numpy bundles none."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    corename = libs and getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
+    if not corename:
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+@functools.cache
+def _digests_on_core(core):
+    """(core, ``pinned_digests()``) from a child process whose OpenBLAS is told
+    to take ``core``; the core is the one it really took."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = ("import json, test_stats as t; "
+             "print(json.dumps([t.openblas_core(), t.pinned_digests()]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+@pytest.mark.parametrize("report", list(PINNED_DIGESTS))
+def test_report_bytes_do_not_depend_on_the_blas_core(report, core):
+    """Each pinned report, recomputed in a child process whose OpenBLAS is
+    forced onto another kernel core, has its one pinned digest; skipped by
+    name where the host's OpenBLAS does not take the setting."""
+    ran, digests = _digests_on_core(core)
+    if ran in (None, openblas_core()):
+        pytest.skip(f"OPENBLAS_CORETYPE={core} is not taken here: the core stays {ran}")
+    assert digests[report] == PINNED_DIGESTS[report]
 
 
 def test_clt_refuses_frequencies_close_across_pi():
