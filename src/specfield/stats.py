@@ -101,8 +101,7 @@ def cross_frequency_independence(periodograms) -> float:
 
 def _sample_covariance(x) -> np.ndarray:
     """Sample covariance of the columns of an (R, n) array: each entry is one
-    ``np.add.reduce`` of a product of two centred columns, so no BLAS kernel
-    reaches it, and nothing larger than a column is allocated."""
+    ``np.add.reduce`` of a product of two centred columns, with no BLAS call."""
     c = (x - x.mean(axis=0)).T
     return np.array([[np.add.reduce(a * b) for b in c] for a in c]) / (len(x) - 1)
 
