@@ -3,7 +3,9 @@
 A chunk is the unit of scheduling: each report hands all its chunks to one
 ``run_chunked`` call, so it forks at most once.  A batch is the unit of
 memory: a worker draws, filters and sums a chunk about ``_BATCH_BYTES`` at a
-time, in one workspace it keeps for the whole call.
+time, in one workspace it keeps for the whole call.  The package's
+``InternalConsistencyError`` lives here too, so the command line can catch it
+before any numpy-backed module loads.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ _CHUNK_BYTES = 1 << 26
 _BATCH_BYTES = 1 << 22
 # the tasks of the run_chunked calls in flight, by token; forked workers inherit them
 _TASKS, _TOKENS = {}, itertools.count()
+
+
+class InternalConsistencyError(Exception):
+    """A quantity that must be real/nonnegative by theory failed to be, beyond roundoff."""
 
 
 def worker_count() -> int:

@@ -35,7 +35,7 @@ from .frequencies import _validated_freqs
 from .mixing import MixingProfile, dependence_profile
 from .periodogram import _row_sums, _separable_grid, phase_grid
 from .rng import RNG_STREAM
-from .stats import _entry, _replicated_sums, g_functional
+from .stats import _entry, _normal_cdf, _replicated_sums, g_functional
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,6 @@ def truncated_second_moments(spec: LinearFieldSpec, thresholds):
     and for the circular field, with b = (t/sigma)^2,
         E[|X|^2; |X| > t] = sigma^2 (1 + b) exp(-b).
     """
-    from scipy import special
-
     t = np.asarray(thresholds, dtype=float)
     sigma2 = autocovariance(spec, (0,) * spec.dim).real
     if sigma2 <= 0.0:
@@ -206,7 +204,7 @@ def truncated_second_moments(spec: LinearFieldSpec, thresholds):
     if spec.is_real:
         a = t / math.sqrt(sigma2)
         pdf = np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
-        upper = 0.5 * special.erfc(a / math.sqrt(2.0))
+        upper = _normal_cdf(-a)    # Q(a) = Phi(-a)
         tail = 2.0 * sigma2 * (a * pdf + upper)
     else:
         b = (t * t) / sigma2

@@ -5,7 +5,8 @@ or other internal error, 64 usage error (unknown subcommand, bad flags);
 every failure is one stderr line, never a traceback.  JSON goes to
 reports, CSV to per-replication raw data; everything is deterministic in
 the config's master seed.  SPECFIELD_THREADS sets the number of forked
-replication worker processes.
+replication worker processes.  Each command imports the modules it runs
+inside its handler, so a process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -18,17 +19,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .blocking import block_index_sets, negligibility_report, plan
-from .domain import BoxDims, Frequency, _json_int, _json_list, _json_object, _json_real
-from .fieldgen import LinearFieldSpec, _spec_from_doc, generate
-from .frequencies import FrequencyScheme
-from .kernels import dirichlet_mod, fejer
-from .mixing import MixingProfile, rho_prime_profile
-from .periodogram import modulated_sum, periodogram
-from .spectral import (InternalConsistencyError, covariance_of_sums,
-                       expected_periodogram_exact, expected_periodogram_quadrature,
-                       product_of_sums, uniform_convergence_report)
-from .stats import miller_check, run_clt_experiment
+from ._util import InternalConsistencyError
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 1
@@ -104,6 +95,10 @@ class ExperimentConfig:
 
 
 def _config_from_doc(doc) -> ExperimentConfig:
+    from .domain import BoxDims, Frequency, _json_int, _json_list, _json_object, _json_real
+    from .fieldgen import _spec_from_doc
+    from .frequencies import FrequencyScheme
+
     try:
         doc = _json_object(doc, "", ("spec", "dims", "dims_sequence", "scheme", "R", "seed",
                                      "q", "weights"))
@@ -138,6 +133,8 @@ def _config_from_doc(doc) -> ExperimentConfig:
 
 
 def _cmd_kernels(args) -> dict:
+    from .kernels import dirichlet_mod, fejer
+
     if not math.isfinite(args.alpha):
         raise ValueError(f"--alpha must be a finite real, got {args.alpha}")
     d = dirichlet_mod(args.alpha, args.n)
@@ -150,6 +147,10 @@ def _cmd_kernels(args) -> dict:
 
 
 def _cmd_periodogram(args) -> dict:
+    from .domain import BoxDims, Frequency
+    from .fieldgen import _spec_from_doc, generate
+    from .periodogram import modulated_sum, periodogram
+
     spec = _spec_from_doc(_load_json_file(args.spec))
     dims = BoxDims(_parse_list(args.dims))
     freq = Frequency(_parse_list(args.freq, float))
@@ -166,6 +167,11 @@ def _cmd_periodogram(args) -> dict:
 
 
 def _cmd_expectation(args) -> dict | None:
+    from .domain import BoxDims, Frequency
+    from .fieldgen import _spec_from_doc
+    from .spectral import (expected_periodogram_exact, expected_periodogram_quadrature,
+                           uniform_convergence_report)
+
     spec = _spec_from_doc(_load_json_file(args.spec))
     if args.report_csv:
         if not args.dims_sequence:
@@ -193,6 +199,10 @@ def _cmd_expectation(args) -> dict | None:
 
 
 def _cmd_covariance(args) -> dict:
+    from .domain import BoxDims, Frequency
+    from .fieldgen import _spec_from_doc
+    from .spectral import covariance_of_sums, product_of_sums
+
     spec = _spec_from_doc(_load_json_file(args.spec))
     dims = BoxDims(_parse_list(args.dims))
     lam = Frequency(_parse_list(args.freq, float))
@@ -209,6 +219,8 @@ def _cmd_covariance(args) -> dict:
 
 
 def _cmd_clt(args) -> str:
+    from .stats import run_clt_experiment
+
     cfg = _config_from_doc(_load_json_file(args.config))
     report = run_clt_experiment(cfg.spec, cfg.scheme, cfg.scheme.dims_sequence[-1],
                                 cfg.replications, cfg.seed)
@@ -224,6 +236,8 @@ def _cmd_clt(args) -> str:
 
 
 def _cmd_miller(args) -> str:
+    from .stats import miller_check
+
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.weights is None:
         raise ValueError("miller config needs 'weights'")
@@ -233,6 +247,10 @@ def _cmd_miller(args) -> str:
 
 
 def _cmd_blocking_plan(args) -> dict:
+    from .blocking import block_index_sets, plan
+    from .domain import _json_int, _json_object, _json_real
+    from .mixing import MixingProfile
+
     profile_doc = _load_json_file(args.profile)
     try:
         profile_doc = _json_object(profile_doc, "", ("values", "dependence_range"))
@@ -258,6 +276,8 @@ def _cmd_blocking_plan(args) -> dict:
 
 
 def _cmd_negligibility(args) -> dict:
+    from .blocking import negligibility_report
+
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.q is None or cfg.weights is None:
         raise ValueError("negligibility config needs 'q' and 'weights'")
@@ -272,6 +292,9 @@ def _cmd_negligibility(args) -> dict:
 
 
 def _cmd_mixing_estimate(args) -> dict:
+    from .fieldgen import _spec_from_doc
+    from .mixing import rho_prime_profile
+
     spec = _spec_from_doc(_load_json_file(args.spec))
     profile = rho_prime_profile(spec, args.window, args.set_size, args.n_max)
     return {

@@ -37,16 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
+from ._util import InternalConsistencyError
 from .domain import as_dims, as_frequency
 from .fieldgen import LinearFieldSpec, _lag_arrays
 from .kernels import _dirichlet, _wrap_angle, fejer
 
 # imaginary residue of the lag sum: expected below 1e-10, fatal at 1e-8
 IMAG_RESIDUAL_FATAL = 1e-8
-
-
-class InternalConsistencyError(Exception):
-    """A quantity that must be real/nonnegative by theory failed to be, beyond roundoff."""
 
 
 def _fejer_lag_sums(spec: LinearFieldSpec, box, freqs):

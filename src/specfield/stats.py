@@ -52,37 +52,68 @@ def g_functional(weights, z):
     return float(g) if zv.ndim == 1 else g
 
 
+def _normal_cdf(x, mean=0.0, variance=1.0) -> np.ndarray:
+    """P(N(mean, variance) <= x) elementwise, as 0.5 erfc(-(x - mean) / sqrt(2 variance))
+    with ``math.erfc``, which is within 2 ulp of erfc at its argument."""
+    z = -(np.asarray(x, dtype=float) - mean) / math.sqrt(2.0 * variance)
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+
+
+def _kolmogorov_sf(t: float) -> float:
+    """P(sup|B| > t) for the Brownian bridge B on [0, 1]: the Kolmogorov tail.
+
+    Below t = 1 it is one minus the Jacobi theta form of the distribution
+    function, (sqrt(2 pi) / t) sum_k exp(-(2k - 1)^2 pi^2 / (8 t^2)); from t = 1
+    on it is the alternating series 2 sum_k (-1)^(k-1) exp(-2 k^2 t^2).  Each
+    sum stops once the next term is below 1e-20 on its range.  Below t = 0.1
+    the distribution function is under 1e-50, so the tail is 1.
+    """
+    if t < 0.1:
+        return 1.0
+    if t < 1.0:
+        w = math.pi ** 2 / (8.0 * t * t)
+        cdf = math.sqrt(2.0 * math.pi) / t * sum(math.exp(-(2 * k - 1) ** 2 * w)
+                                                  for k in (3, 2, 1))
+        return 1.0 - cdf
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * t * t) for k in (4, 3, 2, 1))
+
+
 def ks_statistic(samples, cdf) -> tuple[float, float]:
     """Kolmogorov-Smirnov distance against a named null, with asymptotic p-value.
 
     ``cdf`` is a tag tuple: ("exponential", mean) or ("normal", mean, variance).
     Returns (D, p) where p is the limiting Kolmogorov tail probability
-    P(sup|B(F)| > t) at t = sqrt(n) * D, from ``scipy.special.kolmogorov``.
+    P(sup|B(F)| > t) at t = sqrt(n) * D, summed from its two classical series
+    (``_kolmogorov_sf``).  Refuses an empty or non-finite sample, a mean or
+    variance that is not finite, and a mean (exponential) or variance (normal)
+    that is not > 0.
     """
-    from scipy import special
-
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 1:
         raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"samples must be finite, got {x[~np.isfinite(x)][0]}")
     kind = cdf[0]
     if kind == "exponential":
         mean = float(cdf[1])
-        if mean <= 0:
-            raise ValueError(f"exponential mean must be > 0, got {mean}")
+        if not (mean > 0 and math.isfinite(mean)):
+            raise ValueError(f"exponential mean must be > 0 and finite, got {mean}")
         f = 1.0 - np.exp(-np.maximum(x, 0.0) / mean)
     elif kind == "normal":
         mean, variance = float(cdf[1]), float(cdf[2])
-        if variance <= 0:
-            raise ValueError(f"normal variance must be > 0, got {variance}")
-        f = 0.5 * special.erfc(-(x - mean) / math.sqrt(2.0 * variance))
+        if not math.isfinite(mean):
+            raise ValueError(f"normal mean must be finite, got {mean}")
+        if not (variance > 0 and math.isfinite(variance)):
+            raise ValueError(f"normal variance must be > 0 and finite, got {variance}")
+        f = _normal_cdf(x, mean, variance)
     else:
         raise ValueError(f"unknown distribution tag {kind!r}")
     grid = np.arange(1, n + 1, dtype=float) / n
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))
     d = max(d_plus, d_minus)
-    return d, float(special.kolmogorov(math.sqrt(n) * d))
+    return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
 def cross_frequency_independence(periodograms) -> float:

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 `mixing` depends on no other part of the package than `fieldgen`, the
 benchmark's trace finds the library names it wraps, the CLI starts
-without the process pool's modules, and forked workers raise no warning."""
+without the process pool's modules, each process loads only what its
+command runs, and forked workers raise no warning."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import specfield
 from specfield import blocking, mixing
 from specfield.fieldgen import REAL_GAUSSIAN, first_axis_ma1, spec_to_json
 
@@ -80,6 +82,87 @@ def test_cli_import_leaves_the_process_pool_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout == "[]\n", proc.stdout
+
+
+# runs ``python -m specfield`` with the given arguments, then writes its exit
+# code and the names of every module it loaded to stderr
+_MODULES_PROBE = """\
+import json, runpy, sys
+sys.argv = ["specfield", *sys.argv[1:]]
+try:
+    runpy.run_module("specfield", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    sys.stderr.write(json.dumps([exc.code, sorted(sys.modules)]))
+"""
+
+
+def _loaded_modules(*argv) -> set[str]:
+    """The modules a fresh ``python -m specfield *argv`` process loads; it must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True,
+                          text=True, timeout=120)
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code in (0, None), proc.stderr
+    return set(modules)
+
+
+def test_version_and_bare_import_load_no_numpy():
+    assert "numpy" not in _loaded_modules("--version")
+    proc = subprocess.run([sys.executable, "-c", "import sys, specfield; "
+                           "print(sorted(m for m in sys.modules if 'numpy' in m))"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Tiny inputs for every subcommand: a spec, a profile and a config."""
+    tmp = tmp_path_factory.mktemp("cli_inputs")
+    spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5)
+    paths = {name: str(tmp / f"{name}.json") for name in ("spec", "profile", "config")}
+    docs = {"spec": json.loads(spec_to_json(spec)),
+            "profile": {"values": {}, "dependence_range": spec.dependence_range},
+            "config": {"spec": json.loads(spec_to_json(spec)), "dims": [16],
+                       "scheme": {"base": [math.pi / 2], "m": 2, "delta": 0.25},
+                       "R": 10, "seed": 3, "q": 0.2, "weights": [1.0, 0.0, 1.0, 0.0]}}
+    for name, doc in docs.items():
+        Path(paths[name]).write_text(json.dumps(doc))
+    return paths
+
+
+_COMMANDS = {
+    "kernels": ["--alpha", "0.7", "--n", "8"],
+    "periodogram": ["--spec", "{spec}", "--dims", "16", "--freq", "1.0"],
+    "expectation": ["--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--quadrature", "32"],
+    "covariance": ["--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--freq2", "2.0"],
+    "clt-experiment": ["--config", "{config}"],
+    "miller": ["--config", "{config}"],
+    "blocking-plan": ["--v1", "64", "--profile", "{profile}", "--q", "0.2"],
+    "negligibility": ["--config", "{config}"],
+    "mixing-estimate": ["--spec", "{spec}", "--window", "1", "--set-size", "1",
+                        "--n-max", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_commands_load_no_scipy(command, cli_inputs):
+    """No subcommand loads scipy; ``kernels`` loads none of the modules behind
+    the fields, the statistics, blocking, mixing or exact moments."""
+    argv = [arg.format(**cli_inputs) for arg in _COMMANDS[command]]
+    loaded = _loaded_modules(command, *argv)
+    assert "scipy" not in loaded
+    if command == "kernels":
+        heavy = {f"specfield.{name}" for name in ("rng", "fieldgen", "stats", "blocking",
+                                                   "mixing", "spectral")}
+        assert heavy.isdisjoint(loaded), sorted(heavy & loaded)
+
+
+def test_the_lazy_namespace_resolves_every_public_name():
+    for name in specfield.__all__:
+        module = importlib.import_module(f"specfield.{specfield._MODULE_OF[name]}")
+        assert getattr(specfield, name) is getattr(module, name)
+    assert set(specfield.__all__) <= set(dir(specfield))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        specfield.no_such_name  # noqa: B018
 
 
 def test_forked_workers_print_what_one_worker_prints(tmp_path):

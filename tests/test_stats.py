@@ -11,8 +11,10 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 import test_blocking
@@ -113,6 +115,49 @@ def test_kolmogorov_pvalue_against_scipy():
         _, p = ks_statistic(y, ("normal", 0.3, 1.44))
         want = sps.kstest(y, sps.norm(loc=0.3, scale=1.2).cdf, method="asymp").pvalue
         assert abs(p - want) < EXACT_TOL
+
+
+@pytest.mark.parametrize("samples, cdf, match", [
+    ([math.nan, 1.0], ("exponential", 1.0), "samples must be finite"),
+    ([1.0, -math.inf], ("normal", 0.0, 1.0), "samples must be finite"),
+    ([1.0], ("exponential", math.nan), "exponential mean"),
+    ([1.0], ("exponential", math.inf), "exponential mean"),
+    ([1.0], ("normal", math.nan, 1.0), "normal mean"),
+    ([1.0], ("normal", -math.inf, 1.0), "normal mean"),
+    ([1.0], ("normal", 0.0, math.inf), "normal variance"),
+    ([1.0], ("normal", 0.0, math.nan), "normal variance"),
+])
+def test_ks_refuses_non_finite_inputs(samples, cdf, match):
+    """A non-finite sample, mean or variance is refused by name, never
+    answered with (nan, nan) or a p-value of a degenerate null."""
+    with pytest.raises(ValueError, match=match):
+        ks_statistic(samples, cdf)
+
+
+def test_kolmogorov_series_against_scipy():
+    """Both series of the Kolmogorov tail agree with ``scipy.special.kolmogorov``
+    to 1e-14, from t <= 0 across the cutover at t = 1 out to where it is 0."""
+    one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    t = np.concatenate([np.linspace(-1.0, 30.0, 62_001), one, [np.inf]])
+    ours = np.array([stats._kolmogorov_sf(float(v)) for v in t])
+    np.testing.assert_allclose(ours, special.kolmogorov(t), rtol=0.0, atol=1e-14)
+    assert ours[t <= 0.0].tolist() == [1.0] * int(np.sum(t <= 0.0))
+    assert ours[t >= 20.0].tolist() == [0.0] * int(np.sum(t >= 20.0))
+
+
+def test_normal_cdf_matches_erfc():
+    """The normal CDF is 0.5 erfc(z) at z = -x / sqrt 2 from ``math.erfc``:
+    within 2 ulp of mpmath's erfc at that z wherever the value is a normal
+    float, and within 2 ulp of 1 of scipy's, whose erfc is up to about 20 ulp
+    off in the lower tail."""
+    x = np.linspace(-37.0, 9.0, 4_601)
+    z = -x / math.sqrt(2.0)
+    ours = stats._normal_cdf(x)
+    exact = np.array([float(mpmath.erfc(mpmath.mpf(float(v))) / 2) for v in z])
+    np.testing.assert_array_max_ulp(ours, exact, maxulp=2)
+    np.testing.assert_allclose(ours, 0.5 * special.erfc(z), rtol=0.0,
+                               atol=2 * np.finfo(float).eps)
+    assert stats._normal_cdf(x[:4_600].reshape(46, 100), 0.3, 2.25).shape == (46, 100)
 
 
 def test_cross_frequency_extremes():
@@ -349,9 +394,10 @@ def test_miller_weight_length_mismatch():
 
 # sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
 # recorded on innovation stream 4 with every S summed by
-# ``periodogram._row_sums`` and the covariances reduced by ``np.add.reduce``
-CLT_DIGESTS = {"real": "9f40e3c0085451bd0b82e82a9613a0e046df92cffd88d4c52aa5e110977a6878",
-               "circular": "ca66f74442ff5a9ddd4d89d83e4122f3fad689e5c0654950eac4977a5a21aeb7"}
+# ``periodogram._row_sums``, the covariances reduced by ``np.add.reduce``, and
+# the clt KS statistics from ``math.erfc`` and the Kolmogorov series
+CLT_DIGESTS = {"real": "1fe6d9c0a32c4cdd0c51a0dda672156dcf92cb87765333e80607f63958629354",
+               "circular": "95496ef9f152b2b656ea8a622ea83a56a8dac4246d19418dfecd9482c887418b"}
 MILLER_DIGEST = "20e98a041a5ef978499718d32f4e3cd2050118547258eeefd404699340bd5408"
 
 
