@@ -44,6 +44,7 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
+    """Import the module of a public name on its first access, and keep the name."""
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
