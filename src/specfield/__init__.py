@@ -32,10 +32,10 @@ _EXPORTS = {
     "_util": ("InternalConsistencyError",),
     "frequencies": ("FrequencyScheme", "SeparationSpec", "build_separated",
                     "check_separation", "is_admissible"),
-    "blocking": ("BlockingPlan", "IndexSlab", "TruncatedField", "block_index_sets",
-                 "negligibility_report", "plan", "truncate", "truncated_second_moments"),
-    "mixing": ("IndexSetPair", "MixingProfile", "canonical_rho", "dependence_profile",
-               "rho_prime_profile"),
+    "bernstein": ("BlockingPlan", "IndexSlab", "MixingProfile", "block_index_sets", "plan"),
+    "blocking": ("TruncatedField", "negligibility_report", "truncate",
+                 "truncated_second_moments"),
+    "mixing": ("IndexSetPair", "canonical_rho", "dependence_profile", "rho_prime_profile"),
     "stats": ("CltReport", "MillerReport", "cross_frequency_independence", "g_functional",
               "ks_statistic", "miller_check", "run_clt_experiment"),
 }

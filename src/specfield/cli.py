@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import __version__
 from ._util import InternalConsistencyError
@@ -82,8 +82,7 @@ def _write_csv(path: str, header, rows):
         writer.writerows(rows)
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Validated contents of an experiment config document."""
 
     spec: LinearFieldSpec
@@ -247,9 +246,8 @@ def _cmd_miller(args) -> str:
 
 
 def _cmd_blocking_plan(args) -> dict:
-    from .blocking import block_index_sets, plan
+    from .bernstein import MixingProfile, block_index_sets, plan
     from .domain import _json_int, _json_object, _json_real
-    from .mixing import MixingProfile
 
     profile_doc = _load_json_file(args.profile)
     try:
@@ -276,6 +274,8 @@ def _cmd_blocking_plan(args) -> dict:
 
 
 def _cmd_negligibility(args) -> dict:
+    from dataclasses import asdict
+
     from .blocking import negligibility_report
 
     cfg = _config_from_doc(_load_json_file(args.config))

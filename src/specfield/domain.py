@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,9 @@ class BoxDims:
         if len(self.v) == 0:
             raise ValueError("box must have at least one axis")
         for side in self.v:
-            if not isinstance(side, (int, np.integer)) or isinstance(side, bool):
+            # int first: the ABC check is slower, and numpy's integers (not its
+            # bool_) are registered as numbers.Integral
+            if not isinstance(side, (int, numbers.Integral)) or isinstance(side, bool):
                 raise ValueError(f"box sides must be integers, got {side!r}")
             if not 1 <= side < 2 ** 63:
                 raise ValueError(f"box sides must be in [1, 2^63), got {side}")
@@ -75,9 +76,6 @@ class Frequency:
 
     def __getitem__(self, i):
         return self.coords[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
 
 
 def as_dims(dims, dim: int | None = None) -> BoxDims:

@@ -126,8 +126,7 @@ class LinearFieldSpec:
 
 def spectral_density(spec: LinearFieldSpec, lam) -> float:
     """f(lam) = std^2 * |sum_j a_j exp(-i j.lam)|^2, nonnegative and even-symmetric."""
-    freq = as_frequency(lam, spec.dim)
-    lamv = freq.as_array()
+    lamv = np.asarray(as_frequency(lam, spec.dim).coords, dtype=float)
     amp = 0j
     for lag, coeff in spec.taps.items():
         amp += coeff * np.exp(-1j * np.dot(lag, lamv))

@@ -13,7 +13,8 @@ separated by at least n in some coordinate (interlacing elsewhere — and
 even within the separation axis — is allowed).  A supremum over all
 finite sets cannot be enumerated, so the profile below reports certified
 lower bounds from an exhaustive search over a window, together with the
-exact zero beyond the moving-average dependence range.
+exact zero beyond the moving-average dependence range, as a
+``MixingProfile`` (defined in ``bernstein``, which plans with it).
 
 Covariances are looked up in the autocovariance table, vectorised over
 all point pairs.  The search keeps one pair per translation class, builds
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bernstein import MixingProfile
 from .fieldgen import LinearFieldSpec, _lag_arrays
 
 _BUDGET = 250_000  # pairs, subsets or separations one profile may list; read at call time
@@ -38,43 +40,6 @@ _SEARCH_BYTES = 1 << 24  # bytes of point differences one block of the pair sear
 RIDGE = 1e-12
 # eigenvalues below this relative level mark the block as singular
 _SINGULAR_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class MixingProfile:
-    """Upper or certified lower bounds of rho'(n), keyed by n, and the range
-    beyond which axis-separated sets of the field are exactly independent."""
-
-    values: dict
-    dependence_range: int | None = None
-
-    def __post_init__(self):
-        vals = {}
-        for n, rho in sorted(self.values.items()):
-            n = int(n)
-            rho = float(rho)
-            if n < 1:
-                raise ValueError("profile separations are 1-based")
-            if not (0.0 <= rho <= 1.0):
-                raise ValueError(f"rho'({n}) = {rho} outside [0, 1]")
-            vals[n] = rho
-        keys = sorted(vals)
-        for a, b in zip(keys, keys[1:]):
-            if vals[b] > vals[a] + 1e-12:
-                raise ValueError("rho' profile must be nonincreasing")
-        object.__setattr__(self, "values", vals)
-        if self.dependence_range is not None:
-            object.__setattr__(self, "dependence_range", int(self.dependence_range))
-
-    def value_at(self, n: int) -> float:
-        """rho'(n): exact zero beyond the dependence range, else the value at the
-        largest recorded separation <= n (an upper bound on rho'(n) only if that
-        value is one, rho' being nonincreasing), else the trivial bound 1."""
-        n = int(n)
-        if self.dependence_range is not None and n > self.dependence_range:
-            return 0.0
-        below = [k for k in self.values if k <= n]
-        return self.values[max(below)] if below else 1.0
 
 
 def dependence_profile(spec: LinearFieldSpec) -> MixingProfile:

@@ -73,7 +73,7 @@ def _fejer_lag_sums(spec: LinearFieldSpec, box, freqs):
 def expected_periodogram_exact(spec: LinearFieldSpec, lam, dims) -> float:
     """E I(lam) over the box, via the Fejer-weighted lag sum (exact, no quadrature)."""
     box = as_dims(dims, spec.dim)
-    freq = as_frequency(lam, spec.dim).as_array()
+    freq = np.asarray(as_frequency(lam, spec.dim).coords, dtype=float)
     expected, _ = _fejer_lag_sums(spec, box, freq[np.newaxis, :])
     return float(expected[0])
 
@@ -87,7 +87,7 @@ def expected_periodogram_quadrature(spec: LinearFieldSpec, lam, dims,
     polynomial) integrand exactly once that resolution is met.
     """
     box = as_dims(dims, spec.dim)
-    freq = as_frequency(lam, spec.dim).as_array()
+    freq = np.asarray(as_frequency(lam, spec.dim).coords, dtype=float)
     required = 4 * max(box.v)
     n_grid = required if grid_points_per_dim is None else int(grid_points_per_dim)
     if n_grid < required:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from specfield import _util, blocking, stats
+from specfield import _util, bernstein, blocking, stats
 from specfield.blocking import (BlockingPlan, MixingProfile, block_index_sets,
                                 dependence_profile, index_products,
                                 negligibility_report, plan, truncate,
@@ -144,7 +144,7 @@ def test_consecutive_blocks_gap_is_s():
 def test_block_count_beyond_the_budget_is_refused(monkeypatch):
     """With the listing bound at 7 blocks, a plan of p = 7 blocks is listed
     and p = 8 is refused before any block is."""
-    monkeypatch.setattr(blocking, "_MAX_BLOCKS", 7)
+    monkeypatch.setattr(bernstein, "_MAX_BLOCKS", 7)
     profile = MixingProfile(values={}, dependence_range=2)
     assert len(block_index_sets(plan(343, profile, 0.2), (343,))[0]) == 7
     with pytest.raises(ValueError, match="p=8 blocks, more than the 7 "):

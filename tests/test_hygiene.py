@@ -1,6 +1,7 @@
-"""Source hygiene: every name a module imports is used in that module,
-`mixing` depends on no other part of the package than `fieldgen`, the
-benchmark's trace finds the library names it wraps, the CLI starts
+"""Source hygiene: every name a module imports is used in that module, every
+third-party module `src/` imports is a declared dependency, `mixing`
+depends on no other part of the package than `bernstein` and `fieldgen`,
+the benchmark's trace finds the library names it wraps, the CLI starts
 without the process pool's modules, each process loads only what its
 command runs, and forked workers raise no warning."""
 
@@ -9,6 +10,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import specfield
-from specfield import blocking, mixing
+from specfield import bernstein, blocking, mixing
 from specfield.fieldgen import REAL_GAUSSIAN, first_axis_ma1, spec_to_json
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "specfield"
@@ -42,14 +44,46 @@ def test_every_imported_name_is_used(path):
     assert _unused_imports(tree) == [], f"{path.name} imports names it never uses"
 
 
-def test_mixing_imports_only_fieldgen_from_the_package():
-    """mixing owns rho' and its profile; blocking reads MixingProfile from it."""
+def _requirement_names(requirements) -> set[str]:
+    """Import-style names of PEP 508 requirement strings, e.g. "numpy>=1.24" -> "numpy"."""
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in requirements}
+
+
+def test_third_party_imports_are_declared_dependencies():
+    """Each top-level module that ``src/`` imports is the standard library, the
+    package itself, or a runtime dependency of ``pyproject.toml``; the test
+    extra's modules (scipy among them, an oracle only) are not enough."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((_SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = _requirement_names(project["project"]["dependencies"])
+    imported = {}
+    for path in _SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    undeclared = {name: where for name, where in imported.items()
+                  if name not in sys.stdlib_module_names and name not in ("__future__", "specfield")
+                  and name not in declared}
+    assert undeclared == {}
+    assert "numpy" in imported
+
+
+def test_mixing_imports_only_bernstein_and_fieldgen_from_the_package():
+    """mixing owns the rho' search; the profile it returns is bernstein's
+    MixingProfile, which blocking re-exports."""
     tree = ast.parse((_SRC / "mixing.py").read_text(encoding="utf-8"))
     package = {(node.module or ".").removeprefix("specfield.") for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                and (node.level or node.module.startswith("specfield"))}
-    assert package == {"fieldgen"}
-    assert blocking.MixingProfile is mixing.MixingProfile
+    assert package == {"bernstein", "fieldgen"}
+    assert blocking.MixingProfile is mixing.MixingProfile is bernstein.MixingProfile
 
 
 # names perfbench's trace wraps that no longer exist; ROADMAP item 1 mends
@@ -113,6 +147,22 @@ def test_version_and_bare_import_load_no_numpy():
     assert proc.stdout == "[]\n"
 
 
+def test_version_loads_no_dataclasses_or_inspect():
+    """``--version`` builds no config, so it loads neither ``dataclasses`` nor
+    the ``inspect`` that ``dataclasses`` imports."""
+    loaded = _loaded_modules("--version")
+    assert not {"dataclasses", "inspect"} & loaded, sorted({"dataclasses", "inspect"} & loaded)
+
+
+@pytest.mark.parametrize("code", ["import specfield.domain", "import specfield.bernstein",
+                                  "import specfield; specfield.plan"])
+def test_the_planning_layer_loads_no_numpy(code):
+    proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; "
+                           "print(sorted(m for m in sys.modules if 'numpy' in m))"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
     """Tiny inputs for every subcommand: a spec, a profile and a config."""
@@ -154,6 +204,18 @@ def test_commands_load_no_scipy(command, cli_inputs):
         heavy = {f"specfield.{name}" for name in ("rng", "fieldgen", "stats", "blocking",
                                                    "mixing", "spectral")}
         assert heavy.isdisjoint(loaded), sorted(heavy & loaded)
+
+
+def test_blocking_plan_loads_only_the_planning_layer(cli_inputs):
+    """``blocking-plan`` is integer arithmetic: it loads no numpy, and none of
+    the package modules behind the fields, sums, statistics or the rho' search."""
+    argv = [arg.format(**cli_inputs) for arg in _COMMANDS["blocking-plan"]]
+    loaded = _loaded_modules("blocking-plan", *argv)
+    assert "numpy" not in loaded
+    heavy = {f"specfield.{name}" for name in ("rng", "fieldgen", "periodogram", "stats",
+                                               "mixing", "blocking")}
+    assert heavy.isdisjoint(loaded), sorted(heavy & loaded)
+    assert "specfield.bernstein" in loaded
 
 
 def test_the_lazy_namespace_resolves_every_public_name():
