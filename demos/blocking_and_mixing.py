@@ -1,8 +1,8 @@
 """Bernstein blocking layout, truncation moments, and mixing lower bounds
 for a two-tap moving average."""
 
-from specfield.blocking import (BlockingPlan, block_index_sets, plan,
-                                truncated_second_moments)
+from specfield.bernstein import BlockingPlan, block_index_sets, plan
+from specfield.blocking import truncated_second_moments
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 first_axis_ma1, white_noise)
 from specfield.mixing import dependence_profile, rho_prime_profile

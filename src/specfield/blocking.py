@@ -3,8 +3,8 @@ dropping both remainders of the Bernstein blocking.
 
 The blocking itself, the integers (s, p, r) along the first axis and the
 block and leftover slabs, is exact integer arithmetic and lives in
-``bernstein``, which loads no numpy; ``plan``, ``block_index_sets``,
-``BlockingPlan`` and ``MixingProfile`` are importable from here too.
+``bernstein``, which loads no numpy; ``plan``, ``block_index_sets`` and
+``MixingProfile`` are importable from here too.
 
 Truncation splits the demodulated field at each index k into a bounded
 part and a tail at the level <k>^q, where <k> is the product of the
@@ -29,8 +29,9 @@ from .periodogram import _row_sums, _separable_grid, phase_grid
 from .rng import RNG_STREAM
 from .stats import _entry, _normal_cdf, _replicated_sums, g_functional
 
-# the planning names, where callers found them before ``bernstein`` held them
-BlockingPlan, MixingProfile = bernstein.BlockingPlan, bernstein.MixingProfile
+# the benchmark's workloads import MixingProfile from here, where it was
+# found before ``bernstein`` held it
+MixingProfile = bernstein.MixingProfile
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ For a sample on a (possibly shifted) box and a torus frequency lam,
 
 Sums are taken by direct summation — never an FFT — because the
 frequencies of interest are off the Fourier grid.  Drivers build each grid
-exp(-i k.lam) once per box with ``phase_grid``, and ``_row_grids`` splits
-them for the real rows of a batch.  Every S of the library, of a single sample, a batch
-row or a part of one, is summed by ``_row_sums``: one row against each
-grid, in index order, by numpy multiplies and ``np.add.reduce``, so no
-batch size, BLAS kernel or thread count reaches its bits.
+exp(-i k.lam) once per box with ``phase_grid``.  Every S of the library,
+of a single sample, a batch row or a part of one, is summed by
+``_row_sums``: one row against each grid, in index order, by numpy
+multiplies and ``np.add.reduce``, so no batch size, BLAS kernel or thread
+count reaches its bits.
 """
 
 from __future__ import annotations
@@ -65,34 +65,14 @@ def periodogram_vector(sample: FieldSample, freqs) -> list[tuple[complex, float]
             for s in map(complex, _row_sums(sample.values.ravel(), phases))]
 
 
-def _row_grids(phases, real: bool) -> list:
-    """The grids ``_row_sums`` multiplies whole rows by, built once per box: the
-    complex ``phases`` for complex rows, and for real rows each grid's real and
-    imaginary parts as a pair of contiguous arrays, so no product of a whole
-    row reads a strided view."""
-    if not real:
-        return phases
-    return [(np.ascontiguousarray(ph.real), np.ascontiguousarray(ph.imag)) for ph in phases]
-
-
-def _row_sums(x, grids) -> list:
-    """S of one flat row ``x`` against each equally long grid, in index order:
-    each product with the grid is summed by ``np.add.reduce``, so equal values
-    in equal order give equal bits, be they a whole row or a part's gathered
-    sites.  A real row is multiplied by the grid's real and imaginary parts:
-    the pair ``_row_grids`` makes, or the views of a complex grid (such as a
-    part's gathered sites), which give the same products."""
+def _row_sums(x, phases) -> list:
+    """S of one flat row ``x`` against each equally long grid of ``phases``, in
+    index order: each product with the grid (with its real and imaginary parts
+    for a real row) is summed by ``np.add.reduce``, so equal values in equal
+    order give equal bits, be they a whole row or a part's gathered sites."""
     if np.iscomplexobj(x):
-        return [np.add.reduce(x * g) for g in grids]
-    pairs = ((g.real, g.imag) if isinstance(g, np.ndarray) else g for g in grids)
-    return [complex(np.add.reduce(x * re), np.add.reduce(x * im)) for re, im in pairs]
-
-
-def _batch_sums(values: np.ndarray, grids) -> np.ndarray:
-    """``_row_sums`` of each row of a batch, shape (R, len(grids))."""
-    flat = values.reshape(values.shape[0], -1)
-    return np.array([_row_sums(row, grids) for row in flat],
-                    dtype=np.complex128).reshape(len(flat), len(grids))
+        return [np.add.reduce(x * ph) for ph in phases]
+    return [complex(np.add.reduce(x * ph.real), np.add.reduce(x * ph.imag)) for ph in phases]
 
 
 def batched_modulated_sums(values: np.ndarray, phases) -> np.ndarray:
@@ -102,4 +82,6 @@ def batched_modulated_sums(values: np.ndarray, phases) -> np.ndarray:
     from ``phase_grid`` over the same box.  Row r is ``_row_sums`` of that
     row alone, so it is bit-identical to the row summed as a sample.
     """
-    return _batch_sums(values, _row_grids(phases, not np.iscomplexobj(values)))
+    flat = values.reshape(values.shape[0], -1)
+    return np.array([_row_sums(row, phases) for row in flat],
+                    dtype=np.complex128).reshape(len(flat), len(phases))

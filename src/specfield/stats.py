@@ -31,7 +31,7 @@ from ._util import check_replication, replication_batch, replication_chunks, run
 from .fieldgen import (LinearFieldSpec, _batch_workspace, _workspace_sizes, generate_batch,
                        replication_seeds, spectral_density)
 from .frequencies import FrequencyScheme, _validated_freqs
-from .periodogram import _batch_sums, _row_grids, phase_grid
+from .periodogram import batched_modulated_sums, phase_grid
 from .rng import RNG_STREAM, replication_seed
 
 
@@ -169,21 +169,15 @@ def _replicated_sums(spec, entries) -> list:
     Draws the field once per seed of each ``_entry`` and returns, for each
     entry and each part of its field, the (R, m) modulated sums at its
     frequencies.  ``sums(values, scratch, phases)`` returns the (rows, m) sums
-    of each part of a batch's values against the box's complex phase grids
-    (by default the one part is the field itself, summed by ``_batch_sums``
-    against the box's ``_row_grids``).  All entries' ``replication_chunks``
-    go to one ``run_chunked`` call, so a report forks at most once.  A
-    worker draws, filters and sums its chunks a batch at a time, each batch
-    in one workspace sized for the largest and kept for this call only;
-    ``scratch`` is the batch's lattice, free once filtered.
+    of each part of a batch's values (by default the one part is the field
+    itself, summed by ``batched_modulated_sums``).  All entries'
+    ``replication_chunks`` go to one ``run_chunked`` call, so a report forks
+    at most once.  A worker draws, filters and sums its chunks a batch at a
+    time, each batch in one workspace sized for the largest and kept for this
+    call only; ``scratch`` is the batch's lattice, free once filtered.
     """
-    def box_grids(e):
-        phases = [phase_grid([np.arange(1, v + 1, dtype=np.int64) for v in e.box.v], lam)
-                  for lam in e.freqs]
-        # a hook gathers its parts' sites from the complex grids, one gather a part
-        return phases if e.sums else _row_grids(phases, spec.is_real)
-
-    grids = [box_grids(e) for e in entries]
+    phases = [[phase_grid([np.arange(1, v + 1, dtype=np.int64) for v in e.box.v], lam)
+               for lam in e.freqs] for e in entries]
     per_entry = [replication_chunks(len(e.seeds)) for e in entries]
     chunks = [(k, lo, hi) for k, bounds in enumerate(per_entry) for lo, hi in bounds]
     size = max((sum(_workspace_sizes(spec, entries[k].box, min(hi - lo, entries[k].rows)))
@@ -201,8 +195,8 @@ def _replicated_sums(spec, entries) -> list:
             out = _batch_workspace(spec, e.box, b1 - b0, buffer)
             vals = generate_batch(spec, e.box, None, e.seeds[b0:b1], out=out)
             scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
-            batches.append(e.sums(vals, scratch, grids[k]) if e.sums
-                           else [_batch_sums(vals, grids[k])])
+            batches.append(e.sums(vals, scratch, phases[k]) if e.sums
+                           else [batched_modulated_sums(vals, phases[k])])
         return batches
 
     sums = iter(run_chunked(chunks, chunk_sums))

@@ -12,7 +12,8 @@ import pytest
 from scipy import integrate
 
 from specfield import _util, bernstein, blocking, stats
-from specfield.blocking import (BlockingPlan, MixingProfile, block_index_sets,
+from specfield.bernstein import BlockingPlan
+from specfield.blocking import (MixingProfile, block_index_sets,
                                 dependence_profile, index_products,
                                 negligibility_report, plan, truncate,
                                 truncated_second_moments)

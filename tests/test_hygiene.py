@@ -44,19 +44,29 @@ def test_every_imported_name_is_used(path):
     assert _unused_imports(tree) == [], f"{path.name} imports names it never uses"
 
 
-def _requirement_names(requirements) -> set[str]:
-    """Import-style names of PEP 508 requirement strings, e.g. "numpy>=1.24" -> "numpy"."""
-    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
-            for req in requirements}
+def _runtime_dependencies(pyproject: str) -> set[str]:
+    """Import-style names of the ``[project] dependencies`` in a pyproject text,
+    e.g. "numpy>=1.24" -> "numpy".  Parsed by hand, as Python 3.10 has no
+    ``tomllib``: the strings of the array, up to its first ``]`` outside one."""
+    table = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert table, "pyproject.toml has no [project] table"
+    start = re.search(r"^dependencies\s*=\s*\[", table.group(1), re.M)
+    assert start, "[project] declares no dependencies array"
+    names = set()
+    for token in re.finditer(r"\"[^\"]*\"|'[^']*'|#[^\n]*|\]", table.group(1)[start.end():]):
+        if token.group() == "]":
+            return names
+        if token.group()[0] != "#":
+            names.add(re.match(r"[A-Za-z0-9_.-]+", token.group()[1:-1]).group()
+                      .lower().replace("-", "_"))
+    raise AssertionError("the dependencies array is not closed")
 
 
 def test_third_party_imports_are_declared_dependencies():
     """Each top-level module that ``src/`` imports is the standard library, the
     package itself, or a runtime dependency of ``pyproject.toml``; the test
     extra's modules (scipy among them, an oracle only) are not enough."""
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((_SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
-    declared = _requirement_names(project["project"]["dependencies"])
+    declared = _runtime_dependencies((_SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
     imported = {}
     for path in _SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
