@@ -33,11 +33,10 @@ _EXPORTS = {
     "frequencies": ("FrequencyScheme", "SeparationSpec", "build_separated",
                     "check_separation", "is_admissible"),
     "bernstein": ("BlockingPlan", "IndexSlab", "MixingProfile", "block_index_sets", "plan"),
-    "blocking": ("TruncatedField", "negligibility_report", "truncate",
-                 "truncated_second_moments"),
+    "blocking": ("TruncatedField", "truncate", "truncated_second_moments"),
     "mixing": ("IndexSetPair", "canonical_rho", "dependence_profile", "rho_prime_profile"),
     "stats": ("CltReport", "MillerReport", "cross_frequency_independence", "g_functional",
-              "ks_statistic", "miller_check", "run_clt_experiment"),
+              "ks_statistic", "miller_check", "negligibility_report", "run_clt_experiment"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

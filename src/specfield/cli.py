@@ -276,7 +276,7 @@ def _cmd_blocking_plan(args) -> dict:
 def _cmd_negligibility(args) -> dict:
     from dataclasses import asdict
 
-    from .blocking import negligibility_report
+    from .stats import negligibility_report
 
     cfg = _config_from_doc(_load_json_file(args.config))
     if cfg.q is None or cfg.weights is None:

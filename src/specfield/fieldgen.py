@@ -258,10 +258,10 @@ def generate_batch(spec: LinearFieldSpec, dims, shift, seeds, *,
     """
     box = as_dims(dims, spec.dim)
     w = as_shift(shift, spec.dim)
-    seeds = [check_seed(s) for s in seeds]
     bounds, ranges = _innovation_ranges(spec, box.v, w)
     lattice, values, scratch = out
-    eps = gaussian_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std,
+    # a list, so that a scalar seed is refused here; the lattice checks each seed
+    eps = gaussian_lattice(list(seeds), ranges, spec.innovation_kind, spec.innovation_std,
                            out=lattice, scratch=scratch)
     return _filter_batch(spec, box.v, eps, bounds, out=values, scratch=scratch)
 

@@ -31,6 +31,16 @@ def _separable_grid(axis_vectors) -> np.ndarray:
     return grid
 
 
+def index_products(coords) -> np.ndarray:
+    """<k> = prod_i k_i over the box, from per-axis absolute coordinates
+    (all required >= 1), such as ``FieldSample.axis_coords()``."""
+    coords = [np.asarray(c, dtype=np.int64) for c in coords]
+    if any(c.min() < 1 for c in coords):
+        raise ValueError("index products need every box coordinate >= 1 "
+                         "(use a nonnegative shift)")
+    return _separable_grid([c.astype(np.float64) for c in coords])
+
+
 def phase_grid(coords, lam) -> np.ndarray:
     """exp(-i k.lam) over the box, as a flat (volume,) complex array.
 
@@ -60,9 +70,14 @@ def periodogram_vector(sample: FieldSample, freqs) -> list[tuple[complex, float]
     all three sum the sample with ``_row_sums``, as a batch row is summed.
     """
     phases = [phase_grid(sample.axis_coords(), lam) for lam in freqs]
-    vol = sample.dims.volume
-    return [(s, (s.real * s.real + s.imag * s.imag) / vol)
-            for s in map(complex, _row_sums(sample.values.ravel(), phases))]
+    sums = np.array(_row_sums(sample.values.ravel(), phases), dtype=np.complex128)
+    return [(complex(s), float(i)) for s, i in zip(sums, _periodograms(sums, sample.dims.volume))]
+
+
+def _periodograms(sums: np.ndarray, volume: int) -> np.ndarray:
+    """I = |S|^2 / V elementwise, of an array of modulated sums over a box of
+    ``volume`` sites: the one form of I of every sample, report and part."""
+    return (sums.real * sums.real + sums.imag * sums.imag) / volume
 
 
 def _row_sums(x, phases) -> list:

@@ -131,11 +131,6 @@ def _replication_hash(master_seed, index: np.ndarray) -> np.ndarray:
     return _mix64(s ^ _mix64(index.astype(np.uint64) ^ _REP_SALT))
 
 
-def replication_seed(master_seed, index) -> int:
-    """Derive the per-replication seed: a pure hash of (master seed, index)."""
-    return int(_replication_hash(master_seed, np.asarray([int(index)], dtype=np.int64))[0])
-
-
 def _axis_key(axis: int, coords: np.ndarray) -> np.ndarray:
     """Hash of each coordinate along one axis, salted by the axis position."""
     salt = _mix64(np.asarray([axis + 1], dtype=np.uint64) ^ _AXIS_SALT)

@@ -16,6 +16,8 @@ The weighted-functional route goes through
 
 whose second moment per unit volume tends to (1/2) f(lam) ||b||^2; the
 ``miller_check`` table tracks that convergence along a dims sequence.
+``negligibility_report`` tracks the second moments of the two pieces that
+the Bernstein blocking discards.  All three reports share one replication loop.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from ._util import check_replication, replication_batch, replication_chunks, run
 from .fieldgen import (LinearFieldSpec, _batch_workspace, _workspace_sizes, generate_batch,
                        replication_seeds, spectral_density)
 from .frequencies import FrequencyScheme, _validated_freqs
-from .periodogram import batched_modulated_sums, phase_grid
-from .rng import RNG_STREAM, replication_seed
+from .periodogram import (_periodograms, _row_sums, batched_modulated_sums, index_products,
+                          phase_grid)
+from .rng import RNG_STREAM
 
 
 def g_functional(weights, z):
@@ -50,6 +53,16 @@ def g_functional(weights, z):
             f"for {entries} entries")
     g = zv.real @ w[0::2] + zv.imag @ w[1::2]
     return float(g) if zv.ndim == 1 else g
+
+
+def _g_squared(weights, sums, volume: int) -> np.ndarray:
+    """G(b, S)^2 / V of each row of (R, m) sums, formed as (G / sqrt(V))^2."""
+    return (g_functional(weights, sums) / math.sqrt(volume)) ** 2
+
+
+def _mean_and_se(x) -> tuple[float, float]:
+    """The mean of R Monte Carlo values and its standard error."""
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
 
 
 def _normal_cdf(x, mean=0.0, variance=1.0) -> np.ndarray:
@@ -259,7 +272,7 @@ def run_clt_experiment(spec: LinearFieldSpec, scheme: FrequencyScheme, dims,
     coords = np.empty((replications, 2 * m), dtype=float)
     coords[:, 0::2] = sums.real / scale
     coords[:, 1::2] = sums.imag / scale
-    periodograms = (sums.real ** 2 + sums.imag ** 2) / box.volume
+    periodograms = _periodograms(sums, box.volume)
 
     target = f_base / 2.0
     cov = _sample_covariance(coords)
@@ -316,16 +329,99 @@ def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,
         box, freqs = _validated_freqs(spec, scheme, dims)
         if w.size != 2 * len(freqs):
             raise ValueError(f"need {2 * len(freqs)} weights, got {w.size}")
-        seeds = replication_seeds(replication_seed(seed, index), replications)
+        seeds = replication_seeds(replication_seeds(seed, 1, offset=index)[0], replications)
         entries.append(_entry(spec, box, freqs, seeds))
     rows = []
     for index, (e, (sums,)) in enumerate(zip(entries, _replicated_sums(spec, entries)), start=1):
-        g = g_functional(w, sums)
-        g_sq = g * g / e.box.volume
-        estimate = float(g_sq.mean())
-        rows.append(MillerRow(
-            index=index, dims=e.box.v, estimate=estimate, target=target,
-            discrepancy=abs(estimate - target),
-            std_error=float(g_sq.std(ddof=1) / math.sqrt(replications))))
+        estimate, std_error = _mean_and_se(_g_squared(w, sums, e.box.volume))
+        rows.append(MillerRow(index=index, dims=e.box.v, estimate=estimate, target=target,
+                              discrepancy=abs(estimate - target), std_error=std_error))
     return MillerReport(rows=tuple(rows), weights=tuple(float(x) for x in w),
                         replications=replications, seed=seed)
+
+
+@dataclass(frozen=True)
+class NegligibilityRow:
+    index: int
+    dims: tuple[int, ...]
+    v1: int
+    s: int
+    p: int
+    r: int
+    leftover_cardinality: int
+    leftover_mean: float
+    leftover_se: float
+    tail_mean: float
+    tail_se: float
+
+
+@dataclass(frozen=True)
+class NegligibilityReport:
+    rows: tuple[NegligibilityRow, ...]
+    q: float
+    replications: int
+    seed: int
+    rng_stream: int = field(default=RNG_STREAM, init=False)
+
+
+def _part_sums(box, leftover, q):
+    """The replication loop's sums of a batch, shape (2, rows, m): of the tail
+    parts over the box, then of the bounded parts over the leftover set.  Each
+    row's part is its own sites, gathered in index order and summed by
+    ``periodogram._row_sums``, the kernel of every other S."""
+    thresholds = index_products([np.arange(1, v + 1) for v in box.v]) ** q
+    # the leftover cells' flat indices in order; a slab is one run of them
+    rest = math.prod(box.v[1:])
+    left = np.concatenate([np.arange((sl.first_lo - 1) * rest, sl.first_hi * rest)
+                           for sl in leftover])
+
+    def sums(vals, scratch, phases):
+        # |x| goes into the loop's scratch buffer
+        tail = (np.abs(vals, out=scratch.real) > thresholds).reshape(len(vals), -1)
+        kept = ~tail[:, left]
+        out = np.empty((2, len(vals), len(phases)), dtype=np.complex128)
+        for r, row in enumerate(vals.reshape(len(vals), -1)):
+            for part, sites in enumerate((np.flatnonzero(tail[r]), left[kept[r]])):
+                out[part, r] = _row_sums(row[sites], [ph[sites] for ph in phases])
+        return out
+
+    return sums
+
+
+def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
+                         weights, replications: int, seed: int) -> NegligibilityReport:
+    """Monte Carlo second moments of the two discarded pieces, per dims entry.
+
+    Column one: E[G(b, S_left)^2] / V, where S_left are the modulated sums
+    of the bounded parts over the leftover set and G(b, z) = sum_j a_j Re z_j
+    + b_j Im z_j.  Column two: mean over the scheme's frequencies of
+    E |sum over the box of the tail parts|^2 / V.  Standard errors accompany
+    both.  The blocking plan uses the field's own m-dependence profile.
+    """
+    # imported here, so that the clt and miller reports load neither module
+    from .bernstein import block_index_sets, plan
+    from .mixing import dependence_profile
+
+    weights = np.asarray(weights, dtype=float)
+    entries, plans = [], []
+    for index, dims in enumerate(dims_sequence, start=1):
+        box, freqs = _validated_freqs(spec, scheme, dims)
+        if weights.size != 2 * len(freqs):
+            raise ValueError(f"need {2 * len(freqs)} weights, got {weights.size}")
+        pl = plan(box.v[0], dependence_profile(spec), q)
+        _, leftover = block_index_sets(pl, box)
+        seeds = replication_seeds(seed, replications, offset=index * replications)
+        entries.append(_entry(spec, box, freqs, seeds, _part_sums(box, leftover, q),
+                              3 + len(freqs)))
+        plans.append((pl, sum(sl.cardinality for sl in leftover)))
+    rows = []
+    for index, (e, (pl, cardinality), (tail, left)) in enumerate(
+            zip(entries, plans, _replicated_sums(spec, entries)), start=1):
+        leftover_mean, leftover_se = _mean_and_se(_g_squared(weights, left, e.box.volume))
+        tail_mean, tail_se = _mean_and_se(_periodograms(tail, e.box.volume).mean(axis=1))
+        rows.append(NegligibilityRow(
+            index=index, dims=e.box.v, v1=pl.v1, s=pl.s, p=pl.p, r=pl.r,
+            leftover_cardinality=cardinality, leftover_mean=leftover_mean,
+            leftover_se=leftover_se, tail_mean=tail_mean, tail_se=tail_se))
+    return NegligibilityReport(rows=tuple(rows), q=q,
+                               replications=replications, seed=seed)

@@ -14,22 +14,20 @@ import math
 
 import numpy as np
 
-from specfield.blocking import (MixingProfile, block_index_sets,
-                                dependence_profile, index_products,
-                                negligibility_report, plan,
-                                truncated_second_moments)
+from specfield.bernstein import MixingProfile, block_index_sets, plan
+from specfield.blocking import truncated_second_moments
 from specfield.domain import BoxDims
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 LinearFieldSpec, first_axis_ma1,
                                 generate_batch, replication_seeds, white_noise)
 from specfield.frequencies import FrequencyScheme
 from specfield.kernels import dirichlet_mod, fejer
-from specfield.mixing import IndexSetPair, canonical_rho, rho_prime_profile
-from specfield.periodogram import phase_grid
+from specfield.mixing import IndexSetPair, canonical_rho, dependence_profile, rho_prime_profile
+from specfield.periodogram import index_products, phase_grid
 from specfield.spectral import (covariance_of_sums, expected_periodogram_exact,
                                 expected_periodogram_quadrature,
                                 product_of_sums, uniform_convergence_report)
-from specfield.stats import miller_check, run_clt_experiment
+from specfield.stats import miller_check, negligibility_report, run_clt_experiment
 
 
 def _verdict(n, ok, detail):

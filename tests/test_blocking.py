@@ -11,18 +11,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from specfield import _util, bernstein, blocking, stats
-from specfield.bernstein import BlockingPlan
-from specfield.blocking import (MixingProfile, block_index_sets,
-                                dependence_profile, index_products,
-                                negligibility_report, plan, truncate,
-                                truncated_second_moments)
+from specfield import _util, bernstein, stats
+from specfield.bernstein import BlockingPlan, MixingProfile, block_index_sets, plan
+from specfield.blocking import truncate, truncated_second_moments
 from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
                                 _workspace_sizes, first_axis_ma1, generate, generate_batch,
                                 replication_seeds, white_noise)
 from specfield.frequencies import FrequencyScheme
-from specfield.periodogram import batched_modulated_sums, phase_grid
+from specfield.mixing import dependence_profile
+from specfield.periodogram import batched_modulated_sums, index_products, phase_grid
+from specfield.stats import negligibility_report
 
 
 def gaussian_tail_quad(sigma2, t):
@@ -473,7 +472,7 @@ def test_negligibility_sums_of_a_batch_equal_its_rows_summed_alone(kind, dims):
     spec = first_axis_ma1(len(dims), kind, 1.0, 0.5)
     box = BoxDims(dims)
     _, leftover = block_index_sets(plan(dims[0], dependence_profile(spec), 0.2), box)
-    sums = blocking._part_sums(box, leftover, 0.2)
+    sums = stats._part_sums(box, leftover, 0.2)
     coords = [np.arange(1, v + 1) for v in dims]
     phases = [phase_grid(coords, (lam,) * len(dims)) for lam in (0.5, 2.5)]
     vals = generate_batch(spec, box, None, replication_seeds(3, 5))
@@ -496,7 +495,7 @@ def test_a_full_tail_is_summed_as_the_whole_row(kind):
     phases = [phase_grid(coords, (lam,)) for lam in (0.5, 2.5)]
     vals = generate_batch(spec, box, None, replication_seeds(7, 1))
     assert np.all(np.abs(vals) > index_products(coords) ** 0.2)
-    tail, _ = blocking._part_sums(box, leftover, 0.2)(vals, np.empty_like(vals), phases)
+    tail, _ = stats._part_sums(box, leftover, 0.2)(vals, np.empty_like(vals), phases)
     assert tail.tobytes() == batched_modulated_sums(vals, phases).tobytes()
 
 

@@ -13,7 +13,7 @@ from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 generate_batch, replication_seeds,
                                 spec_from_json, spec_to_json, spectral_density,
                                 white_noise)
-from specfield.rng import gaussian_lattice, replication_seed
+from specfield.rng import gaussian_lattice
 
 # finite tap sums evaluated two ways differ only by rounding
 CONSISTENCY_TOL = 1e-10
@@ -189,8 +189,8 @@ def test_replication_seed_stream_is_pinned():
     assert all(type(s) is int for s in seeds)
     assert replication_seeds(2**64 - 1, 2, offset=10**12) == [8732650323363371725,
                                                               1877724064946046700]
-    assert replication_seed(7, 5) == 3367921537479359684
-    assert replication_seeds(7, 3, offset=4)[1] == replication_seed(7, 5)
+    assert replication_seeds(7, 1, offset=5) == [3367921537479359684]
+    assert replication_seeds(7, 3, offset=4)[1] == 3367921537479359684
 
 
 def test_monte_carlo_moments_iid():

@@ -1,8 +1,9 @@
-"""Source hygiene: every name a module imports is used in that module, every
-third-party module `src/` imports is a declared dependency, `mixing`
-depends on no other part of the package than `bernstein` and `fieldgen`,
-the benchmark's trace finds the library names it wraps, the CLI starts
-without the process pool's modules, each process loads only what its
+"""Source hygiene: every name a module imports is used in that module or
+re-exported as such, every third-party module `src/` imports is a declared
+dependency, the modules import only from the layers below their own,
+`mixing` depends on no other part of the package than `bernstein` and
+`fieldgen`, the benchmark's trace finds the library names it wraps, the CLI
+starts without the process pool's modules, each process loads only what its
 command runs, and forked workers raise no warning."""
 
 import ast
@@ -26,12 +27,16 @@ _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
+    """Imported names that no ``ast.Name`` reads, except the explicit re-export
+    form ``from m import X as X``, which pyflakes and ruff also accept."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
+                if alias.asname == alias.name:
+                    continue
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -83,6 +88,76 @@ def test_third_party_imports_are_declared_dependencies():
                   and name not in declared}
     assert undeclared == {}
     assert "numpy" in imported
+
+
+def test_an_explicit_re_export_counts_as_used():
+    tree = ast.parse("from m import A as A\nfrom m import B\nimport c as c\nimport d as e\n")
+    assert _unused_imports(tree) == ["B (line 2)", "e (line 4)"]
+
+
+# the package's modules by layer, bottom first, each with the modules it may
+# take private names from.  A module imports only from lower layers, at its
+# top or inside a function.
+_LAYERS = {
+    "__init__": (0, ()), "_util": (0, ()), "domain": (0, ()), "kernels": (0, ()), "rng": (0, ()),
+    "frequencies": (1, ()), "bernstein": (1, ()),
+    "fieldgen": (2, ("domain", "rng")),
+    "periodogram": (3, ()),
+    "spectral": (4, ("fieldgen", "kernels")), "mixing": (4, ("fieldgen",)),
+    "stats": (5, ("fieldgen", "frequencies", "periodogram")),
+    "blocking": (6, ("stats",)),
+    "cli": (7, ("domain", "fieldgen")),
+    "__main__": (8, ()),
+}
+
+
+def _package_imports(tree: ast.Module):
+    """(line, module, names) of each import from the package: ``from . import x``
+    of a module gives that module and no names, of any other name the package."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "specfield":
+            continue
+        module = (node.module or "").removeprefix("specfield").lstrip(".")
+        if module:
+            yield node.lineno, module, [alias.name for alias in node.names]
+            continue
+        for alias in node.names:
+            if alias.name in _LAYERS:
+                yield node.lineno, alias.name, []
+            else:
+                yield node.lineno, "__init__", [alias.name]
+
+
+def _layer_violations(name: str, tree: ast.Module) -> list[str]:
+    layer, providers = _LAYERS[name]
+    found = []
+    for line, module, names in _package_imports(tree):
+        if _LAYERS[module][0] >= layer:
+            found.append(f"{name}:{line} imports {module}, which is not below it")
+        private = [n for n in names if n.startswith("_") and not n.endswith("__")]
+        if private and module not in providers:
+            found.append(f"{name}:{line} takes {private} from {module}")
+    return found
+
+
+def test_modules_import_only_from_lower_layers():
+    assert set(_LAYERS) == {path.stem for path in _SRC.glob("*.py")}
+    found = []
+    for name in _LAYERS:
+        tree = ast.parse((_SRC / f"{name}.py").read_text(encoding="utf-8"))
+        found += _layer_violations(name, tree)
+    assert found == []
+
+
+def test_the_layer_check_sees_imports_inside_functions_and_private_names():
+    tree = ast.parse("def f():\n    from .stats import g_functional\n"
+                     "from .fieldgen import FieldSample\nfrom .rng import _mix64\n"
+                     "from . import __version__, domain\n")
+    assert set(_layer_violations("periodogram", tree)) == {
+        "periodogram:2 imports stats, which is not below it",
+        "periodogram:4 takes ['_mix64'] from rng"}
 
 
 def test_mixing_imports_only_bernstein_and_fieldgen_from_the_package():
@@ -203,17 +278,26 @@ _COMMANDS = {
 }
 
 
+# package modules a command never runs, and so must not load
+_NOT_LOADED = {
+    "kernels": ("rng", "fieldgen", "stats", "blocking", "mixing", "spectral"),
+    "clt-experiment": ("bernstein", "mixing"),
+    "miller": ("bernstein", "mixing"),
+    "negligibility": ("blocking",),
+}
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_commands_load_no_scipy(command, cli_inputs):
     """No subcommand loads scipy; ``kernels`` loads none of the modules behind
-    the fields, the statistics, blocking, mixing or exact moments."""
+    the fields, the statistics, blocking, mixing or exact moments, the clt and
+    miller reports load no blocking plan or rho' search, and the negligibility
+    report loads no truncation oracle."""
     argv = [arg.format(**cli_inputs) for arg in _COMMANDS[command]]
     loaded = _loaded_modules(command, *argv)
     assert "scipy" not in loaded
-    if command == "kernels":
-        heavy = {f"specfield.{name}" for name in ("rng", "fieldgen", "stats", "blocking",
-                                                   "mixing", "spectral")}
-        assert heavy.isdisjoint(loaded), sorted(heavy & loaded)
+    heavy = {f"specfield.{name}" for name in _NOT_LOADED.get(command, ())}
+    assert heavy.isdisjoint(loaded), sorted(heavy & loaded)
 
 
 def test_blocking_plan_loads_only_the_planning_layer(cli_inputs):

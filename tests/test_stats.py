@@ -22,8 +22,10 @@ import test_blocking
 from specfield import _util, stats
 from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, _workspace_sizes,
-                                first_axis_ma1, spectral_density, white_noise)
+                                first_axis_ma1, generate, generate_batch, replication_seeds,
+                                spectral_density, white_noise)
 from specfield.frequencies import FrequencyScheme
+from specfield.periodogram import batched_modulated_sums, periodogram_vector, phase_grid
 from specfield.spectral import sum_covariance
 from specfield.stats import (cross_frequency_independence, g_functional,
                              ks_statistic, miller_check, run_clt_experiment)
@@ -216,6 +218,11 @@ def test_clt_report_structure():
     assert report.raw_periodograms.shape == (200, m)
     assert np.allclose(report.raw_periodograms,
                        np.abs(report.raw_sums) ** 2 / 256, atol=EXACT_TOL)
+    # the same I as each replication's sample gives, bit for bit
+    single = np.array([[i for _, i in periodogram_vector(generate(spec, (16, 16), None, seed),
+                                                         report.frequencies)]
+                       for seed in replication_seeds(7, 200)])
+    assert single.tobytes() == report.raw_periodograms.tobytes()
     doc = json.loads(report.to_json())
     assert doc["replications"] == 200
     assert "raw_sums" not in doc
@@ -383,6 +390,22 @@ def test_miller_rows_and_determinism():
     again = miller_check(spec, scheme, [1.0, 1.0, 1.0, 1.0],
                          [(16,), (64,)], 100, 13)
     assert report.to_json() == again.to_json()
+
+
+def test_miller_estimate_is_the_mean_of_g_over_root_v_squared():
+    """A row's estimate and standard error are those of (G(b, S) / sqrt(V))^2
+    over its draws, bit for bit, on a box whose volume is not a square."""
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    box = BoxDims((8, 6))
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [box.v])
+    weights = [1.0, 0.5, -0.3, 0.8]
+    row, = miller_check(spec, scheme, weights, [box.v], 400, 23).rows
+    seeds = replication_seeds(replication_seeds(23, 1, offset=1)[0], 400)
+    phases = [phase_grid([np.arange(1, v + 1) for v in box.v], lam)
+              for lam in scheme.freqs_for(box)]
+    sums = batched_modulated_sums(generate_batch(spec, box, None, seeds), phases)
+    g_sq = (g_functional(weights, sums) / math.sqrt(48)) ** 2
+    assert (row.estimate, row.std_error) == (g_sq.mean(), g_sq.std(ddof=1) / math.sqrt(400))
 
 
 def test_miller_weight_length_mismatch():
