@@ -64,13 +64,18 @@ def _run(token, *chunk):
     return _TASKS[token](*chunk)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_chunked(chunks, task) -> list:
     """``[task(*chunk) for chunk in chunks]``, in up to ``worker_count()`` forked
-    processes but no more than the chunks (in this process where ``fork`` is
-    missing); results come back in chunk order.  The workers live for this call
-    only and inherit the task: only the token, the chunks and the results are
-    pickled."""
-    workers = min(worker_count(), len(chunks))
+    processes but no more than the chunks or the usable CPUs (in this process
+    where ``fork`` is missing); results come back in chunk order.  The workers
+    live for this call only and inherit the task: only the token, the chunks and
+    the results are pickled."""
+    workers = min(worker_count(), len(chunks), usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
         return [task(*chunk) for chunk in chunks]
     import multiprocessing

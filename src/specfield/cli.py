@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 validation/config error, 2 internal-consistency
 or other internal error, 64 usage error (unknown subcommand, bad flags);
 every failure is one stderr line, never a traceback.  JSON goes to
 reports, CSV to per-replication raw data; everything is deterministic in
-the config's master seed.  SPECFIELD_THREADS sets the number of forked
-replication worker processes.  Each command imports the modules it runs
-inside its handler, so a process loads only what its command needs.
+the config's master seed.  SPECFIELD_THREADS caps the forked replication
+worker processes, as do the usable CPUs.  Each command imports the modules
+it runs inside its handler, so a process loads only what its command needs.
 """
 
 from __future__ import annotations

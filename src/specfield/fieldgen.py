@@ -268,20 +268,27 @@ def generate_batch(spec: LinearFieldSpec, dims, shift, seeds, *,
 
 def _workspace_sizes(spec: LinearFieldSpec, box: BoxDims, rows: int) -> list[int]:
     """Bytes of the lattice, the field and the scratch of a batch of ``rows`` seeds;
-    the scratch holds the lattice's block arrays, then the filter's product rows."""
+    the scratch holds the lattice's block arrays, then the filter's product rows,
+    and up to 64 bytes before each array that ``_batch_workspace`` aligns."""
     _, ranges = _innovation_ranges(spec, box.v, (0,) * spec.dim)
     return [16 * rows * _lattice_size(ranges, spec.is_real),
             rows * box.volume * (8 if spec.is_real else 16),
-            max(_SCRATCH_BYTES, 16 * max(_BLOCK_SITES, box.volume))]
+            max(_SCRATCH_BYTES, 16 * max(_BLOCK_SITES, box.volume)) + 3 * 64]
 
 
 def _batch_workspace(spec: LinearFieldSpec, box: BoxDims, rows: int, buffer: np.ndarray):
     """The (lattice, field, scratch) arrays of a batch of ``rows`` seeds, carved in
-    turn from the front of the uint8 ``buffer``, which holds ``_workspace_sizes``."""
-    lattice, values, scratch, _ = np.split(buffer, np.cumsum(_workspace_sizes(spec, box, rows)))
-    return (lattice.view(np.complex128).reshape(rows, -1),
-            values.view(np.float64 if spec.is_real else np.complex128).reshape((rows,) + box.v),
-            scratch)
+    turn from the uint8 ``buffer``, which holds ``_workspace_sizes``.  Each starts
+    on a 64-byte boundary, so the passes over them run at one speed wherever the
+    allocator put the buffer."""
+    lattice, values, _ = _workspace_sizes(spec, box, rows)
+    a = -buffer.ctypes.data % 64
+    b = a + lattice + -lattice % 64
+    c = b + values + -values % 64
+    return (buffer[a:a + lattice].view(np.complex128).reshape(rows, -1),
+            buffer[b:b + values].view(np.float64 if spec.is_real else np.complex128
+                                      ).reshape((rows,) + box.v),
+            buffer[c:])
 
 
 def replication_seeds(master_seed, count: int, offset: int = 0) -> list[int]:

@@ -8,29 +8,35 @@ the index, so we hash instead: a splitmix64-style avalanche over the seed
 and the coordinates (Steele, Lea & Flood, OOPSLA'14; used counter-style as
 in Salmon et al., SC'11), then Box-Muller (Box & Muller, 1958).
 
-Stream 4 (``RNG_STREAM``) is defined as follows.  Two salted hashes of a
+Stream 5 (``RNG_STREAM``) is defined as follows.  Two salted hashes of a
 site give 53-bit integers k1 and k, the radius r = sqrt(-2 log1p(-u1)) with
 u1 = k1 2^-53 and the angle t = 2 pi k 2^-53.  With rho = scale * r, a
 circular draw is ``rho * cos t + 1j * rho * sin t``, each part written on
 its own (scale = std / sqrt 2).  A real draw at last coordinate j is
 ``rho * cos t`` (j even) or ``rho * sin t`` (j odd) of the site whose last
 coordinate is j >> 1 (floor), with scale = std and a field salt of its own.
-cos t and sin t come from ``_angle_factors``, which reduces t exactly in
-integers to phi in [0, pi/4] and evaluates fdlibm's polynomial kernels on
-phi in numpy multiplies and adds (``_sincos``): with z = phi^2,
+cos t and sin t come from ``_angle_factors``, which splits k exactly in
+integers into the nearest of 1,024 nodes t_j = 2 pi j / 1024 and an offset
+|theta| <= pi/1024, and corrects the node's cos and sin, C_j and S_j, with
+Taylor polynomials for sin theta and cos theta - 1:
 
-    sin phi = phi + phi z S(z),   cos phi = w + (((1 - w) - z/2) + z^2 C(z)),
+    cos t = C_j + (C_j (cos theta - 1) - S_j sin theta),
+    sin t = S_j + (S_j (cos theta - 1) + C_j sin theta).
 
-where w = 1 - z/2, 1 - w is exact, and S and C are the degree-5 minimax
-polynomials of fdlibm's ``__kernel_sin`` and ``__kernel_cos``.  Circular
-draws are the same bits in streams 3 and 4.  Streams 1 to 3 drew one real
-value per site, ``rho * cos t`` from the site's own hashes; each of them
-differs from the next only in rounding, within about 1e-14 * std.
+The nodes are built on the first draw by stream 4's kernel: an exact octant
+reduction to phi in [0, pi/4] and fdlibm's ``__kernel_sin`` and
+``__kernel_cos`` (``_S`` and ``_C``).  So a draw at offset 0 has stream 4's
+bits, every cos t and sin t is within 2 ulp, and the kernel, being integer
+operations, ``np.take`` and real multiplies and adds, has the same bytes at
+any numpy SIMD level.  Each stream differs from the one before only in
+rounding, within about 1e-14 * std, except that stream 4 drew real values
+from pairs on a salt of their own; streams 1 to 3 drew one real value per
+site, and stream 3 drew the circular bits of stream 4.
 
 ``gaussian_lattice`` hashes the seed and every axis but the last up front, then
 walks the box in blocks of ``_BLOCK_SITES`` sites: whole rows of the last
 axis, or pieces of one row longer than a block.  Each block is hashed and
-transformed in place, in six block-sized scratch arrays (carved from the
+transformed in place, in seven block-sized scratch arrays (carved from the
 caller's ``scratch``, or allocated per call without one), and written
 straight into the output.  A real box is drawn as the complex box of its
 pair sites and returned as a slice of that box's float64 view, whose rows
@@ -46,11 +52,13 @@ wraps silently for arrays; scalars would warn on overflow).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # version of the innovation stream, recorded in the clt, miller and
 # negligibility reports; it changes whenever a draw changes in any bit
-RNG_STREAM = 4
+RNG_STREAM = 5
 
 # splitmix64 constants (Steele, Lea & Flood's mixer; also used by xorshift-family seeders)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -60,10 +68,9 @@ _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
-_SH1 = np.uint64(1)
-_SH2 = np.uint64(2)
-_SH13 = np.uint64(13)
-_SH63 = np.int64(63)
+_SH10 = np.uint64(10)
+_SH21 = np.int64(21)
+_SH54 = np.uint64(54)
 
 # domain-separation salts, odd constants; the real lattice's is _mix64(3), as CHANGES.md
 # explains: the two salts tried before it failed a statistical acceptance test by chance
@@ -78,10 +85,12 @@ _INV_2_53 = float(2.0 ** -53)
 # one step of k in angle, 2 pi 2^-53 = pi 2^-52: the double nearest pi times a
 # power of two, so f * _PI_2_52 rounds once
 _PI_2_52 = float(np.pi * 2.0 ** -52)
-# adding these to a hash adds 1 to its top 3 bits (the octant) or 2 bits (the quadrant)
-_OCTANT = np.uint64(1 << 61)
-_QUADRANT = np.uint64(1 << 62)
-_SIGN = np.uint64(1 << 63)
+# adding this to a hash rounds its top 10 bits to the nearest angle node j
+_HALF_NODE = np.uint64(1 << 53)
+# Taylor coefficients of sin(theta)/theta - 1 and (cos(theta) - 1)/z in z = theta^2, highest
+# power first; for |theta| <= pi/1024 the omitted terms are below 6e-22 and 1.2e-18
+_SIN_T = (1 / 120, -1 / 6)
+_COS_T = (1 / 24, -0.5)
 
 # fdlibm's minimax coefficients (k_sin.c and k_cos.c, Sun Microsystems 1993),
 # highest power first.  On 0 <= phi <= pi/4, with z = phi^2, these doubles give
@@ -93,12 +102,12 @@ _C = (-1.13596475577881948265e-11, 2.08757232129817482790e-09, -2.75573143513906
       2.48015872894767294178e-05, -1.38888888888741095749e-03, 4.16666666666666019037e-02)
 
 # sites hashed and transformed per block (pair sites for a real box, two
-# draws each); the scratch is six arrays this long.
+# draws each); the scratch is seven arrays this long.
 # 2^14 to 2^16 run alike in perfbench's mc_clt2d and mc_neglig1d traces;
 # 2^12 pays for per-call overhead and 2^17 falls out of the core's L2.
 _BLOCK_SITES = 1 << 15
 # the most bytes of block scratch one call uses
-_SCRATCH_BYTES = 6 * 8 * _BLOCK_SITES
+_SCRATCH_BYTES = 7 * 8 * _BLOCK_SITES
 
 
 def _mix64(x: np.ndarray, out: np.ndarray | None = None,
@@ -151,62 +160,59 @@ def _hash_rows(seeds: np.ndarray, salt: np.uint64,
     return h
 
 
-def _sincos(phi: np.ndarray, z: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
-    """cos phi into ``c`` and sin phi into ``s`` for phi in [0, pi/4], by
-    fdlibm's ``__kernel_cos`` and ``__kernel_sin`` with a zero tail.
-
-    Horner's rule on z = phi^2 in place: ``z`` is float64 scratch and ``phi``
-    is overwritten.  1 - w, for w = 1 - z/2 rounded, is formed as
-    (z/2 + 1/2) - 1/2: both round z/2 to the same multiple of 2^-53, so it
-    is the same double, and no slot holds w while it is needed.
-    """
-    np.multiply(phi, phi, out=z)
-    np.multiply(z, _S[0], out=s)
-    for coef in _S[1:]:
-        np.multiply(np.add(s, coef, out=s), z, out=s)
-    np.add(np.multiply(s, phi, out=s), phi, out=s)
-    np.multiply(z, _C[0], out=c)
-    for coef in _C[1:]:
-        np.multiply(np.add(c, coef, out=c), z, out=c)
-    np.multiply(c, z, out=c)
-    hz = np.multiply(z, 0.5, out=phi)
-    one_minus_w = np.subtract(np.add(hz, 0.5, out=z), 0.5, out=z)
-    np.add(np.subtract(one_minus_w, hz, out=phi), c, out=c)
-    np.add(np.subtract(1.0, one_minus_w, out=z), c, out=c)
+@functools.cache
+def _angle_nodes() -> np.ndarray:
+    """The rows cos t_j and sin t_j at the 1,024 nodes t_j = 2 pi j / 1024, as
+    stream 4 drew them: the octant of j and its offset f in steps of pi/512
+    give phi = f or 128 - f (odd octants) steps in [0, pi/4], fdlibm's kernels
+    give cos phi and sin phi, and the octant swaps them and sets the signs."""
+    octant, f = np.divmod(np.arange(1024), 128)
+    phi = (np.where(octant % 2, 128 - f, f) << 43) * _PI_2_52
+    z = phi * phi
+    s, c = z * _S[0], z * _C[0]
+    for a, b in zip(_S[1:], _C[1:]):
+        s, c = (s + a) * z, (c + b) * z
+    w = 1.0 - 0.5 * z
+    c, s = w + (((1.0 - w) - 0.5 * z) + c * z), phi + s * phi
+    swap = np.isin(octant, (1, 2, 5, 6))
+    c, s = np.where(swap, s, c), np.where(swap, c, s)
+    nodes = np.array([np.where(np.isin(octant, (2, 3, 4, 5)), -c, c),
+                      np.where(octant >= 4, -s, s)])
+    nodes.flags.writeable = False  # every draw reads the one table
+    return nodes
 
 
 def _angle_factors(w: np.ndarray, tmp: np.ndarray, phi: np.ndarray, x: np.ndarray,
-                   y: np.ndarray) -> None:
+                   y: np.ndarray, t: np.ndarray) -> None:
     """cos t into ``x`` and sin t into ``y``, for t = 2 pi k 2^-53.
 
-    k is the top 53 bits of the uint64 hashes ``w``.  The angle is reduced
-    exactly in integers: the top 3 bits of k pick an octant and the rest is
-    the offset f inside it, so t = octant * pi/4 + f * pi 2^-52.  Odd octants
-    reflect f to 2^50 - f, ``_sincos`` evaluates cos and sin on phi in
-    [0, pi/4], and the octant then swaps the pair and sets the signs, as bit
-    operations on the float64 views.  ``w`` and ``tmp`` (uint64) are
-    overwritten; ``phi`` is float64 scratch; all five arrays have the same
-    shape.
+    k is the top 53 bits of the uint64 hashes ``w``.  The nearest node
+    t_j = 2 pi j / 1024 is j = (w + 2^53) >> 54 (mod 1024), and the offset
+    theta = t - t_j is the signed low 43 bits of k times pi 2^-52, exact in
+    integers, so |theta| <= pi/1024.  With sin theta and cos theta - 1 from
+    short Taylor polynomials, cos t = C_j + (C_j (cos theta - 1) - S_j sin theta)
+    and sin t = S_j + (S_j (cos theta - 1) + C_j sin theta).  ``w`` and
+    ``tmp`` (uint64) are overwritten; ``phi`` and ``t`` are float64 scratch;
+    all six arrays have the same shape.
     """
-    half = np.int64(1 << 50)
-    # g: the low 51 bits of k, the octant's parity bit and f;
-    # half - |g - half| is f in even octants and 2^50 - f in odd ones
-    g = np.right_shift(np.left_shift(w, _SH2, out=tmp), _SH13, out=tmp).view(np.int64)
-    np.subtract(g, half, out=g)
-    np.abs(g, out=g)
-    np.subtract(half, g, out=g)
-    _sincos(np.multiply(g, _PI_2_52, out=phi), tmp.view(np.float64), x, y)
-    xb, yb = x.view(np.uint64), y.view(np.uint64)
-    # octants 1, 2, 5 and 6 swap cos and sin: bit 1 of (octant + 1)
-    swap = np.left_shift(np.add(w, _OCTANT, out=tmp), _SH1, out=tmp)
-    np.right_shift(swap.view(np.int64), _SH63, out=swap.view(np.int64))
-    np.bitwise_and(swap, np.bitwise_xor(xb, yb, out=phi.view(np.uint64)), out=swap)
-    np.bitwise_xor(xb, swap, out=xb)
-    np.bitwise_xor(yb, swap, out=yb)
-    # sin t < 0 in octants 4 to 7, the top bit of k
-    np.bitwise_xor(yb, np.bitwise_and(w, _SIGN, out=tmp), out=yb)
-    # cos t < 0 in quadrants 1 and 2: bit 1 of (quadrant + 1)
-    np.bitwise_xor(xb, np.bitwise_and(np.add(w, _QUADRANT, out=w), _SIGN, out=w), out=xb)
+    cos_j, sin_j = _angle_nodes()
+    j = np.right_shift(np.add(w, _HALF_NODE, out=tmp), _SH54, out=tmp).view(np.int64)
+    np.take(cos_j, j, out=x, mode="clip")
+    np.take(sin_j, j, out=y, mode="clip")
+    f = np.left_shift(w, _SH10, out=w).view(np.int64)
+    theta = np.multiply(np.right_shift(f, _SH21, out=f), _PI_2_52, out=phi)
+    z = np.multiply(theta, theta, out=tmp.view(np.float64))
+    sin = np.multiply(z, _SIN_T[0], out=w.view(np.float64))
+    np.multiply(np.add(sin, _SIN_T[1], out=sin), z, out=sin)
+    np.add(np.multiply(sin, theta, out=sin), theta, out=sin)
+    cos = np.multiply(z, _COS_T[0], out=phi)
+    for coef in _COS_T[1:]:
+        np.multiply(np.add(cos, coef, out=cos), z, out=cos)
+    # cos t and sin t in correction form: C_j and S_j plus a term below pi/1024
+    np.subtract(np.multiply(x, cos, out=z), np.multiply(y, sin, out=t), out=z)
+    np.add(np.multiply(y, cos, out=cos), np.multiply(x, sin, out=sin), out=cos)
+    np.add(x, z, out=x)
+    np.add(y, cos, out=y)
 
 
 def _lattice_size(axis_ranges, real: bool) -> int:
@@ -280,9 +286,9 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
     # a block is a run of whole rows, or a piece of one row longer than the block
     cols = min(n, _BLOCK_SITES)
     step = max(1, _BLOCK_SITES // n)
-    size = 6 * step * cols
+    size = 7 * step * cols
     blocks = (np.empty(size, np.uint64) if scratch is None
-              else scratch.view(np.uint64)[:size]).reshape(6, -1)
+              else scratch.view(np.uint64)[:size]).reshape(7, -1)
     ints, floats = list(blocks[:3]), [b.view(np.float64) for b in blocks[3:]]
     for c0 in range(0, n, cols):
         c1 = min(n, c0 + cols)
@@ -290,7 +296,7 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
         for r0 in range(0, rows.size, step):
             r1 = min(rows.size, r0 + step)
             size = (r1 - r0) * (c1 - c0)
-            h, bits, tmp, radius, phi, x = (
+            h, bits, tmp, radius, phi, x, t = (
                 buf[:size].reshape(r1 - r0, c1 - c0) for buf in ints + floats)
             _mix64(np.bitwise_xor(rows[r0:r1, None], key, out=h), out=h, tmp=tmp)
             # Box-Muller radius times scale; u1 = k1 * 2^-53 is exact and
@@ -306,7 +312,7 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
             _mix64(np.bitwise_xor(h, _U2_SALT, out=bits), out=bits, tmp=tmp)
             block = grid[r0:r1, c0:c1]
             y = h.view(np.float64)
-            _angle_factors(bits, tmp, phi, x, y)
+            _angle_factors(bits, tmp, phi, x, y, t)
             np.multiply(radius, x, out=block.real)
             np.multiply(radius, y, out=block.imag)
     if real:

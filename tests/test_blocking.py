@@ -443,7 +443,7 @@ def test_negligibility_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_
     drawn_fields.assert_one_workspace_per_worker(int(threads))
 
 
-NEGLIGIBILITY_DIGEST = "8bb3099af4b4097e8c61da0728eb122c9bf47d39075754273a1a89863043454d"
+NEGLIGIBILITY_DIGEST = "3f260419cb29a569b5d414a3fcc6b59ed81b8a3da87b4483f78f986daa8b6454"
 
 
 def negligibility_digest():
@@ -457,7 +457,7 @@ def negligibility_digest():
 
 
 def test_negligibility_report_bytes_are_pinned():
-    """sha256 of the report's JSON, recorded on innovation stream 4 with each
+    """sha256 of the report's JSON, recorded on innovation stream 5 with each
     row's tail and leftover parts summed over their own sites, in index order,
     in real arithmetic."""
     assert negligibility_digest() == NEGLIGIBILITY_DIGEST

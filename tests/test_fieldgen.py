@@ -395,3 +395,30 @@ def test_specs_pickle_and_deepcopy(kind, coeff):
         assert generate_batch(twin, (6, 5), (1, -2), [3, 4]).tobytes() == want
         with pytest.raises(TypeError):
             twin.taps[(0, 0)] = 2.0
+
+
+@pytest.mark.parametrize("offset", [0, 16, 32, 48])
+def test_batch_workspace_arrays_start_on_cache_lines(offset):
+    """Wherever a buffer of ``_workspace_sizes`` bytes starts (at each 16-byte
+    offset mod 64), the lattice, field and scratch carved from it each start
+    on a 64-byte boundary, in order and apart: for the circular 64 x 64 box
+    and for real 1-d boxes whose pair rows are 16 (V/2 + 1) = 16 mod 64
+    bytes long."""
+    circular = (first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5), (64, 64), [1, 7, 31])
+    real = [(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0), (v,), [1, 3])
+            for v in (4096, 16384, 65536)]
+    for spec, dims, batches in [circular] + real:
+        box = BoxDims(dims)
+        for rows in batches:
+            sizes = fieldgen._workspace_sizes(spec, box, rows)
+            raw = np.empty(sum(sizes) + 64, np.uint8)
+            start = (offset - raw.ctypes.data) % 64
+            buffer = raw[start:start + sum(sizes)]
+            lattice, values, scratch = fieldgen._batch_workspace(spec, box, rows, buffer)
+            assert [a.ctypes.data % 64 for a in (lattice, values, scratch)] == [0, 0, 0]
+            assert [lattice.nbytes, values.nbytes] == sizes[:2]
+            assert lattice.ctypes.data + lattice.nbytes <= values.ctypes.data
+            assert values.ctypes.data + values.nbytes <= scratch.ctypes.data
+            assert scratch.nbytes >= sizes[2] - 3 * 64
+            if spec.is_real:
+                assert lattice.strides[0] % 64 == 16

@@ -4,7 +4,8 @@ dependency, the modules import only from the layers below their own,
 `mixing` depends on no other part of the package than `bernstein` and
 `fieldgen`, the benchmark's trace finds the library names it wraps, the CLI
 starts without the process pool's modules, each process loads only what its
-command runs, and forked workers raise no warning."""
+command runs, forked workers raise no warning, and README and the `rng`
+docstring name the innovation stream in use."""
 
 import ast
 import importlib
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import specfield
-from specfield import bernstein, blocking, mixing
+from specfield import bernstein, blocking, mixing, rng
 from specfield.fieldgen import REAL_GAUSSIAN, first_axis_ma1, spec_to_json
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "specfield"
@@ -335,3 +336,12 @@ def test_forked_workers_print_what_one_worker_prints(tmp_path):
             for threads in ("1", "2")]
     assert [(r.returncode, r.stderr) for r in runs] == [(0, b"")] * 2
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_readme_and_rng_docstring_name_the_stream_in_use():
+    """README's two "now N" statements of the innovation stream and the rng
+    docstring's "Stream N (``RNG_STREAM``)" all name ``rng.RNG_STREAM``."""
+    readme = (_SRC.parents[1] / "README.md").read_text()
+    stream = str(rng.RNG_STREAM)
+    assert re.findall(r"\bnow\s+(\d+)", readme) == [stream, stream]
+    assert re.findall(r"Stream (\d+) \(``RNG_STREAM``\)", rng.__doc__) == [stream]

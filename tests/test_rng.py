@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,27 +15,27 @@ from specfield import rng
 from specfield.fieldgen import CIRCULAR_GAUSSIAN, REAL_GAUSSIAN
 from specfield.rng import gaussian_lattice
 
-# sha256 of gaussian_lattice(*args).tobytes(), recorded with the whole-array
-# evaluation of the stream (the real cases on stream 4, the circular ones on
-# stream 3, whose circular bits stream 4 keeps); the last two cases span
-# several blocks
+# sha256 of gaussian_lattice(*args).tobytes(), recorded on stream 5 with the
+# whole-array evaluation of the stream (the two std-0 cases keep their stream 4
+# digests: their zeros carry only the signs of cos t and sin t); the last two
+# cases span several blocks
 PINNED = {
     "real-1d-scalar": ((0, [(-5, 40)], REAL_GAUSSIAN, 1.0),
-                       "ebfb8a4357d9b63efabc6c6e8689f65f8dd48b2daf7e97d9356fdd13c2dcfb79"),
+                       "8acf96a0e7aa0542bcc1274d488669d5bf32f68bc218f488de5971d46045ef06"),
     "circ-2d-batch": (([1, 2, 2**64 - 1], [(-3, 7), (-10, 12)], CIRCULAR_GAUSSIAN, 1.7),
-                      "8497fbbe6a3e99f55494c574eef26ef82711ee2e342597c81b5579fc98ede4a4"),
+                      "ba1ab16aa833c74942baf0f162ed528e3d2fd7c48bd16db92f1450237103ea12"),
     "circ-3d-maxseed": ((2**64 - 1, [(-2, 3), (0, 4), (-7, -1)], CIRCULAR_GAUSSIAN, 0.5),
-                        "d6359143e762d7a9e6248d4878826ad43e2853545d1b232f0253019661132e28"),
+                        "14905c3bbd6f976eace0c70a03ba5b818abfefa7d61a447502bfe1d447f75811"),
     "real-3d-batch": (([5, 6], [(-1, 2), (-3, 3), (4, 9)], REAL_GAUSSIAN, 2.0),
-                      "884054f992255cdf8f44c512c811ef0da2e8cc2efb48a35d2320d573de36a289"),
+                      "e3902824f8aefa03d47e125e1791b316b9666d210cf455964fc2c03d6964c893"),
     "circ-2d-std0": (([3, 4], [(-2, 5), (-1, 9)], CIRCULAR_GAUSSIAN, 0.0),
                      "22ef2ac2390ecb83379e4a8a9a9d7d2b9fe88ac9a1c45e4c9eb2fff6926ae4b8"),
     "real-1d-std0": ((9, [(-20, 20)], REAL_GAUSSIAN, 0.0),
                      "f4efbd9fd058b99b31d66d002bf303426798b3d74eaa772dfcfade7f2b2136ac"),
     "circ-1d-long": ((11, [(-40000, 60000)], CIRCULAR_GAUSSIAN, 1.0),
-                     "efcaf25e71c84904bbde3aa56a8ae264a88abbca5b20a87f47d02aba8af2204b"),
+                     "1e59b128f3a52552723a4e042fe220898d5e0cfdcbacd21bf7ee439df43e0d0e"),
     "real-2d-wide": (([12, 13, 14, 15], [(0, 299), (-150, 149)], REAL_GAUSSIAN, 0.75),
-                     "4e00e4e5ee51bd16b1890a03720a887d45eb0b864a4d24c8482170ebb7091b6a"),
+                     "782b87947e98e5dc6ec7bbf381cced567582cb825a77e94b7bad4689ebc22fcb"),
 }
 SMALL = ["real-1d-scalar", "circ-2d-batch", "circ-3d-maxseed", "real-3d-batch",
          "circ-2d-std0", "real-1d-std0"]
@@ -122,20 +125,45 @@ def _per_site_lattice(seeds, ranges, kind, std, factors):
     return out[0] if np.ndim(seeds) == 0 else out
 
 
-def _reference_lattice(seeds, ranges, kind, std):
-    """The stream's defining formula (v4) evaluated on whole arrays, without
-    blocks: stream 3's circular draws, and a real draw at last coordinate j
-    from the cosine (j even) or sine (j odd) of the pair at j >> 1, drawn on
-    the real salt with scale std."""
+def _v5_factors(k):
+    """Stream 5's cos and sin of t = 2 pi k 2^-53: the node t_j = 2 pi j / 1024
+    nearest t, with stream 4's cos t_j and sin t_j (``_v3_factors``), corrected
+    by the offset theta = t - t_j through the Taylor polynomials of rng."""
+    k = k.astype(np.int64)
+    j = (k + 2**42) >> 43
+    theta = (k - (j << 43)) * rng._PI_2_52
+    c_j, s_j = _v3_factors(np.arange(1024, dtype=np.uint64) << np.uint64(43), circular=True)
+    c, s = c_j[j % 1024], s_j[j % 1024]
+    z = theta * theta
+    sin = ((z * rng._SIN_T[0] + rng._SIN_T[1]) * z) * theta + theta
+    cos_m1 = (z * rng._COS_T[0] + rng._COS_T[1]) * z
+    return c + (c * cos_m1 - s * sin), s + (s * cos_m1 + c * sin)
+
+
+def _pair_lattice(seeds, ranges, kind, std, factors):
+    """Streams 4 and 5 on whole arrays, without blocks, with the stream's
+    ``factors(k)``: a circular draw per site, and a real draw at last
+    coordinate j from the cosine (j even) or sine (j odd) of the pair at
+    j >> 1, drawn on the real salt with scale std."""
     if kind == CIRCULAR_GAUSSIAN:
-        return _per_site_lattice(seeds, ranges, kind, std, _v3_factors)
+        return _per_site_lattice(seeds, ranges, kind, std, lambda k, _: factors(k))
     *lead, (lo, hi) = ranges
     radius, k = _radius_and_angle(seeds, [*lead, (lo >> 1, hi >> 1)], rng._REAL_SALT)
-    x, y = _v3_factors(k, circular=True)
+    x, y = factors(k)
     j = np.arange(lo, hi + 1)
     pair = (j >> 1) - (lo >> 1)
     out = (std * radius)[..., pair] * np.where(j % 2 == 0, x[..., pair], y[..., pair])
     return out[0] if np.ndim(seeds) == 0 else out
+
+
+def _v4_reference(seeds, ranges, kind, std):
+    """Stream 4: stream 3's circular draws, and real draws from pairs."""
+    return _pair_lattice(seeds, ranges, kind, std, lambda k: _v3_factors(k, circular=True))
+
+
+def _reference_lattice(seeds, ranges, kind, std):
+    """The stream's defining formula (v5) evaluated on whole arrays."""
+    return _pair_lattice(seeds, ranges, kind, std, _v5_factors)
 
 
 def _v1_reference(seeds, ranges, kind, std):
@@ -197,36 +225,39 @@ def test_zero_radius_draws_keep_their_signed_zeros(std):
 
 @pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
 def test_stream_v2_is_v1_with_better_rounding(kind):
-    """Same hashes, radius and angle integer: over 10^5 draws the two streams
-    differ only by the rounding of cos and sin.  Stream 4 draws real values
-    from other hashes, so the real case compares the streams' formulas."""
+    """Same hashes, radius and angle integer: over 10^5 draws the two streams'
+    formulas differ only by the rounding of cos and sin."""
     std = 1.7
     args = ([3, 2**64 - 1], [(-50, 49), (0, 499)], kind, std)
-    if kind == REAL_GAUSSIAN:
-        v2 = _per_site_lattice(*args, _v2_factors)
-    else:
-        v2 = gaussian_lattice(*args)
+    v2 = _per_site_lattice(*args, _v2_factors)
     assert v2.size == 100_000
     assert np.max(np.abs(v2 - _v1_reference(*args))) <= 1e-14 * std
 
 
 @pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
 def test_stream_v3_is_v2_up_to_rounding(kind):
-    """Real draws keep their bits (stream 4 changed them, so the real case
-    compares the streams' formulas); over 10^5 circular draws the polynomial
-    kernel moves a draw by at most 1e-14 * std."""
+    """Real draws keep their bits; over 10^5 circular draws the polynomial
+    kernel moves a draw by at most 1e-14 * std (the streams' formulas)."""
     std = 1.7
     args = ([5, 2**63 + 3], [(-40, 59), (7, 506)], kind, std)
-    if kind == REAL_GAUSSIAN:
-        v3 = _per_site_lattice(*args, _v3_factors)
-    else:
-        v3 = gaussian_lattice(*args)
+    v3 = _per_site_lattice(*args, _v3_factors)
     v2 = _per_site_lattice(*args, _v2_factors)
     assert v3.size == 100_000
     if kind == REAL_GAUSSIAN:
         assert v3.tobytes() == v2.tobytes()
     else:
         assert 0.0 < np.max(np.abs(v3 - v2)) <= 1e-14 * std
+
+
+@pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
+def test_stream_v5_is_v4_up_to_rounding(kind):
+    """Same hashes, radius and angle integer: over 10^5 draws the node table
+    moves a draw by at most 1e-14 * std, and moves some."""
+    std = 1.7
+    args = ([7, 2**64 - 5], [(-30, 69), (11, 510)], kind, std)
+    v5 = gaussian_lattice(*args)
+    assert v5.size == 100_000
+    assert 0.0 < np.max(np.abs(v5 - _v4_reference(*args))) <= 1e-14 * std
 
 
 def test_kernel_coefficients_meet_their_bound():
@@ -247,18 +278,19 @@ def test_kernel_coefficients_meet_their_bound():
     assert worst_s < 3.5e-18 and worst_c < 1e-18
 
 
-def test_angle_factors_are_within_two_ulp():
-    """The helper's cos t and sin t, t = 2 pi k 2^-53, against mpmath at the
-    sector edges and at random k; at the exact zeros they are +-0."""
+def _angle(w):
+    """cos t and sin t from ``rng._angle_factors`` on a copy of the hashes ``w``."""
+    x, y = np.empty(w.size), np.empty(w.size)
+    rng._angle_factors(w.copy(), np.empty_like(w), np.empty(w.size), x, y, np.empty(w.size))
+    return x, y
+
+
+def _assert_within_two_ulp(ks):
+    """cos t and sin t, t = 2 pi k 2^-53, within 2 ulp of mpmath at each k of
+    ``ks``; at the exact zeros they are +-0."""
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.prec = 128
-    edges = {0, 2**53 - 1} | {j * 2**50 + e for j in range(1, 8) for e in (-1, 0, 1)}
-    ks = sorted(edges) + [int(k) for k in np.random.default_rng(53).integers(
-        0, 2**53, size=20_000, dtype=np.uint64)]
-    k = np.asarray(ks, dtype=np.uint64)
-    w = k << np.uint64(11)
-    x, y = np.empty(k.size), np.empty(k.size)
-    rng._angle_factors(w, np.empty_like(w), np.empty(k.size), x, y)
+    x, y = _angle(np.asarray(ks, dtype=np.uint64) << np.uint64(11))
     for got, exact in ((x, mpmath.cos), (y, mpmath.sin)):
         for kk, value in zip(ks, got.tolist()):
             want = exact(2 * mpmath.pi * kk / mpmath.mpf(2) ** 53)
@@ -269,13 +301,96 @@ def test_angle_factors_are_within_two_ulp():
                 assert abs(mpmath.mpf(value) - want) <= 2 * ulp, kk
 
 
+def test_angle_factors_are_within_two_ulp():
+    """The helper's cos t and sin t against mpmath at the sector edges and at
+    random k."""
+    edges = {0, 2**53 - 1} | {j * 2**50 + e for j in range(1, 8) for e in (-1, 0, 1)}
+    _assert_within_two_ulp(sorted(edges) + [int(k) for k in np.random.default_rng(53).integers(
+        0, 2**53, size=20_000, dtype=np.uint64)])
+
+
+def test_angle_factors_are_within_two_ulp_at_cell_edges_and_zeros():
+    """Where the nearest node changes, k = (j + 1/2) 2^43, and so |theta| is
+    largest, and near the four exact zeros k = q 2^51, at distances up to 2."""
+    cells = [j * 2**43 + 2**42 + e for j in range(1024) for e in range(-2, 3)]
+    zeros = [(q * 2**51 + e) % 2**53 for q in range(4) for e in range(-2, 3)]
+    _assert_within_two_ulp(cells + zeros)
+
+
+def test_angle_factors_at_the_nodes_are_stream_4s():
+    """At theta = 0, k a multiple of 2^43 (the 11 hash bits below k vary),
+    cos t and sin t equal stream 4's under ==."""
+    k = np.arange(1024, dtype=np.uint64) << np.uint64(43)
+    x, y = _angle((k << np.uint64(11)) | np.arange(1024, dtype=np.uint64) * np.uint64(2))
+    want_x, want_y = _v3_factors(k, circular=True)
+    assert np.all(x == want_x) and np.all(y == want_y)
+
+
+def test_offset_polynomials_meet_their_bound():
+    """sin theta and cos theta - 1 from the committed Taylor doubles, against
+    mpmath on a dense grid of [-pi/1024, pi/1024]: the errors stay within the
+    bounds stated in rng."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(128):
+        worst_s = worst_c = mpmath.mpf(0)
+        for i in range(-2048, 2049):
+            theta = mpmath.pi / 1024 * i / 2048
+            z = theta * theta
+            s = c = mpmath.mpf(0)
+            for a in rng._SIN_T:
+                s = s * z + mpmath.mpf(a)
+            for b in rng._COS_T:
+                c = c * z + mpmath.mpf(b)
+            worst_s = max(worst_s, abs(mpmath.sin(theta) - theta * (1 + z * s)))
+            worst_c = max(worst_c, abs(mpmath.cos(theta) - 1 - z * c))
+    assert worst_s < 6e-22 and worst_c < 1.2e-18
+
+
+# numpy's dispatched SIMD targets switched off in a child process: the AVX-512
+# ones, then AVX2's (X86_V3) as well, which leaves the baseline loops
+NUMPY_SETTINGS = {"no-avx512": "X86_V4 AVX512_ICL AVX512_SPR",
+                  "baseline": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def angle_digest():
+    """sha256 of cos t and sin t from ``_angle_factors`` on 2^16 fixed hashes."""
+    w = np.random.default_rng(2024).integers(0, 2**64 - 1, size=1 << 16, dtype=np.uint64,
+                                            endpoint=True)
+    x, y = _angle(w)
+    return hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("setting", sorted(NUMPY_SETTINGS))
+def test_angle_bytes_do_not_depend_on_numpy_simd(setting):
+    """The angle kernel's bytes, recomputed in a child process with numpy's
+    SIMD targets switched off, are this process's; skipped by name where a
+    target is not dispatched or the CPU lacks it."""
+    from numpy._core import _multiarray_umath as umath
+
+    names = NUMPY_SETTINGS[setting].split()
+    absent = [n for n in names if not umath.__cpu_features__.get(n)
+              or n not in umath.__cpu_dispatch__]
+    if absent:
+        pytest.skip(f"NPY_DISABLE_CPU_FEATURES={' '.join(names)!r}: {absent} not in use here")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(names),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    probe = ("import json, test_rng as t; from numpy._core import _multiarray_umath as u; "
+             "print(json.dumps([t.angle_digest(), [n for n in u.__cpu_dispatch__ "
+             "if u.__cpu_features__[n]]]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    digest, enabled = json.loads(proc.stdout)
+    assert not set(names) & set(enabled)
+    assert digest == angle_digest()
+
+
 def test_stream_version_is_pinned_and_reported():
     from specfield.blocking import negligibility_report
     from specfield.fieldgen import first_axis_ma1
     from specfield.frequencies import FrequencyScheme
     from specfield.stats import miller_check, run_clt_experiment
 
-    assert rng.RNG_STREAM == 4
+    assert rng.RNG_STREAM == 5
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5)
     dims = [(16,)]
     scheme = FrequencyScheme.separated((1.5,), 1, 0.2, 0, dims)
@@ -283,7 +398,7 @@ def test_stream_version_is_pinned_and_reported():
     miller = json.loads(miller_check(spec, scheme, [1.0, 0.0], dims, 8, 1).to_json())
     neglig = dataclasses.asdict(negligibility_report(spec, scheme, dims, 0.2,
                                                      [1.0, 0.0], 8, 1))
-    assert clt["rng_stream"] == miller["rng_stream"] == neglig["rng_stream"] == 4
+    assert clt["rng_stream"] == miller["rng_stream"] == neglig["rng_stream"] == 5
 
 
 def test_lattice_scratch_is_bounded():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import functools
 import glob
@@ -416,12 +417,12 @@ def test_miller_weight_length_mismatch():
 
 
 # sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
-# recorded on innovation stream 4 with every S summed by
+# recorded on innovation stream 5 with every S summed by
 # ``periodogram._row_sums``, the covariances reduced by ``np.add.reduce``, and
 # the clt KS statistics from ``math.erfc`` and the Kolmogorov series
-CLT_DIGESTS = {"real": "1fe6d9c0a32c4cdd0c51a0dda672156dcf92cb87765333e80607f63958629354",
-               "circular": "95496ef9f152b2b656ea8a622ea83a56a8dac4246d19418dfecd9482c887418b"}
-MILLER_DIGEST = "20e98a041a5ef978499718d32f4e3cd2050118547258eeefd404699340bd5408"
+CLT_DIGESTS = {"real": "0aad6abaff73e1090d8e53323652fd26131761a14c69f4186f0cb2d7b487265c",
+               "circular": "fa695f967235a4d315b89189ea961a6b3bc8274abb0a024a1da6b1d54350a85a"}
+MILLER_DIGEST = "50b698b501721a21505de36fa954d3c6fd6e448d4b0ab8a44e4e06ec285bbd68"
 
 
 def clt_digest(kind):
@@ -709,22 +710,63 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _count_started(monkeypatch, most):
+    """The worker processes started from now on, in a list that grows; a pool
+    of more than ``most`` workers is refused before it starts any."""
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def counting(process):
+        started.append(process)
+        start(process)
+
+    def bounded(workers, **kwargs):
+        if workers > most:
+            raise RuntimeError(f"a pool of {workers} workers, past {most}")
+        return pool(workers, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bounded)
+    return started
+
+
 def test_workers_never_outnumber_the_chunks(monkeypatch):
     """SPECFIELD_THREADS=8 on 3 replications, so 3 chunks, forks at most 3
     workers, and the sums equal a one-worker run's."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     want = run_clt_experiment(spec, scheme, (16, 8), 3, 17).raw_sums
-    started = []
-    start = multiprocessing.context.ForkProcess.start
-
-    def counting(process):
-        started.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
+    started = _count_started(monkeypatch, 3)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 8)
     monkeypatch.setenv("SPECFIELD_THREADS", "8")
     got = run_clt_experiment(spec, scheme, (16, 8), 3, 17).raw_sums
     assert got.tobytes() == want.tobytes()
     assert 2 <= len(started) <= 3
     assert multiprocessing.active_children() == []
+
+
+def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
+    """SPECFIELD_THREADS=1000000 on 40 replications keeps its 40 chunks, but
+    on 2 usable CPUs forks 2 workers, and the sums equal a one-worker run's."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    want = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    started = _count_started(monkeypatch, 2)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("SPECFIELD_THREADS", "1000000")
+    assert len(_util.replication_chunks(40)) == 40
+    got = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    assert got.tobytes() == want.tobytes()
+    assert len(started) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    """The CPUs in this process's affinity mask, or os.cpu_count() where the
+    OS has no such mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _util.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert _util.usable_cpus() == 6
