@@ -10,15 +10,14 @@ before any numpy-backed module loads.
 
 from __future__ import annotations
 
-import itertools
 import os
 
 # refuse a replication, a quadrature grid or a block list needing more than this
 _CHUNK_BYTES = 1 << 26
 # draw, filter and sum the replications of a chunk about this many bytes at a time
 _BATCH_BYTES = 1 << 22
-# the tasks of the run_chunked calls in flight, by token; forked workers inherit them
-_TASKS, _TOKENS = {}, itertools.count()
+# in a forked worker, the task of the run_chunked call that forked it
+_task = None
 
 
 class InternalConsistencyError(Exception):
@@ -26,7 +25,7 @@ class InternalConsistencyError(Exception):
 
 
 def worker_count() -> int:
-    """Forked replication worker processes: SPECFIELD_THREADS (>=1), serial without fork."""
+    """The pool's one sizing: SPECFIELD_THREADS (>=1, default 1) capped by the usable CPUs."""
     raw = os.environ.get("SPECFIELD_THREADS")
     if raw is None:
         return 1
@@ -36,7 +35,7 @@ def worker_count() -> int:
         raise ValueError(f"SPECFIELD_THREADS must be an integer, got {raw!r}") from exc
     if n < 1:
         raise ValueError(f"SPECFIELD_THREADS must be >= 1, got {n}")
-    return n
+    return min(n, usable_cpus())
 
 
 def check_replication(sites: int, bytes_per_site: int) -> None:
@@ -60,8 +59,13 @@ def replication_chunks(total: int) -> list[tuple[int, int]]:
     return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
-def _run(token, *chunk):
-    return _TASKS[token](*chunk)
+def _adopt(task) -> None:
+    global _task
+    _task = task
+
+
+def _run(*chunk):
+    return _task(*chunk)
 
 
 def usable_cpus() -> int:
@@ -70,20 +74,16 @@ def usable_cpus() -> int:
 
 
 def run_chunked(chunks, task) -> list:
-    """``[task(*chunk) for chunk in chunks]``, in up to ``worker_count()`` forked
-    processes but no more than the chunks or the usable CPUs (in this process
-    where ``fork`` is missing); results come back in chunk order.  The workers
-    live for this call only and inherit the task: only the token, the chunks and
-    the results are pickled."""
-    workers = min(worker_count(), len(chunks), usable_cpus())
+    """``[task(*chunk) for chunk in chunks]``, in min(``worker_count()``, chunks)
+    forked processes (in this process where ``fork`` is missing); results come
+    back in chunk order.  The workers live for this call only and get the task
+    from the pool's initializer, which fork hands over unpickled: only the
+    chunks and the results are pickled."""
+    workers = min(worker_count(), len(chunks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [task(*chunk) for chunk in chunks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    token = next(_TOKENS)
-    _TASKS[token] = task
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run, [token] * len(chunks), *zip(*chunks)))
-    finally:
-        del _TASKS[token]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(task,)) as pool:
+        return list(pool.map(_run, *zip(*chunks)))

@@ -148,20 +148,20 @@ def _cmd_kernels(args) -> dict:
 def _cmd_periodogram(args) -> dict:
     from .domain import BoxDims, Frequency
     from .fieldgen import _spec_from_doc, generate
-    from .periodogram import modulated_sum, periodogram
+    from .periodogram import periodogram_vector
 
     spec = _spec_from_doc(_load_json_file(args.spec))
     dims = BoxDims(_parse_list(args.dims))
     freq = Frequency(_parse_list(args.freq, float))
     shift = _parse_list(args.shift) if args.shift else None
     sample = generate(spec, dims, shift, args.seed)
-    s = modulated_sum(sample, freq)
+    [(s, i)] = periodogram_vector(sample, [freq])
     return {
         "dims": list(dims.v),
         "freq": list(freq.coords),
         "seed": args.seed,
         "S": {"re": s.real, "im": s.imag},
-        "I": periodogram(sample, freq),
+        "I": i,
     }
 
 

@@ -95,10 +95,13 @@ def as_frequency(lam, dim: int | None = None) -> Frequency:
 
 
 def as_shift(shift, dim: int) -> tuple[int, ...]:
-    """Coerce an integer shift vector of the given dimension (default zeros)."""
+    """An integer shift vector of the given dimension (default zeros); no float or bool."""
     if shift is None:
         return (0,) * dim
-    out = tuple(int(w) for w in shift)
+    out = tuple(shift)
+    if not all(isinstance(w, (int, numbers.Integral)) and not isinstance(w, bool) for w in out):
+        raise ValueError(f"shift coordinates must be integers, got {out!r}")
+    out = tuple(map(int, out))
     if len(out) != dim:
         raise ValueError(f"expected {dim}-dimensional shift, got {len(out)}")
     return out

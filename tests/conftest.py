@@ -3,7 +3,8 @@
 ``src`` goes on ``sys.path`` for the tests themselves and at the front of
 ``PYTHONPATH`` for the ``python -m specfield`` and demo subprocesses that
 some tests start.  ``drawn_fields`` records the batches of the replication
-loop, in this process and in its forked workers.
+loop, in this process and in its forked workers; ``count_started`` counts
+the worker processes a test starts and refuses an oversized pool.
 """
 
 import os
@@ -78,3 +79,32 @@ def drawn_fields(monkeypatch, tmp_path):
 
     monkeypatch.setattr(stats, "generate_batch", recording)
     return fields
+
+
+@pytest.fixture
+def count_started(monkeypatch):
+    """``count_started(most)``: the worker processes started from then on, in a
+    list that grows; a pool of more than ``most`` workers is refused before it
+    starts any, so a regression that forks too many forks none."""
+    import concurrent.futures
+    import multiprocessing.context
+
+    def install(most):
+        started = []
+        start = multiprocessing.context.ForkProcess.start
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def counting(process):
+            started.append(process)
+            start(process)
+
+        def bounded(workers, **kwargs):
+            if workers > most:
+                raise RuntimeError(f"a pool of {workers} workers, past {most}")
+            return pool(workers, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bounded)
+        return started
+
+    return install

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import multiprocessing
-import multiprocessing.context
 import re
 
 import numpy as np
@@ -375,6 +374,7 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch, drawn_fiel
         return run_chunked(chunks, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     results = []
     # the middle budget holds 4 replications of the 128-site box and 7 of the 64-site one
     four = 4 * replication_bytes(spec, (128,))
@@ -391,7 +391,7 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch, drawn_fiel
     assert all(r == results[0] for r in results[1:])
 
 
-def test_negligibility_report_forks_once(monkeypatch):
+def test_negligibility_report_forks_once(monkeypatch, count_started):
     """A 3-entry report at 2 workers starts exactly 2 worker processes, for
     all its entries, and leaves none behind."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
@@ -399,14 +399,8 @@ def test_negligibility_report_forks_once(monkeypatch):
     scheme = make_scheme(2, 0.25, dims_seq)
     args = (spec, scheme, dims_seq, 0.2, [1.0, -0.5, 0.3, 2.0], 20, 23)
     want = negligibility_report(*args).rows
-    started = []
-    start = multiprocessing.context.ForkProcess.start
-
-    def counting(process):
-        started.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
+    started = count_started(2)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", "2")
     assert negligibility_report(*args).rows == want
     assert len(started) == 2
@@ -435,6 +429,7 @@ def test_negligibility_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_
     args = (spec, scheme, [(128,)], 0.2, [1.0, -0.5, 0.3, 2.0], 40, 23)
     whole = negligibility_report(*args).rows
     drawn_fields.clear()
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", threads)
     # 5 replications a batch, 8 batches
     monkeypatch.setattr(_util, "_BATCH_BYTES", 5 * replication_bytes(spec, (128,)))

@@ -114,6 +114,33 @@ def test_periodogram_runs(ma1_spec_file):
     assert doc["I"] == pytest.approx(abs(s) ** 2 / 32, abs=1e-12)
 
 
+def test_periodogram_sums_its_sample_once(monkeypatch, capsys, ma1_spec_file):
+    """The command builds one phase grid and emits ``periodogram_vector``'s S
+    and I of the same sample, to the last bit."""
+    import importlib
+
+    from specfield.domain import BoxDims, Frequency
+    from specfield.fieldgen import generate
+
+    # the package exports a function named periodogram, so fetch the module
+    module = importlib.import_module("specfield.periodogram")
+    phase_grid, built = module.phase_grid, []
+
+    def spy(coords, lam):
+        built.append(lam)
+        return phase_grid(coords, lam)
+
+    monkeypatch.setattr(module, "phase_grid", spy)
+    assert cli.main(["periodogram", "--spec", ma1_spec_file, "--dims", "32", "--freq", "0.7",
+                     "--seed", "3", "--shift", "2"]) == 0
+    assert len(built) == 1
+    doc = json.loads(capsys.readouterr().out)
+    sample = generate(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0), BoxDims((32,)), (2,), 3)
+    [(s, i)] = module.periodogram_vector(sample, [Frequency((0.7,))])
+    assert list(map(repr, (doc["S"]["re"], doc["S"]["im"], doc["I"]))) == \
+        list(map(repr, (s.real, s.imag, i)))
+
+
 def test_expectation_exact_and_quadrature(ma1_spec_file):
     proc = run_cli("expectation", "--spec", ma1_spec_file, "--dims", "2",
                    "--freq", "0", "--quadrature", "8")

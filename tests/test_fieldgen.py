@@ -259,6 +259,30 @@ def test_spec_validation():
                         innovation_kind=REAL_GAUSSIAN, innovation_std=-1.0)
 
 
+@pytest.mark.parametrize("seed", [3.9, 3.0, np.float64(3.0), True, "3"])
+def test_a_non_integral_seed_is_refused_not_truncated(seed):
+    spec = white_noise(1, REAL_GAUSSIAN, 1.0)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+        generate(spec, (8,), seed=seed)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+        replication_seeds(seed, 2)
+
+
+@pytest.mark.parametrize("shift", [[1.7], [1.0], [np.float32(2.0)], [True]])
+def test_a_non_integral_shift_is_refused_not_truncated(shift):
+    spec = white_noise(1, REAL_GAUSSIAN, 1.0)
+    with pytest.raises(ValueError, match=r"^shift coordinates must be integers, got "):
+        generate(spec, (8,), shift, 3)
+
+
+def test_numpy_integer_seeds_and_shifts_stay_accepted():
+    spec = white_noise(2, REAL_GAUSSIAN, 1.0)
+    want = generate(spec, (4, 3), (1, -2), 3).values
+    got = generate(spec, (4, 3), np.array([1, -2]), np.uint64(3)).values
+    assert got.tobytes() == want.tobytes()
+    assert replication_seeds(np.int64(1), 3) == replication_seeds(1, 3)
+
+
 @pytest.mark.parametrize("taps, std, message", [
     ({(0,): math.nan}, 1.0, r"tap \(0,\) = \(nan\+0j\) is not finite"),
     ({(0,): 1.0, (1,): complex(0.0, math.inf)}, 1.0, r"tap \(1,\) = .* is not finite"),

@@ -4,8 +4,9 @@ dependency, the modules import only from the layers below their own,
 `mixing` depends on no other part of the package than `bernstein` and
 `fieldgen`, the benchmark's trace finds the library names it wraps, the CLI
 starts without the process pool's modules, each process loads only what its
-command runs, forked workers raise no warning, and README and the `rng`
-docstring name the innovation stream in use."""
+command runs, forked workers raise no warning, README and the `rng`
+docstring name the innovation stream in use, and one function sizes the
+replication pool."""
 
 import ast
 import importlib
@@ -345,3 +346,38 @@ def test_readme_and_rng_docstring_name_the_stream_in_use():
     stream = str(rng.RNG_STREAM)
     assert re.findall(r"\bnow\s+(\d+)", readme) == [stream, stream]
     assert re.findall(r"Stream (\d+) \(``RNG_STREAM``\)", rng.__doc__) == [stream]
+
+
+def _pool_sizings(tree: ast.Module) -> set[str]:
+    """The functions (``<module>`` outside any) that hold a string naming
+    SPECFIELD_THREADS, docstrings aside, or call ``usable_cpus``."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def scope(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return node.name
+        return "<module>"
+
+    return {scope(node) for node in ast.walk(tree)
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "SPECFIELD_THREADS" in node.value and id(node) not in docstrings)
+            or (isinstance(node, ast.Call)
+                and "usable_cpus" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None)))}
+
+
+def test_one_function_sizes_the_replication_pool():
+    """Only ``_util.worker_count`` reads SPECFIELD_THREADS or asks for the
+    usable CPUs: chunking and forking both take their count from it."""
+    found = {f"{path.stem}.{name}" for path in _SRC.glob("*.py")
+             for name in _pool_sizings(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {"_util.worker_count"}
+    tree = ast.parse('"""SPECFIELD_THREADS"""\ndef f():\n    """SPECFIELD_THREADS"""\n'
+                     '    return _util.usable_cpus()\nX = "SPECFIELD_THREADS"\n')
+    assert _pool_sizings(tree) == {"f", "<module>"}

@@ -1,4 +1,3 @@
-import concurrent.futures
 import ctypes
 import functools
 import glob
@@ -6,7 +5,6 @@ import hashlib
 import json
 import math
 import multiprocessing
-import multiprocessing.context
 import os
 import subprocess
 import sys
@@ -312,6 +310,7 @@ def test_clt_report_independent_of_threads_and_chunks(monkeypatch, drawn_fields)
         return run_chunked(chunks, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     results = []
     for threads, batch_bytes in batch_budgets(spec):
         monkeypatch.setenv("SPECFIELD_THREADS", threads)
@@ -340,6 +339,7 @@ def test_miller_report_independent_of_threads_and_chunks(monkeypatch, drawn_fiel
         return run_chunked(chunks, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     results = []
     for threads, batch_bytes in batch_budgets(spec):
         monkeypatch.setenv("SPECFIELD_THREADS", threads)
@@ -558,6 +558,7 @@ def test_real_clt_refuses_lambda_against_minus_mu():
 def test_clt_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_fields, kind, threads):
     spec = first_axis_ma1(2, kind, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", threads)
     # 5 replications a batch, 8 batches
     monkeypatch.setattr(_util, "_BATCH_BYTES", 5 * replication_bytes(spec, (16, 8)))
@@ -579,6 +580,7 @@ def test_replication_peak_is_one_chunk_workspace_per_worker(monkeypatch, kind, t
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [dims])
     budget = 8 << 20
     monkeypatch.setattr(_util, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", str(threads))
     replications = 100  # 21 a chunk
     import concurrent.futures.process  # noqa: F401  imported before the trace starts
@@ -613,6 +615,7 @@ def test_replication_over_the_chunk_budget_is_refused_first():
 def test_replication_chunks_split_the_replications_in_order(monkeypatch, workers):
     """min(R, workers) contiguous chunks cover range(R) in order, their sizes
     differing by at most one."""
+    monkeypatch.setattr(_util, "usable_cpus", lambda: workers)
     monkeypatch.setenv("SPECFIELD_THREADS", str(workers))
     for total in (1, 2, 3, 7, 8, 100, 4001):
         chunks = _util.replication_chunks(total)
@@ -673,20 +676,23 @@ def test_repeated_reports_keep_their_peak():
     assert third - first < 8 << 10, proc.stdout
 
 
-def test_workers_never_share_a_workspace(monkeypatch, drawn_fields):
-    """Four forked workers draw 4 chunks of 5 batches into their own buffers:
-    the sums equal a one-worker run's bit for bit, every batch ran in a
-    child, and each child kept one buffer."""
+def test_workers_never_share_a_workspace(monkeypatch, drawn_fields, count_started):
+    """Four forked workers, and no more, draw 4 chunks of 5 batches into their
+    own buffers: the sums equal a one-worker run's bit for bit, every batch
+    ran in a child, and each child kept one buffer."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     monkeypatch.setattr(_util, "_BATCH_BYTES", 2 * replication_bytes(spec, (16, 8)))
     want = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
     drawn_fields.clear()
+    started = count_started(4)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 4)
     monkeypatch.setenv("SPECFIELD_THREADS", "4")
     got = run_clt_experiment(spec, scheme, (16, 8), 40, 29).raw_sums
     assert got.tobytes() == want.tobytes()
     assert len(drawn_fields.records()) == 20
     drawn_fields.assert_one_workspace_per_worker(4)
+    assert len(started) == 4
 
 
 def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
@@ -710,34 +716,13 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _count_started(monkeypatch, most):
-    """The worker processes started from now on, in a list that grows; a pool
-    of more than ``most`` workers is refused before it starts any."""
-    started = []
-    start = multiprocessing.context.ForkProcess.start
-    pool = concurrent.futures.ProcessPoolExecutor
-
-    def counting(process):
-        started.append(process)
-        start(process)
-
-    def bounded(workers, **kwargs):
-        if workers > most:
-            raise RuntimeError(f"a pool of {workers} workers, past {most}")
-        return pool(workers, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bounded)
-    return started
-
-
-def test_workers_never_outnumber_the_chunks(monkeypatch):
+def test_workers_never_outnumber_the_chunks(monkeypatch, count_started):
     """SPECFIELD_THREADS=8 on 3 replications, so 3 chunks, forks at most 3
     workers, and the sums equal a one-worker run's."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     want = run_clt_experiment(spec, scheme, (16, 8), 3, 17).raw_sums
-    started = _count_started(monkeypatch, 3)
+    started = count_started(3)
     monkeypatch.setattr(_util, "usable_cpus", lambda: 8)
     monkeypatch.setenv("SPECFIELD_THREADS", "8")
     got = run_clt_experiment(spec, scheme, (16, 8), 3, 17).raw_sums
@@ -746,20 +731,44 @@ def test_workers_never_outnumber_the_chunks(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
-    """SPECFIELD_THREADS=1000000 on 40 replications keeps its 40 chunks, but
-    on 2 usable CPUs forks 2 workers, and the sums equal a one-worker run's."""
+def test_workers_never_outnumber_the_usable_cpus(monkeypatch, count_started):
+    """SPECFIELD_THREADS=1000000 on 40 replications, on 2 usable CPUs, cuts 2
+    chunks and forks 2 workers, and the sums equal a one-worker run's."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     want = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
-    started = _count_started(monkeypatch, 2)
+    started = count_started(2)
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", "1000000")
-    assert len(_util.replication_chunks(40)) == 40
+    assert len(_util.replication_chunks(40)) == 2
     got = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
     assert got.tobytes() == want.tobytes()
     assert len(started) == 2
     assert multiprocessing.active_children() == []
+
+
+def test_an_oversized_setting_cuts_one_chunk_a_usable_cpu(monkeypatch, count_started):
+    """A circular clt report at R = 4,000 under SPECFIELD_THREADS=1000000, on 2
+    usable CPUs, makes one runner call of 2 chunks, not 4,000 one-replication
+    chunks, and its raw sums are a one-worker run's bytes."""
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    want = run_clt_experiment(spec, scheme, (16, 8), 4000, 5).raw_sums
+    chunk_counts = []
+    run_chunked = stats.run_chunked
+
+    def counting(chunks, task):
+        chunk_counts.append(len(chunks))
+        return run_chunked(chunks, task)
+
+    monkeypatch.setattr(stats, "run_chunked", counting)
+    started = count_started(2)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("SPECFIELD_THREADS", "1000000")
+    got = run_clt_experiment(spec, scheme, (16, 8), 4000, 5).raw_sums
+    assert chunk_counts == [2]
+    assert got.tobytes() == want.tobytes()
+    assert len(started) == 2
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
