@@ -2,10 +2,10 @@
 for a two-tap moving average."""
 
 from specfield.bernstein import BlockingPlan, block_index_sets, plan
-from specfield.blocking import truncated_second_moments
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 first_axis_ma1, white_noise)
 from specfield.mixing import dependence_profile, rho_prime_profile
+from specfield.stats import truncated_second_moments
 
 
 def show_plan(v1, profile, q):

@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 # the public names, by the module that defines them
 _EXPORTS = {
     "domain": ("BoxDims", "Frequency"),
-    "kernels": ("dirichlet_mod", "fejer", "fejer_product"),
+    "kernels": ("dirichlet_mod", "fejer"),
     "fieldgen": ("CIRCULAR_GAUSSIAN", "REAL_GAUSSIAN", "FieldSample", "LinearFieldSpec",
-                 "autocovariance", "autocovariance_table", "first_axis_ma1", "generate",
-                 "generate_batch", "replication_seeds", "spec_from_json", "spec_to_json",
-                 "spectral_density", "white_noise"),
+                 "autocovariance", "first_axis_ma1", "generate", "generate_batch",
+                 "replication_seeds", "spec_from_json", "spec_to_json", "spectral_density",
+                 "white_noise"),
     "periodogram": ("modulated_sum", "periodogram", "periodogram_vector"),
     "spectral": ("ExpectationReport", "covariance_of_sums", "expected_periodogram_exact",
                  "expected_periodogram_quadrature", "product_of_sums", "sum_covariance",
@@ -33,10 +33,10 @@ _EXPORTS = {
     "frequencies": ("FrequencyScheme", "SeparationSpec", "build_separated",
                     "check_separation", "is_admissible"),
     "bernstein": ("BlockingPlan", "IndexSlab", "MixingProfile", "block_index_sets", "plan"),
-    "blocking": ("TruncatedField", "truncate", "truncated_second_moments"),
     "mixing": ("IndexSetPair", "canonical_rho", "dependence_profile", "rho_prime_profile"),
     "stats": ("CltReport", "MillerReport", "cross_frequency_independence", "g_functional",
-              "ks_statistic", "miller_check", "negligibility_report", "run_clt_experiment"),
+              "ks_statistic", "miller_check", "negligibility_report", "run_clt_experiment",
+              "truncated_second_moments"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -13,7 +13,7 @@ consecutive blocks are s apart, and everything not covered is the leftover
 set, of first-axis width v1 - pr <= v1^(2/3).  All arithmetic is exact on
 Python integers — the cube root in particular is an integer cube root, not
 a float power.  The module imports no numpy, so a process that only plans
-(``specfield blocking-plan``) loads none; ``blocking`` and ``mixing`` take
+(``specfield blocking-plan``) loads none; ``mixing`` and ``stats`` take
 these names from here.
 """
 
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import _util
-from .domain import as_dims
+from .domain import as_dims, as_int
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class MixingProfile:
     def __post_init__(self):
         vals = {}
         for n, rho in sorted(self.values.items()):
-            n = int(n)
+            n = as_int(n, "profile separation")
             rho = float(rho)
             if n < 1:
                 raise ValueError("profile separations are 1-based")
@@ -50,7 +50,8 @@ class MixingProfile:
                 raise ValueError("rho' profile must be nonincreasing")
         object.__setattr__(self, "values", vals)
         if self.dependence_range is not None:
-            object.__setattr__(self, "dependence_range", int(self.dependence_range))
+            object.__setattr__(self, "dependence_range",
+                               as_int(self.dependence_range, "dependence_range"))
 
     def value_at(self, n: int) -> float:
         """rho'(n): exact zero beyond the dependence range, else the value at the
@@ -92,7 +93,7 @@ def plan(v1: int, profile: MixingProfile, q: float) -> BlockingPlan:
     Requires 8 <= v1 < 2^63 (so s >= 2) and 0 < q < 1/4.  rho'(s) = 0 yields
     p = s (the floor(1/sqrt(0)) = infinity convention, capped by s).
     """
-    v1 = int(v1)
+    v1 = as_int(v1, "v1")
     if not 8 <= v1 < 2 ** 63:
         raise ValueError(f"v1 must be in [8, 2^63), got {v1}")
     q = float(q)

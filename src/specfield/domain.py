@@ -1,6 +1,6 @@
-"""Shared value types: rectangular index boxes and torus frequencies, and
-the strict readers of JSON integers, reals, arrays and objects used by
-every input document.
+"""Shared value types: rectangular index boxes and torus frequencies, the
+strict reader of integer counts and indices, and the strict readers of JSON
+integers, reals, arrays and objects used by every input document.
 
 Index boxes live on the d-dimensional integer lattice.  A box of dims
 ``v = (v_1, ..., v_d)`` anchored at shift ``w`` is the set of lattice
@@ -26,14 +26,10 @@ class BoxDims:
     def __post_init__(self):
         if len(self.v) == 0:
             raise ValueError("box must have at least one axis")
+        object.__setattr__(self, "v", tuple(as_int(side, "box side") for side in self.v))
         for side in self.v:
-            # int first: the ABC check is slower, and numpy's integers (not its
-            # bool_) are registered as numbers.Integral
-            if not isinstance(side, (int, numbers.Integral)) or isinstance(side, bool):
-                raise ValueError(f"box sides must be integers, got {side!r}")
             if not 1 <= side < 2 ** 63:
                 raise ValueError(f"box sides must be in [1, 2^63), got {side}")
-        object.__setattr__(self, "v", tuple(int(side) for side in self.v))
 
     @property
     def dim(self) -> int:
@@ -78,6 +74,16 @@ class Frequency:
         return self.coords[i]
 
 
+def as_int(value, name: str) -> int:
+    """A Python or numpy integer as an int; a float or bool is refused, never
+    truncated, by a ValueError naming the field ``name``."""
+    # int first: the ABC check is slower, and numpy's integers (not its
+    # bool_) are registered as numbers.Integral
+    if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_dims(dims, dim: int | None = None) -> BoxDims:
     """Coerce a BoxDims or a plain int sequence, optionally checking its dimension."""
     box = dims if isinstance(dims, BoxDims) else BoxDims(tuple(dims))
@@ -98,10 +104,7 @@ def as_shift(shift, dim: int) -> tuple[int, ...]:
     """An integer shift vector of the given dimension (default zeros); no float or bool."""
     if shift is None:
         return (0,) * dim
-    out = tuple(shift)
-    if not all(isinstance(w, (int, numbers.Integral)) and not isinstance(w, bool) for w in out):
-        raise ValueError(f"shift coordinates must be integers, got {out!r}")
-    out = tuple(map(int, out))
+    out = tuple(as_int(w, "shift coordinate") for w in shift)
     if len(out) != dim:
         raise ValueError(f"expected {dim}-dimensional shift, got {len(out)}")
     return out

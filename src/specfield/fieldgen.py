@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .domain import (BoxDims, _json_int, _json_list, _json_object, _json_real, as_dims,
-                     as_frequency, as_shift)
+                     as_frequency, as_int, as_shift)
 from .rng import (_BLOCK_SITES, _SCRATCH_BYTES, _lattice_size, _replication_hash, check_seed,
                   gaussian_lattice)
 
@@ -53,14 +53,14 @@ class LinearFieldSpec:
     innovation_std: float = 1.0
 
     def __post_init__(self):
-        if int(self.dim) < 1:
+        object.__setattr__(self, "dim", as_int(self.dim, "dim"))
+        if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        object.__setattr__(self, "dim", int(self.dim))
         if not self.taps:
             raise ValueError("taps must be non-empty")
         norm = {}
         for lag, coeff in self.taps.items():
-            lag = tuple(int(x) for x in (lag if isinstance(lag, tuple) else tuple(lag)))
+            lag = tuple(as_int(x, "tap lag coordinate") for x in lag)
             if len(lag) != self.dim:
                 raise ValueError(f"lag {lag} is not {self.dim}-dimensional")
             norm[lag] = complex(coeff)
@@ -114,15 +114,6 @@ class LinearFieldSpec:
         """
         return max(hi - lo for lo, hi in self.lag_bounds())
 
-    @functools.cached_property
-    def _lag_table(self) -> tuple[np.ndarray, np.ndarray]:
-        # built on first use and kept with the spec, which is immutable
-        table = autocovariance_table(self)
-        lags = np.array(list(table), dtype=np.int64)
-        r = np.array(list(table.values()), dtype=np.complex128)
-        lags.flags.writeable = r.flags.writeable = False
-        return lags, r
-
 
 def spectral_density(spec: LinearFieldSpec, lam) -> float:
     """f(lam) = std^2 * |sum_j a_j exp(-i j.lam)|^2, nonnegative and even-symmetric."""
@@ -135,7 +126,7 @@ def spectral_density(spec: LinearFieldSpec, lam) -> float:
 
 def autocovariance(spec: LinearFieldSpec, h) -> complex:
     """r(h) = E[X_{k+h} conj(X_k)] = std^2 * sum_t a_t conj(a_{t-h})."""
-    lag = tuple(int(x) for x in h)
+    lag = tuple(as_int(x, "lag coordinate") for x in h)
     if len(lag) != spec.dim:
         raise ValueError(f"lag {lag} is not {spec.dim}-dimensional")
     lags, r = _lag_arrays(spec)
@@ -143,26 +134,26 @@ def autocovariance(spec: LinearFieldSpec, h) -> complex:
     return complex(r[hit[0]]) if hit.size else 0j
 
 
-def autocovariance_table(spec: LinearFieldSpec):
-    """All nonzero-lag candidates: dict lag -> r(lag) over the support difference set.
-
-    One pass over tap pairs (t, u): the pair adds a_t conj(a_u) to r(t - u).
+def _lag_arrays(spec: LinearFieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The autocovariance table: the lags h of the support difference set as
+    (H, d) int64 and r(h) as (H,) complex128, from one pass over tap pairs
+    (t, u), each adding a_t conj(a_u) to r(t - u).  Built on the first call for
+    a spec and cached on it, which is immutable, so both arrays are read-only.
     """
+    table = getattr(spec, "_lags", None)
+    if table is not None:
+        return table
     sums = {}
     for t, coeff in spec.taps.items():
         for u, mate in spec.taps.items():
             h = tuple(ti - ui for ti, ui in zip(t, u))
             sums[h] = sums.get(h, 0j) + coeff * mate.conjugate()
     var = spec.innovation_std ** 2
-    return {h: complex(var * total) for h, total in sums.items()}
-
-
-def _lag_arrays(spec: LinearFieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The autocovariance table as lags (H, d) int64 and r (H,) complex128.
-
-    Built once per spec and cached on it, so both arrays are read-only.
-    """
-    return spec._lag_table
+    lags = np.array(list(sums), dtype=np.int64)
+    r = np.array([complex(var * total) for total in sums.values()], dtype=np.complex128)
+    lags.flags.writeable = r.flags.writeable = False
+    object.__setattr__(spec, "_lags", (lags, r))
+    return lags, r
 
 
 @dataclass(frozen=True)

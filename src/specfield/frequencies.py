@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import Frequency, as_dims, as_frequency
+from .domain import Frequency, as_dims, as_frequency, as_int
 
 # The builder separates neighbours by margin * v^{-(1/2-delta)}; any factor
 # > 1 satisfies the strict separation inequality with room to spare.
@@ -59,7 +59,7 @@ def build_separated(lam, m: int, delta: float, axis: int, dims) -> list[Frequenc
     """
     base = as_frequency(lam)
     box = as_dims(dims, base.dim)
-    m = int(m)
+    m = as_int(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     if not (0 <= axis < base.dim):
@@ -174,8 +174,7 @@ class FrequencyScheme:
                   dims_sequence) -> "FrequencyScheme":
         base = as_frequency(lam)
         per_n = [build_separated(base, m, delta, axis, dims) for dims in dims_sequence]
-        return cls(base=base, per_n=tuple(per_n),
-                   dims_sequence=tuple(as_dims(d, base.dim) for d in dims_sequence),
+        return cls(base=base, per_n=tuple(per_n), dims_sequence=tuple(dims_sequence),
                    delta=float(delta))
 
 

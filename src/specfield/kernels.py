@@ -38,12 +38,12 @@ def _wrap_angle(alpha):
 
 
 def _check_order(n):
-    try:
-        orders = np.asarray(n).astype(np.int64, copy=False)
-    except OverflowError:  # beyond int64: refused below, like 0
-        orders = np.zeros(1, dtype=np.int64)
-    if orders.min(initial=1) < 1:
+    orders = np.asarray(n)
+    # a float, bool or object (an int beyond 64 bits) array is refused, never
+    # truncated; a uint64 from 2^63 on wraps below 1 and is refused too
+    if orders.dtype.kind not in "iu" or orders.astype(np.int64).min(initial=1) < 1:
         raise ValueError(f"kernel order must be a positive 64-bit integer, got {n}")
+    orders = orders.astype(np.int64, copy=False)
     return orders if orders.ndim else int(orders)
 
 
@@ -90,21 +90,3 @@ def _dirichlet(a, half_n, phase_rate, root):
     near_zero = 2.0 * np.abs(sh) < SINGULARITY_EPS
     ratio = np.sin(half_n * a) / (np.where(near_zero, 1.0, sh) * root)
     return np.where(near_zero, root + 0j, ratio * phase)
-
-
-def fejer_product(theta, v) -> float:
-    """Product over axes of Fejer kernels: prod_s K(theta_s, v_s).
-
-    ``theta`` and ``v`` must have the same length; this is the d-dimensional
-    concentration kernel attached to a box of dims ``v``.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    sides = [int(x) for x in np.atleast_1d(v)]
-    if theta.shape[0] != len(sides):
-        raise ValueError(
-            f"dimension mismatch: {theta.shape[0]} angles vs {len(sides)} box sides"
-        )
-    out = 1.0
-    for t, n in zip(theta, sides):
-        out *= fejer(t, n)
-    return float(out)

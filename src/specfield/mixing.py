@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernstein import MixingProfile
-from .fieldgen import LinearFieldSpec, _lag_arrays
+from .fieldgen import LinearFieldSpec, _lag_arrays, as_int
 
 _BUDGET = 250_000  # pairs, subsets or separations one profile may list; read at call time
 _SEARCH_BYTES = 1 << 24  # bytes of point differences one block of the pair search holds
@@ -63,8 +63,8 @@ class IndexSetPair:
     separation: int = field(default=0, init=False)
 
     def __post_init__(self):
-        left = tuple(tuple(int(x) for x in point) for point in self.left)
-        right = tuple(tuple(int(x) for x in point) for point in self.right)
+        left, right = (tuple(tuple(as_int(x, "index set coordinate") for x in point)
+                             for point in points) for points in (self.left, self.right))
         if not left or not right:
             raise ValueError("both index sets must be non-empty")
         dims = {len(point) for point in left} | {len(point) for point in right}

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _util
 from ._util import InternalConsistencyError
-from .domain import as_dims, as_frequency
+from .domain import as_dims, as_frequency, as_int
 from .fieldgen import LinearFieldSpec, _lag_arrays
 from .kernels import _dirichlet, _wrap_angle, fejer
 
@@ -89,7 +89,8 @@ def expected_periodogram_quadrature(spec: LinearFieldSpec, lam, dims,
     box = as_dims(dims, spec.dim)
     freq = np.asarray(as_frequency(lam, spec.dim).coords, dtype=float)
     required = 4 * max(box.v)
-    n_grid = required if grid_points_per_dim is None else int(grid_points_per_dim)
+    n_grid = (required if grid_points_per_dim is None
+              else as_int(grid_points_per_dim, "grid_points_per_dim"))
     if n_grid < required:
         raise ValueError(
             f"quadrature grid too coarse: {n_grid} < 4*max(v) = {required}"
@@ -233,7 +234,7 @@ def uniform_convergence_report(spec: LinearFieldSpec, dims_sequence,
     The grid puts ``lambda_grid_size`` equispaced points per axis on
     (-pi, pi] (full tensor grid in dimension d).
     """
-    n_grid = int(lambda_grid_size)
+    n_grid = as_int(lambda_grid_size, "lambda_grid_size")
     if n_grid < 1:
         raise ValueError("lambda_grid_size must be >= 1")
     axis = -np.pi + 2.0 * np.pi * np.arange(1, n_grid + 1) / n_grid

@@ -72,6 +72,30 @@ def _normal_cdf(x, mean=0.0, variance=1.0) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
+def truncated_second_moments(spec: LinearFieldSpec, thresholds):
+    """Exact marginal second moments (E|bounded|^2, E|tail|^2) at given levels.
+
+    For the real field, with sigma^2 = r(0) and a = t/sigma,
+        E[X^2; |X| > t] = 2 sigma^2 (a phi(a) + Q(a)),
+    and for the circular field, with b = (t/sigma)^2,
+        E[|X|^2; |X| > t] = sigma^2 (1 + b) exp(-b).
+    """
+    t = np.asarray(thresholds, dtype=float)
+    sigma2 = spec.variance
+    if sigma2 <= 0.0:
+        zero = np.zeros_like(t)
+        return zero, zero.copy()
+    if spec.is_real:
+        a = t / math.sqrt(sigma2)
+        pdf = np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+        upper = _normal_cdf(-a)    # Q(a) = Phi(-a)
+        tail = 2.0 * sigma2 * (a * pdf + upper)
+    else:
+        b = (t * t) / sigma2
+        tail = sigma2 * (1.0 + b) * np.exp(-b)
+    return sigma2 - tail, tail
+
+
 def _kolmogorov_sf(t: float) -> float:
     """P(sup|B| > t) for the Brownian bridge B on [0, 1]: the Kolmogorov tail.
 

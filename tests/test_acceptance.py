@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from specfield.bernstein import MixingProfile, block_index_sets, plan
-from specfield.blocking import truncated_second_moments
 from specfield.domain import BoxDims
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
                                 LinearFieldSpec, first_axis_ma1,
@@ -27,7 +26,8 @@ from specfield.periodogram import index_products, phase_grid
 from specfield.spectral import (covariance_of_sums, expected_periodogram_exact,
                                 expected_periodogram_quadrature,
                                 product_of_sums, uniform_convergence_report)
-from specfield.stats import miller_check, negligibility_report, run_clt_experiment
+from specfield.stats import (miller_check, negligibility_report, run_clt_experiment,
+                             truncated_second_moments)
 
 
 def _verdict(n, ok, detail):

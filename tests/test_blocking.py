@@ -12,7 +12,6 @@ from scipy import integrate
 
 from specfield import _util, bernstein, stats
 from specfield.bernstein import BlockingPlan, MixingProfile, block_index_sets, plan
-from specfield.blocking import truncate, truncated_second_moments
 from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
                                 _workspace_sizes, first_axis_ma1, generate, generate_batch,
@@ -20,7 +19,9 @@ from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
 from specfield.frequencies import FrequencyScheme
 from specfield.mixing import dependence_profile
 from specfield.periodogram import batched_modulated_sums, index_products, phase_grid
-from specfield.stats import negligibility_report
+from specfield.stats import negligibility_report, truncated_second_moments
+
+from oracles import truncate
 
 
 def gaussian_tail_quad(sigma2, t):

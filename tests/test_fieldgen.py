@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from specfield import fieldgen
+from specfield.bernstein import MixingProfile, plan
 from specfield.domain import BoxDims
 from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
-                                LinearFieldSpec, autocovariance,
-                                autocovariance_table, first_axis_ma1, generate,
+                                LinearFieldSpec, _lag_arrays, autocovariance,
+                                first_axis_ma1, generate,
                                 generate_batch, replication_seeds,
                                 spec_from_json, spec_to_json, spectral_density,
                                 white_noise)
+from specfield.frequencies import build_separated
+from specfield.kernels import dirichlet_mod, fejer
+from specfield.mixing import IndexSetPair
 from specfield.rng import gaussian_lattice
+from specfield.spectral import expected_periodogram_quadrature, uniform_convergence_report
 
 # finite tap sums evaluated two ways differ only by rounding
 CONSISTENCY_TOL = 1e-10
@@ -22,7 +27,7 @@ CONSISTENCY_TOL = 1e-10
 def lag_sum_density(spec, lam):
     """Oracle: f(lam) = sum_h r(h) exp(-i h.lam) over the full lag support."""
     total = 0j
-    for h, r in autocovariance_table(spec).items():
+    for h, r in zip(*_lag_arrays(spec)):
         total += r * np.exp(-1j * np.dot(h, lam))
     return total
 
@@ -114,7 +119,8 @@ def test_autocovariance_conjugate_symmetry():
 
 def test_autocovariance_table_covers_support():
     spec = ma1_real()
-    table = autocovariance_table(spec)
+    lags, r = _lag_arrays(spec)
+    table = dict(zip(map(tuple, lags.tolist()), r))
     assert set(table) == {(-1,), (0,), (1,)}
     assert table[(0,)] == pytest.approx(2.0)
     assert table[(-1,)] == pytest.approx(1.0)
@@ -271,7 +277,7 @@ def test_a_non_integral_seed_is_refused_not_truncated(seed):
 @pytest.mark.parametrize("shift", [[1.7], [1.0], [np.float32(2.0)], [True]])
 def test_a_non_integral_shift_is_refused_not_truncated(shift):
     spec = white_noise(1, REAL_GAUSSIAN, 1.0)
-    with pytest.raises(ValueError, match=r"^shift coordinates must be integers, got "):
+    with pytest.raises(ValueError, match=r"^shift coordinate must be an integer, got "):
         generate(spec, (8,), shift, 3)
 
 
@@ -281,6 +287,39 @@ def test_numpy_integer_seeds_and_shifts_stay_accepted():
     got = generate(spec, (4, 3), np.array([1, -2]), np.uint64(3)).values
     assert got.tobytes() == want.tobytes()
     assert replication_seeds(np.int64(1), 3) == replication_seeds(1, 3)
+
+
+# (field the refusal names, the call with x in an integer's place, a valid x)
+_INTEGER_SITES = [
+    ("kernel order", lambda x: fejer(0.3, x), 3),
+    ("kernel order", lambda x: dirichlet_mod(0.3, x), 3),
+    ("v1", lambda x: plan(x, MixingProfile(values={}, dependence_range=1), 0.2), 9),
+    ("dim", lambda x: LinearFieldSpec(dim=x, taps={(0,): 1.0}), 1),
+    ("tap lag coordinate", lambda x: LinearFieldSpec(dim=1, taps={(x,): 1.0, (0,): 2.0}), 3),
+    ("lag coordinate", lambda x: autocovariance(ma1_real(), (x,)), 1),
+    ("profile separation", lambda x: MixingProfile(values={x: 0.5}), 2),
+    ("dependence_range", lambda x: MixingProfile(values={}, dependence_range=x), 2),
+    ("index set coordinate", lambda x: IndexSetPair(((x,),), ((5,),), 0), 2),
+    ("box side", lambda x: BoxDims((4, x)), 2),
+    ("shift coordinate", lambda x: generate(ma1_real(), (4,), (x,), 3).values.tobytes(), 2),
+    ("m", lambda x: build_separated((1.0,), x, 0.25, 0, (64,)), 2),
+    ("grid_points_per_dim",
+     lambda x: expected_periodogram_quadrature(ma1_real(), (1.0,), (4,), x), 16),
+    ("lambda_grid_size", lambda x: uniform_convergence_report(ma1_real(), [(4,)], x), 2),
+]
+
+
+@pytest.mark.parametrize("field, call, good", _INTEGER_SITES,
+                         ids=[site[0].replace(" ", "_") for site in _INTEGER_SITES])
+def test_a_non_integral_count_or_index_is_refused_not_truncated(field, call, good):
+    """Each count or lattice index is read as an integer: 2.7 and True are
+    refused by a ValueError naming the field, never truncated to 2 or read as 1,
+    and a numpy integer gives what the same Python int gives."""
+    for bad in (2.7, True):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be (an|a positive 64-bit) integer, got "):
+            call(bad)
+    assert call(np.int64(good)) == call(good)
 
 
 @pytest.mark.parametrize("taps, std, message", [

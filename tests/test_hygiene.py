@@ -2,8 +2,8 @@
 re-exported as such, every third-party module `src/` imports is a declared
 dependency, the modules import only from the layers below their own,
 `mixing` depends on no other part of the package than `bernstein` and
-`fieldgen`, the benchmark's trace finds the library names it wraps, the CLI
-starts without the process pool's modules, each process loads only what its
+`fieldgen`, the benchmark's trace finds the library names it wraps, `blocking`
+only re-exports names the benchmark reads through it, the CLI starts without the process pool's modules, each process loads only what its
 command runs, forked workers raise no warning, README and the `rng`
 docstring name the innovation stream in use, and one function sizes the
 replication pool."""
@@ -107,7 +107,7 @@ _LAYERS = {
     "periodogram": (3, ()),
     "spectral": (4, ("fieldgen", "kernels")), "mixing": (4, ("fieldgen",)),
     "stats": (5, ("fieldgen", "frequencies", "periodogram")),
-    "blocking": (6, ("stats",)),
+    "blocking": (6, ()),
     "cli": (7, ("domain", "fieldgen")),
     "__main__": (8, ()),
 }
@@ -179,20 +179,50 @@ _KNOWN_ABSENT = {"blocking.generate_batch", "blocking.run_chunked", "spectral.sp
                  "spectral.autocovariance_table", "spectral.dirichlet_mod"}
 
 
+_WORKLOADS = _SRC.parents[1] / "perfbench" / "workloads.py"
+
+
+def _trace_entries(tree: ast.Module) -> list[list[str]]:
+    """[module, attribute] of each ``BOUNDARIES`` and ``RUNNERS`` entry of the
+    benchmark's trace, read from its source and not imported."""
+    return [[ast.literal_eval(part) for part in entry.elts[:2]] for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) in ("BOUNDARIES", "RUNNERS") for t in node.targets)
+            for entry in node.value.elts]
+
+
 def test_trace_boundaries_resolve_but_the_known_absent():
-    """Every ``BOUNDARIES`` and ``RUNNERS`` entry of the benchmark's trace,
-    read from its source and not imported, names an attribute of the library,
-    except the known absent ones: a sixth missing name would read 0 unnoticed."""
-    path = _SRC.parents[1] / "perfbench" / "workloads.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    entries = [[ast.literal_eval(part) for part in entry.elts[:2]] for node in tree.body
-               if isinstance(node, ast.Assign)
-               and any(getattr(t, "id", None) in ("BOUNDARIES", "RUNNERS") for t in node.targets)
-               for entry in node.value.elts]
+    """Every ``BOUNDARIES`` and ``RUNNERS`` entry of the benchmark's trace
+    names an attribute of the library, except the known absent ones: a sixth
+    missing name would read 0 unnoticed."""
+    entries = _trace_entries(ast.parse(_WORKLOADS.read_text(encoding="utf-8")))
     assert len(entries) > 10
     absent = {f"{module.removeprefix('specfield.')}.{attr}" for module, attr in entries
               if not hasattr(importlib.import_module(module), attr)}
     assert absent <= _KNOWN_ABSENT
+
+
+def test_blocking_only_re_exports_what_the_benchmark_reads():
+    """After its docstring, every statement of ``blocking`` is an explicit
+    re-export ``from .m import X as X``, and every name it binds is one the
+    benchmark's workloads read through ``specfield.blocking``: imported from
+    it, read as an attribute of ``blocking`` or named in a trace entry.  Once
+    they read none, the module goes."""
+    tree = ast.parse((_SRC / "blocking.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    bound = set()
+    for node in tree.body[1:]:
+        assert (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                and all(alias.asname == alias.name for alias in node.names)), ast.unparse(node)
+        bound.update(alias.name for alias in node.names)
+    workloads = ast.parse(_WORKLOADS.read_text(encoding="utf-8"))
+    read = {attr for module, attr in _trace_entries(workloads) if module == "specfield.blocking"}
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.ImportFrom) and node.module == "specfield.blocking":
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "blocking":
+            read.add(node.attr)
+    assert bound and bound <= read, sorted(bound - read)
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -283,9 +313,14 @@ _COMMANDS = {
 # package modules a command never runs, and so must not load
 _NOT_LOADED = {
     "kernels": ("rng", "fieldgen", "stats", "blocking", "mixing", "spectral"),
-    "clt-experiment": ("bernstein", "mixing"),
-    "miller": ("bernstein", "mixing"),
+    "periodogram": ("blocking",),
+    "expectation": ("blocking",),
+    "covariance": ("blocking",),
+    "clt-experiment": ("bernstein", "mixing", "blocking"),
+    "miller": ("bernstein", "mixing", "blocking"),
+    "blocking-plan": ("blocking",),
     "negligibility": ("blocking",),
+    "mixing-estimate": ("blocking",),
 }
 
 
@@ -293,8 +328,8 @@ _NOT_LOADED = {
 def test_commands_load_no_scipy(command, cli_inputs):
     """No subcommand loads scipy; ``kernels`` loads none of the modules behind
     the fields, the statistics, blocking, mixing or exact moments, the clt and
-    miller reports load no blocking plan or rho' search, and the negligibility
-    report loads no truncation oracle."""
+    miller reports load no blocking plan or rho' search, and no command loads
+    the ``blocking`` re-exports, which only the benchmark reads."""
     argv = [arg.format(**cli_inputs) for arg in _COMMANDS[command]]
     loaded = _loaded_modules(command, *argv)
     assert "scipy" not in loaded

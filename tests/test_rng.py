@@ -385,10 +385,9 @@ def test_angle_bytes_do_not_depend_on_numpy_simd(setting):
 
 
 def test_stream_version_is_pinned_and_reported():
-    from specfield.blocking import negligibility_report
     from specfield.fieldgen import first_axis_ma1
     from specfield.frequencies import FrequencyScheme
-    from specfield.stats import miller_check, run_clt_experiment
+    from specfield.stats import miller_check, negligibility_report, run_clt_experiment
 
     assert rng.RNG_STREAM == 5
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5)
