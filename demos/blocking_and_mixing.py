@@ -2,9 +2,8 @@
 for a two-tap moving average."""
 
 from specfield.bernstein import BlockingPlan, block_index_sets, plan
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
-                                first_axis_ma1, white_noise)
 from specfield.mixing import dependence_profile, rho_prime_profile
+from specfield.model import CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, first_axis_ma1, white_noise
 from specfield.stats import truncated_second_moments
 
 

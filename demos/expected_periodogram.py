@@ -8,7 +8,7 @@ for this filter).
 
 import math
 
-from specfield.fieldgen import REAL_GAUSSIAN, first_axis_ma1, spectral_density
+from specfield.model import REAL_GAUSSIAN, first_axis_ma1, spectral_density
 from specfield.spectral import (expected_periodogram_exact,
                                 expected_periodogram_quadrature,
                                 uniform_convergence_report)

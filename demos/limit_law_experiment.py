@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from specfield.domain import BoxDims
-from specfield.fieldgen import CIRCULAR_GAUSSIAN, white_noise
 from specfield.frequencies import FrequencyScheme
+from specfield.model import CIRCULAR_GAUSSIAN, white_noise
 from specfield.stats import run_clt_experiment
 
 spec = white_noise(2, CIRCULAR_GAUSSIAN, 1.0)

@@ -21,10 +21,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "domain": ("BoxDims", "Frequency"),
     "kernels": ("dirichlet_mod", "fejer"),
-    "fieldgen": ("CIRCULAR_GAUSSIAN", "REAL_GAUSSIAN", "FieldSample", "LinearFieldSpec",
-                 "autocovariance", "first_axis_ma1", "generate", "generate_batch",
-                 "replication_seeds", "spec_from_json", "spec_to_json", "spectral_density",
-                 "white_noise"),
+    "model": ("CIRCULAR_GAUSSIAN", "REAL_GAUSSIAN", "FieldSample", "LinearFieldSpec",
+              "autocovariance", "first_axis_ma1", "spec_from_json", "spec_to_json",
+              "spectral_density", "white_noise"),
+    "fieldgen": ("generate", "generate_batch", "replication_seeds"),
     "periodogram": ("modulated_sum", "periodogram", "periodogram_vector"),
     "spectral": ("ExpectationReport", "covariance_of_sums", "expected_periodogram_exact",
                  "expected_periodogram_quadrature", "product_of_sums", "sum_covariance",

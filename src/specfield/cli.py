@@ -95,8 +95,8 @@ class ExperimentConfig(NamedTuple):
 
 def _config_from_doc(doc) -> ExperimentConfig:
     from .domain import BoxDims, Frequency, _json_int, _json_list, _json_object, _json_real
-    from .fieldgen import _spec_from_doc
     from .frequencies import FrequencyScheme
+    from .model import _spec_from_doc
 
     try:
         doc = _json_object(doc, "", ("spec", "dims", "dims_sequence", "scheme", "R", "seed",
@@ -147,7 +147,8 @@ def _cmd_kernels(args) -> dict:
 
 def _cmd_periodogram(args) -> dict:
     from .domain import BoxDims, Frequency
-    from .fieldgen import _spec_from_doc, generate
+    from .fieldgen import generate
+    from .model import _spec_from_doc
     from .periodogram import periodogram_vector
 
     spec = _spec_from_doc(_load_json_file(args.spec))
@@ -167,7 +168,7 @@ def _cmd_periodogram(args) -> dict:
 
 def _cmd_expectation(args) -> dict | None:
     from .domain import BoxDims, Frequency
-    from .fieldgen import _spec_from_doc
+    from .model import _spec_from_doc
     from .spectral import (expected_periodogram_exact, expected_periodogram_quadrature,
                            uniform_convergence_report)
 
@@ -199,7 +200,7 @@ def _cmd_expectation(args) -> dict | None:
 
 def _cmd_covariance(args) -> dict:
     from .domain import BoxDims, Frequency
-    from .fieldgen import _spec_from_doc
+    from .model import _spec_from_doc
     from .spectral import covariance_of_sums, product_of_sums
 
     spec = _spec_from_doc(_load_json_file(args.spec))
@@ -292,8 +293,8 @@ def _cmd_negligibility(args) -> dict:
 
 
 def _cmd_mixing_estimate(args) -> dict:
-    from .fieldgen import _spec_from_doc
     from .mixing import rho_prime_profile
+    from .model import _spec_from_doc
 
     spec = _spec_from_doc(_load_json_file(args.spec))
     profile = rho_prime_profile(spec, args.window, args.set_size, args.n_max)

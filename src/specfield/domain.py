@@ -77,9 +77,10 @@ class Frequency:
 def as_int(value, name: str) -> int:
     """A Python or numpy integer as an int; a float or bool is refused, never
     truncated, by a ValueError naming the field ``name``."""
-    # int first: the ABC check is slower, and numpy's integers (not its
-    # bool_) are registered as numbers.Integral
-    if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
+    # a plain int first, as the ABC check is slower; numpy's integers are Integral
+    if type(value) is int:
+        return value
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -60,6 +60,7 @@ def build_separated(lam, m: int, delta: float, axis: int, dims) -> list[Frequenc
     base = as_frequency(lam)
     box = as_dims(dims, base.dim)
     m = as_int(m, "m")
+    axis = as_int(axis, "axis")
     if m < 1:
         raise ValueError("m must be >= 1")
     if not (0 <= axis < base.dim):
@@ -113,7 +114,7 @@ class SeparationSpec:
             if not (0.0 < d < 0.5):
                 raise ValueError(f"delta must satisfy 0 < delta < 1/2, got {d}")
             delta[(j, k)] = float(d)
-            n0 = int(self.onset.get((j, k), 1))
+            n0 = as_int(self.onset.get((j, k), 1), "onset index")
             if n0 < 1:
                 raise ValueError("onset indices are 1-based")
             onset[(j, k)] = n0

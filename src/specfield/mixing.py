@@ -16,7 +16,7 @@ lower bounds from an exhaustive search over a window, together with the
 exact zero beyond the moving-average dependence range, as a
 ``MixingProfile`` (defined in ``bernstein``, which plans with it).
 
-Covariances are looked up in the autocovariance table, vectorised over
+Covariances come from ``model``'s autocovariance table, vectorised over
 all point pairs.  The search keeps one pair per translation class, builds
 the covariance of the points those pairs use, and scores each shape in one
 stacked kernel call; a call warns once, with the count of ridged pairs.
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernstein import MixingProfile
-from .fieldgen import LinearFieldSpec, _lag_arrays, as_int
+from .domain import as_int
+from .model import LinearFieldSpec, _lag_arrays
 
 _BUDGET = 250_000  # pairs, subsets or separations one profile may list; read at call time
 _SEARCH_BYTES = 1 << 24  # bytes of point differences one block of the pair search holds
@@ -71,6 +72,7 @@ class IndexSetPair:
         if len(dims) != 1:
             raise ValueError("all points must share one dimension")
         d = dims.pop()
+        object.__setattr__(self, "axis", as_int(self.axis, "axis"))
         if not (0 <= self.axis < d):
             raise ValueError(f"axis {self.axis} out of range for dimension {d}")
         if set(left) & set(right):
@@ -150,6 +152,9 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     than ``_BUDGET`` subsets, a count taken from binomials; one
     RuntimeWarning counts ridging.
     """
+    window_radius = as_int(window_radius, "window_radius")
+    max_set_size = as_int(max_set_size, "max_set_size")
+    n_max = as_int(n_max, "n_max")
     if window_radius < 0:
         raise ValueError("window_radius must be >= 0")
     if max_set_size < 1 or n_max < 1:

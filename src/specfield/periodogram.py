@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import as_frequency
-from .fieldgen import FieldSample
+from .model import FieldSample
 
 
 def _separable_grid(axis_vectors) -> np.ndarray:

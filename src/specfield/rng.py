@@ -53,9 +53,10 @@ wraps silently for arrays; scalars would warn on overflow).
 from __future__ import annotations
 
 import functools
-import numbers
 
 import numpy as np
+
+from .domain import as_int
 
 # version of the innovation stream, recorded in the clt, miller and
 # negligibility reports; it changes whenever a draw changes in any bit
@@ -129,10 +130,7 @@ def _mix64(x: np.ndarray, out: np.ndarray | None = None,
 
 def check_seed(seed) -> int:
     """Validate a 64-bit master seed and return it as a Python int."""
-    # a plain int first: this runs once a replication, and the ABC check is slower
-    if type(seed) is not int and (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    s = int(seed)
+    s = as_int(seed, "seed")
     if not (0 <= s < 2 ** 64):
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     return s

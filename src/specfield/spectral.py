@@ -13,10 +13,10 @@ the integrand is a trigonometric polynomial, is itself exact once the grid
 out-resolves the degree.  Keeping both routes callable is the point: they
 check each other.
 
-The lag table r(h) is built once per spec and cached on it.  The lag
-route evaluates a whole array of frequencies with one matrix product; the
-same product gives f = sum_h r(h) e^{-i h.lam} on the grid of the
-convergence report.
+The lag table r(h) comes from ``model``, built once per spec and cached on
+it; nothing here draws.  The lag route evaluates a whole array of
+frequencies with one matrix product; the same product gives f = sum_h r(h)
+e^{-i h.lam} on the grid of the convergence report.
 
 The covariance between two modulated sums at frequencies lam and mu over
 the same box factorizes per axis into shifted geometric sums, handled by
@@ -39,8 +39,8 @@ import numpy as np
 from . import _util
 from ._util import InternalConsistencyError
 from .domain import as_dims, as_frequency, as_int
-from .fieldgen import LinearFieldSpec, _lag_arrays
 from .kernels import _dirichlet, _wrap_angle, fejer
+from .model import LinearFieldSpec, _lag_arrays
 
 # imaginary residue of the lag sum: expected below 1e-10, fatal at 1e-8
 IMAG_RESIDUAL_FATAL = 1e-8

@@ -30,9 +30,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._util import check_replication, replication_batch, replication_chunks, run_chunked
-from .fieldgen import (LinearFieldSpec, _batch_workspace, _workspace_sizes, generate_batch,
-                       replication_seeds, spectral_density)
+from .fieldgen import _batch_workspace, _workspace_sizes, generate_batch, replication_seeds
 from .frequencies import FrequencyScheme, _validated_freqs
+from .model import LinearFieldSpec, spectral_density
 from .periodogram import (_periodograms, _row_sums, batched_modulated_sums, index_products,
                           phase_grid)
 from .rng import RNG_STREAM

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from specfield.fieldgen import FieldSample
 from specfield.kernels import fejer
+from specfield.model import FieldSample
 from specfield.periodogram import index_products, phase_grid
 
 

@@ -16,12 +16,12 @@ import numpy as np
 
 from specfield.bernstein import MixingProfile, block_index_sets, plan
 from specfield.domain import BoxDims
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
-                                LinearFieldSpec, first_axis_ma1,
-                                generate_batch, replication_seeds, white_noise)
+from specfield.fieldgen import generate_batch, replication_seeds
 from specfield.frequencies import FrequencyScheme
 from specfield.kernels import dirichlet_mod, fejer
 from specfield.mixing import IndexSetPair, canonical_rho, dependence_profile, rho_prime_profile
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec, first_axis_ma1,
+                             white_noise)
 from specfield.periodogram import index_products, phase_grid
 from specfield.spectral import (covariance_of_sums, expected_periodogram_exact,
                                 expected_periodogram_quadrature,

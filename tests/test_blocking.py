@@ -13,11 +13,11 @@ from scipy import integrate
 from specfield import _util, bernstein, stats
 from specfield.bernstein import BlockingPlan, MixingProfile, block_index_sets, plan
 from specfield.domain import BoxDims, Frequency
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
-                                _workspace_sizes, first_axis_ma1, generate, generate_batch,
-                                replication_seeds, white_noise)
+from specfield.fieldgen import _workspace_sizes, generate, generate_batch, replication_seeds
 from specfield.frequencies import FrequencyScheme
 from specfield.mixing import dependence_profile
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample, first_axis_ma1,
+                             white_noise)
 from specfield.periodogram import batched_modulated_sums, index_products, phase_grid
 from specfield.stats import negligibility_report, truncated_second_moments
 

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from specfield import cli
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec,
-                                first_axis_ma1, spec_to_json, white_noise)
 from specfield.kernels import dirichlet_mod, fejer
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec, first_axis_ma1,
+                             spec_to_json, white_noise)
 
 
 def run_cli(*args, **kwargs):

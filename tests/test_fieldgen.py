@@ -8,15 +8,13 @@ import pytest
 from specfield import fieldgen
 from specfield.bernstein import MixingProfile, plan
 from specfield.domain import BoxDims
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
-                                LinearFieldSpec, _lag_arrays, autocovariance,
-                                first_axis_ma1, generate,
-                                generate_batch, replication_seeds,
-                                spec_from_json, spec_to_json, spectral_density,
-                                white_noise)
-from specfield.frequencies import build_separated
+from specfield.fieldgen import generate, generate_batch, replication_seeds
+from specfield.frequencies import SeparationSpec, build_separated
 from specfield.kernels import dirichlet_mod, fejer
-from specfield.mixing import IndexSetPair
+from specfield.mixing import IndexSetPair, rho_prime_profile
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec, _lag_arrays,
+                             autocovariance, first_axis_ma1, spec_from_json, spec_to_json,
+                             spectral_density, white_noise)
 from specfield.rng import gaussian_lattice
 from specfield.spectral import expected_periodogram_quadrature, uniform_convergence_report
 
@@ -306,6 +304,14 @@ _INTEGER_SITES = [
     ("grid_points_per_dim",
      lambda x: expected_periodogram_quadrature(ma1_real(), (1.0,), (4,), x), 16),
     ("lambda_grid_size", lambda x: uniform_convergence_report(ma1_real(), [(4,)], x), 2),
+    ("count", lambda x: replication_seeds(3, x), 3),
+    ("offset", lambda x: replication_seeds(3, 2, offset=x), 2),
+    ("window_radius", lambda x: rho_prime_profile(ma1_real(), x, 1, 2), 1),
+    ("max_set_size", lambda x: rho_prime_profile(ma1_real(), 1, x, 2), 2),
+    ("n_max", lambda x: rho_prime_profile(ma1_real(), 1, 1, x), 2),
+    ("axis", lambda x: IndexSetPair(((0, 0),), ((0, 3),), x), 1),
+    ("axis", lambda x: build_separated((1.0, 1.0), 2, 0.25, x, (64, 64)), 1),
+    ("onset index", lambda x: SeparationSpec.uniform(2, 0.2, onset=x), 2),
 ]
 
 

@@ -1,12 +1,13 @@
 """Source hygiene: every name a module imports is used in that module or
 re-exported as such, every third-party module `src/` imports is a declared
 dependency, the modules import only from the layers below their own,
-`mixing` depends on no other part of the package than `bernstein` and
-`fieldgen`, the benchmark's trace finds the library names it wraps, `blocking`
-only re-exports names the benchmark reads through it, the CLI starts without the process pool's modules, each process loads only what its
-command runs, forked workers raise no warning, README and the `rng`
-docstring name the innovation stream in use, and one function sizes the
-replication pool."""
+`mixing` depends on no other part of the package than `bernstein`, `domain`
+and `model`, the benchmark's trace finds the library names it wraps,
+`blocking` and `fieldgen` re-export only names the benchmark reads through
+them, the CLI starts without the process pool's modules, each process loads
+only what its command runs, the exact theory loads no sampler, forked workers
+raise no warning, README and the `rng` docstring name the innovation stream in
+use, and one function sizes the replication pool."""
 
 import ast
 import importlib
@@ -22,7 +23,7 @@ import pytest
 
 import specfield
 from specfield import bernstein, blocking, mixing, rng
-from specfield.fieldgen import REAL_GAUSSIAN, first_axis_ma1, spec_to_json
+from specfield.model import REAL_GAUSSIAN, first_axis_ma1, spec_to_json
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "specfield"
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
@@ -101,14 +102,14 @@ def test_an_explicit_re_export_counts_as_used():
 # take private names from.  A module imports only from lower layers, at its
 # top or inside a function.
 _LAYERS = {
-    "__init__": (0, ()), "_util": (0, ()), "domain": (0, ()), "kernels": (0, ()), "rng": (0, ()),
-    "frequencies": (1, ()), "bernstein": (1, ()),
-    "fieldgen": (2, ("domain", "rng")),
+    "__init__": (0, ()), "_util": (0, ()), "domain": (0, ()), "kernels": (0, ()),
+    "frequencies": (1, ()), "bernstein": (1, ()), "model": (1, ("domain",)), "rng": (1, ()),
+    "fieldgen": (2, ("rng",)),
     "periodogram": (3, ()),
-    "spectral": (4, ("fieldgen", "kernels")), "mixing": (4, ("fieldgen",)),
+    "spectral": (4, ("kernels", "model")), "mixing": (4, ("model",)),
     "stats": (5, ("fieldgen", "frequencies", "periodogram")),
     "blocking": (6, ()),
-    "cli": (7, ("domain", "fieldgen")),
+    "cli": (7, ("domain", "model")),
     "__main__": (8, ()),
 }
 
@@ -162,14 +163,14 @@ def test_the_layer_check_sees_imports_inside_functions_and_private_names():
         "periodogram:4 takes ['_mix64'] from rng"}
 
 
-def test_mixing_imports_only_bernstein_and_fieldgen_from_the_package():
+def test_mixing_imports_only_bernstein_domain_and_model_from_the_package():
     """mixing owns the rho' search; the profile it returns is bernstein's
     MixingProfile, which blocking re-exports."""
     tree = ast.parse((_SRC / "mixing.py").read_text(encoding="utf-8"))
     package = {(node.module or ".").removeprefix("specfield.") for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                and (node.level or node.module.startswith("specfield"))}
-    assert package == {"bernstein", "fieldgen"}
+    assert package == {"bernstein", "domain", "model"}
     assert blocking.MixingProfile is mixing.MixingProfile is bernstein.MixingProfile
 
 
@@ -202,27 +203,43 @@ def test_trace_boundaries_resolve_but_the_known_absent():
     assert absent <= _KNOWN_ABSENT
 
 
+def _benchmark_reads(module: str) -> set[str]:
+    """The names the benchmark's workloads read through ``specfield.<module>``:
+    imported from it, read as an attribute of ``<module>`` or named in a trace
+    entry."""
+    workloads = ast.parse(_WORKLOADS.read_text(encoding="utf-8"))
+    read = {attr for name, attr in _trace_entries(workloads) if name == f"specfield.{module}"}
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.ImportFrom) and node.module == f"specfield.{module}":
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
+            read.add(node.attr)
+    return read
+
+
+def _re_exports(statements) -> set[str]:
+    """The names bound by the explicit re-exports ``from .m import X as X`` among
+    ``statements``."""
+    return {alias.name for node in statements
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.asname == alias.name}
+
+
 def test_blocking_only_re_exports_what_the_benchmark_reads():
     """After its docstring, every statement of ``blocking`` is an explicit
     re-export ``from .m import X as X``, and every name it binds is one the
-    benchmark's workloads read through ``specfield.blocking``: imported from
-    it, read as an attribute of ``blocking`` or named in a trace entry.  Once
-    they read none, the module goes."""
+    benchmark's workloads read through ``specfield.blocking``.  Once they read
+    none, the module goes.  ``fieldgen`` re-exports from ``model`` only names the
+    benchmark imports from ``specfield.fieldgen``."""
     tree = ast.parse((_SRC / "blocking.py").read_text(encoding="utf-8"))
     assert ast.get_docstring(tree)
-    bound = set()
     for node in tree.body[1:]:
         assert (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
                 and all(alias.asname == alias.name for alias in node.names)), ast.unparse(node)
-        bound.update(alias.name for alias in node.names)
-    workloads = ast.parse(_WORKLOADS.read_text(encoding="utf-8"))
-    read = {attr for module, attr in _trace_entries(workloads) if module == "specfield.blocking"}
-    for node in ast.walk(workloads):
-        if isinstance(node, ast.ImportFrom) and node.module == "specfield.blocking":
-            read.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "blocking":
-            read.add(node.attr)
-    assert bound and bound <= read, sorted(bound - read)
+    for module in ("blocking", "fieldgen"):
+        bound = _re_exports(ast.parse((_SRC / f"{module}.py").read_text(encoding="utf-8")).body)
+        read = _benchmark_reads(module)
+        assert bound and bound <= read, (module, sorted(bound - read))
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -280,6 +297,16 @@ def test_the_planning_layer_loads_no_numpy(code):
     assert proc.stdout == "[]\n"
 
 
+def test_the_exact_theory_loads_no_sampler():
+    """The spec, its lag table, the exact moments, the rho' search and the sums
+    load neither the sampler nor the innovation stream."""
+    code = ("import sys, specfield.mixing, specfield.periodogram, specfield.spectral; "
+            "print(sorted({'specfield.fieldgen', 'specfield.rng'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n", proc.stdout
+
+
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
     """Tiny inputs for every subcommand: a spec, a profile and a config."""
@@ -314,13 +341,13 @@ _COMMANDS = {
 _NOT_LOADED = {
     "kernels": ("rng", "fieldgen", "stats", "blocking", "mixing", "spectral"),
     "periodogram": ("blocking",),
-    "expectation": ("blocking",),
-    "covariance": ("blocking",),
+    "expectation": ("rng", "fieldgen", "blocking"),
+    "covariance": ("rng", "fieldgen", "blocking"),
     "clt-experiment": ("bernstein", "mixing", "blocking"),
     "miller": ("bernstein", "mixing", "blocking"),
     "blocking-plan": ("blocking",),
     "negligibility": ("blocking",),
-    "mixing-estimate": ("blocking",),
+    "mixing-estimate": ("rng", "fieldgen", "blocking"),
 }
 
 
@@ -328,8 +355,9 @@ _NOT_LOADED = {
 def test_commands_load_no_scipy(command, cli_inputs):
     """No subcommand loads scipy; ``kernels`` loads none of the modules behind
     the fields, the statistics, blocking, mixing or exact moments, the clt and
-    miller reports load no blocking plan or rho' search, and no command loads
-    the ``blocking`` re-exports, which only the benchmark reads."""
+    miller reports load no blocking plan or rho' search, the exact moments and
+    the rho' search load neither the sampler nor the innovation stream, and no
+    command loads the ``blocking`` re-exports, which only the benchmark reads."""
     argv = [arg.format(**cli_inputs) for arg in _COMMANDS[command]]
     loaded = _loaded_modules(command, *argv)
     assert "scipy" not in loaded

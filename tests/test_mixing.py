@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from specfield import mixing
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
-                                LinearFieldSpec, autocovariance,
-                                first_axis_ma1, white_noise)
 from specfield.mixing import IndexSetPair, canonical_rho, rho_prime_profile
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec, autocovariance,
+                             first_axis_ma1, white_noise)
 
 # closed-form canonical correlations are linear algebra on tiny exact
 # matrices, so machine precision is the right bar

@@ -9,10 +9,10 @@ import pytest
 
 from specfield import _util, stats
 from specfield.domain import BoxDims, Frequency
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample,
-                                first_axis_ma1, generate, generate_batch,
-                                replication_seeds, white_noise)
+from specfield.fieldgen import generate, generate_batch, replication_seeds
 from specfield.frequencies import FrequencyScheme, build_separated
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample, first_axis_ma1,
+                             white_noise)
 from specfield.periodogram import (batched_modulated_sums, modulated_sum,
                                    periodogram, periodogram_vector, phase_grid)
 from specfield.stats import negligibility_report

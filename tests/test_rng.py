@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from specfield import rng
-from specfield.fieldgen import CIRCULAR_GAUSSIAN, REAL_GAUSSIAN
+from specfield.model import CIRCULAR_GAUSSIAN, REAL_GAUSSIAN
 from specfield.rng import gaussian_lattice
 
 # sha256 of gaussian_lattice(*args).tobytes(), recorded on stream 5 with the
@@ -385,8 +385,8 @@ def test_angle_bytes_do_not_depend_on_numpy_simd(setting):
 
 
 def test_stream_version_is_pinned_and_reported():
-    from specfield.fieldgen import first_axis_ma1
     from specfield.frequencies import FrequencyScheme
+    from specfield.model import first_axis_ma1
     from specfield.stats import miller_check, negligibility_report, run_clt_experiment
 
     assert rng.RNG_STREAM == 5

@@ -9,9 +9,9 @@ import pytest
 
 from specfield import _util, spectral
 from specfield.domain import BoxDims, Frequency
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN,
-                                LinearFieldSpec, autocovariance, first_axis_ma1,
-                                generate_batch, replication_seeds, white_noise)
+from specfield.fieldgen import generate_batch, replication_seeds
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec, autocovariance,
+                             first_axis_ma1, white_noise)
 from specfield.periodogram import batched_modulated_sums, phase_grid
 from specfield.spectral import (_cross_moment, covariance_of_sums,
                                 expected_periodogram_exact,

@@ -20,10 +20,10 @@ import test_blocking
 
 from specfield import _util, stats
 from specfield.domain import BoxDims, Frequency
-from specfield.fieldgen import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, _workspace_sizes,
-                                first_axis_ma1, generate, generate_batch, replication_seeds,
-                                spectral_density, white_noise)
+from specfield.fieldgen import _workspace_sizes, generate, generate_batch, replication_seeds
 from specfield.frequencies import FrequencyScheme
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, first_axis_ma1, spectral_density,
+                             white_noise)
 from specfield.periodogram import batched_modulated_sums, periodogram_vector, phase_grid
 from specfield.spectral import sum_covariance
 from specfield.stats import (cross_frequency_independence, g_functional,
@@ -660,8 +660,8 @@ def test_repeated_reports_keep_their_peak():
     code = """if True:
         import math, resource
         from specfield.domain import BoxDims
-        from specfield.fieldgen import CIRCULAR_GAUSSIAN, first_axis_ma1
         from specfield.frequencies import FrequencyScheme
+        from specfield.model import CIRCULAR_GAUSSIAN, first_axis_ma1
         from specfield.stats import run_clt_experiment
         spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
         scheme = FrequencyScheme.separated((math.pi / 2, 0.5), 2, 0.2, 0, [BoxDims((64, 64))])
