@@ -1,11 +1,11 @@
-"""Chunks, batches and forked workers of the replication loop behind the Monte Carlo reports.
+"""Batches and forked workers of the replication loop behind the Monte Carlo reports.
 
-A chunk is the unit of scheduling: each report hands all its chunks to one
-``run_chunked`` call, so it forks at most once.  A batch is the unit of
-memory: a worker draws, filters and sums a chunk about ``_BATCH_BYTES`` at a
-time, in one workspace it keeps for the whole call.  The package's
-``InternalConsistencyError`` lives here too, so the command line can catch it
-before any numpy-backed module loads.
+A batch is the one unit of work: each report hands all its batches to one
+``run_chunked`` call, so it forks at most once, and the pool hands each free
+worker the next batch.  A batch holds about ``_BATCH_BYTES`` of replications,
+which a worker draws, filters and sums in one workspace it keeps for the
+whole call.  The package's ``InternalConsistencyError`` lives here too, so
+the command line can catch it before any numpy-backed module loads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 
 # refuse a replication, a quadrature grid or a block list needing more than this
 _CHUNK_BYTES = 1 << 26
-# draw, filter and sum the replications of a chunk about this many bytes at a time
+# draw, filter and sum about this many bytes of replications a batch
 _BATCH_BYTES = 1 << 22
 # in a forked worker, the task of the run_chunked call that forked it
 _task = None
@@ -50,13 +50,6 @@ def check_replication(sites: int, bytes_per_site: int) -> None:
 def replication_batch(replication_bytes: int) -> int:
     """Replications a batch holds: max(1, ``_BATCH_BYTES`` // the bytes of one)."""
     return max(1, _BATCH_BYTES // replication_bytes)
-
-
-def replication_chunks(total: int) -> list[tuple[int, int]]:
-    """range(total) in order as min(total, ``worker_count()``) (start, stop) chunks
-    whose sizes differ by at most one: chunks schedule work, batches bound memory."""
-    parts = min(total, worker_count())
-    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
 def _adopt(task) -> None:

@@ -57,7 +57,7 @@ class MixingProfile:
         """rho'(n): exact zero beyond the dependence range, else the value at the
         largest recorded separation <= n (an upper bound on rho'(n) only if that
         value is one, rho' being nonincreasing), else the trivial bound 1."""
-        n = int(n)
+        n = as_int(n, "separation")
         if self.dependence_range is not None and n > self.dependence_range:
             return 0.0
         below = [k for k in self.values if k <= n]

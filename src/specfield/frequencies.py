@@ -103,6 +103,7 @@ class SeparationSpec:
     onset: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_int(self.m, "m"))
         if self.m < 1:
             raise ValueError("m must be >= 1")
         delta = {}
@@ -127,7 +128,7 @@ class SeparationSpec:
 
     @classmethod
     def uniform(cls, m: int, delta: float, onset: int = 1) -> "SeparationSpec":
-        pairs = cls._pairs(m)
+        pairs = cls._pairs(as_int(m, "m"))
         return cls(m=m, delta=dict.fromkeys(pairs, delta), onset=dict.fromkeys(pairs, onset))
 
 

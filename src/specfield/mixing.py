@@ -189,22 +189,15 @@ def rho_prime_profile(spec: LinearFieldSpec, window_radius: int,
     # left subsets goes at once, against only later subsets on every face it misses
     miss = (coords.min(axis=1) > -window_radius) @ (1 << np.arange(spec.dim))
     cands = {need: np.flatnonzero((miss & need) == 0) for need in np.unique(miss)}
-    later = np.zeros(len(subsets) + 1, dtype=np.int64)
-    for need, c in cands.items():  # later[k]: candidates compared with the subsets before k
-        later[1:][miss == need] = len(c) - np.searchsorted(c, np.flatnonzero(miss == need), "right")
-    later = np.cumsum(later)
-    # a block [a, b) compares each row with the candidates after its group's first row,
-    # at most (row - a) more than its own: bound the pairs it holds by the byte budget
-    cap = _SEARCH_BYTES // (8 * max_set_size ** 2 * spec.dim)
-    span = np.arange(1, math.isqrt(2 * cap) + 2)
-    found, total, b = [], 0, 0
-    while b < len(subsets):
-        a, lens = b, span[:len(subsets) - b]
-        b += max(1, np.searchsorted(later[a + lens] - later[a] + lens * (lens - 1) // 2, cap,
-                                    side="right"))
+    # each row of a block meets at most the longest candidate list, so a block's
+    # point differences fit the byte budget
+    rows = max(1, _SEARCH_BYTES // (8 * max_set_size ** 2 * spec.dim
+                                    * max(len(c) for c in cands.values())))
+    found, total = [], 0
+    for a in range(0, len(subsets), rows):
         block = []
-        for need in np.unique(miss[a:b]):
-            i = a + np.flatnonzero(miss[a:b] == need)
+        for need in np.unique(miss[a:a + rows]):
+            i = a + np.flatnonzero(miss[a:a + rows] == need)
             j = cands[need][np.searchsorted(cands[need], i[0], side="right"):]
             gap = np.abs(coords[i, None, :, None] - coords[None, j, None, :]).min((2, 3)).max(-1)
             left, right = np.nonzero((gap >= 1) & (gap <= dep) & (j > i[:, None]))

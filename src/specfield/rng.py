@@ -267,7 +267,7 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
         raise ValueError(f"unknown innovation kind {kind!r}")
     bounds = []
     for lo, hi in axis_ranges:
-        lo, hi = int(lo), int(hi)
+        lo, hi = as_int(lo, "axis range bound"), as_int(hi, "axis range bound")
         if hi < lo:
             raise ValueError(f"empty axis range ({lo}, {hi})")
         if max(abs(lo), abs(hi)) > 2 ** 62:

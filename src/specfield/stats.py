@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._util import check_replication, replication_batch, replication_chunks, run_chunked
+from ._util import check_replication, replication_batch, run_chunked, worker_count
 from .fieldgen import _batch_workspace, _workspace_sizes, generate_batch, replication_seeds
 from .frequencies import FrequencyScheme, _validated_freqs
 from .model import LinearFieldSpec, spectral_density
@@ -207,37 +207,37 @@ def _replicated_sums(spec, entries) -> list:
     entry and each part of its field, the (R, m) modulated sums at its
     frequencies.  ``sums(values, scratch, phases)`` returns the (rows, m) sums
     of each part of a batch's values (by default the one part is the field
-    itself, summed by ``batched_modulated_sums``).  All entries'
-    ``replication_chunks`` go to one ``run_chunked`` call, so a report forks
-    at most once.  A worker draws, filters and sums its chunks a batch at a
-    time, each batch in one workspace sized for the largest and kept for this
-    call only; ``scratch`` is the batch's lattice, free once filtered.
+    itself, summed by ``batched_modulated_sums``).  Every entry's batches go
+    to one ``run_chunked`` call, so a report forks at most once; a worker
+    draws, filters and sums each batch it is handed in one workspace, sized
+    for the largest batch and kept for this call only; ``scratch`` is the
+    batch's lattice, free once filtered.
     """
     phases = [[phase_grid([np.arange(1, v + 1, dtype=np.int64) for v in e.box.v], lam)
                for lam in e.freqs] for e in entries]
-    per_entry = [replication_chunks(len(e.seeds)) for e in entries]
-    chunks = [(k, lo, hi) for k, bounds in enumerate(per_entry) for lo, hi in bounds]
-    size = max((sum(_workspace_sizes(spec, entries[k].box, min(hi - lo, entries[k].rows)))
-                for k, lo, hi in chunks), default=0)
+    # a batch holds at most a worker's share of its entry, so each has work at small R
+    workers = worker_count()
+    per_entry = [[(k, lo, min(lo + rows, len(e.seeds))) for lo in range(0, len(e.seeds), rows)]
+                 for k, e in enumerate(entries)
+                 for rows in [min(e.rows, -(-len(e.seeds) // workers))]]
+    batches = [batch for bounds in per_entry for batch in bounds]
+    size = max((sum(_workspace_sizes(spec, entries[k].box, hi - lo)) for k, lo, hi in batches),
+               default=0)
     buffer = None
 
-    def chunk_sums(k, lo, hi):
+    def batch_sums(k, lo, hi):
         nonlocal buffer
         if buffer is None:
             buffer = np.empty(size, np.uint8)
         e = entries[k]
-        batches = []
-        for b0 in range(lo, hi, e.rows):
-            b1 = min(hi, b0 + e.rows)
-            out = _batch_workspace(spec, e.box, b1 - b0, buffer)
-            vals = generate_batch(spec, e.box, None, e.seeds[b0:b1], out=out)
-            scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
-            batches.append(e.sums(vals, scratch, phases[k]) if e.sums
-                           else [batched_modulated_sums(vals, phases[k])])
-        return batches
+        out = _batch_workspace(spec, e.box, hi - lo, buffer)
+        vals = generate_batch(spec, e.box, None, e.seeds[lo:hi], out=out)
+        scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
+        return (e.sums(vals, scratch, phases[k]) if e.sums
+                else [batched_modulated_sums(vals, phases[k])])
 
-    sums = iter(run_chunked(chunks, chunk_sums))
-    return [[np.concatenate(parts) for parts in zip(*[b for _ in bounds for b in next(sums)])]
+    sums = iter(run_chunked(batches, batch_sums))
+    return [[np.concatenate(parts) for parts in zip(*[next(sums) for _ in bounds])]
             for bounds in per_entry]
 
 

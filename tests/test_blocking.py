@@ -362,17 +362,17 @@ def replication_bytes(spec, dims):
 
 def test_negligibility_independent_of_threads_and_chunks(monkeypatch, drawn_fields):
     """One seed gives identical rows at 1 and 2 workers, with one replication
-    a batch, several, or the whole chunk; both dims entries go to one runner
-    call."""
+    a batch, several, or a worker's whole share; both dims entries go to one
+    runner call, one task a batch."""
     spec = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
     dims_seq = [(64,), (128,)]
     scheme = make_scheme(2, 0.25, dims_seq)
-    chunk_counts, draws = [], []
+    batch_counts, draws = [], []
     run_chunked = stats.run_chunked
 
-    def counting(chunks, task):
-        chunk_counts.append(len(chunks))
-        return run_chunked(chunks, task)
+    def counting(batches, task):
+        batch_counts.append(len(batches))
+        return run_chunked(batches, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
@@ -387,7 +387,7 @@ def test_negligibility_independent_of_threads_and_chunks(monkeypatch, drawn_fiel
         results.append(negligibility_report(spec, scheme, dims_seq, 0.2,
                                             [1.0, -0.5, 0.3, 2.0], 40, 23).rows)
         draws.append(len(drawn_fields.records()))
-    assert chunk_counts == [2, 4] * 3
+    assert batch_counts == [80, 80, 16, 16, 2, 4]
     assert draws == [80, 80, 6 + 10, 6 + 10, 2, 4]
     assert all(r == results[0] for r in results[1:])
 

@@ -312,11 +312,20 @@ _INTEGER_SITES = [
     ("axis", lambda x: IndexSetPair(((0, 0),), ((0, 3),), x), 1),
     ("axis", lambda x: build_separated((1.0, 1.0), 2, 0.25, x, (64, 64)), 1),
     ("onset index", lambda x: SeparationSpec.uniform(2, 0.2, onset=x), 2),
+    ("m", lambda x: SeparationSpec(m=x, delta={(1, 2): 0.2}, onset={}), 2, "separation_m"),
+    ("m", lambda x: SeparationSpec.uniform(x, 0.2), 2, "uniform_m"),
+    ("axis range bound", lambda x: gaussian_lattice(3, [(x, 5)], REAL_GAUSSIAN, 1.0).tobytes(),
+     2, "axis_range_lo"),
+    ("axis range bound", lambda x: gaussian_lattice(3, [(0, x)], REAL_GAUSSIAN, 1.0).tobytes(),
+     3, "axis_range_hi"),
+    ("separation", lambda x: MixingProfile(values={1: 0.5, 2: 0.3}).value_at(x), 2),
 ]
 
 
-@pytest.mark.parametrize("field, call, good", _INTEGER_SITES,
-                         ids=[site[0].replace(" ", "_") for site in _INTEGER_SITES])
+# a site's test id is its field, or the fourth entry where fields repeat
+@pytest.mark.parametrize("field, call, good", [site[:3] for site in _INTEGER_SITES],
+                         ids=[site[3] if len(site) > 3 else site[0].replace(" ", "_")
+                              for site in _INTEGER_SITES])
 def test_a_non_integral_count_or_index_is_refused_not_truncated(field, call, good):
     """Each count or lattice index is read as an integer: 2.7 and True are
     refused by a ValueError naming the field, never truncated to 2 or read as 1,

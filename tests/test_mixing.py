@@ -350,3 +350,20 @@ def test_profile_singular_spec_warns_once_with_count():
     assert [issubclass(w.category, RuntimeWarning) for w in caught] == [True]
     assert re.search(r"ridge .* to \d+ pair", str(caught[0].message))
     assert prof.values == {1: 0.0, 2: 0.0}
+
+
+def test_search_blocks_hold_the_byte_budget(monkeypatch):
+    """A block of left subsets holds at most ``_SEARCH_BYTES`` of point
+    differences, whatever its subsets' candidate lists: white noise at radius
+    8 and set size 3 has 833 subsets, whose (833, 833, 3, 3) differences would
+    take 50 MB at once, and finds no pair, so the search's blocks are what
+    its peak measures.  At a 256 KiB budget the peak stays under 4 MB."""
+    monkeypatch.setattr(mixing, "_SEARCH_BYTES", 1 << 18)
+    tracemalloc.start()
+    try:
+        prof = rho_prime_profile(white_noise(1, REAL_GAUSSIAN, 1.0), 8, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.values == {1: 0.0, 2: 0.0}
+    assert peak < 4 << 20, peak

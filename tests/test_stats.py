@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import mpmath
@@ -290,24 +291,24 @@ def replication_bytes(spec, dims):
 
 
 def batch_budgets(spec):
-    """One replication a batch, four of the 16 x 8 box, and a whole chunk,
-    each at 1 and at 2 workers."""
+    """One replication a batch, four of the 16 x 8 box, and a worker's whole
+    share, each at 1 and at 2 workers."""
     four = 4 * replication_bytes(spec, (16, 8))
     return [("1", 1), ("2", 1), ("1", four), ("2", four), ("1", 1 << 40), ("2", 1 << 40)]
 
 
 def test_clt_report_independent_of_threads_and_chunks(monkeypatch, drawn_fields):
     """One seed gives the same report bytes and raw sums at 1 and 2 workers,
-    with one replication a batch, several, or the whole chunk; the report
-    makes one runner call of one chunk a worker."""
+    with one replication a batch, several, or a worker's whole share; the
+    report makes one runner call of one task a batch."""
     spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
-    chunk_counts, draws = [], []
+    batch_counts, draws = [], []
     run_chunked = stats.run_chunked
 
-    def counting(chunks, task):
-        chunk_counts.append(len(chunks))
-        return run_chunked(chunks, task)
+    def counting(batches, task):
+        batch_counts.append(len(batches))
+        return run_chunked(batches, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
@@ -319,24 +320,24 @@ def test_clt_report_independent_of_threads_and_chunks(monkeypatch, drawn_fields)
         report = run_clt_experiment(spec, scheme, (16, 8), 30, 17)
         draws.append(len(drawn_fields.records()))
         results.append((report.to_json(), report.raw_sums.tobytes()))
-    assert chunk_counts == [1, 2] * 3
+    assert batch_counts == [30, 30, 8, 8, 1, 2]
     assert draws == [30, 30, 8, 8, 1, 2]
     assert all(r == results[0] for r in results[1:])
 
 
 def test_miller_report_independent_of_threads_and_chunks(monkeypatch, drawn_fields):
     """One seed gives the same miller report bytes at 1 and 2 workers, with
-    one replication a batch, several, or the whole chunk; both dims entries
-    go to one runner call."""
+    one replication a batch, several, or a worker's whole share; both dims
+    entries go to one runner call, one task a batch."""
     spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
     dims_seq = [(8, 6), (16, 8)]
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, dims_seq)
-    chunk_counts, draws = [], []
+    batch_counts, draws = [], []
     run_chunked = stats.run_chunked
 
-    def counting(chunks, task):
-        chunk_counts.append(len(chunks))
-        return run_chunked(chunks, task)
+    def counting(batches, task):
+        batch_counts.append(len(batches))
+        return run_chunked(batches, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
@@ -349,9 +350,9 @@ def test_miller_report_independent_of_threads_and_chunks(monkeypatch, drawn_fiel
         draws.append(len(drawn_fields.records()))
         results.append(report.to_json())
     assert len(json.loads(results[0])["rows"]) == 2
-    assert chunk_counts == [2, 4] * 3
+    assert batch_counts == [60, 60, 11, 11, 2, 4]
     # at the middle budget the 48-site box holds 10 replications a batch
-    assert draws == [60, 60, 3 + 8, 4 + 8, 2, 4]
+    assert draws == [60, 60, 3 + 8, 3 + 8, 2, 4]
     assert all(r == results[0] for r in results[1:])
 
 
@@ -570,10 +571,10 @@ def test_clt_chunks_reuse_one_workspace_per_worker(monkeypatch, drawn_fields, ki
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
 def test_replication_peak_is_one_chunk_workspace_per_worker(monkeypatch, kind, threads):
-    """Under tracemalloc a call's peak stays within one chunk's workspace,
+    """Under tracemalloc a call's peak stays within one batch's workspace,
     the results and a fixed slack (the lattice's block scratch and the
-    filter's product rows), though it runs 5 chunks.  Forked workers run
-    the same chunk code outside this process's trace, which then holds
+    filter's product rows), though it runs 5 batches.  Forked workers run
+    the same batch code outside this process's trace, which then holds
     little more than the results."""
     spec = first_axis_ma1(2, kind, 1.0, 0.5)
     dims = (128, 64)
@@ -582,7 +583,7 @@ def test_replication_peak_is_one_chunk_workspace_per_worker(monkeypatch, kind, t
     monkeypatch.setattr(_util, "_CHUNK_BYTES", budget)
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", str(threads))
-    replications = 100  # 21 a chunk
+    replications = 100  # 21 a batch
     import concurrent.futures.process  # noqa: F401  imported before the trace starts
     tracemalloc.start()
     try:
@@ -612,18 +613,36 @@ def test_replication_over_the_chunk_budget_is_refused_first():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_replication_chunks_split_the_replications_in_order(monkeypatch, workers):
-    """min(R, workers) contiguous chunks cover range(R) in order, their sizes
-    differing by at most one."""
+def test_replication_batches_split_the_replications_in_order(monkeypatch, workers):
+    """Each entry's batches cover range(R) in order, in entry order; none holds
+    more than the batch budget or ceil(R / workers) replications, and there
+    are at least min(R, workers) of them."""
+    spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
+    box, freqs = BoxDims((16, 8)), [Frequency((math.pi / 2, math.pi / 2))]
     monkeypatch.setattr(_util, "usable_cpus", lambda: workers)
     monkeypatch.setenv("SPECFIELD_THREADS", str(workers))
-    for total in (1, 2, 3, 7, 8, 100, 4001):
-        chunks = _util.replication_chunks(total)
-        assert len(chunks) == min(total, workers)
-        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
-        assert chunks[-1][1] == total
-        sizes = [hi - lo for lo, hi in chunks]
-        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    calls = []
+
+    def in_process(batches, task):
+        calls.append(batches)
+        return [task(*batch) for batch in batches]
+
+    monkeypatch.setattr(stats, "run_chunked", in_process)
+    for budget in (5, 1 << 40):
+        monkeypatch.setattr(_util, "_BATCH_BYTES", budget * replication_bytes(spec, (16, 8)))
+        for total in (2, 3, 7, 8, 100, 4001):
+            calls.clear()
+            stats._replicated_sums(spec, [stats._entry(spec, box, freqs, replication_seeds(1, r))
+                                          for r in (total, 3)])
+            (batches,) = calls
+            assert [k for k, _, _ in batches] == sorted(k for k, _, _ in batches)
+            for k, r in enumerate((total, 3)):
+                bounds = [(lo, hi) for j, lo, hi in batches if j == k]
+                assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+                assert bounds[-1][1] == r
+                sizes = [hi - lo for lo, hi in bounds]
+                assert min(sizes) >= 1 and max(sizes) <= min(budget, -(-r // workers))
+                assert len(bounds) >= min(r, workers)
 
 
 def test_replication_batch_fills_the_budget(monkeypatch):
@@ -677,8 +696,7 @@ def test_repeated_reports_keep_their_peak():
 
 
 def test_workers_never_share_a_workspace(monkeypatch, drawn_fields, count_started):
-    """Four forked workers, and no more, draw 4 chunks of 5 batches into their
-    own buffers: the sums equal a one-worker run's bit for bit, every batch
+    """Four forked workers, and no more, draw 20 batches into their own buffers: the sums equal a one-worker run's bit for bit, every batch
     ran in a child, and each child kept one buffer."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
@@ -701,7 +719,7 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     monkeypatch.setenv("SPECFIELD_THREADS", "2")
-    # 5 replications a batch, 4 batches a worker
+    # 5 replications a batch, 8 batches
     monkeypatch.setattr(_util, "_BATCH_BYTES", 5 * replication_bytes(spec, (16, 8)))
     run_clt_experiment(spec, scheme, (16, 8), 40, 17)
     assert multiprocessing.active_children() == []
@@ -717,7 +735,7 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
 
 
 def test_workers_never_outnumber_the_chunks(monkeypatch, count_started):
-    """SPECFIELD_THREADS=8 on 3 replications, so 3 chunks, forks at most 3
+    """SPECFIELD_THREADS=8 on 3 replications, so 3 batches, forks at most 3
     workers, and the sums equal a one-worker run's."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
@@ -732,43 +750,74 @@ def test_workers_never_outnumber_the_chunks(monkeypatch, count_started):
 
 
 def test_workers_never_outnumber_the_usable_cpus(monkeypatch, count_started):
-    """SPECFIELD_THREADS=1000000 on 40 replications, on 2 usable CPUs, cuts 2
-    chunks and forks 2 workers, and the sums equal a one-worker run's."""
+    """SPECFIELD_THREADS=1000000 on 40 replications, on 2 usable CPUs, forks 2
+    workers, and the sums equal a one-worker run's."""
     spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     want = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
     started = count_started(2)
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", "1000000")
-    assert len(_util.replication_chunks(40)) == 2
     got = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
     assert got.tobytes() == want.tobytes()
     assert len(started) == 2
     assert multiprocessing.active_children() == []
 
 
-def test_an_oversized_setting_cuts_one_chunk_a_usable_cpu(monkeypatch, count_started):
+def test_an_oversized_setting_splits_by_the_usable_cpus(monkeypatch, count_started):
     """A circular clt report at R = 4,000 under SPECFIELD_THREADS=1000000, on 2
-    usable CPUs, makes one runner call of 2 chunks, not 4,000 one-replication
-    chunks, and its raw sums are a one-worker run's bytes."""
+    usable CPUs, makes one runner call of 5 budget-sized batches, not 4,000
+    one-replication batches, and its raw sums are a one-worker run's bytes."""
     spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
     want = run_clt_experiment(spec, scheme, (16, 8), 4000, 5).raw_sums
-    chunk_counts = []
+    batch_counts = []
     run_chunked = stats.run_chunked
 
-    def counting(chunks, task):
-        chunk_counts.append(len(chunks))
-        return run_chunked(chunks, task)
+    def counting(batches, task):
+        batch_counts.append(len(batches))
+        return run_chunked(batches, task)
 
     monkeypatch.setattr(stats, "run_chunked", counting)
     started = count_started(2)
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", "1000000")
     got = run_clt_experiment(spec, scheme, (16, 8), 4000, 5).raw_sums
-    assert chunk_counts == [2]
+    assert batch_counts == [5]
     assert got.tobytes() == want.tobytes()
     assert len(started) == 2
+
+
+def test_a_slowed_worker_leaves_its_share_to_the_free_one(monkeypatch, drawn_fields, tmp_path):
+    """At 2 workers and 8 batches, the task of batch 0 sleeps 0.3 s before it
+    draws: the pool hands the other batches to the free worker, so the
+    slowed one draws at most 2 of them, and the sums are a one-worker run's."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    # 5 replications a batch, 8 batches
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 5 * replication_bytes(spec, (16, 8)))
+    want = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    drawn_fields.clear()
+    slowed = tmp_path / "slowed.txt"
+    run_chunked = stats.run_chunked
+
+    def slowing(batches, task):
+        def slow_first(k, lo, hi):
+            if lo == 0:
+                slowed.write_text(str(os.getpid()))
+                time.sleep(0.3)
+            return task(k, lo, hi)
+
+        return run_chunked(batches, slow_first)
+
+    monkeypatch.setattr(stats, "run_chunked", slowing)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("SPECFIELD_THREADS", "2")
+    got = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    assert got.tobytes() == want.tobytes()
+    pids = [pid for pid, *_ in drawn_fields.records()]
+    assert len(pids) == 8 and int(slowed.read_text()) != os.getpid()
+    assert pids.count(int(slowed.read_text())) <= 2, pids
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
