@@ -2,10 +2,10 @@
 
 A batch is the one unit of work: each report hands all its batches to one
 ``run_chunked`` call, so it forks at most once, and the pool hands each free
-worker the next batch.  A batch holds about ``_BATCH_BYTES`` of replications,
-which a worker draws, filters and sums in one workspace it keeps for the
-whole call.  The package's ``InternalConsistencyError`` lives here too, so
-the command line can catch it before any numpy-backed module loads.
+worker the next batch, to draw, filter and sum in one workspace it keeps for
+the whole call.  ``stats._entry`` sizes batches to ``_BATCH_BYTES`` and refuses
+a replication over ``_CHUNK_BYTES``.  ``InternalConsistencyError`` lives here
+too, so the command line can catch it before any numpy-backed module loads.
 """
 
 from __future__ import annotations
@@ -36,20 +36,6 @@ def worker_count() -> int:
     if n < 1:
         raise ValueError(f"SPECFIELD_THREADS must be >= 1, got {n}")
     return min(n, usable_cpus())
-
-
-def check_replication(sites: int, bytes_per_site: int) -> None:
-    """Refuse a box whose one replication needs more than ``_CHUNK_BYTES``."""
-    need = sites * bytes_per_site
-    if need > _CHUNK_BYTES:
-        raise ValueError(f"one replication of the {sites}-site box needs {need}"
-                         f" bytes, over the {_CHUNK_BYTES}-byte chunk budget; boxes of up to "
-                         f"{_CHUNK_BYTES // bytes_per_site} sites fit")
-
-
-def replication_batch(replication_bytes: int) -> int:
-    """Replications a batch holds: max(1, ``_BATCH_BYTES`` // the bytes of one)."""
-    return max(1, _BATCH_BYTES // replication_bytes)
 
 
 def _adopt(task) -> None:

@@ -72,6 +72,10 @@ class BlockingPlan:
     r: int
     q: float
 
+    def __post_init__(self):
+        for name in ("v1", "s", "p", "r"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+
     @property
     def leftover_width(self) -> int:
         return self.v1 - self.p * self.r
@@ -105,19 +109,8 @@ def plan(v1: int, profile: MixingProfile, q: float) -> BlockingPlan:
         p = s
     else:
         p = min(s, int(math.floor(1.0 / math.sqrt(rho))))
+    # 1 <= p <= s and s^3 <= v1 give r >= 1, the bracket and v1 - pr <= ps - 1 < v1^(2/3)
     r = v1 // p - s + 1
-    if r < 1:
-        raise ValueError(
-            f"no positive block width exists for v1={v1}, s={s}, p={p}"
-        )
-    if not ((r - 1 + s) * p <= v1 < (r + s) * p):
-        raise ValueError(
-            f"internal blocking inconsistency at v1={v1}: s={s}, p={p}, r={r}"
-        )
-    if (v1 - p * r) ** 3 > v1 ** 2:
-        raise ValueError(
-            f"leftover width {v1 - p * r} exceeds v1^(2/3) for v1={v1}"
-        )
     return BlockingPlan(v1=v1, s=s, p=p, r=r, q=q)
 
 
@@ -129,6 +122,10 @@ class IndexSlab:
     first_lo: int
     first_hi: int
     dims: tuple[int, ...]
+
+    def __post_init__(self):
+        for name in ("first_lo", "first_hi"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
 
     @property
     def width(self) -> int:

@@ -161,13 +161,6 @@ class FieldSample:
     values: np.ndarray
     seed: int
 
-    def axis_coords(self) -> list[np.ndarray]:
-        """Absolute integer coordinates along each axis."""
-        return [
-            np.arange(w + 1, w + v + 1, dtype=np.int64)
-            for w, v in zip(self.shift, self.dims)
-        ]
-
 
 # ---------------------------------------------------------------------------
 # JSON model format: {"dim": d, "taps": [{"lag": [...], "re": x, "im": y}],

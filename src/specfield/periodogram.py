@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import as_frequency
+from .domain import as_dims, as_frequency, as_shift
 from .model import FieldSample
 
 
@@ -31,26 +31,30 @@ def _separable_grid(axis_vectors) -> np.ndarray:
     return grid
 
 
-def index_products(coords) -> np.ndarray:
-    """<k> = prod_i k_i over the box, from per-axis absolute coordinates
-    (all required >= 1), such as ``FieldSample.axis_coords()``."""
-    coords = [np.asarray(c, dtype=np.int64) for c in coords]
-    if any(c.min() < 1 for c in coords):
+def _coords(dims, shift) -> list[np.ndarray]:
+    """The absolute coordinates w_s+1 .. w_s+v_s of each axis of the box of
+    ``dims`` at ``shift`` (default zeros), as float64 cast from int64."""
+    box = as_dims(dims)
+    return [np.arange(w + 1, w + v + 1, dtype=np.int64).astype(np.float64)
+            for w, v in zip(as_shift(shift, box.dim), box.v)]
+
+
+def index_products(dims, shift=None) -> np.ndarray:
+    """<k> = prod_i k_i over the box of ``dims`` at ``shift`` (default zeros),
+    whose coordinates must all be >= 1."""
+    coords = _coords(dims, shift)
+    if any(c[0] < 1 for c in coords):
         raise ValueError("index products need every box coordinate >= 1 "
                          "(use a nonnegative shift)")
-    return _separable_grid([c.astype(np.float64) for c in coords])
+    return _separable_grid(coords)
 
 
-def phase_grid(coords, lam) -> np.ndarray:
-    """exp(-i k.lam) over the box, as a flat (volume,) complex array.
-
-    ``coords`` are per-axis absolute coordinates, e.g. ``sample.axis_coords()``;
-    the grid is flattened in C order to match ``values.ravel()``.
-    """
-    coords = [np.asarray(c, dtype=np.int64) for c in coords]
+def phase_grid(dims, lam, shift=None) -> np.ndarray:
+    """exp(-i k.lam) over the box of ``dims`` at ``shift`` (default zeros), as
+    a flat (volume,) complex array in C order, to match ``values.ravel()``."""
+    coords = _coords(dims, shift)
     freq = as_frequency(lam, len(coords))
-    return _separable_grid([np.exp(-1j * w * c.astype(np.float64))
-                            for c, w in zip(coords, freq)]).ravel()
+    return _separable_grid([np.exp(-1j * w * c) for c, w in zip(coords, freq)]).ravel()
 
 
 def modulated_sum(sample: FieldSample, lam) -> complex:
@@ -69,7 +73,7 @@ def periodogram_vector(sample: FieldSample, freqs) -> list[tuple[complex, float]
     ``modulated_sum`` and ``periodogram`` are this function at one frequency;
     all three sum the sample with ``_row_sums``, as a batch row is summed.
     """
-    phases = [phase_grid(sample.axis_coords(), lam) for lam in freqs]
+    phases = [phase_grid(sample.dims, lam, sample.shift) for lam in freqs]
     sums = np.array(_row_sums(sample.values.ravel(), phases), dtype=np.complex128)
     return [(complex(s), float(i)) for s, i in zip(sums, _periodograms(sums, sample.dims.volume))]
 

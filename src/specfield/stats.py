@@ -29,7 +29,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._util import check_replication, replication_batch, run_chunked, worker_count
+from . import _util
+from ._util import run_chunked, worker_count
 from .fieldgen import _batch_workspace, _workspace_sizes, generate_batch, replication_seeds
 from .frequencies import FrequencyScheme, _validated_freqs
 from .model import LinearFieldSpec, spectral_density
@@ -195,9 +196,14 @@ def _entry(spec, box, freqs, seeds, sums=None, workspace=3) -> _Entry:
         raise ValueError(f"the field variance innovation_std^2 * sum |tap|^2 = "
                          f"{spec.variance:.6g} exceeds {_MAX_VARIANCE:g}, the largest "
                          f"the Monte Carlo reports accept")
-    check_replication(box.volume, 16 * workspace)
+    # the budgets are read from _util at each call, so a patched one is seen
+    chunk, need = _util._CHUNK_BYTES, box.volume * 16 * workspace
+    if need > chunk:
+        raise ValueError(f"one replication of the {box.volume}-site box needs {need}"
+                         f" bytes, over the {chunk}-byte chunk budget; boxes of up to "
+                         f"{chunk // (16 * workspace)} sites fit")
     lattice, values, _ = _workspace_sizes(spec, box, 1)
-    return _Entry(box, freqs, seeds, sums, replication_batch(lattice + values))
+    return _Entry(box, freqs, seeds, sums, max(1, _util._BATCH_BYTES // (lattice + values)))
 
 
 def _replicated_sums(spec, entries) -> list:
@@ -213,8 +219,7 @@ def _replicated_sums(spec, entries) -> list:
     for the largest batch and kept for this call only; ``scratch`` is the
     batch's lattice, free once filtered.
     """
-    phases = [[phase_grid([np.arange(1, v + 1, dtype=np.int64) for v in e.box.v], lam)
-               for lam in e.freqs] for e in entries]
+    phases = [[phase_grid(e.box, lam) for lam in e.freqs] for e in entries]
     # a batch holds at most a worker's share of its entry, so each has work at small R
     workers = worker_count()
     per_entry = [[(k, lo, min(lo + rows, len(e.seeds))) for lo in range(0, len(e.seeds), rows)]
@@ -393,7 +398,7 @@ def _part_sums(box, leftover, q):
     parts over the box, then of the bounded parts over the leftover set.  Each
     row's part is its own sites, gathered in index order and summed by
     ``periodogram._row_sums``, the kernel of every other S."""
-    thresholds = index_products([np.arange(1, v + 1) for v in box.v]) ** q
+    thresholds = index_products(box) ** q
     # the leftover cells' flat indices in order; a slab is one run of them
     rest = math.prod(box.v[1:])
     left = np.concatenate([np.arange((sl.first_lo - 1) * rest, sl.first_hi * rest)

@@ -37,9 +37,8 @@ def truncate(sample: FieldSample, lam, q: float) -> TruncatedField:
     q = float(q)
     if not (0.0 < q < 0.25):
         raise ValueError(f"q must satisfy 0 < q < 1/4, got {q}")
-    coords = sample.axis_coords()
-    thresholds = index_products(coords) ** q
-    phases = phase_grid(coords, lam).reshape(sample.values.shape)
+    thresholds = index_products(sample.dims, sample.shift) ** q
+    phases = phase_grid(sample.dims, lam, sample.shift).reshape(sample.values.shape)
     demod = phases * sample.values
     keep = np.abs(sample.values) <= thresholds
     return TruncatedField(bounded=np.where(keep, demod, 0.0),

@@ -94,6 +94,23 @@ def test_plan_invariants_random():
             assert (v1 - pl.p * pl.r) * pl.s <= v1
 
 
+def test_plan_invariants_exhaustive():
+    """``plan`` states no check of its own integers, so this one holds them:
+    s^3 <= v1 < (s+1)^3, r >= 1, (r-1+s)p <= v1 < (r+s)p and leftover^3 <= v1^2
+    for every v1 in 8..4096, 2^63 - 1 and each perfect cube +-1 up to 10^6, at
+    rho'(s) from 0 (p = s) to 1 (p = 1)."""
+    cubes = {n ** 3 + e for n in range(2, 101) for e in (-1, 0, 1)}
+    lengths = sorted(set(range(8, 4097)) | {2 ** 63 - 1} | {v for v in cubes if v >= 8})
+    for rho in (0.0, 1e-300, 0.01, 0.25, 1.0):
+        profile = MixingProfile(values={1: rho})
+        for v1 in lengths:
+            pl = plan(v1, profile, 0.2)
+            s, p, r = pl.s, pl.p, pl.r
+            assert s ** 3 <= v1 < (s + 1) ** 3 and 1 <= p <= s and r >= 1
+            assert (r - 1 + s) * p <= v1 < (r + s) * p
+            assert pl.leftover_width ** 3 <= v1 ** 2
+
+
 def test_block_enumeration_hand_case():
     # v = (10,), s = 2, p = 2, r = 3 (a hand layout, not a plan() output)
     pl = BlockingPlan(v1=10, s=2, p=2, r=3, q=0.2)
@@ -167,13 +184,15 @@ def test_mixing_profile_validation():
 
 def test_index_products():
     sample = generate(white_noise(2, REAL_GAUSSIAN, 1.0), (3, 2), seed=0)
-    prods = index_products(sample.axis_coords())
+    prods = index_products(sample.dims, sample.shift)
     assert prods.shape == (3, 2)
     assert prods[0, 0] == 1.0
     assert prods[2, 1] == 6.0
     bad = generate(white_noise(1, REAL_GAUSSIAN, 1.0), (4,), shift=(-2,), seed=0)
     with pytest.raises(ValueError):
-        index_products(bad.axis_coords())
+        index_products(bad.dims, bad.shift)
+    with pytest.raises(ValueError, match=r"^box side must be an integer, got 4\.0$"):
+        index_products((4.0,))
 
 
 def test_truncation_reconstructs_demodulated_field():
@@ -181,7 +200,7 @@ def test_truncation_reconstructs_demodulated_field():
     sample = generate(spec, (9, 7), seed=77)
     lam = (0.4, -1.0)
     parts = truncate(sample, lam, 0.2)
-    coords = sample.axis_coords()
+    coords = [np.arange(1, 10), np.arange(1, 8)]
     phases = np.exp(-1j * lam[0] * coords[0])[:, None] * np.exp(
         -1j * lam[1] * coords[1])[None, :]
     demod = phases * sample.values
@@ -249,7 +268,7 @@ def test_truncation_tail_moment_monte_carlo():
     q = 0.2
     vals = generate_batch(spec, (512,), None,
                           replication_seeds(99, 400))
-    thresholds = index_products([np.arange(1, 513)]) ** q
+    thresholds = index_products((512,)) ** q
     tails = np.where(np.abs(vals) > thresholds, vals, 0.0)
     emp = np.mean(np.abs(tails) ** 2, axis=0)
     _, want = truncated_second_moments(spec, thresholds)
@@ -293,8 +312,7 @@ def test_negligibility_iid_oracle():
     report = negligibility_report(spec, scheme, [(64,)], 0.2, [1.0, 0.0],
                                   2000, 31)
     row = report.rows[0]
-    coords = [np.arange(1, 65, dtype=np.int64)]
-    thresholds = index_products(coords) ** 0.2
+    thresholds = index_products((64,)) ** 0.2
     bounded_m2, _ = truncated_second_moments(spec, thresholds)
     pl = plan(64, dependence_profile(spec), 0.2)
     _, leftover = block_index_sets(pl, (64,))
@@ -469,8 +487,7 @@ def test_negligibility_sums_of_a_batch_equal_its_rows_summed_alone(kind, dims):
     box = BoxDims(dims)
     _, leftover = block_index_sets(plan(dims[0], dependence_profile(spec), 0.2), box)
     sums = stats._part_sums(box, leftover, 0.2)
-    coords = [np.arange(1, v + 1) for v in dims]
-    phases = [phase_grid(coords, (lam,) * len(dims)) for lam in (0.5, 2.5)]
+    phases = [phase_grid(box, (lam,) * len(dims)) for lam in (0.5, 2.5)]
     vals = generate_batch(spec, box, None, replication_seeds(3, 5))
     batch = sums(vals, np.empty_like(vals), phases)
     assert np.all(batch != 0)
@@ -487,10 +504,9 @@ def test_a_full_tail_is_summed_as_the_whole_row(kind):
     spec = white_noise(1, kind, 1e12)
     box = BoxDims((4097,))
     _, leftover = block_index_sets(plan(4097, dependence_profile(spec), 0.2), box)
-    coords = [np.arange(1, 4098)]
-    phases = [phase_grid(coords, (lam,)) for lam in (0.5, 2.5)]
+    phases = [phase_grid(box, (lam,)) for lam in (0.5, 2.5)]
     vals = generate_batch(spec, box, None, replication_seeds(7, 1))
-    assert np.all(np.abs(vals) > index_products(coords) ** 0.2)
+    assert np.all(np.abs(vals) > index_products(box) ** 0.2)
     tail, _ = stats._part_sums(box, leftover, 0.2)(vals, np.empty_like(vals), phases)
     assert tail.tobytes() == batched_modulated_sums(vals, phases).tobytes()
 

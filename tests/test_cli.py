@@ -126,9 +126,9 @@ def test_periodogram_sums_its_sample_once(monkeypatch, capsys, ma1_spec_file):
     module = importlib.import_module("specfield.periodogram")
     phase_grid, built = module.phase_grid, []
 
-    def spy(coords, lam):
+    def spy(dims, lam, shift=None):
         built.append(lam)
-        return phase_grid(coords, lam)
+        return phase_grid(dims, lam, shift)
 
     monkeypatch.setattr(module, "phase_grid", spy)
     assert cli.main(["periodogram", "--spec", ma1_spec_file, "--dims", "32", "--freq", "0.7",

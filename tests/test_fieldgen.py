@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specfield import fieldgen
-from specfield.bernstein import MixingProfile, plan
+from specfield.bernstein import BlockingPlan, IndexSlab, MixingProfile, plan
 from specfield.domain import BoxDims
 from specfield.fieldgen import generate, generate_batch, replication_seeds
 from specfield.frequencies import SeparationSpec, build_separated
@@ -15,6 +15,7 @@ from specfield.mixing import IndexSetPair, rho_prime_profile
 from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec, _lag_arrays,
                              autocovariance, first_axis_ma1, spec_from_json, spec_to_json,
                              spectral_density, white_noise)
+from specfield.periodogram import index_products, phase_grid
 from specfield.rng import gaussian_lattice
 from specfield.spectral import expected_periodogram_quadrature, uniform_convergence_report
 
@@ -319,6 +320,16 @@ _INTEGER_SITES = [
     ("axis range bound", lambda x: gaussian_lattice(3, [(0, x)], REAL_GAUSSIAN, 1.0).tobytes(),
      3, "axis_range_hi"),
     ("separation", lambda x: MixingProfile(values={1: 0.5, 2: 0.3}).value_at(x), 2),
+    ("v1", lambda x: BlockingPlan(v1=x, s=4, p=2, r=28, q=0.2), 64, "blocking_plan_v1"),
+    ("s", lambda x: BlockingPlan(v1=64, s=x, p=2, r=28, q=0.2), 4),
+    ("p", lambda x: BlockingPlan(v1=64, s=4, p=x, r=28, q=0.2), 2),
+    ("r", lambda x: BlockingPlan(v1=64, s=4, p=2, r=x, q=0.2), 28),
+    ("first_lo", lambda x: IndexSlab(first_lo=x, first_hi=3, dims=(8,)), 1),
+    ("first_hi", lambda x: IndexSlab(first_lo=1, first_hi=x, dims=(8,)), 3),
+    ("box side", lambda x: phase_grid((x,), (0.5,)).tobytes(), 2, "phase_grid_box"),
+    ("shift coordinate", lambda x: phase_grid((4,), (0.5,), shift=(x,)).tobytes(), 2,
+     "phase_grid_shift"),
+    ("box side", lambda x: index_products((x,)).tobytes(), 4, "index_products_box"),
 ]
 
 
@@ -372,8 +383,7 @@ def test_sample_metadata():
     assert sample.dims == BoxDims((6,))
     assert sample.shift == (4,)
     assert sample.seed == 11
-    coords = sample.axis_coords()
-    assert list(coords[0]) == [5, 6, 7, 8, 9, 10]
+    assert list(index_products(sample.dims, sample.shift)) == [5, 6, 7, 8, 9, 10]
 
 
 def test_real_specs_generate_float64():

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import os
@@ -13,7 +14,7 @@ from specfield.fieldgen import generate, generate_batch, replication_seeds
 from specfield.frequencies import FrequencyScheme, build_separated
 from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample, first_axis_ma1,
                              white_noise)
-from specfield.periodogram import (batched_modulated_sums, modulated_sum,
+from specfield.periodogram import (batched_modulated_sums, index_products, modulated_sum,
                                    periodogram, periodogram_vector, phase_grid)
 from specfield.stats import negligibility_report
 
@@ -87,11 +88,31 @@ def test_iid_mean_periodogram():
     spec = white_noise(2, CIRCULAR_GAUSSIAN, 1.0)
     seeds = replication_seeds(424242, 2000)
     vals = generate_batch(spec, (32, 32), None, seeds)
-    coords = [np.arange(1, 33, dtype=np.int64)] * 2
-    sums = batched_modulated_sums(vals, [phase_grid(coords, Frequency((0.7, -1.9)))])
+    sums = batched_modulated_sums(vals, [phase_grid((32, 32), Frequency((0.7, -1.9)))])
     periods = (np.abs(sums[:, 0]) ** 2) / 1024.0
     se = periods.std(ddof=1) / math.sqrt(len(periods))
     assert abs(periods.mean() - 1.0) < 3 * se
+
+
+@pytest.mark.parametrize("w", [0, -3, 2 ** 40])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grids_of_a_box_equal_its_coordinate_products_bit_for_bit(d, w):
+    """``phase_grid`` and ``index_products`` of a box at a shift are the
+    products over its axes' coordinates w+1 .. w+v, int64 cast to float64, to
+    the last bit; a coordinate below 1 is refused by ``index_products``."""
+    dims, shift, lam = (5, 3, 4)[:d], (w,) * d, (0.7, -1.9, 2.3)[:d]
+    coords = [np.arange(w + 1, w + v + 1, dtype=np.int64).astype(np.float64) for v in dims]
+    phases = functools.reduce(np.multiply.outer, [np.exp(-1j * t * c)
+                                                  for t, c in zip(lam, coords)])
+    assert phase_grid(dims, lam, shift).tobytes() == phases.ravel().tobytes()
+    if w < 0:
+        with pytest.raises(ValueError, match="every box coordinate >= 1"):
+            index_products(dims, shift)
+    else:
+        want = functools.reduce(np.multiply.outer, coords)
+        assert index_products(dims, shift).tobytes() == want.tobytes()
+    if w == 0:
+        assert phase_grid(dims, lam).tobytes() == phase_grid(dims, lam, shift).tobytes()
 
 
 def test_vector_matches_scalars_bitwise():
@@ -119,9 +140,8 @@ def test_batched_sums_match_scalar_path():
     spec = first_axis_ma1(1, CIRCULAR_GAUSSIAN, 1.0, 0.3)
     seeds = replication_seeds(8, 7)
     vals = generate_batch(spec, (20,), None, seeds)
-    coords = [np.arange(1, 21, dtype=np.int64)]
     freqs = [Frequency((0.5,)), Frequency((2.5,))]
-    table = batched_modulated_sums(vals, [phase_grid(coords, f) for f in freqs])
+    table = batched_modulated_sums(vals, [phase_grid((20,), f) for f in freqs])
     assert table.shape == (7, 2)
     for i, s in enumerate(seeds):
         sample = generate(spec, (20,), seed=int(s))
@@ -135,7 +155,7 @@ def test_real_rows_are_summed_in_real_arithmetic():
     the complex-cast sum within rounding."""
     v = 10_007
     vals = np.random.default_rng(5).standard_normal((4, v))
-    phases = [phase_grid([np.arange(1, v + 1)], (lam,)) for lam in (0.5, 2.5)]
+    phases = [phase_grid((v,), (lam,)) for lam in (0.5, 2.5)]
     table = batched_modulated_sums(vals, phases)
     for r, row in enumerate(vals):
         assert table[r].tobytes() == batched_modulated_sums(row.copy()[None], phases).tobytes()
@@ -150,7 +170,7 @@ from specfield.periodogram import batched_modulated_sums, phase_grid
 v = 65_537
 rng = np.random.default_rng(6)
 vals = rng.standard_normal((3, v))
-phases = [phase_grid([np.arange(1, v + 1)], (lam,)) for lam in (0.5, 2.5)]
+phases = [phase_grid((v,), (lam,)) for lam in (0.5, 2.5)]
 for batch in (vals, vals + 1j * rng.standard_normal((3, v))):
     print(hashlib.sha256(batched_modulated_sums(batch, phases).tobytes()).hexdigest())
 """
@@ -229,9 +249,9 @@ def test_phase_grids_are_built_once_per_box(monkeypatch, threads, batch_bytes):
     and leftover sums share one set."""
     built = []
 
-    def spy(coords, lam):
-        built.append(tuple(len(c) for c in coords))
-        return phase_grid(coords, lam)
+    def spy(dims, lam, shift=None):
+        built.append(tuple(dims))
+        return phase_grid(dims, lam, shift)
 
     # the package exports a function named periodogram, so fetch the module
     for module in (importlib.import_module("specfield.periodogram"), stats):

@@ -294,8 +294,7 @@ def test_monte_carlo_agrees_with_exact_expectation():
     lam = Frequency((1.2, -0.4))
     seeds = replication_seeds(20240201, 2000)
     vals = generate_batch(spec, dims, None, seeds)
-    coords = [np.arange(1, 9, dtype=np.int64)] * 2
-    sums = batched_modulated_sums(vals, [phase_grid(coords, lam)])
+    sums = batched_modulated_sums(vals, [phase_grid(dims, lam)])
     periods = np.abs(sums[:, 0]) ** 2 / 64.0
     se = periods.std(ddof=1) / math.sqrt(len(periods))
     want = expected_periodogram_exact(spec, lam, dims)

@@ -403,8 +403,7 @@ def test_miller_estimate_is_the_mean_of_g_over_root_v_squared():
     weights = [1.0, 0.5, -0.3, 0.8]
     row, = miller_check(spec, scheme, weights, [box.v], 400, 23).rows
     seeds = replication_seeds(replication_seeds(23, 1, offset=1)[0], 400)
-    phases = [phase_grid([np.arange(1, v + 1) for v in box.v], lam)
-              for lam in scheme.freqs_for(box)]
+    phases = [phase_grid(box, lam) for lam in scheme.freqs_for(box)]
     sums = batched_modulated_sums(generate_batch(spec, box, None, seeds), phases)
     g_sq = (g_functional(weights, sums) / math.sqrt(48)) ** 2
     assert (row.estimate, row.std_error) == (g_sq.mean(), g_sq.std(ddof=1) / math.sqrt(400))
@@ -649,12 +648,18 @@ def test_replication_batch_fills_the_budget(monkeypatch):
     """A batch holds max(1, budget // bytes per replication) replications,
     so one over the budget runs alone; only one replication over the chunk
     budget is refused."""
-    monkeypatch.setattr(_util, "_BATCH_BYTES", 1000)
-    assert [_util.replication_batch(b) for b in (1, 16, 80, 500, 501, 1000, 1001, 10 ** 9)] == \
-        [1000, 62, 12, 2, 1, 1, 1, 1]
-    _util.check_replication(_util._CHUNK_BYTES // 48, 48)
+    spec, seeds = white_noise(1, REAL_GAUSSIAN, 1.0), replication_seeds(1, 2)
+    # at the default workspace of 3, a replication is charged 48 bytes a site
+    stats._entry(spec, BoxDims((_util._CHUNK_BYTES // 48,)), [], seeds)
     with pytest.raises(ValueError, match="over the 67108864-byte chunk budget"):
-        _util.check_replication(_util._CHUNK_BYTES // 48 + 1, 48)
+        stats._entry(spec, BoxDims((_util._CHUNK_BYTES // 48 + 1,)), [], seeds)
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 1000)
+    rows = []
+    for b in (1, 16, 80, 500, 501, 1000, 1001, 10 ** 9):
+        # a replication of b bytes: a lattice row of b bytes and no field row
+        monkeypatch.setattr(stats, "_workspace_sizes", lambda spec, box, n: [b * n, 0, 0])
+        rows.append(stats._entry(spec, BoxDims((8,)), [], seeds).rows)
+    assert rows == [1000, 62, 12, 2, 1, 1, 1, 1]
 
 
 def test_miller_refuses_an_entry_outside_its_scheme_before_any_draw(drawn_fields):
