@@ -18,12 +18,7 @@ from .rng import (_BLOCK_SITES, _SCRATCH_BYTES, _lattice_size, _replication_hash
 
 
 def _innovation_ranges(spec, dims, shift):
-    bounds = spec.lag_bounds()
-    ranges = []
-    for s in range(spec.dim):
-        lo_lag, hi_lag = bounds[s]
-        ranges.append((shift[s] + 1 - hi_lag, shift[s] + dims[s] - lo_lag))
-    return bounds, ranges
+    return [(w + 1 - hi, w + v - lo) for (lo, hi), v, w in zip(spec.lag_bounds(), dims, shift)]
 
 
 def _filter_batch(spec, dims, eps, bounds, *, out=None, scratch=None):
@@ -91,37 +86,44 @@ def generate_batch(spec: LinearFieldSpec, dims, shift, seeds, *,
     in place of new arrays.
     """
     box = as_dims(dims, spec.dim)
-    w = as_shift(shift, spec.dim)
-    bounds, ranges = _innovation_ranges(spec, box.v, w)
-    lattice, values, scratch = out
+    eps = draw_innovations(spec, box, shift, seeds, out=out)
+    return _filter_batch(spec, box.v, eps, spec.lag_bounds(), out=out[1], scratch=out[2])
+
+
+def draw_innovations(spec: LinearFieldSpec, dims, shift, seeds, *,
+                     out=(None, None, None)) -> np.ndarray:
+    """The innovations eps_{k-j} that the taps j read at the sites k of the box,
+    one row per seed, from w_s + 1 - max j_s to w_s + v_s - min j_s on axis s:
+    the first stage of ``generate_batch``, with the same ``out``."""
+    box = as_dims(dims, spec.dim)
+    ranges = _innovation_ranges(spec, box.v, as_shift(shift, spec.dim))
     # a list, so that a scalar seed is refused here; the lattice checks each seed
-    eps = gaussian_lattice(list(seeds), ranges, spec.innovation_kind, spec.innovation_std,
-                           out=lattice, scratch=scratch)
-    return _filter_batch(spec, box.v, eps, bounds, out=values, scratch=scratch)
+    return gaussian_lattice(list(seeds), ranges, spec.innovation_kind, spec.innovation_std,
+                            out=out[0], scratch=out[2])
 
 
-def _workspace_sizes(spec: LinearFieldSpec, box: BoxDims, rows: int) -> list[int]:
-    """Bytes of the lattice, the field and the scratch of a batch of ``rows`` seeds;
-    the scratch holds the lattice's block arrays, then the filter's product rows,
-    and up to 64 bytes before each array that ``_batch_workspace`` aligns."""
-    _, ranges = _innovation_ranges(spec, box.v, (0,) * spec.dim)
+def _workspace_sizes(spec: LinearFieldSpec, box: BoxDims, rows: int, field=True) -> list[int]:
+    """Bytes of the lattice, the field (none without ``field``) and the scratch of a
+    batch of ``rows`` seeds; the scratch holds the lattice's block arrays and the
+    filter's product rows, plus up to 64 bytes before each array for alignment."""
+    ranges = _innovation_ranges(spec, box.v, (0,) * spec.dim)
     return [16 * rows * _lattice_size(ranges, spec.is_real),
-            rows * box.volume * (8 if spec.is_real else 16),
-            max(_SCRATCH_BYTES, 16 * max(_BLOCK_SITES, box.volume)) + 3 * 64]
+            rows * box.volume * (8 if spec.is_real else 16) * field,
+            max(_SCRATCH_BYTES, 16 * box.volume * field) + 3 * 64]
 
 
-def _batch_workspace(spec: LinearFieldSpec, box: BoxDims, rows: int, buffer: np.ndarray):
+def _batch_workspace(spec: LinearFieldSpec, box: BoxDims, rows: int, buffer, field=True):
     """The (lattice, field, scratch) arrays of a batch of ``rows`` seeds, carved in
-    turn from the uint8 ``buffer``, which holds ``_workspace_sizes``.  Each starts
-    on a 64-byte boundary, so the passes over them run at one speed wherever the
-    allocator put the buffer."""
-    lattice, values, _ = _workspace_sizes(spec, box, rows)
+    turn from the uint8 ``buffer``, which holds ``_workspace_sizes``; without
+    ``field`` the field has no rows.  Each starts on a 64-byte boundary, so the
+    passes over them run at one speed wherever the allocator put the buffer."""
+    lattice, values, _ = _workspace_sizes(spec, box, rows, field)
     a = -buffer.ctypes.data % 64
     b = a + lattice + -lattice % 64
     c = b + values + -values % 64
     return (buffer[a:a + lattice].view(np.complex128).reshape(rows, -1),
             buffer[b:b + values].view(np.float64 if spec.is_real else np.complex128
-                                      ).reshape((rows,) + box.v),
+                                      ).reshape((rows * field,) + box.v),
             buffer[c:])
 
 

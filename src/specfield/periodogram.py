@@ -32,11 +32,14 @@ def _separable_grid(axis_vectors) -> np.ndarray:
 
 
 def _coords(dims, shift) -> list[np.ndarray]:
-    """The absolute coordinates w_s+1 .. w_s+v_s of each axis of the box of
-    ``dims`` at ``shift`` (default zeros), as float64 cast from int64."""
+    """The absolute coordinates w_s+1 .. w_s+v_s of each axis of the box of ``dims``
+    at ``shift`` (default zeros), int64 cast to float64: exact to 2^53, refused past."""
     box = as_dims(dims)
+    shift = as_shift(shift, box.dim)
+    if any(max(-w - 1, w + v) > 2 ** 53 for w, v in zip(shift, box.v)):
+        raise ValueError(f"shift {list(shift)} puts a box coordinate past 2^53 in absolute value")
     return [np.arange(w + 1, w + v + 1, dtype=np.int64).astype(np.float64)
-            for w, v in zip(as_shift(shift, box.dim), box.v)]
+            for w, v in zip(shift, box.v)]
 
 
 def index_products(dims, shift=None) -> np.ndarray:

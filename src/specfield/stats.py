@@ -31,7 +31,8 @@ import numpy as np
 
 from . import _util
 from ._util import run_chunked, worker_count
-from .fieldgen import _batch_workspace, _workspace_sizes, generate_batch, replication_seeds
+from .fieldgen import (_batch_workspace, _workspace_sizes, draw_innovations, generate_batch,
+                       replication_seeds)
 from .frequencies import FrequencyScheme, _validated_freqs
 from .model import LinearFieldSpec, spectral_density
 from .periodogram import (_periodograms, _row_sums, batched_modulated_sums, index_products,
@@ -188,8 +189,8 @@ def _entry(spec, box, freqs, seeds, sums=None, workspace=3) -> _Entry:
     """An entry of ``_replicated_sums``, with its ``sums`` hook, refused before
     any draw when it has fewer than 2 replications, too large a field variance,
     or one replication over the chunk budget at 16 * V * ``workspace`` bytes.
-    A batch holds the replications whose lattice and field rows fit the batch
-    budget."""
+    A batch holds the replications whose lattice rows, and field rows where a
+    ``sums`` hook reads the field, fit the batch budget."""
     if len(seeds) < 2:
         raise ValueError("need at least 2 replications")
     if spec.variance > _MAX_VARIANCE:
@@ -202,32 +203,44 @@ def _entry(spec, box, freqs, seeds, sums=None, workspace=3) -> _Entry:
         raise ValueError(f"one replication of the {box.volume}-site box needs {need}"
                          f" bytes, over the {chunk}-byte chunk budget; boxes of up to "
                          f"{chunk // (16 * workspace)} sites fit")
-    lattice, values, _ = _workspace_sizes(spec, box, 1)
+    lattice, values, _ = _workspace_sizes(spec, box, 1, sums is not None)
     return _Entry(box, freqs, seeds, sums, max(1, _util._BATCH_BYTES // (lattice + values)))
+
+
+def _innovation_grid(spec, box, lam) -> np.ndarray:
+    """c_t(lam) = sum_j a_j exp(-i (t + j).lam) over the taps j whose site t + j is
+    in the box, flat over the innovations of ``draw_innovations``: S(lam) is
+    ``_row_sums`` of an innovation row against it, as S = sum_t eps_t c_t(lam)."""
+    lo, hi = np.array(spec.lag_bounds()).T
+    grid, phase = np.zeros(hi - lo + box.v, np.complex128), phase_grid(box, lam).reshape(box.v)
+    for lag, coeff in spec.taps.items():
+        grid[tuple(map(slice, hi - lag, hi - lag + box.v))] += coeff * phase
+    return grid.ravel()
 
 
 def _replicated_sums(spec, entries) -> list:
     """The one replication loop of the clt, miller and negligibility reports.
 
-    Draws the field once per seed of each ``_entry`` and returns, for each
-    entry and each part of its field, the (R, m) modulated sums at its
-    frequencies.  ``sums(values, scratch, phases)`` returns the (rows, m) sums
-    of each part of a batch's values (by default the one part is the field
-    itself, summed by ``batched_modulated_sums``).  Every entry's batches go
-    to one ``run_chunked`` call, so a report forks at most once; a worker
-    draws, filters and sums each batch it is handed in one workspace, sized
-    for the largest batch and kept for this call only; ``scratch`` is the
-    batch's lattice, free once filtered.
+    Draws the innovations once per seed of each ``_entry`` and returns, for
+    each entry and each part of its field, the (R, m) modulated sums at its
+    frequencies.  With no ``sums`` hook the one part is the field, summed as
+    the innovation rows against their ``_innovation_grid``s, with no filter.
+    ``sums(values, scratch, phases)`` gets the filtered values and returns the
+    (rows, m) sums of each of their parts; ``scratch`` is the batch's lattice.
+    Every entry's batches go to one ``run_chunked`` call, so a report forks at
+    most once; a worker draws and sums each batch it is handed in one
+    workspace, sized for the largest batch and kept for this call only.
     """
-    phases = [[phase_grid(e.box, lam) for lam in e.freqs] for e in entries]
+    grids = [[phase_grid(e.box, lam) if e.sums else _innovation_grid(spec, e.box, lam)
+              for lam in e.freqs] for e in entries]
     # a batch holds at most a worker's share of its entry, so each has work at small R
     workers = worker_count()
     per_entry = [[(k, lo, min(lo + rows, len(e.seeds))) for lo in range(0, len(e.seeds), rows)]
                  for k, e in enumerate(entries)
                  for rows in [min(e.rows, -(-len(e.seeds) // workers))]]
     batches = [batch for bounds in per_entry for batch in bounds]
-    size = max((sum(_workspace_sizes(spec, entries[k].box, hi - lo)) for k, lo, hi in batches),
-               default=0)
+    size = max((sum(_workspace_sizes(spec, entries[k].box, hi - lo, entries[k].sums is not None))
+                for k, lo, hi in batches), default=0)
     buffer = None
 
     def batch_sums(k, lo, hi):
@@ -235,11 +248,13 @@ def _replicated_sums(spec, entries) -> list:
         if buffer is None:
             buffer = np.empty(size, np.uint8)
         e = entries[k]
-        out = _batch_workspace(spec, e.box, hi - lo, buffer)
+        out = _batch_workspace(spec, e.box, hi - lo, buffer, e.sums is not None)
+        if e.sums is None:
+            eps = draw_innovations(spec, e.box, None, e.seeds[lo:hi], out=out)
+            return [batched_modulated_sums(eps, grids[k])]
         vals = generate_batch(spec, e.box, None, e.seeds[lo:hi], out=out)
         scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
-        return (e.sums(vals, scratch, phases[k]) if e.sums
-                else [batched_modulated_sums(vals, phases[k])])
+        return e.sums(vals, scratch, grids[k])
 
     sums = iter(run_chunked(batches, batch_sums))
     return [[np.concatenate(parts) for parts in zip(*[next(sums) for _ in bounds])]

@@ -2,8 +2,8 @@
 
 ``src`` goes on ``sys.path`` for the tests themselves and at the front of
 ``PYTHONPATH`` for the ``python -m specfield`` and demo subprocesses that
-some tests start.  ``drawn_fields`` records the batches of the replication
-loop, in this process and in its forked workers; ``count_started`` counts
+some tests start.  ``drawn_fields`` records the innovation batches that the
+replication loop draws, in this process and in its forked workers; ``count_started`` counts
 the worker processes a test starts and refuses an oversized pool.
 """
 
@@ -23,8 +23,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 class DrawnFields:
-    """(pid, data address, nbytes, buffer address) of every batch the
-    replication loop draws, in order, read from a file that forked workers
+    """(pid, data address, nbytes, buffer address) of every innovation batch
+    the replication loop draws, in order, read from a file that forked workers
     append to.  The buffer is the array that owns the batch's memory."""
 
     def __init__(self, path):
@@ -57,15 +57,15 @@ class DrawnFields:
 
 @pytest.fixture
 def drawn_fields(monkeypatch, tmp_path):
-    from specfield import stats
+    from specfield import fieldgen, stats
 
     fields = DrawnFields(tmp_path / "drawn_fields.txt")
-    generate_batch = stats.generate_batch
+    draw = fieldgen.draw_innovations
     parent = os.getpid()
     owners = []  # held, so that no later buffer can take a drawn one's address
 
     def recording(*args, **kwargs):
-        values = generate_batch(*args, **kwargs)
+        values = draw(*args, **kwargs)
         owner = values
         while owner.base is not None:
             owner = owner.base
@@ -77,7 +77,10 @@ def drawn_fields(monkeypatch, tmp_path):
             time.sleep(0.01)  # leave chunks for the other workers to take
         return values
 
-    monkeypatch.setattr(stats, "generate_batch", recording)
+    # the one draw of every report: the clt and miller reports call it from
+    # stats, and the negligibility report through fieldgen.generate_batch
+    monkeypatch.setattr(fieldgen, "draw_innovations", recording)
+    monkeypatch.setattr(stats, "draw_innovations", recording)
     return fields
 
 

@@ -141,6 +141,17 @@ def test_periodogram_sums_its_sample_once(monkeypatch, capsys, ma1_spec_file):
         list(map(repr, (s.real, s.imag, i)))
 
 
+def test_periodogram_refuses_a_shift_past_2_to_the_53(ma1_spec_file):
+    """A box at a shift of 2^60 is drawn, but its phases would merge
+    neighbouring sites; the command exits 1 with one line naming the shift."""
+    proc = run_cli("periodogram", "--spec", ma1_spec_file, "--dims", "4", "--freq", "0.5",
+                   "--shift", "1152921504606846976")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: shift [1152921504606846976] puts a box coordinate")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_expectation_exact_and_quadrature(ma1_spec_file):
     proc = run_cli("expectation", "--spec", ma1_spec_file, "--dims", "2",
                    "--freq", "0", "--quadrature", "8")
@@ -516,8 +527,8 @@ def test_a_worker_error_is_one_line_with_exit_one(monkeypatch, capsys, clt_confi
     def failing(*args, **kwargs):
         raise ValueError("draw refused in a worker")
 
-    monkeypatch.setattr(stats, "generate_batch", failing)
-    # 512 bytes of lattice and field a replication: 10 replications a batch
+    monkeypatch.setattr(stats, "draw_innovations", failing)
+    # 256 bytes of lattice a replication: 20 replications a batch, 3 batches
     monkeypatch.setattr(_util, "_BATCH_BYTES", 512 * 10)
     monkeypatch.setenv("SPECFIELD_THREADS", "2")
     assert cli.main(["clt-experiment", "--config", clt_config_file()]) == cli.VALIDATION_EXIT

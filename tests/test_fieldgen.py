@@ -401,7 +401,7 @@ def test_real_field_is_the_real_part_of_the_complex_filter():
     spec = LinearFieldSpec(dim=2, taps={(0, 0): 1.0, (1, -1): -0.7, (0, 2): 0.3},
                            innovation_kind=REAL_GAUSSIAN, innovation_std=1.3)
     dims, shift, seeds = (6, 7), (-2, 3), [4, 5, 6]
-    bounds, ranges = fieldgen._innovation_ranges(spec, dims, shift)
+    bounds, ranges = spec.lag_bounds(), fieldgen._innovation_ranges(spec, dims, shift)
     eps = gaussian_lattice(seeds, ranges, REAL_GAUSSIAN, 1.3)
     want = np.zeros((len(seeds),) + dims, dtype=np.complex128)
     for lag, coeff in spec.taps.items():
@@ -414,7 +414,7 @@ def test_real_field_is_the_real_part_of_the_complex_filter():
 
 def _complex_accumulation(spec, dims, shift, seeds):
     """sum_j a_j eps_{k-j}, tap by tap in complex arithmetic, from a zero start."""
-    bounds, ranges = fieldgen._innovation_ranges(spec, dims, shift)
+    bounds, ranges = spec.lag_bounds(), fieldgen._innovation_ranges(spec, dims, shift)
     eps = gaussian_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std)
     want = np.zeros((len(seeds),) + dims, dtype=np.complex128)
     for lag, coeff in spec.taps.items():

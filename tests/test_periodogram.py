@@ -115,6 +115,31 @@ def test_grids_of_a_box_equal_its_coordinate_products_bit_for_bit(d, w):
         assert phase_grid(dims, lam).tobytes() == phase_grid(dims, lam, shift).tobytes()
 
 
+def test_a_coordinate_past_2_to_the_53_is_refused_not_merged():
+    """Past 2^53 float64 rounds neighbouring coordinates to one: at a shift of
+    2^60 the 4-site phase grid was one phase four times.  Both builders now
+    refuse the box by its shift; up to 2^53 in absolute value every coordinate
+    is exact and distinct."""
+    for shift in [(2 ** 60,), (-2 ** 53 - 2,), (2 ** 53 - 3,)]:
+        for build in (lambda: phase_grid((4,), (0.5,), shift), lambda: index_products((4,), shift)):
+            with pytest.raises(ValueError, match=rf"^shift \[{shift[0]}\] puts a box "
+                                                 r"coordinate past 2\^53 in absolute value$"):
+                build()
+    assert index_products((4,), (2 ** 53 - 4,)).tolist() == [2.0 ** 53 - 3, 2.0 ** 53 - 2,
+                                                            2.0 ** 53 - 1, 2.0 ** 53]
+    assert np.unique(phase_grid((4,), (0.5,), (2 ** 53 - 4,))).size == 4
+    assert phase_grid((4,), (0.5,), (-2 ** 53 - 1,)).size == 4
+
+
+def test_a_coordinate_near_2_to_the_63_is_a_refusal_not_an_overflow():
+    """At a shift of 2^63 - 2 ``np.arange`` raised a bare OverflowError, where
+    ``generate`` refuses such a box by name; the grid builders refuse it by
+    its shift, as past 2^53."""
+    for build in (phase_grid, lambda dims, lam, shift: index_products(dims, shift)):
+        with pytest.raises(ValueError, match=r"^shift \[9223372036854775806\] puts"):
+            build((4,), (0.5,), (2 ** 63 - 2,))
+
+
 def test_vector_matches_scalars_bitwise():
     spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 1.0)
     sample = generate(spec, (16, 16), seed=5)

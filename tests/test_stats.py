@@ -19,16 +19,17 @@ from scipy import stats as sps
 
 import test_blocking
 
-from specfield import _util, stats
+from specfield import _util, fieldgen, stats
 from specfield.domain import BoxDims, Frequency
-from specfield.fieldgen import _workspace_sizes, generate, generate_batch, replication_seeds
+from specfield.fieldgen import _workspace_sizes, draw_innovations, replication_seeds
 from specfield.frequencies import FrequencyScheme
 from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, first_axis_ma1, spectral_density,
                              white_noise)
-from specfield.periodogram import batched_modulated_sums, periodogram_vector, phase_grid
+from specfield.periodogram import _row_sums
 from specfield.spectral import sum_covariance
 from specfield.stats import (cross_frequency_independence, g_functional,
-                             ks_statistic, miller_check, run_clt_experiment)
+                             ks_statistic, miller_check, negligibility_report,
+                             run_clt_experiment)
 
 EXACT_TOL = 1e-12
 
@@ -218,11 +219,13 @@ def test_clt_report_structure():
     assert report.raw_periodograms.shape == (200, m)
     assert np.allclose(report.raw_periodograms,
                        np.abs(report.raw_sums) ** 2 / 256, atol=EXACT_TOL)
-    # the same I as each replication's sample gives, bit for bit
-    single = np.array([[i for _, i in periodogram_vector(generate(spec, (16, 16), None, seed),
-                                                         report.frequencies)]
-                       for seed in replication_seeds(7, 200)])
-    assert single.tobytes() == report.raw_periodograms.tobytes()
+    # the same S as each replication's innovation row summed against the
+    # report's innovation grids, bit for bit
+    box = BoxDims((16, 16))
+    grids = [stats._innovation_grid(spec, box, lam) for lam in report.frequencies]
+    rows = draw_innovations(spec, box, None, replication_seeds(7, 200))
+    sums = np.array([_row_sums(row.ravel(), grids) for row in rows])
+    assert sums.tobytes() == report.raw_sums.tobytes()
     doc = json.loads(report.to_json())
     assert doc["replications"] == 200
     assert "raw_sums" not in doc
@@ -285,8 +288,9 @@ def test_clt_rejects_few_replications():
 
 
 def replication_bytes(spec, dims):
-    """The workspace bytes of one replication: its lattice and field rows."""
-    lattice, values, _ = _workspace_sizes(spec, BoxDims(dims), 1)
+    """The workspace bytes of one clt or miller replication: its lattice row,
+    which it sums with no field row."""
+    lattice, values, _ = _workspace_sizes(spec, BoxDims(dims), 1, field=False)
     return lattice + values
 
 
@@ -356,6 +360,62 @@ def test_miller_report_independent_of_threads_and_chunks(monkeypatch, drawn_fiel
     assert all(r == results[0] for r in results[1:])
 
 
+@pytest.mark.parametrize("threads, batch_bytes", [("1", 1), ("2", 1), ("1", 1 << 40),
+                                                 ("2", 1 << 40)])
+def test_only_the_negligibility_report_filters_a_field(monkeypatch, tmp_path, drawn_fields,
+                                                       threads, batch_bytes):
+    """The clt and miller reports sum each innovation row against grids built
+    once per (box, frequency) of the report, and never reach the filter; the
+    negligibility report, which truncates |X_k|, filters every batch it draws
+    and builds no innovation grid.  At one replication a batch and at a
+    worker's whole share, at 1 and 2 workers."""
+    log = tmp_path / "calls.txt"
+    filter_batch, innovation_grid = fieldgen._filter_batch, stats._innovation_grid
+
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
+
+    def filtering(*args, **kwargs):
+        note("filter")
+        return filter_batch(*args, **kwargs)
+
+    def building(spec, box, lam):
+        note(f"grid {box.v} {tuple(lam)}")
+        return innovation_grid(spec, box, lam)
+
+    def calls():
+        """The calls logged since the last look, and the batches drawn."""
+        lines = log.read_text().splitlines() if log.exists() else []
+        draws = len(drawn_fields.records())
+        log.write_text("")
+        drawn_fields.clear()
+        return sorted(lines), draws
+
+    monkeypatch.setattr(fieldgen, "_filter_batch", filtering)
+    monkeypatch.setattr(stats, "_innovation_grid", building)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("SPECFIELD_THREADS", threads)
+    monkeypatch.setattr(_util, "_BATCH_BYTES", batch_bytes)
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    dims_seq = [(8, 6), (16, 8)]
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, dims_seq)
+
+    def grids(*boxes):
+        return sorted(f"grid {box} {tuple(lam)}" for box in boxes
+                      for lam in scheme.freqs_for(BoxDims(box)))
+
+    batches = 20 if batch_bytes == 1 else int(threads)
+    run_clt_experiment(spec, scheme, (16, 8), 20, 17)
+    assert calls() == (grids((16, 8)), batches)
+    miller_check(spec, scheme, [1.0, 0.5, -0.3, 0.8], dims_seq, 20, 23)
+    assert calls() == (grids(*dims_seq), 2 * batches)
+    line = first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 1.0)
+    scheme = test_blocking.make_scheme(2, 0.25, [(64,), (128,)])
+    negligibility_report(line, scheme, [(64,), (128,)], 0.2, [1.0, -0.5, 0.3, 2.0], 20, 23)
+    assert calls() == (["filter"] * 2 * batches, 2 * batches)
+
+
 def test_miller_rejects_few_replications():
     spec = white_noise(1, CIRCULAR_GAUSSIAN, 1.0)
     scheme = scheme_for((math.pi / 2,), 1, 0.25, [(16,)])
@@ -396,15 +456,17 @@ def test_miller_rows_and_determinism():
 
 def test_miller_estimate_is_the_mean_of_g_over_root_v_squared():
     """A row's estimate and standard error are those of (G(b, S) / sqrt(V))^2
-    over its draws, bit for bit, on a box whose volume is not a square."""
+    over its draws, bit for bit, on a box whose volume is not a square; each
+    S is ``_row_sums`` of a draw's innovation row against its innovation grids."""
     spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
     box = BoxDims((8, 6))
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [box.v])
     weights = [1.0, 0.5, -0.3, 0.8]
     row, = miller_check(spec, scheme, weights, [box.v], 400, 23).rows
     seeds = replication_seeds(replication_seeds(23, 1, offset=1)[0], 400)
-    phases = [phase_grid(box, lam) for lam in scheme.freqs_for(box)]
-    sums = batched_modulated_sums(generate_batch(spec, box, None, seeds), phases)
+    grids = [stats._innovation_grid(spec, box, lam) for lam in scheme.freqs_for(box)]
+    sums = np.array([_row_sums(eps.ravel(), grids)
+                     for eps in draw_innovations(spec, box, None, seeds)])
     g_sq = (g_functional(weights, sums) / math.sqrt(48)) ** 2
     assert (row.estimate, row.std_error) == (g_sq.mean(), g_sq.std(ddof=1) / math.sqrt(400))
 
@@ -418,11 +480,12 @@ def test_miller_weight_length_mismatch():
 
 # sha256 of to_json() plus raw_sums bytes (clt) or of to_json() (miller),
 # recorded on innovation stream 5 with every S summed by
-# ``periodogram._row_sums``, the covariances reduced by ``np.add.reduce``, and
-# the clt KS statistics from ``math.erfc`` and the Kolmogorov series
-CLT_DIGESTS = {"real": "0aad6abaff73e1090d8e53323652fd26131761a14c69f4186f0cb2d7b487265c",
-               "circular": "fa695f967235a4d315b89189ea961a6b3bc8274abb0a024a1da6b1d54350a85a"}
-MILLER_DIGEST = "50b698b501721a21505de36fa954d3c6fd6e448d4b0ab8a44e4e06ec285bbd68"
+# ``periodogram._row_sums`` (of the innovation row against its innovation
+# grids), the covariances reduced by ``np.add.reduce``, and the clt KS
+# statistics from ``math.erfc`` and the Kolmogorov series
+CLT_DIGESTS = {"real": "120c0ea745fd15aa8918ac2a910245a9b31f6c95babf49559a3dbcd15a36145d",
+               "circular": "dd67faa3a0abb6182cec6e43a8cc339dba4cdae5a9438e8093949354fa6b1d92"}
+MILLER_DIGEST = "42d47c488d9ebe31c404fc797b3711cdd037552d8055b06b36c0b665baec6780"
 
 
 def clt_digest(kind):
@@ -657,7 +720,7 @@ def test_replication_batch_fills_the_budget(monkeypatch):
     rows = []
     for b in (1, 16, 80, 500, 501, 1000, 1001, 10 ** 9):
         # a replication of b bytes: a lattice row of b bytes and no field row
-        monkeypatch.setattr(stats, "_workspace_sizes", lambda spec, box, n: [b * n, 0, 0])
+        monkeypatch.setattr(stats, "_workspace_sizes", lambda spec, box, n, field: [b * n, 0, 0])
         rows.append(stats._entry(spec, BoxDims((8,)), [], seeds).rows)
     assert rows == [1000, 62, 12, 2, 1, 1, 1, 1]
 
@@ -732,7 +795,7 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError(f"draw failed in process {os.getpid()}")
 
-    monkeypatch.setattr(stats, "generate_batch", failing)
+    monkeypatch.setattr(stats, "draw_innovations", failing)
     with pytest.raises(ValueError, match=r"^draw failed in process \d+$") as caught:
         run_clt_experiment(spec, scheme, (16, 8), 40, 17)
     assert str(os.getpid()) not in str(caught.value)
@@ -771,7 +834,7 @@ def test_workers_never_outnumber_the_usable_cpus(monkeypatch, count_started):
 
 def test_an_oversized_setting_splits_by_the_usable_cpus(monkeypatch, count_started):
     """A circular clt report at R = 4,000 under SPECFIELD_THREADS=1000000, on 2
-    usable CPUs, makes one runner call of 5 budget-sized batches, not 4,000
+    usable CPUs, makes one runner call of 3 budget-sized batches, not 4,000
     one-replication batches, and its raw sums are a one-worker run's bytes."""
     spec = first_axis_ma1(2, CIRCULAR_GAUSSIAN, 1.0, 0.5)
     scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
@@ -788,7 +851,7 @@ def test_an_oversized_setting_splits_by_the_usable_cpus(monkeypatch, count_start
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", "1000000")
     got = run_clt_experiment(spec, scheme, (16, 8), 4000, 5).raw_sums
-    assert batch_counts == [5]
+    assert batch_counts == [3]
     assert got.tobytes() == want.tobytes()
     assert len(started) == 2
 
