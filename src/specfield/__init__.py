@@ -30,8 +30,7 @@ _EXPORTS = {
                  "expected_periodogram_quadrature", "product_of_sums", "sum_covariance",
                  "uniform_convergence_report"),
     "_util": ("InternalConsistencyError",),
-    "frequencies": ("FrequencyScheme", "SeparationSpec", "build_separated",
-                    "check_separation", "is_admissible"),
+    "frequencies": ("FrequencyScheme", "build_separated", "is_admissible"),
     "bernstein": ("BlockingPlan", "IndexSlab", "MixingProfile", "block_index_sets", "plan"),
     "mixing": ("IndexSetPair", "canonical_rho", "dependence_profile", "rho_prime_profile"),
     "stats": ("CltReport", "MillerReport", "cross_frequency_independence", "g_functional",

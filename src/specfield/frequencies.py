@@ -11,7 +11,9 @@ asymptotically independent.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 from .domain import Frequency, as_dims, as_frequency, as_int
@@ -33,10 +35,17 @@ def is_admissible(lam) -> bool:
     return any(c not in _EXCLUDED for c in freq)
 
 
+def _as_delta(delta) -> float:
+    """A separation exponent as a float; anything but a real in (0, 1/2) is refused."""
+    if not (isinstance(delta, numbers.Real) and 0.0 < delta < 0.5):
+        raise ValueError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
+    return float(delta)
+
+
 def separation_gap(v_axis: int, delta: float) -> float:
     """The minimal-separation scale v^{-(1/2-delta)} for one axis."""
-    if not (0.0 < delta < 0.5):
-        raise ValueError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
+    delta = _as_delta(delta)
+    v_axis = as_int(v_axis, "axis length")
     if v_axis < 1:
         raise ValueError("axis length must be >= 1")
     return float(v_axis) ** (-(0.5 - delta))
@@ -46,6 +55,21 @@ def _circle_distance(a: float, b: float) -> float:
     """Distance of two coordinates in (-pi, pi] on the circle R / 2 pi Z."""
     x = abs(a - b)
     return min(x, 2.0 * math.pi - x)
+
+
+def _separation_witness(freqs, box, delta: float, real: bool):
+    """The first pair (j, k) of ``freqs``, 1-based, with no coordinate s where
+    dist(lam_s, mu_s) > v_s^{-(1/2 - delta)} at ``box``, and whether it failed
+    against -mu; None when every pair is separated.  dist is the distance on
+    the circle, as the kernels are 2 pi-periodic; a real field has
+    S(-mu) = conj S(mu), so ``real`` demands the same of lam and -mu."""
+    gaps = [separation_gap(v, delta) for v in box.v]
+    for j, k in itertools.combinations(range(len(freqs)), 2):
+        for sign in (1.0, -1.0) if real else (1.0,):
+            if not any(_circle_distance(a, sign * b) > gap
+                       for a, b, gap in zip(freqs[j], freqs[k], gaps)):
+                return (j + 1, k + 1), sign < 0
+    return None
 
 
 def build_separated(lam, m: int, delta: float, axis: int, dims) -> list[Frequency]:
@@ -92,47 +116,6 @@ def build_separated(lam, m: int, delta: float, axis: int, dims) -> list[Frequenc
 
 
 @dataclass(frozen=True)
-class SeparationSpec:
-    """Per-pair separation demands: exponent delta(j,k) and onset index N(j,k).
-
-    Pairs are unordered, keyed by (min(j, k), max(j, k)) with 1-based labels.
-    """
-
-    m: int
-    delta: dict
-    onset: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_int(self.m, "m"))
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        delta = {}
-        onset = {}
-        for (j, k) in self._pairs(self.m):
-            d = self.delta.get((j, k))
-            if d is None:
-                raise ValueError(f"missing delta for pair ({j},{k})")
-            if not (0.0 < d < 0.5):
-                raise ValueError(f"delta must satisfy 0 < delta < 1/2, got {d}")
-            delta[(j, k)] = float(d)
-            n0 = as_int(self.onset.get((j, k), 1), "onset index")
-            if n0 < 1:
-                raise ValueError("onset indices are 1-based")
-            onset[(j, k)] = n0
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "onset", onset)
-
-    @staticmethod
-    def _pairs(m: int):
-        return [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
-
-    @classmethod
-    def uniform(cls, m: int, delta: float, onset: int = 1) -> "SeparationSpec":
-        pairs = cls._pairs(as_int(m, "m"))
-        return cls(m=m, delta=dict.fromkeys(pairs, delta), onset=dict.fromkeys(pairs, onset))
-
-
-@dataclass(frozen=True)
 class FrequencyScheme:
     """A frequency family per entry of a dims sequence.
 
@@ -152,16 +135,16 @@ class FrequencyScheme:
             raise ValueError("per_n and dims_sequence must have equal length")
         if not self.per_n:
             raise ValueError("scheme must cover at least one dims entry")
-        sizes = {len(freqs) for freqs in self.per_n}
-        if len(sizes) != 1:
+        if len({len(freqs) for freqs in self.per_n}) != 1:
             raise ValueError("every entry must carry the same number of frequencies")
-        object.__setattr__(self, "per_n", tuple(tuple(f) for f in self.per_n))
+        base = as_frequency(self.base)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "per_n", tuple(tuple(as_frequency(f, base.dim) for f in freqs)
+                                                for freqs in self.per_n))
         object.__setattr__(self, "dims_sequence",
-                           tuple(as_dims(d, self.base.dim) for d in self.dims_sequence))
-
-    @property
-    def m(self) -> int:
-        return len(self.per_n[0])
+                           tuple(as_dims(d, base.dim) for d in self.dims_sequence))
+        if self.delta is not None:
+            object.__setattr__(self, "delta", _as_delta(self.delta))
 
     def freqs_for(self, dims) -> tuple:
         """The frequency family attached to one dims entry of the sequence."""
@@ -174,67 +157,27 @@ class FrequencyScheme:
     @classmethod
     def separated(cls, lam, m: int, delta: float, axis: int,
                   dims_sequence) -> "FrequencyScheme":
-        base = as_frequency(lam)
-        per_n = [build_separated(base, m, delta, axis, dims) for dims in dims_sequence]
-        return cls(base=base, per_n=tuple(per_n), dims_sequence=tuple(dims_sequence),
-                   delta=float(delta))
-
-
-@dataclass(frozen=True)
-class SeparationCheck:
-    ok: bool
-    # (j, k, n) of the first violation, or None
-    witness: tuple | None
-
-
-def check_separation(scheme: FrequencyScheme, sep: SeparationSpec,
-                     real: bool = False) -> SeparationCheck:
-    """Verify the separation condition for every pair past its onset index.
-
-    Pair (j, k) passes at sequence entry n when SOME coordinate s satisfies
-    dist(lam_s^{(j,n)}, lam_s^{(k,n)}) > v_s^{-(1/2 - delta(j,k))} strictly,
-    where dist is the distance on the circle, min(|x|, 2 pi - |x|) for
-    x = lam_s - mu_s: the kernels are 2 pi-periodic, so frequencies near
-    pi and near -pi are close.  For a real field S(-mu) = conj S(mu), so
-    ``real`` also demands the same of lam and -mu, i.e. of lam + mu against
-    0.  Returns the first violating (j, k, n) as a witness, 1-based.
-    """
-    if sep.m != scheme.m:
-        raise ValueError(f"separation spec is for m={sep.m}, scheme has m={scheme.m}")
-    signs = (1.0, -1.0) if real else (1.0,)
-    for n, (dims, freqs) in enumerate(zip(scheme.dims_sequence, scheme.per_n), start=1):
-        for (j, k), delta in sep.delta.items():
-            if n < sep.onset[(j, k)]:
-                continue
-            fj, fk = freqs[j - 1], freqs[k - 1]
-            gaps = [separation_gap(v, delta) for v in dims.v]
-            for sign in signs:
-                if not any(_circle_distance(a, sign * b) > gap
-                           for a, b, gap in zip(fj, fk, gaps)):
-                    return SeparationCheck(ok=False, witness=(j, k, n))
-    return SeparationCheck(ok=True, witness=None)
+        per_n = [build_separated(lam, m, delta, axis, dims) for dims in dims_sequence]
+        return cls(base=lam, per_n=tuple(per_n), dims_sequence=tuple(dims_sequence),
+                   delta=delta)
 
 
 def _validated_freqs(spec, scheme: FrequencyScheme, dims):
     """The box and the scheme's frequencies for it, for a field ``spec``.
 
-    Refuses an inadmissible base and a family that ``check_separation``
-    refuses at the scheme's delta (0.25 when it has none), measured against
-    -mu as well when the spec is real.
+    Refuses an inadmissible base and a family that is not separated at the
+    scheme's delta (0.25 when it has none): first as it stands, then, when
+    the spec is real, against -mu as well.
     """
     box = as_dims(dims, spec.dim)
     freqs = scheme.freqs_for(box)
     if not is_admissible(scheme.base):
         raise ValueError("scheme base frequency is not admissible")
-    if len(freqs) >= 2:
-        single = FrequencyScheme(base=scheme.base, per_n=(freqs,), dims_sequence=(box,))
-        sep = SeparationSpec.uniform(len(freqs),
-                                     scheme.delta if scheme.delta is not None else 0.25)
-        for real in (False, True) if spec.is_real else (False,):
-            verdict = check_separation(single, sep, real)
-            if not verdict.ok:
-                against = " against -mu (a real field has S(-mu) = conj S(mu))" if real else ""
-                raise ValueError(
-                    f"frequencies for dims {box.v} violate separation at pair "
-                    f"{verdict.witness[:2]}{against}")
+    delta = scheme.delta if scheme.delta is not None else 0.25
+    for real in (False, True) if spec.is_real else (False,):
+        witness = _separation_witness(freqs, box, delta, real)
+        if witness is not None:
+            against = " against -mu (a real field has S(-mu) = conj S(mu))" if witness[1] else ""
+            raise ValueError(
+                f"frequencies for dims {box.v} violate separation at pair {witness[0]}{against}")
     return box, freqs

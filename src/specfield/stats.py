@@ -62,6 +62,17 @@ def _g_squared(weights, sums, volume: int) -> np.ndarray:
     return (g_functional(weights, sums) / math.sqrt(volume)) ** 2
 
 
+def _checked_weights(weights, m: int) -> np.ndarray:
+    """The weights b of m frequencies as a float array, refused by name unless
+    they are 2m finite reals in one dimension."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite reals in one dimension, got {w.tolist()}")
+    if w.size != 2 * m:
+        raise ValueError(f"need {2 * m} weights, got {w.size}")
+    return w
+
+
 def _mean_and_se(x) -> tuple[float, float]:
     """The mean of R Monte Carlo values and its standard error."""
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
@@ -363,7 +374,7 @@ def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,
     seed and the entry index) and reports the Monte Carlo discrepancy with
     its standard error; the discrepancy should shrink as the box grows.
     """
-    w = np.asarray(weights, dtype=float)
+    w = _checked_weights(weights, len(scheme.per_n[0]))
     f_base = spectral_density(spec, scheme.base)
     if f_base <= 0.0:
         raise ValueError("spectral density vanishes at the base frequency")
@@ -371,8 +382,6 @@ def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,
     entries = []
     for index, dims in enumerate(dims_sequence, start=1):
         box, freqs = _validated_freqs(spec, scheme, dims)
-        if w.size != 2 * len(freqs):
-            raise ValueError(f"need {2 * len(freqs)} weights, got {w.size}")
         seeds = replication_seeds(replication_seeds(seed, 1, offset=index)[0], replications)
         entries.append(_entry(spec, box, freqs, seeds))
     rows = []
@@ -446,12 +455,10 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
     from .bernstein import block_index_sets, plan
     from .mixing import dependence_profile
 
-    weights = np.asarray(weights, dtype=float)
+    weights = _checked_weights(weights, len(scheme.per_n[0]))
     entries, plans = [], []
     for index, dims in enumerate(dims_sequence, start=1):
         box, freqs = _validated_freqs(spec, scheme, dims)
-        if weights.size != 2 * len(freqs):
-            raise ValueError(f"need {2 * len(freqs)} weights, got {weights.size}")
         pl = plan(box.v[0], dependence_profile(spec), q)
         _, leftover = block_index_sets(pl, box)
         seeds = replication_seeds(seed, replications, offset=index * replications)

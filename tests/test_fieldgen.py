@@ -9,7 +9,7 @@ from specfield import fieldgen
 from specfield.bernstein import BlockingPlan, IndexSlab, MixingProfile, plan
 from specfield.domain import BoxDims
 from specfield.fieldgen import generate, generate_batch, replication_seeds
-from specfield.frequencies import SeparationSpec, build_separated
+from specfield.frequencies import build_separated, separation_gap
 from specfield.kernels import dirichlet_mod, fejer
 from specfield.mixing import IndexSetPair, rho_prime_profile
 from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, LinearFieldSpec, _lag_arrays,
@@ -312,9 +312,7 @@ _INTEGER_SITES = [
     ("n_max", lambda x: rho_prime_profile(ma1_real(), 1, 1, x), 2),
     ("axis", lambda x: IndexSetPair(((0, 0),), ((0, 3),), x), 1),
     ("axis", lambda x: build_separated((1.0, 1.0), 2, 0.25, x, (64, 64)), 1),
-    ("onset index", lambda x: SeparationSpec.uniform(2, 0.2, onset=x), 2),
-    ("m", lambda x: SeparationSpec(m=x, delta={(1, 2): 0.2}, onset={}), 2, "separation_m"),
-    ("m", lambda x: SeparationSpec.uniform(x, 0.2), 2, "uniform_m"),
+    ("axis length", lambda x: separation_gap(x, 0.25), 16),
     ("axis range bound", lambda x: gaussian_lattice(3, [(x, 5)], REAL_GAUSSIAN, 1.0).tobytes(),
      2, "axis_range_lo"),
     ("axis range bound", lambda x: gaussian_lattice(3, [(0, x)], REAL_GAUSSIAN, 1.0).tobytes(),

@@ -1,13 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specfield.domain import BoxDims, Frequency
-from specfield.frequencies import (FrequencyScheme, SeparationSpec,
-                                   build_separated, check_separation,
-                                   is_admissible, separation_gap)
+from specfield.frequencies import (FrequencyScheme, _separation_witness, _validated_freqs,
+                                   build_separated, is_admissible, separation_gap)
+from specfield.model import REAL_GAUSSIAN, first_axis_ma1
 
 
 def test_admissible_examples():
@@ -48,9 +49,8 @@ def test_build_passes_separation_check():
     dims_seq = [BoxDims((16,)), BoxDims((32,)), BoxDims((64,))]
     scheme = FrequencyScheme.separated(Frequency((math.pi / 2,)), 2, 0.25, 0,
                                        dims_seq)
-    result = check_separation(scheme, SeparationSpec.uniform(2, 0.25))
-    assert result.ok
-    assert result.witness is None
+    for box in dims_seq:
+        assert _separation_witness(scheme.freqs_for(box), box, 0.25, False) is None
 
 
 def test_build_rejects_exiting_fan():
@@ -76,43 +76,17 @@ def test_build_rejects_bad_axis():
 
 
 def test_identical_sequences_fail_with_witness():
-    dims_seq = [BoxDims((8,)), BoxDims((16,))]
     lam = Frequency((0.5,))
-    scheme = FrequencyScheme(base=lam, per_n=((lam, lam), (lam, lam)),
-                             dims_sequence=tuple(dims_seq))
-    result = check_separation(scheme, SeparationSpec.uniform(2, 0.2))
-    assert not result.ok
-    assert result.witness == (1, 2, 1)
+    for box in (BoxDims((8,)), BoxDims((16,))):
+        assert _separation_witness((lam, lam), box, 0.2, False) == ((1, 2), False)
 
 
 def test_decaying_gap_fails_eventually():
-    """Gap n^{-0.4} loses to the n^{-0.3} threshold from the very first box."""
-    dims_seq = [BoxDims((n,)) for n in range(1, 6)]
-    per_n = tuple(
-        (Frequency((0.5,)), Frequency((0.5 + n ** -0.4,)))
-        for n in range(1, 6)
-    )
-    scheme = FrequencyScheme(base=Frequency((0.5,)), per_n=per_n,
-                             dims_sequence=tuple(dims_seq))
-    result = check_separation(scheme, SeparationSpec.uniform(2, 0.2))
-    assert not result.ok
-    # at n = 1 the gap equals the threshold (1 > 1 is false), so the first
-    # violating index is already 1
-    assert result.witness == (1, 2, 1)
-
-
-def test_onset_index_skips_early_boxes():
-    # same sequences as above but demand separation only from n = 6 onward,
-    # where no boxes remain to check
-    dims_seq = [BoxDims((n,)) for n in range(1, 6)]
-    per_n = tuple(
-        (Frequency((0.5,)), Frequency((0.5 + n ** -0.4,)))
-        for n in range(1, 6)
-    )
-    scheme = FrequencyScheme(base=Frequency((0.5,)), per_n=per_n,
-                             dims_sequence=tuple(dims_seq))
-    result = check_separation(scheme, SeparationSpec.uniform(2, 0.2, onset=6))
-    assert result.ok
+    """Gap n^{-0.4} loses to the n^{-0.3} threshold from the very first box:
+    at n = 1 the gap equals the threshold (1 > 1 is false)."""
+    for n in range(1, 6):
+        pair = (Frequency((0.5,)), Frequency((0.5 + n ** -0.4,)))
+        assert _separation_witness(pair, BoxDims((n,)), 0.2, False) == ((1, 2), False)
 
 
 def test_scheme_freqs_for_box():
@@ -136,15 +110,36 @@ def test_scheme_converges_to_base():
     assert gaps[-1] < gaps[0] / 8
 
 
-def test_separation_spec_validation():
-    with pytest.raises(ValueError):
-        SeparationSpec.uniform(2, 0.6)
-    with pytest.raises(ValueError):
-        SeparationSpec.uniform(2, 0.2, onset=0)
-    spec = SeparationSpec.uniform(3, 0.2)
-    assert spec.m == 3
-    assert spec.delta[(1, 2)] == 0.2
-    assert spec.onset[(2, 3)] == 1
+@pytest.mark.parametrize("change, message", [
+    ({"base": (0.5,), "per_n": (((0.5,), (1.5,)),)}, None),
+    ({"per_n": (((0.5,), (5.0,)),)}, "frequency coordinate 5.0 outside (-pi, pi]"),
+    ({"per_n": (((0.5,), (1.5, 0.5)),)}, "expected 1-dimensional frequency, got 2"),
+    ({"delta": 0.7}, "delta must satisfy 0 < delta < 1/2, got 0.7"),
+    ({"delta": "x"}, "delta must satisfy 0 < delta < 1/2, got x"),
+], ids=["tuple-base", "frequency-outside", "frequency-2d", "delta-0.7", "delta-str"])
+def test_a_scheme_reads_its_frequencies_and_refuses_a_bad_delta(change, message):
+    """A scheme reads its base and every frequency as a Frequency of the base's
+    dimension, and refuses a delta outside (0, 1/2) or not a real by name."""
+    lam, mu = Frequency((0.5,)), Frequency((1.5,))
+    fields = dict(base=lam, per_n=((lam, mu),), dims_sequence=(BoxDims((64,)),), delta=0.25)
+    fields.update(change)
+    if message is None:
+        scheme = FrequencyScheme(**fields)
+        assert (scheme.base, scheme.freqs_for((64,))) == (lam, (lam, mu))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FrequencyScheme(**fields)
+
+
+def test_a_real_family_is_refused_at_its_first_plain_pair_before_any_against_minus_mu():
+    """lambda = (1.0, -1.0, 1.1) on a 64-site real MA(1): pair (1, 2) fails
+    only against -mu, pair (1, 3) fails as it stands (0.1 apart, inside the
+    64^(-1/4) gap), and the plain pass comes first."""
+    freqs = tuple(Frequency((c,)) for c in (1.0, -1.0, 1.1))
+    scheme = FrequencyScheme(base=freqs[0], per_n=(freqs,), dims_sequence=(BoxDims((64,)),))
+    with pytest.raises(ValueError) as info:
+        _validated_freqs(first_axis_ma1(1, REAL_GAUSSIAN, 1.0, 0.5), scheme, (64,))
+    assert str(info.value) == "frequencies for dims (64,) violate separation at pair (1, 3)"
 
 
 def test_frequency_domain_validation():
@@ -159,14 +154,11 @@ def test_separation_is_measured_on_the_circle():
     """pi - 0.01 and -pi + 0.01 are 6.26 apart on the line but 0.02 apart on
     the circle, below the 64^(-1/4) = 0.354 gap."""
     lam, mu = Frequency((math.pi - 0.01,)), Frequency((-math.pi + 0.01,))
-    scheme = FrequencyScheme(base=lam, per_n=((lam, mu),), dims_sequence=(BoxDims((64,)),))
-    result = check_separation(scheme, SeparationSpec.uniform(2, 0.25))
-    assert not result.ok
-    assert result.witness == (1, 2, 1)
+    box = BoxDims((64,))
+    assert _separation_witness((lam, mu), box, 0.25, False) == ((1, 2), False)
     # a pair apart by more than the gap both ways round still passes
     far = Frequency((-math.pi + 0.5,))
-    scheme = FrequencyScheme(base=lam, per_n=((lam, far),), dims_sequence=(BoxDims((64,)),))
-    assert check_separation(scheme, SeparationSpec.uniform(2, 0.25)).ok
+    assert _separation_witness((lam, far), box, 0.25, False) is None
 
 
 def test_fan_whose_ends_meet_across_pi_is_not_built():
@@ -176,20 +168,16 @@ def test_fan_whose_ends_meet_across_pi_is_not_built():
     with pytest.raises(ValueError, match=r"violate separation at pair \(1, 4\)"):
         build_separated((-3.1,), 4, 0.25, 0, (1,))
     fan = build_separated((-3.1,), 3, 0.25, 0, (1,))
-    scheme = FrequencyScheme(base=fan[0], per_n=(tuple(fan),), dims_sequence=(BoxDims((1,)),))
-    assert check_separation(scheme, SeparationSpec.uniform(3, 0.25)).ok
+    assert _separation_witness(fan, BoxDims((1,)), 0.25, False) is None
 
 
 def test_real_separation_compares_lambda_with_minus_mu():
     """For a real field S(-mu) = conj S(mu): lambda = 1 and mu = -1 are 2
     apart, but lambda + mu = 0 sits inside the 64^(-1/4) gap."""
     lam, mu = Frequency((1.0,)), Frequency((-1.0,))
-    scheme = FrequencyScheme(base=lam, per_n=((lam, mu),), dims_sequence=(BoxDims((64,)),))
-    sep = SeparationSpec.uniform(2, 0.25)
-    assert check_separation(scheme, sep).ok
-    result = check_separation(scheme, sep, real=True)
-    assert not result.ok
-    assert result.witness == (1, 2, 1)
+    box = BoxDims((64,))
+    assert _separation_witness((lam, mu), box, 0.25, False) is None
+    assert _separation_witness((lam, mu), box, 0.25, True) == ((1, 2), True)
 
 
 # whole coordinates meet the gap 1 of a side of 1 exactly, which tests the strict "<"
@@ -199,44 +187,29 @@ _COORD = st.one_of(st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=
 
 @st.composite
 def _separation_cases(draw):
-    """A scheme of m arbitrary frequencies on 1 to 3 boxes in d = 1 or 2, a
-    separation spec with per-pair delta and onset, and the real flag."""
-    d, m, entries = draw(st.integers(1, 2)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
-    dims = [BoxDims(tuple(draw(st.sampled_from([1, 2, 7, 64, 256])) for _ in range(d)))
-            for _ in range(entries)]
-    per_n = [tuple(Frequency(tuple(draw(_COORD) for _ in range(d))) for _ in range(m))
-             for _ in range(entries)]
-    pairs = [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
-    sep = SeparationSpec(
-        m=m,
-        delta={p: draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
-               for p in pairs},
-        onset={p: draw(st.integers(1, entries + 1)) for p in pairs})
-    scheme = FrequencyScheme(base=per_n[0][0], per_n=tuple(per_n), dims_sequence=tuple(dims))
-    return scheme, sep, draw(st.booleans())
+    """m arbitrary frequencies on a box in d = 1 or 2, one delta and the real flag."""
+    d, m = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    box = BoxDims(tuple(draw(st.sampled_from([1, 2, 7, 64, 256])) for _ in range(d)))
+    freqs = [Frequency(tuple(draw(_COORD) for _ in range(d))) for _ in range(m)]
+    delta = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    return freqs, box, delta, draw(st.booleans())
 
 
-def _torus_witness(scheme, sep, real):
-    """Brute force: the first (j, k, n) past its onset where lam_j and
+def _torus_witness(freqs, box, delta, real):
+    """Brute force: the first (j, k), and whether against -mu, where lam_j and
     sign * lam_k come within the gap in every coordinate, the distance being
     the least |x + 2 pi t| over the translates t = -1, 0, 1."""
-    for n, (dims, freqs) in enumerate(zip(scheme.dims_sequence, scheme.per_n), start=1):
-        for j in range(1, sep.m + 1):
-            for k in range(j + 1, sep.m + 1):
-                if n < sep.onset[(j, k)]:
-                    continue
-                for sign in ((1.0, -1.0) if real else (1.0,)):
-                    if all(min(abs(a - sign * b + 2.0 * math.pi * t) for t in (-1, 0, 1))
-                           <= separation_gap(v, sep.delta[(j, k)])
-                           for a, b, v in zip(freqs[j - 1], freqs[k - 1], dims.v)):
-                        return (j, k, n)
+    for j in range(1, len(freqs) + 1):
+        for k in range(j + 1, len(freqs) + 1):
+            for sign in ((1.0, -1.0) if real else (1.0,)):
+                if all(min(abs(a - sign * b + 2.0 * math.pi * t) for t in (-1, 0, 1))
+                       <= separation_gap(v, delta)
+                       for a, b, v in zip(freqs[j - 1], freqs[k - 1], box.v)):
+                    return (j, k), sign == -1.0
     return None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_separation_cases())
 def test_check_separation_agrees_with_a_brute_force_torus_check(case):
-    scheme, sep, real = case
-    witness = _torus_witness(scheme, sep, real)
-    result = check_separation(scheme, sep, real)
-    assert (result.ok, result.witness) == (witness is None, witness)
+    assert _separation_witness(*case) == _torus_witness(*case)

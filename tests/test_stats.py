@@ -471,6 +471,20 @@ def test_miller_estimate_is_the_mean_of_g_over_root_v_squared():
     assert (row.estimate, row.std_error) == (g_sq.mean(), g_sq.std(ddof=1) / math.sqrt(400))
 
 
+@pytest.mark.parametrize("weights", [[1.0, math.nan, 0.0, 1.0], [1.0, 0.0, math.inf, 1.0],
+                                     [[1.0, 0.0], [1.0, 0.0]]], ids=["nan", "inf", "2d"])
+def test_reports_refuse_weights_that_are_not_finite_or_not_one_dimensional(weights):
+    """Weights are refused by name before any draw: a NaN or infinity would
+    reach the report's means, and 2-d weights would reach ``g_functional``."""
+    spec = white_noise(1, REAL_GAUSSIAN, 1.0)
+    scheme = scheme_for((math.pi / 2,), 2, 0.25, [(64,)])
+    message = "^weights must be finite reals in one dimension, got "
+    with pytest.raises(ValueError, match=message):
+        miller_check(spec, scheme, weights, [(64,)], 10, 0)
+    with pytest.raises(ValueError, match=message):
+        negligibility_report(spec, scheme, [(64,)], 0.2, weights, 10, 0)
+
+
 def test_miller_weight_length_mismatch():
     spec = white_noise(1, CIRCULAR_GAUSSIAN, 1.0)
     scheme = scheme_for((math.pi / 2,), 2, 0.25, [(16,)])
