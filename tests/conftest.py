@@ -4,7 +4,7 @@
 ``PYTHONPATH`` for the ``python -m specfield`` and demo subprocesses that
 some tests start.  ``drawn_fields`` records the innovation batches that the
 replication loop draws, in this process and in its forked workers; ``count_started`` counts
-the worker processes a test starts and refuses an oversized pool.
+the worker processes a test starts and refuses one past a given number.
 """
 
 import os
@@ -87,27 +87,21 @@ def drawn_fields(monkeypatch, tmp_path):
 @pytest.fixture
 def count_started(monkeypatch):
     """``count_started(most)``: the worker processes started from then on, in a
-    list that grows; a pool of more than ``most`` workers is refused before it
-    starts any, so a regression that forks too many forks none."""
-    import concurrent.futures
+    list that grows; the start of one more than ``most`` is refused before it
+    forks, so a regression that forks too many forks no more than ``most``."""
     import multiprocessing.context
 
     def install(most):
         started = []
         start = multiprocessing.context.ForkProcess.start
-        pool = concurrent.futures.ProcessPoolExecutor
 
         def counting(process):
+            if len(started) == most:
+                raise RuntimeError(f"a worker past {most}")
             started.append(process)
             start(process)
 
-        def bounded(workers, **kwargs):
-            if workers > most:
-                raise RuntimeError(f"a pool of {workers} workers, past {most}")
-            return pool(workers, **kwargs)
-
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bounded)
         return started
 
     return install

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 import time
@@ -535,6 +536,65 @@ def test_a_worker_error_is_one_line_with_exit_one(monkeypatch, capsys, clt_confi
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: draw refused in a worker\n"
+    assert multiprocessing.active_children() == []
+
+
+class _Unpicklable(Exception):
+    """An error that holds a lambda, so pickle refuses it."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class _Unloadable(Exception):
+    """An error that pickles but does not load back: its one pickled
+    argument is the message, and its constructor needs two."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _exit_three(*args, **kwargs):
+    assert os.getpid() != _TEST_PROCESS, "drawn in the calling process"
+    os._exit(3)
+
+
+def _raise_unpicklable(*args, **kwargs):
+    raise _Unpicklable("draw refused with a lambda")
+
+
+def _raise_unloadable(*args, **kwargs):
+    raise _Unloadable("draw refused", "a worker")
+
+
+@pytest.mark.parametrize("draw, message", [
+    (_exit_three, "RuntimeError: a replication worker exited with code 3 before it sent "
+                  "its results"),
+    (_raise_unpicklable, "RuntimeError: _Unpicklable: draw refused with a lambda"),
+    (_raise_unloadable, "RuntimeError: _Unloadable: draw refused in a worker"),
+], ids=["exits", "does-not-pickle", "does-not-load-back"])
+def test_a_worker_failure_is_one_internal_error_line(monkeypatch, capfd, clt_config_file,
+                                                     draw, message):
+    """A forked replication worker that exits without sending its sums, here
+    by os._exit(3), or raises an error that does not pickle or does not load
+    back, reaches the command line as one stderr line (the exit code, or the
+    error's type and message) and exit 2: no traceback from the worker, no
+    worker left."""
+    from specfield import _util, stats
+
+    monkeypatch.setattr(stats, "draw_innovations", draw)
+    # 256 bytes of lattice a replication: 20 replications a batch, 3 batches
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 512 * 10)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("SPECFIELD_THREADS", "2")
+    assert cli.main(["clt-experiment", "--config", clt_config_file()]) == cli.INTERNAL_EXIT
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"internal error: {message}\n"
     assert multiprocessing.active_children() == []
 
 

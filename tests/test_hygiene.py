@@ -246,6 +246,7 @@ def test_cli_import_leaves_the_process_pool_out():
     """The worker pool's modules load on the first parallel call, never at
     CLI start."""
     code = ("import sys, specfield.cli; print(sorted({'multiprocessing', "
+            "'multiprocessing.connection', 'multiprocessing.sharedctypes', 'ctypes', "
             "'concurrent.futures.process'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)

@@ -6,8 +6,10 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -660,7 +662,10 @@ def test_replication_peak_is_one_chunk_workspace_per_worker(monkeypatch, kind, t
     monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
     monkeypatch.setenv("SPECFIELD_THREADS", str(threads))
     replications = 100  # 21 a batch
-    import concurrent.futures.process  # noqa: F401  imported before the trace starts
+    # the pool's modules, imported before the trace starts
+    import multiprocessing.connection  # noqa: F401
+    import multiprocessing.popen_fork  # noqa: F401
+    import multiprocessing.sharedctypes  # noqa: F401
     tracemalloc.start()
     try:
         run_clt_experiment(spec, scheme, dims, replications, 5)
@@ -814,6 +819,67 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
         run_clt_experiment(spec, scheme, (16, 8), 40, 17)
     assert str(os.getpid()) not in str(caught.value)
     assert multiprocessing.active_children() == []
+
+
+def test_an_error_ends_the_call_while_a_worker_holds_its_sums(monkeypatch):
+    """At 2 workers, the worker of the last batch fails at once while the
+    other, slowed on the batch before, will hold 80,000 bytes of sums, more
+    than a pipe buffers: the error reaches the caller within seconds, and no
+    worker is left."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    # 2,500 replications of 32 bytes of sums a batch: batches end at 2,500, 5,000, 7,500, 8,000
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 2500 * replication_bytes(spec, (16, 8)))
+    run_chunked = stats.run_chunked
+
+    def failing_last(batches, task):
+        def task_or_fail(k, lo, hi):
+            if hi == 8000:
+                raise ValueError("the last batch failed")
+            if hi == 7500:
+                time.sleep(0.5)
+            return task(k, lo, hi)
+
+        return run_chunked(batches, task_or_fail)
+
+    def too_long(signum, frame):
+        pytest.fail("the call still runs after 20 s")
+
+    monkeypatch.setattr(stats, "run_chunked", failing_last)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("SPECFIELD_THREADS", "2")
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ValueError, match="^the last batch failed$"):
+            run_clt_experiment(spec, scheme, (16, 8), 8000, 17)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_two_worker_report_starts_no_thread(monkeypatch):
+    """The pool forks from a single-threaded caller: a 2-worker report starts
+    no thread in this process, and its sums are a one-worker run's."""
+    spec = first_axis_ma1(2, REAL_GAUSSIAN, 1.0, 0.5)
+    scheme = scheme_for((math.pi / 2, math.pi / 2), 2, 0.25, [(16, 8)])
+    # 5 replications a batch, 8 batches
+    monkeypatch.setattr(_util, "_BATCH_BYTES", 5 * replication_bytes(spec, (16, 8)))
+    want = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("SPECFIELD_THREADS", "2")
+    got = run_clt_experiment(spec, scheme, (16, 8), 40, 17).raw_sums
+    assert started == []
+    assert got.tobytes() == want.tobytes()
 
 
 def test_workers_never_outnumber_the_chunks(monkeypatch, count_started):
