@@ -47,7 +47,8 @@ def run_chunked(chunks, task) -> list:
     forked processes (in this process where ``fork`` is missing); results come
     back in chunk order.  The workers live for this call only and get the
     chunks and the task through fork, unpickled; each sends its results, or
-    its error, in one message, and this process starts no thread."""
+    its error and traceback, in one message, and this process starts no
+    thread."""
     workers = min(worker_count(), len(chunks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [task(*chunk) for chunk in chunks]
@@ -76,8 +77,9 @@ def run_chunked(chunks, task) -> list:
                 if message is None:
                     raise RuntimeError(f"a replication worker exited with code "
                                        f"{process.exitcode} before it sent its results")
-                if isinstance(message, BaseException):
-                    raise message
+                if isinstance(message, tuple):  # a worker's error and its traceback
+                    error, trace = message
+                    raise error from RuntimeError(f"in a replication worker:\n{trace}")
                 results.update(message)
     finally:
         for reader, process in pending.items():
@@ -91,9 +93,10 @@ def _work(chunks, task, counter, writer) -> None:
     """A forked worker: take the next chunk's index off the shared counter,
     until none is left, then send ``{index: result}``, or the first error, in
     one message.  Every exception, an interrupt included, goes to the caller
-    to raise, and moves the counter past the last chunk, so no worker takes
-    another.  The worker leaves by ``os._exit``, so no exception reaches
-    multiprocessing's bootstrap, which would print its traceback."""
+    to raise, with the worker's formatted traceback as its cause, and moves
+    the counter past the last chunk, so no worker takes another.  The worker
+    leaves by ``os._exit``, so no exception reaches multiprocessing's
+    bootstrap, which would print its traceback."""
     try:
         results = {}
         while True:
@@ -105,13 +108,17 @@ def _work(chunks, task, counter, writer) -> None:
             results[index] = task(*chunks[index])
         writer.send(results)
     except BaseException as exc:
+        import traceback
         from multiprocessing.reduction import ForkingPickler
         with counter.get_lock():
             counter.value = len(chunks)
+        # the caller's copy has no frames of its own, so its traceback goes too,
+        # as the cause: a note (``add_note``) would be shown as part of the message
+        trace = "".join(traceback.format_exception(exc))
         try:  # an error that does not pickle, or not back, goes as its type and message
             ForkingPickler.loads(ForkingPickler.dumps(exc))
         except Exception:
             exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        writer.send(exc)
+        writer.send((exc, trace))
     finally:
         os._exit(0)

@@ -34,17 +34,25 @@ from pairs on a salt of their own; streams 1 to 3 drew one real value per
 site, and stream 3 drew the circular bits of stream 4.
 
 ``gaussian_lattice`` hashes the seed and every axis but the last up front, then
-walks the box in blocks of ``_BLOCK_SITES`` sites: whole rows of the last
-axis, or pieces of one row longer than a block.  Each block is hashed and
-transformed in place, in seven block-sized scratch arrays (carved from the
-caller's ``scratch``, or allocated per call without one), and written
-straight into the output.  A real box is drawn as the complex box of its
-pair sites and returned as a slice of that box's float64 view, whose rows
-carry at most two float64 of padding.  Beyond the output, memory
-is therefore a few uint64 per row plus a fixed budget, even for a single
-replication of millions of sites.  Every step is elementwise and exactly
-rounded the same way at any block size, so blocking moves no bit of the
-stream; the tests pin sha256 digests of it.
+walks the box in blocks of at most ``_BLOCK_SITES`` sites: whole rows of the
+last axis, or, for a row longer than a block, ceil(n / ``_BLOCK_SITES``)
+pieces of balanced width.  Each block is hashed and transformed in place, in
+seven block-sized scratch arrays (carved from the caller's ``scratch``, or
+allocated per call without one), and written straight into the output.  A
+real box is drawn as the complex box of its pair sites and returned as a
+slice of that box's float64 view, whose rows carry at most two float64 of
+padding.  Beyond the output, memory is therefore a few uint64 per row plus a
+fixed budget, even for a single replication of millions of sites.  Every
+step is elementwise and exactly rounded the same way at any block size, so
+blocking moves no bit of the stream; the tests pin sha256 digests of it.
+
+``pruned_lattice`` runs the same formulas in three stages, for a caller that
+needs only the draws whose radius can pass a level: the site hash and k1 of
+every site, kept in the site's own output slot; the radius cut, one integer
+compare of k1 against the cut of ``_hot_cuts``, which marks the hot sites
+and which the caller widens to the needed ones; and the radius and angle on
+the needed sites alone.  A needed site's draw has the bits of
+``gaussian_lattice``; the other sites are 0.
 
 All integer work is done on uint64 ndarrays and their int64 views (numpy
 wraps silently for arrays; scalars would warn on overflow).
@@ -142,10 +150,12 @@ def _replication_hash(master_seed, index: np.ndarray) -> np.ndarray:
     return _mix64(s ^ _mix64(index.astype(np.uint64) ^ _REP_SALT))
 
 
-def _axis_key(axis: int, coords: np.ndarray) -> np.ndarray:
-    """Hash of each coordinate along one axis, salted by the axis position."""
+def _axis_key(axis: int, coords: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Hash of each coordinate along one axis, salted by the axis position,
+    written over the int64 ``coords``; ``tmp`` is the mixer's scratch."""
     salt = _mix64(np.asarray([axis + 1], dtype=np.uint64) ^ _AXIS_SALT)
-    return _mix64(coords.astype(np.uint64) ^ salt)
+    key = np.bitwise_xor(coords.view(np.uint64), salt, out=coords.view(np.uint64))
+    return _mix64(key, out=key, tmp=tmp)
 
 
 def _hash_rows(seeds: np.ndarray, salt: np.uint64,
@@ -224,32 +234,43 @@ def _lattice_size(axis_ranges, real: bool) -> int:
     return int(np.prod([b - a + 1 for a, b in lead])) * (last + 1)
 
 
-def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
-                     scratch=None) -> np.ndarray:
-    """Deterministic Gaussian draws on a lattice box, one layer per seed.
+def _mask_size(axis_ranges, real: bool) -> int:
+    """Bytes per seed of ``pruned_lattice``'s site mask: one per innovation, two
+    per pair site of a real lattice."""
+    return _lattice_size(axis_ranges, real) * (2 if real else 1)
 
-    Parameters
-    ----------
-    seeds : int or sequence of ints
-        Master seed(s); a scalar yields an array without the leading axis.
-    axis_ranges : sequence of (lo, hi) inclusive absolute coordinate ranges.
-    kind : "real-gaussian" or "circular-complex-gaussian"
-        Real N(0, std^2) draws, or circularly-symmetric complex draws with
-        E|z|^2 = std^2 (independent real and imaginary parts of variance
-        std^2 / 2).
-    std : float
-        Innovation standard deviation (>= 0).
-    out : complex128 ndarray, optional
-        Receives the draws in its leading rows, of ``_lattice_size`` entries each.
-    scratch : 1-d contiguous ndarray, optional
-        Holds the block scratch, at most ``_SCRATCH_BYTES``, in place of new arrays.
 
-    Returns
-    -------
-    ndarray of shape (R, n_1, ..., n_d), or (n_1, ..., n_d) for scalar seed;
-    float64 for real draws, complex128 for circular ones.  A real result is
-    a view of its pair rows, so it need not be contiguous.
-    """
+def _pieces(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of the ceil(n / ``_BLOCK_SITES``) pieces of balanced width
+    that cut n >= 1 sites, so that no piece is a sliver."""
+    width = -(-n // -(-n // _BLOCK_SITES))
+    return [(c0, min(n, c0 + width)) for c0 in range(0, n, width)]
+
+
+def _blocks(count: int, n: int):
+    """The blocks of at most ``_BLOCK_SITES`` sites of a (count, n) grid: the
+    ``_pieces`` of a row, and spans of whole rows.  Returns (pieces, spans,
+    sites), the largest block having ``sites`` sites."""
+    cols = _pieces(n)
+    step = max(1, _BLOCK_SITES // cols[0][1])
+    spans = [(r0, min(count, r0 + step)) for r0 in range(0, count, step)]
+    return cols, spans, cols[0][1] * (spans[0][1] - spans[0][0])
+
+
+def _block_arrays(scratch, sites: int) -> list[np.ndarray]:
+    """Seven arrays of ``sites`` entries, three uint64 and four float64, carved
+    in turn from the start of the uint8 ``scratch`` (new without it)."""
+    nbytes = 7 * 8 * sites
+    blocks = (np.empty(nbytes, np.uint8) if scratch is None else scratch[:nbytes]
+              ).view(np.uint64).reshape(7, sites)
+    return list(blocks[:3]) + [b.view(np.float64) for b in blocks[3:]]
+
+
+def _layout(seeds, axis_ranges, kind: str, std: float, out):
+    """The checked arguments of a lattice draw: whether ``seeds`` is a scalar and
+    the lattice real, the scale, the hashes of every seed and lead axis row, in
+    one flat array, the first site of the last axis, the last axis's (lo, hi),
+    and the (seeds, lead axes..., sites) output (new without ``out``)."""
     scalar = np.ndim(seeds) == 0
     # build the uint64 array with an explicit dtype: inferring it from a list
     # that contains values >= 2^63 would silently promote to float64 and
@@ -281,42 +302,200 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
     # the pair at j >> 1 goes to the even site j and the sine to the odd one
     first, last = (lo >> 1, hi >> 1) if real else (lo, hi)
     rows = _hash_rows(seed_arr, salt, [np.arange(a, b + 1, dtype=np.int64) for a, b in lead])
-    n = last - first + 1
-    shape = rows.shape + (n,)
+    shape = rows.shape + (last - first + 1,)
     out = np.empty(shape, np.complex128) if out is None else out[:len(seed_arr)].reshape(shape)
-    rows, grid = rows.reshape(-1), out.reshape(-1, n)
-    # a block is a run of whole rows, or a piece of one row longer than the block
-    cols = min(n, _BLOCK_SITES)
-    step = max(1, _BLOCK_SITES // n)
-    size = 7 * step * cols
-    blocks = (np.empty(size, np.uint64) if scratch is None
-              else scratch.view(np.uint64)[:size]).reshape(7, -1)
-    ints, floats = list(blocks[:3]), [b.view(np.float64) for b in blocks[3:]]
-    for c0 in range(0, n, cols):
-        c1 = min(n, c0 + cols)
-        key = _axis_key(len(lead), np.arange(first + c0, first + c1, dtype=np.int64))
-        for r0 in range(0, rows.size, step):
-            r1 = min(rows.size, r0 + step)
-            size = (r1 - r0) * (c1 - c0)
-            h, bits, tmp, radius, phi, x, t = (
-                buf[:size].reshape(r1 - r0, c1 - c0) for buf in ints + floats)
-            _mix64(np.bitwise_xor(rows[r0:r1, None], key, out=h), out=h, tmp=tmp)
-            # Box-Muller radius times scale; u1 = k1 * 2^-53 is exact and
-            # 1 - u1 lies in (0, 1], so the log is finite.  k1 < 2^53 is read
-            # through its int64 view, which numpy converts faster than uint64
-            _mix64(np.bitwise_xor(h, _U1_SALT, out=bits), out=bits, tmp=tmp)
-            np.right_shift(bits, _SH11, out=bits)
-            np.log1p(np.multiply(bits.view(np.int64), -_INV_2_53, out=radius), out=radius)
-            np.multiply(radius, -2.0, out=radius)
-            np.sqrt(radius, out=radius)
-            np.multiply(radius, scale, out=radius)
-            # the angle's hash; h is free after it and holds sin t
-            _mix64(np.bitwise_xor(h, _U2_SALT, out=bits), out=bits, tmp=tmp)
-            block = grid[r0:r1, c0:c1]
-            y = h.view(np.float64)
-            _angle_factors(bits, tmp, phi, x, y, t)
-            np.multiply(radius, x, out=block.real)
-            np.multiply(radius, y, out=block.imag)
+    return scalar, real, scale, rows.reshape(-1), first, (lo, hi), out
+
+
+def _values(out, scalar: bool, real: bool, lo: int, hi: int) -> np.ndarray:
+    """The draws of a lattice output: a real one's sites lo..hi of its pair rows."""
     if real:
         out = out.view(np.float64)[..., lo & 1:(lo & 1) + hi - lo + 1]
     return out[0] if scalar else out
+
+
+def _site_hashes(rows, key, h, bits, tmp) -> None:
+    """The hash of each site of a block, from its row's hash and its last-axis
+    key, into ``h``, and k1, the top 53 bits of its radius hash, into ``bits``."""
+    _mix64(np.bitwise_xor(rows[:, None], key, out=h), out=h, tmp=tmp)
+    _mix64(np.bitwise_xor(h, _U1_SALT, out=bits), out=bits, tmp=tmp)
+    np.right_shift(bits, _SH11, out=bits)
+
+
+def _radius(bits, scale: float, out) -> np.ndarray:
+    """The Box-Muller radius times scale of each k1 in ``bits``, into ``out``.
+    u1 = k1 * 2^-53 is exact and 1 - u1 lies in (0, 1], so the log is finite;
+    k1 < 2^53 is read through its int64 view, which numpy converts faster than
+    uint64.  The radius grows with k1, up to rounding."""
+    np.log1p(np.multiply(bits.view(np.int64), -_INV_2_53, out=out), out=out)
+    np.multiply(out, -2.0, out=out)
+    np.sqrt(out, out=out)
+    return np.multiply(out, scale, out=out)
+
+
+def _draw(h, bits, tmp, radius, phi, x, t, scale: float, re, im) -> None:
+    """The draws of site hashes ``h`` with radius hashes k1 in ``bits``: radius
+    times cos t into ``re`` and times sin t into ``im``.  The other five arrays
+    are scratch; ``h`` and ``bits`` are overwritten, and ``re`` and ``im`` may
+    be ``x`` and ``t``."""
+    _radius(bits, scale, radius)
+    # the angle's hash; h is free after it and holds sin t
+    _mix64(np.bitwise_xor(h, _U2_SALT, out=bits), out=bits, tmp=tmp)
+    y = h.view(np.float64)
+    _angle_factors(bits, tmp, phi, x, y, t)
+    np.multiply(radius, x, out=re)
+    np.multiply(radius, y, out=im)
+
+
+def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
+                     scratch=None) -> np.ndarray:
+    """Deterministic Gaussian draws on a lattice box, one layer per seed.
+
+    Parameters
+    ----------
+    seeds : int or sequence of ints
+        Master seed(s); a scalar yields an array without the leading axis.
+    axis_ranges : sequence of (lo, hi) inclusive absolute coordinate ranges.
+    kind : "real-gaussian" or "circular-complex-gaussian"
+        Real N(0, std^2) draws, or circularly-symmetric complex draws with
+        E|z|^2 = std^2 (independent real and imaginary parts of variance
+        std^2 / 2).
+    std : float
+        Innovation standard deviation (>= 0).
+    out : complex128 ndarray, optional
+        Receives the draws in its leading rows, of ``_lattice_size`` entries each.
+    scratch : 1-d contiguous uint8 ndarray, optional
+        Holds the block scratch, at most ``_SCRATCH_BYTES``, in place of new arrays.
+
+    Returns
+    -------
+    ndarray of shape (R, n_1, ..., n_d), or (n_1, ..., n_d) for scalar seed;
+    float64 for real draws, complex128 for circular ones.  A real result is
+    a view of its pair rows, so it need not be contiguous.
+    """
+    scalar, real, scale, rows, first, (lo, hi), out = _layout(seeds, axis_ranges, kind, std, out)
+    grid = out.reshape(rows.size, -1)
+    cols, spans, sites = _blocks(*grid.shape)
+    arrays = _block_arrays(scratch, sites)
+    for c0, c1 in cols:
+        key = _axis_key(out.ndim - 2, np.arange(first + c0, first + c1, dtype=np.int64),
+                        arrays[2][:c1 - c0])
+        for r0, r1 in spans:
+            h, bits, tmp, radius, phi, x, t = (a[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                                               for a in arrays)
+            _site_hashes(rows[r0:r1], key, h, bits, tmp)
+            block = grid[r0:r1, c0:c1]
+            _draw(h, bits, tmp, radius, phi, x, t, scale, block.real, block.imag)
+    return _values(out, scalar, real, lo, hi)
+
+
+# the relative slack of a hot cut below its level: far above the rounding of
+# cos t and sin t (2 ulp), of a draw's product, and of a filter's sums and |x|
+# over fewer than a million taps
+_CUT_MARGIN = 1e-9
+
+
+def _hot_cuts(levels, axis_ranges, kind: str, std: float) -> np.ndarray:
+    """The integer cuts K of ``pruned_lattice``: a site whose k1 < K draws a
+    radius times scale below its level, less ``_CUT_MARGIN``.
+
+    ``levels`` holds one level per innovation of one seed's box (inf where none
+    binds); a real lattice's pair site takes the lower of its two.  K starts at
+    ceil(2^53 (1 - exp(-level^2 / (2 scale^2)))), the inverse of the radius,
+    and steps until ``_radius`` itself puts k1 = K - 1 below the level and
+    k1 = K at or above it (K = 2^53 where no k1 reaches it).  Returns uint64
+    cuts shaped (lead axis rows, pair or complex sites).
+    """
+    real = kind == "real-gaussian"
+    scale = std if real else std / np.sqrt(2.0)
+    *_, (lo, hi) = axis_ranges
+    levels = np.asarray(levels, np.float64).reshape(-1, hi - lo + 1)
+    # a real row of pair sites holds lo & 1 sites before its first draw
+    start = lo & 1 if real else 0
+    level = np.full((len(levels), 2 * _lattice_size([(lo, hi)], True) if real else hi - lo + 1),
+                    np.inf)
+    level[:, start:start + hi - lo + 1] = levels
+    if real:
+        level = np.minimum(level[:, 0::2], level[:, 1::2])
+    level *= 1.0 - _CUT_MARGIN
+    work = (np.divide(level, scale, out=np.empty_like(level)) if scale
+            else np.full_like(level, np.inf))
+    with np.errstate(over="ignore"):
+        np.multiply(work, work, out=work)
+    np.expm1(np.multiply(work, -0.5, out=work), out=work)
+    cut = np.ceil(np.multiply(work, -2.0 ** 53, out=work), out=work).astype(np.int64)
+    k1 = np.empty_like(cut)
+    while True:
+        np.maximum(np.subtract(cut, 1, out=k1), 0, out=k1)
+        down = (_radius(k1.view(np.uint64), scale, work) >= level) & (cut > 0)
+        np.minimum(cut, 2 ** 53 - 1, out=k1)
+        up = (_radius(k1.view(np.uint64), scale, work) < level) & (cut < 2 ** 53) & ~down
+        if not (down.any() or up.any()):
+            return cut.view(np.uint64)
+        cut += up
+        cut -= down
+
+
+def pruned_lattice(seeds, axis_ranges, kind: str, std: float, cuts, widen, *, out=None,
+                   scratch) -> np.ndarray:
+    """``gaussian_lattice``'s draws at the sites a caller needs, and 0 elsewhere.
+
+    Three stages, on the same formulas.  First every site is hashed, block by
+    block, and its site hash and its k1 are kept in its own complex slot of
+    ``out``; a site is hot where k1 >= its entry of ``cuts`` (``_hot_cuts``,
+    one per site of a seed).  Then ``widen(mask, free)`` turns the hot mask in
+    place into the mask of needed sites; ``mask`` is a bool view shaped like
+    the draws, and ``free`` is uint8 scratch.  Last, the radius and the angle
+    run on the needed sites, gathered from their slots in pieces of at most
+    ``_BLOCK_SITES``.  A real lattice marks and draws whole pair sites.
+    ``scratch`` holds the block arrays (``_SCRATCH_BYTES``), then the mask
+    (``_mask_size`` per seed), then ``free``, which must hold a byte a site.
+    Returns what ``gaussian_lattice`` returns.
+    """
+    scalar, real, scale, rows, first, (lo, hi), out = _layout(seeds, axis_ranges, kind, std, out)
+    grid = out.reshape(rows.size, -1)
+    words = grid.view(np.uint64).reshape(grid.shape + (2,))
+    cols, spans, _ = _blocks(*grid.shape)
+    arrays = _block_arrays(scratch, _BLOCK_SITES)
+    for c0, c1 in cols:
+        key = _axis_key(out.ndim - 2, np.arange(first + c0, first + c1, dtype=np.int64),
+                        arrays[2][:c1 - c0])
+        for r0, r1 in spans:
+            h, bits, tmp = (a[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                            for a in arrays[:3])
+            _site_hashes(rows[r0:r1], key, h, bits, tmp)
+            words[r0:r1, c0:c1, 0] = h
+            words[r0:r1, c0:c1, 1] = bits
+    # hot sites, a byte each, or both bytes of a real pair site: both its draws are hot
+    size = grid.size * (2 if real else 1)
+    mask = scratch[_SCRATCH_BYTES:_SCRATCH_BYTES + size].view(np.uint16 if real else np.bool_)
+    shape = (-1,) + cuts.shape
+    np.greater_equal(words[..., 1].reshape(shape), cuts, out=mask.reshape(shape))
+    if real:
+        np.multiply(mask, 257, out=mask)
+    # a real row's bytes outside its draws keep the mark of their pair site,
+    # which is needed anyway when hot: a hot draw feeds a site that reads it
+    start = lo & 1 if real else 0
+    free = scratch[_SCRATCH_BYTES + size:]
+    widen(mask.view(np.bool_).reshape(out.shape[:-1] + (-1,))[..., start:start + hi - lo + 1],
+          free)
+    # numpy finds a bool array's nonzero entries three times as fast as a uint16 one's
+    needed = np.flatnonzero(np.not_equal(mask, 0, out=free[:grid.size].view(np.bool_)))
+    flat, pairs = grid.reshape(-1), words.reshape(-1, 2)
+    # a piece's slots are gathered into the rows of x and t, then split
+    gathered = scratch[5 * 8 * _BLOCK_SITES:7 * 8 * _BLOCK_SITES].view(np.uint64)
+    done = 0  # the slots before this are drawn or zeroed
+    for p0, p1 in _pieces(needed.size) if needed.size else ():
+        part = needed[p0:p1]
+        h, bits, tmp, radius, phi, x, t = (arr[:p1 - p0] for arr in arrays)
+        slots = np.take(pairs, part, axis=0, out=gathered[:2 * (p1 - p0)].reshape(-1, 2),
+                        mode="clip")
+        np.copyto(h, slots[:, 0])
+        np.copyto(bits, slots[:, 1])
+        flat[done:part[-1] + 1] = 0
+        _draw(h, bits, tmp, radius, phi, x, t, scale, x, t)
+        flat.real[part] = x
+        flat.imag[part] = t
+        done = part[-1] + 1
+    flat[done:] = 0
+    return _values(out, scalar, real, lo, hi)

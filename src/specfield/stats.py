@@ -31,8 +31,8 @@ import numpy as np
 
 from . import _util
 from ._util import run_chunked, worker_count
-from .fieldgen import (_batch_workspace, _workspace_sizes, draw_innovations, generate_batch,
-                       replication_seeds)
+from .fieldgen import (_batch_workspace, _tail_pruning, _tap_windows, _workspace_sizes,
+                       draw_innovations, generate_batch, replication_seeds)
 from .frequencies import FrequencyScheme, _validated_freqs
 from .model import LinearFieldSpec, spectral_density
 from .periodogram import (_periodograms, _row_sums, batched_modulated_sums, index_products,
@@ -193,11 +193,12 @@ _MAX_VARIANCE = 1e100
 
 
 # one dims entry of a report, with the replications a batch of it holds
-_Entry = namedtuple("_Entry", "box freqs seeds sums rows")
+_Entry = namedtuple("_Entry", "box freqs seeds sums rows prune")
 
 
-def _entry(spec, box, freqs, seeds, sums=None, workspace=3) -> _Entry:
-    """An entry of ``_replicated_sums``, with its ``sums`` hook, refused before
+def _entry(spec, box, freqs, seeds, sums=None, workspace=3, prune=None) -> _Entry:
+    """An entry of ``_replicated_sums``, with its ``sums`` hook and the
+    ``prune`` of its draw (``fieldgen._tail_pruning``), refused before
     any draw when it has fewer than 2 replications, too large a field variance,
     or one replication over the chunk budget at 16 * V * ``workspace`` bytes.
     A batch holds the replications whose lattice rows, and field rows where a
@@ -215,7 +216,8 @@ def _entry(spec, box, freqs, seeds, sums=None, workspace=3) -> _Entry:
                          f" bytes, over the {chunk}-byte chunk budget; boxes of up to "
                          f"{chunk // (16 * workspace)} sites fit")
     lattice, values, _ = _workspace_sizes(spec, box, 1, sums is not None)
-    return _Entry(box, freqs, seeds, sums, max(1, _util._BATCH_BYTES // (lattice + values)))
+    return _Entry(box, freqs, seeds, sums, max(1, _util._BATCH_BYTES // (lattice + values)),
+                  prune)
 
 
 def _innovation_grid(spec, box, lam) -> np.ndarray:
@@ -224,8 +226,8 @@ def _innovation_grid(spec, box, lam) -> np.ndarray:
     ``_row_sums`` of an innovation row against it, as S = sum_t eps_t c_t(lam)."""
     lo, hi = np.array(spec.lag_bounds()).T
     grid, phase = np.zeros(hi - lo + box.v, np.complex128), phase_grid(box, lam).reshape(box.v)
-    for lag, coeff in spec.taps.items():
-        grid[tuple(map(slice, hi - lag, hi - lag + box.v))] += coeff * phase
+    for coeff, window in zip(spec.taps.values(), _tap_windows(spec, box.v)):
+        grid[window] += coeff * phase
     return grid.ravel()
 
 
@@ -236,8 +238,9 @@ def _replicated_sums(spec, entries) -> list:
     each entry and each part of its field, the (R, m) modulated sums at its
     frequencies.  With no ``sums`` hook the one part is the field, summed as
     the innovation rows against their ``_innovation_grid``s, with no filter.
-    ``sums(values, scratch, phases)`` gets the filtered values and returns the
-    (rows, m) sums of each of their parts; ``scratch`` is the batch's lattice.
+    ``sums(values, scratch, phases)`` gets the filtered values, drawn under the
+    entry's ``prune``, and returns the (rows, m) sums of each of their parts;
+    ``scratch`` is the batch's lattice.
     Every entry's batches go to one ``run_chunked`` call, so a report forks at
     most once; a worker draws and sums each batch it is handed in one
     workspace, sized for the largest batch and kept for this call only.
@@ -263,7 +266,7 @@ def _replicated_sums(spec, entries) -> list:
         if e.sums is None:
             eps = draw_innovations(spec, e.box, None, e.seeds[lo:hi], out=out)
             return [batched_modulated_sums(eps, grids[k])]
-        vals = generate_batch(spec, e.box, None, e.seeds[lo:hi], out=out)
+        vals = generate_batch(spec, e.box, None, e.seeds[lo:hi], out=out, prune=e.prune)
         scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
         return e.sums(vals, scratch, grids[k])
 
@@ -441,6 +444,18 @@ def _part_sums(box, leftover, q):
     return sums
 
 
+def _tail_entry(spec, box, freqs, seeds, leftover, q) -> _Entry:
+    """A negligibility report's ``_entry``: its sums are ``_part_sums``, and its
+    draw is pruned to the innovations that the tail parts, past <k>^q, and the
+    leftover set read, which are all that those sums read, unless
+    ``fieldgen._tail_pruning`` expects most of them to be read."""
+    kept = np.zeros(box.v, np.bool_)
+    for sl in leftover:
+        kept[sl.first_slice] = True
+    return _entry(spec, box, freqs, seeds, _part_sums(box, leftover, q), 3 + len(freqs),
+                  _tail_pruning(spec, box, index_products(box) ** q, kept))
+
+
 def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
                          weights, replications: int, seed: int) -> NegligibilityReport:
     """Monte Carlo second moments of the two discarded pieces, per dims entry.
@@ -462,8 +477,7 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
         pl = plan(box.v[0], dependence_profile(spec), q)
         _, leftover = block_index_sets(pl, box)
         seeds = replication_seeds(seed, replications, offset=index * replications)
-        entries.append(_entry(spec, box, freqs, seeds, _part_sums(box, leftover, q),
-                              3 + len(freqs)))
+        entries.append(_tail_entry(spec, box, freqs, seeds, leftover, q))
         plans.append((pl, sum(sl.cardinality for sl in leftover)))
     rows = []
     for index, (e, (pl, cardinality), (tail, left)) in enumerate(

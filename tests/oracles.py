@@ -1,9 +1,10 @@
 """Reference implementations that the tests compare the library against.
 
 ``truncate`` splits one sample at the index-product levels <k>^q that the
-negligibility report's replication loop applies to whole batches, and
-``fejer_product`` is the d-dimensional Fejer kernel that the expected
-periodogram concentrates with.
+negligibility report's replication loop applies to whole batches;
+``dense_part_sums`` sums those parts of a batch drawn whole, with no
+innovation left out; and ``fejer_product`` is the d-dimensional Fejer kernel
+that the expected periodogram concentrates with.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from specfield.fieldgen import generate_batch
 from specfield.kernels import fejer
 from specfield.model import FieldSample
 from specfield.periodogram import index_products, phase_grid
+from specfield.stats import _part_sums
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,15 @@ def truncate(sample: FieldSample, lam, q: float) -> TruncatedField:
     keep = np.abs(sample.values) <= thresholds
     return TruncatedField(bounded=np.where(keep, demod, 0.0),
                           tail=np.where(keep, 0.0, demod))
+
+
+def dense_part_sums(spec, box, leftover, q, freqs, seeds) -> list[np.ndarray]:
+    """The (tail, leftover) sums, each (R, m), that the negligibility report's
+    replication loop takes of the seeds' fields on ``box``, from the whole
+    draw: ``generate_batch`` with every innovation, then ``stats._part_sums``."""
+    values = generate_batch(spec, box, None, seeds)
+    phases = [phase_grid(box, lam) for lam in freqs]
+    return list(_part_sums(box, leftover, q)(values, np.empty_like(values), phases))
 
 
 def fejer_product(theta, v) -> float:

@@ -8,20 +8,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from specfield import _util, bernstein, stats
-from specfield.bernstein import BlockingPlan, MixingProfile, block_index_sets, plan
+from specfield import _util, bernstein, fieldgen, rng, stats
+from specfield.bernstein import BlockingPlan, IndexSlab, MixingProfile, block_index_sets, plan
 from specfield.domain import BoxDims, Frequency
 from specfield.fieldgen import _workspace_sizes, generate, generate_batch, replication_seeds
 from specfield.frequencies import FrequencyScheme
 from specfield.mixing import dependence_profile
-from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample, first_axis_ma1,
-                             white_noise)
+from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample, LinearFieldSpec,
+                             first_axis_ma1, white_noise)
 from specfield.periodogram import batched_modulated_sums, index_products, phase_grid
 from specfield.stats import negligibility_report, truncated_second_moments
 
-from oracles import truncate
+from oracles import dense_part_sums, truncate
 
 
 def gaussian_tail_quad(sigma2, t):
@@ -555,3 +556,73 @@ def test_negligibility_refuses_unseparated_frequencies(kind, lam, mu, needle):
     with pytest.raises(ValueError, match=re.escape(f"violate separation at {needle}")):
         negligibility_report(first_axis_ma1(1, kind, 1.0, 0.5), scheme, [box], 0.2,
                              [1.0, 0.0, 1.0, 0.0], 10, 5)
+
+
+_COEFF = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _pruned_draw_cases(draw):
+    """A field in d = 1 or 2, real or circular, with 1-3 taps at lags within
+    +-2 (complex for a circular field), a box of sides 1-70, leftover runs
+    anywhere along its first axis, at least one, q, 1 or 2 frequencies and 2-6 seeds."""
+    d, kind = draw(st.integers(1, 2)), draw(st.sampled_from([REAL_GAUSSIAN, CIRCULAR_GAUSSIAN]))
+    lags = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=3,
+                         unique=True))
+    taps = {lag: complex(draw(_COEFF), 0.0 if kind == REAL_GAUSSIAN else draw(_COEFF))
+            for lag in lags}
+    spec = LinearFieldSpec(d, taps, kind, draw(st.sampled_from([0.0, 1.0, 1e3])))
+    box = BoxDims(tuple(draw(st.integers(1, 70)) for _ in range(d)))
+    # a plan's leftover set is never empty, and ``_part_sums`` needs a run
+    flags = draw(st.lists(st.booleans(), min_size=box.v[0], max_size=box.v[0]).filter(any))
+    runs = itertools.groupby(range(1, box.v[0] + 1), key=lambda k: flags[k - 1])
+    leftover = [IndexSlab(first_lo=run[0], first_hi=run[-1], dims=box.v)
+                for flag, run in ((flag, list(run)) for flag, run in runs) if flag]
+    freqs = [tuple(draw(st.floats(-3.0, 3.0)) for _ in range(d))
+             for _ in range(draw(st.integers(1, 2)))]
+    seeds = replication_seeds(draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(2, 6)))
+    return spec, box, leftover, draw(st.sampled_from([0.05, 0.2, 0.5])), freqs, seeds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_pruned_draw_cases())
+def test_the_pruned_draw_gives_the_sums_of_the_whole_draw(case):
+    """The replication loop draws a negligibility entry's innovations only
+    where its tail or leftover set can reach them; its tail and leftover sums
+    equal those of the whole draw, bit for bit."""
+    spec, box, leftover, q, freqs, seeds = case
+    with pytest.MonkeyPatch.context() as patch:  # prune whatever share is expected
+        patch.setattr(fieldgen, "_PRUNED_SHARE", 1.0)
+        entry = stats._tail_entry(spec, box, freqs, seeds, leftover, q)
+    assert entry.prune is not None
+    (got,) = stats._replicated_sums(spec, [entry])
+    want = dense_part_sums(spec, box, leftover, q, freqs, seeds)
+    assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+
+
+@pytest.mark.parametrize("std, pruned", [(1.0, True), (1e3, False)])
+def test_a_draw_expected_to_need_most_innovations_is_drawn_whole(std, pruned):
+    """On a 65,536-site real box at q = 0.2, unit white noise needs about 2.5%
+    of its innovations, nearly all of them its 2.4% of leftover sites, and is
+    pruned; at std 1e3 nearly every innovation is hot, so the draw is left whole."""
+    box = BoxDims((65536,))
+    spec = white_noise(1, REAL_GAUSSIAN, std)
+    _, leftover = block_index_sets(plan(box.v[0], dependence_profile(spec), 0.2), box)
+    entry = stats._tail_entry(spec, box, [], replication_seeds(5, 2), leftover, 0.2)
+    assert (entry.prune is not None) == pruned
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-30.0, 4.0), st.sampled_from([REAL_GAUSSIAN, CIRCULAR_GAUSSIAN]),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_a_hot_cut_puts_every_radius_below_it_under_its_level(log_ratio, kind, std):
+    """For a level tau from 2^-30 to 2^4 times the scale (the largest radius is
+    8.6 times it), the lattice's own radius at k1 = K - 1 is below tau, and at
+    k1 = K it reaches tau, less the margin: the cut is the least such k1."""
+    scale = std if kind == REAL_GAUSSIAN else std / math.sqrt(2.0)
+    level = scale * 2.0 ** log_ratio
+    (cut,), = rng._hot_cuts(np.array([level]), [(0, 0)], kind, std)
+    radius = rng._radius(np.array([max(int(cut) - 1, 0), min(int(cut), 2 ** 53 - 1)], np.uint64),
+                         scale, np.empty(2))
+    assert cut == 0 or radius[0] < level
+    assert cut == 2 ** 53 or radius[1] >= level * (1.0 - rng._CUT_MARGIN)

@@ -520,7 +520,7 @@ def test_unexpected_errors_are_one_line_with_exit_two(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: first line second line\n"
 
 
-def test_a_worker_error_is_one_line_with_exit_one(monkeypatch, capsys, clt_config_file):
+def test_a_worker_error_is_one_line_with_exit_one(monkeypatch, capfd, clt_config_file):
     """A refusal raised in a forked replication worker reaches the command
     line as one stderr line and exit 1, with no worker left behind."""
     from specfield import _util, stats
@@ -533,7 +533,7 @@ def test_a_worker_error_is_one_line_with_exit_one(monkeypatch, capsys, clt_confi
     monkeypatch.setattr(_util, "_BATCH_BYTES", 512 * 10)
     monkeypatch.setenv("SPECFIELD_THREADS", "2")
     assert cli.main(["clt-experiment", "--config", clt_config_file()]) == cli.VALIDATION_EXIT
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()
     assert out == ""
     assert err == "error: draw refused in a worker\n"
     assert multiprocessing.active_children() == []

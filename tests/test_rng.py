@@ -184,12 +184,15 @@ def test_lattice_stream_is_pinned(name):
     assert _digest(args) == digest
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, pytest.param(None, id="row-1")])
 @pytest.mark.parametrize("name", SMALL)
 def test_lattice_bytes_do_not_depend_on_block_size(monkeypatch, name, block):
-    """Blocks of 1 site, and of 7 sites (which divides no row here but one)."""
-    monkeypatch.setattr(rng, "_BLOCK_SITES", block)
+    """Blocks of 1 site, of 7 sites (which divides no row here but one), and of
+    one site fewer than a row, which cuts every row into two balanced pieces."""
     args, digest = PINNED[name]
+    if block is None:
+        block = rng._lattice_size(args[1][-1:], args[2] == REAL_GAUSSIAN) - 1
+    monkeypatch.setattr(rng, "_BLOCK_SITES", block)
     assert _digest(args) == digest
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 import tracemalloc
 
 import mpmath
@@ -818,6 +819,24 @@ def test_workers_exit_with_the_call_and_pass_errors_on(monkeypatch):
     with pytest.raises(ValueError, match=r"^draw failed in process \d+$") as caught:
         run_clt_experiment(spec, scheme, (16, 8), 40, 17)
     assert str(os.getpid()) not in str(caught.value)
+    assert multiprocessing.active_children() == []
+
+
+def _refuse_the_third(index):
+    if index == 2:
+        raise ValueError(f"batch {index} refused")
+    return index
+
+
+def test_a_worker_error_carries_the_worker_traceback(monkeypatch):
+    """A 4-batch call at 2 workers whose task raises: the caller's error keeps
+    its one-line message, and its traceback names the task, from the
+    worker's frames that it gives as the error's cause."""
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("SPECFIELD_THREADS", "2")
+    with pytest.raises(ValueError, match="^batch 2 refused$") as caught:
+        _util.run_chunked([(k,) for k in range(4)], _refuse_the_third)
+    assert "in _refuse_the_third" in "".join(traceback.format_exception(caught.value))
     assert multiprocessing.active_children() == []
 
 
