@@ -28,13 +28,10 @@ def worker_count() -> int:
     raw = os.environ.get("SPECFIELD_THREADS")
     if raw is None:
         return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SPECFIELD_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"SPECFIELD_THREADS must be >= 1, got {n}")
-    return min(n, usable_cpus())
+    # ASCII digits only: int() also reads "1_0", " 2" and the digits of other scripts
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ValueError(f"SPECFIELD_THREADS must be a decimal integer >= 1, got {raw!r}")
+    return min(int(raw), usable_cpus())
 
 
 def usable_cpus() -> int:

@@ -14,7 +14,7 @@ from .model import FieldSample, LinearFieldSpec
 from .model import (CIRCULAR_GAUSSIAN as CIRCULAR_GAUSSIAN, REAL_GAUSSIAN as REAL_GAUSSIAN,
                     first_axis_ma1 as first_axis_ma1, spec_to_json as spec_to_json,
                     white_noise as white_noise)  # perfbench's workloads import these from here
-from .rng import (_BLOCK_SITES, _SCRATCH_BYTES, _hot_cuts, _lattice_size, _mask_size,
+from .rng import (_BLOCK_SITES, _SCRATCH_BYTES, _hot_cuts, _lattice_size, _radius_below,
                   _replication_hash, check_seed, gaussian_lattice, pruned_lattice)
 
 
@@ -33,36 +33,27 @@ def _filter_batch(spec, dims, eps, *, out=None, scratch=None):
     """Apply the moving-average filter to an innovation block (leading batch axis).
 
     The result has the dtype of ``eps``: float64 for real specs, whose taps
-    enter as their real parts, and complex128 for circular ones.  A circular
-    spec whose taps are all real filters the float64 views of ``eps`` and of
-    the result, two reals per site, so its last-axis windows are twice as
-    long; that gives the complex products' values with real multiplies.
-    Rows are filtered a few at a time: the first tap's product is written
-    into them and the others are added through one reused product buffer,
-    so the working set stays in cache.  Given ``out``, it is the leading rows;
-    given ``scratch``, the product rows are carved from it.
+    enter as their real parts, and complex128 for circular ones.  Rows are
+    filtered a few at a time: the first tap's product is written into them
+    and the others are added through one reused product buffer, so the
+    working set stays in cache.  Given ``out``, it is the leading rows; given
+    ``scratch``, the product rows are carved from it.
     """
-    real_taps = all(coeff.imag == 0.0 for coeff in spec.taps.values())
-    pairs = real_taps and not spec.is_real
-    # floats per site along each axis of the filtered arrays
-    width = [1] * (len(dims) - 1) + [2 if pairs else 1]
-    taps = [(coeff.real if real_taps else coeff,
-             tuple(slice(k * w.start, k * w.stop) for w, k in zip(window, width)))
+    taps = [(coeff.real if spec.is_real else coeff, window)
             for coeff, window in zip(spec.taps.values(), _tap_windows(spec, dims))]
     out = np.empty(eps.shape[:1] + tuple(dims), eps.dtype) if out is None else out[:len(eps)]
-    src, dst = (eps.view(np.float64), out.view(np.float64)) if pairs else (eps, out)
     step = max(1, _BLOCK_SITES // math.prod(dims))
-    size = min(step, len(out)) * math.prod(dst.shape[1:])
-    term = (np.empty(size, dst.dtype) if scratch is None
-            else scratch.view(dst.dtype)[:size]).reshape((-1,) + dst.shape[1:])
+    size = min(step, len(out)) * math.prod(dims)
+    term = (np.empty(size, out.dtype) if scratch is None
+            else scratch.view(out.dtype)[:size]).reshape((-1,) + tuple(dims))
     (lead, lead_window), rest = taps[0], taps[1:]
     for r0 in range(0, len(out), step):
         rows = slice(r0, r0 + step)
-        acc = dst[rows]
+        acc = out[rows]
         prod = term[:len(acc)]
-        np.multiply(lead, src[(rows,) + lead_window], out=acc)
+        np.multiply(lead, eps[(rows,) + lead_window], out=acc)
         for coeff, window in rest:
-            np.multiply(coeff, src[(rows,) + window], out=prod)
+            np.multiply(coeff, eps[(rows,) + window], out=prod)
             acc += prod
     return out
 
@@ -90,10 +81,7 @@ def generate_batch(spec: LinearFieldSpec, dims, shift, seeds, *,
     innovation lattice vectorizes across seeds, which replication loops need.
     ``out``, the (lattice, field, scratch) arrays of ``_batch_workspace``,
     receives the innovations and the values and holds both stages' scratch,
-    in place of new arrays.  With ``prune`` (``_tail_pruning``) the values are
-    those of the innovations ``draw_innovations`` draws under it: exact at each
-    site that passes its level or that ``prune`` keeps, and within its level at
-    the others.
+    in place of new arrays.  ``prune`` is passed on to ``draw_innovations``.
     """
     box = as_dims(dims, spec.dim)
     eps = draw_innovations(spec, box, shift, seeds, out=out, prune=prune)
@@ -106,20 +94,16 @@ def draw_innovations(spec: LinearFieldSpec, dims, shift, seeds, *,
     one row per seed, from w_s + 1 - max j_s to w_s + v_s - min j_s on axis s:
     the first stage of ``generate_batch``, with the same ``out``.
 
-    With ``prune`` (``_tail_pruning`` of the box at zero shift) only the
-    innovations that some site reads where a hot innovation feeds it, or where
-    ``prune`` keeps it, are drawn, by ``rng.pruned_lattice``; the others are 0.
-    A site fed by no hot innovation stays within its level however its
-    innovations are zeroed, so the sites past their levels and the kept ones
-    get the values of the whole draw, bit for bit.
+    Without ``prune`` it calls ``rng.gaussian_lattice``.  With one, the
+    pruned draw of ``_tail_pruning`` on the box at zero shift, it calls
+    ``rng.pruned_lattice``, in the scratch of ``out``, which it then needs.
     """
     box = as_dims(dims, spec.dim)
     ranges = _innovation_ranges(spec, box.v, as_shift(shift, spec.dim))
     # a list, so that a scalar seed is refused here; the lattice checks each seed
-    seeds = list(seeds)
+    seeds, kind, std = list(seeds), spec.innovation_kind, spec.innovation_std
     if prune is None:
-        return gaussian_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std,
-                                out=out[0], scratch=out[2])
+        return gaussian_lattice(seeds, ranges, kind, std, out=out[0], scratch=out[2])
     windows = _tap_windows(spec, box.v)
 
     def widen(mask, free):
@@ -134,11 +118,8 @@ def draw_innovations(spec: LinearFieldSpec, dims, shift, seeds, *,
             needed = mask[(slice(None),) + window]
             np.logical_or(needed, sites, out=needed)
 
-    scratch = out[2]
-    if scratch is None:
-        scratch = np.empty(_workspace_sizes(spec, box, len(seeds))[2], np.uint8)
-    return pruned_lattice(seeds, ranges, spec.innovation_kind, spec.innovation_std, prune.cuts,
-                          widen, out=out[0], scratch=scratch)
+    return pruned_lattice(seeds, ranges, kind, std, prune.cuts, widen, out=out[0],
+                          scratch=out[2])
 
 
 # the pruned draw of ``draw_innovations``: the hot cuts of each lattice site of
@@ -164,8 +145,13 @@ def _tail_pruning(spec: LinearFieldSpec, dims, levels, kept) -> _Pruning | None:
     innovation s = k - j that it reads is hot: rho_s >= tau_s, where tau_s is
     the least level / sum_j |a_j| over the sites that s feeds.  ``rng._hot_cuts``
     turns each tau_s, less a margin for rounding, into an integer cut of k1.
-    The expected share takes each s as hot on its own, with the radius's
-    P(rho_s >= tau_s) = exp(-tau_s^2 / (2 scale^2)).
+    The draw marks the hot innovations, widens them by the tap windows to the
+    sites they feed, adds the kept sites, and widens those to the innovations
+    they read; only these are drawn, and the others are 0.  A site fed by no
+    hot innovation stays within its level however its innovations are
+    zeroed, so the sites past their levels and the kept ones get the values
+    of the whole draw, bit for bit.  The expected share takes each s as hot
+    on its own, with P(rho_s < tau_s) from ``rng._radius_below``.
     """
     box = as_dims(dims, spec.dim)
     ranges = _innovation_ranges(spec, box.v, (0,) * spec.dim)
@@ -173,11 +159,10 @@ def _tail_pruning(spec: LinearFieldSpec, dims, levels, kept) -> _Pruning | None:
     tau = np.full([hi - lo + 1 for lo, hi in ranges], np.inf)
     for window in windows:
         np.minimum(tau[window], levels, out=tau[window])
-    scale = spec.innovation_std / (1.0 if spec.is_real else math.sqrt(2.0))
-    # taps all 0, or nearly, or no scale: nothing is hot
+    # taps all 0, or nearly, or no scale (``_radius_below`` is then 1): nothing is hot
     with np.errstate(divide="ignore", over="ignore"):
         tau /= sum(abs(coeff) for coeff in spec.taps.values())
-        cold = -np.expm1(-0.5 * np.square(tau / scale))
+    cold = _radius_below(tau, spec.innovation_kind, spec.innovation_std)
     # the chance that no hot innovation feeds a site and it is not kept, and
     # that no such site reads an innovation
     quiet = np.where(kept, 0.0, 1.0)
@@ -198,9 +183,9 @@ def _workspace_sizes(spec: LinearFieldSpec, box: BoxDims, rows: int, field=True)
     plus up to 64 bytes before each array for alignment."""
     ranges = _innovation_ranges(spec, box.v, (0,) * spec.dim)
     sites = _lattice_size(ranges, spec.is_real)
-    # the lattice's site mask, then a byte a site for the box's mask or the
-    # lattice's, in whole 64-byte lines, so the scratch views as the filter's dtype
-    masks = -(-rows * (_mask_size(ranges, spec.is_real) + max(box.volume, sites)) // 64) * 64
+    # the lattice's mask (a byte a site, two a real pair site), then a byte a site for
+    # the box's or the lattice's, in whole 64-byte lines, so the scratch views as the field's dtype
+    masks = -(-rows * (sites * (2 if spec.is_real else 1) + max(box.volume, sites)) // 64) * 64
     return [16 * rows * sites,
             rows * box.volume * (8 if spec.is_real else 16) * field,
             max(_SCRATCH_BYTES + masks * field, 16 * box.volume * field) + 3 * 64]

@@ -46,13 +46,13 @@ fixed budget, even for a single replication of millions of sites.  Every
 step is elementwise and exactly rounded the same way at any block size, so
 blocking moves no bit of the stream; the tests pin sha256 digests of it.
 
-``pruned_lattice`` runs the same formulas in three stages, for a caller that
-needs only the draws whose radius can pass a level: the site hash and k1 of
-every site, kept in the site's own output slot; the radius cut, one integer
-compare of k1 against the cut of ``_hot_cuts``, which marks the hot sites
-and which the caller widens to the needed ones; and the radius and angle on
-the needed sites alone.  A needed site's draw has the bits of
-``gaussian_lattice``; the other sites are 0.
+``pruned_lattice`` runs the same formulas in three stages, for the pruned
+draw of ``fieldgen._tail_pruning``: the site hash and k1 of every site, kept
+in the site's own output slot; the radius cut, one integer compare of k1
+against the cut of ``_hot_cuts``, which marks the hot sites and which the
+caller widens to the needed ones; and the radius and angle on the needed
+sites alone.  A needed site's draw has the bits of ``gaussian_lattice``; the
+other sites are 0.
 
 All integer work is done on uint64 ndarrays and their int64 views (numpy
 wraps silently for arrays; scalars would warn on overflow).
@@ -234,12 +234,6 @@ def _lattice_size(axis_ranges, real: bool) -> int:
     return int(np.prod([b - a + 1 for a, b in lead])) * (last + 1)
 
 
-def _mask_size(axis_ranges, real: bool) -> int:
-    """Bytes per seed of ``pruned_lattice``'s site mask: one per innovation, two
-    per pair site of a real lattice."""
-    return _lattice_size(axis_ranges, real) * (2 if real else 1)
-
-
 def _pieces(n: int) -> list[tuple[int, int]]:
     """(start, stop) of the ceil(n / ``_BLOCK_SITES``) pieces of balanced width
     that cut n >= 1 sites, so that no piece is a sliver."""
@@ -266,6 +260,32 @@ def _block_arrays(scratch, sites: int) -> list[np.ndarray]:
     return list(blocks[:3]) + [b.view(np.float64) for b in blocks[3:]]
 
 
+def _scale(kind: str, std: float) -> float:
+    """The scale of a draw of ``kind``: std for a real draw, and std / sqrt 2 for
+    each part of a circular one, so that E|eps|^2 = std^2 either way."""
+    if kind == "real-gaussian":
+        return std
+    if kind == "circular-complex-gaussian":
+        return std / np.sqrt(2.0)
+    raise ValueError(f"unknown innovation kind {kind!r}")
+
+
+def _radius_below(levels, kind: str, std: float) -> np.ndarray:
+    """P(scale * r < level) = 1 - exp(-level^2 / (2 scale^2)) for the Box-Muller
+    radius r of a draw of ``kind``, at each of the float64 ``levels`` (1 where
+    the scale is 0)."""
+    scale = _scale(kind, std)
+    with np.errstate(over="ignore"):
+        ratio = np.divide(levels, scale) if scale else np.full_like(levels, np.inf)
+        return -np.expm1(-0.5 * np.square(ratio))
+
+
+def _draw_span(lo: int, hi: int, real: bool) -> slice:
+    """The draws lo..hi of a lattice row; a real one, as float64, has lo & 1 before them."""
+    start = lo & 1 if real else 0
+    return slice(start, start + hi - lo + 1)
+
+
 def _layout(seeds, axis_ranges, kind: str, std: float, out):
     """The checked arguments of a lattice draw: whether ``seeds`` is a scalar and
     the lattice real, the scale, the hashes of every seed and lead axis row, in
@@ -279,13 +299,9 @@ def _layout(seeds, axis_ranges, kind: str, std: float, out):
     seed_arr = np.asarray(seed_list, dtype=np.uint64)
     if std < 0:
         raise ValueError("std must be >= 0")
+    scale = _scale(kind, std)
     real = kind == "real-gaussian"
-    if real:
-        salt, scale = _REAL_SALT, std
-    elif kind == "circular-complex-gaussian":
-        salt, scale = _FIELD_SALT, std / np.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown innovation kind {kind!r}")
+    salt = _REAL_SALT if real else _FIELD_SALT
     bounds = []
     for lo, hi in axis_ranges:
         lo, hi = as_int(lo, "axis range bound"), as_int(hi, "axis range bound")
@@ -309,8 +325,7 @@ def _layout(seeds, axis_ranges, kind: str, std: float, out):
 
 def _values(out, scalar: bool, real: bool, lo: int, hi: int) -> np.ndarray:
     """The draws of a lattice output: a real one's sites lo..hi of its pair rows."""
-    if real:
-        out = out.view(np.float64)[..., lo & 1:(lo & 1) + hi - lo + 1]
+    out = (out.view(np.float64) if real else out)[..., _draw_span(lo, hi, real)]
     return out[0] if scalar else out
 
 
@@ -401,29 +416,22 @@ def _hot_cuts(levels, axis_ranges, kind: str, std: float) -> np.ndarray:
 
     ``levels`` holds one level per innovation of one seed's box (inf where none
     binds); a real lattice's pair site takes the lower of its two.  K starts at
-    ceil(2^53 (1 - exp(-level^2 / (2 scale^2)))), the inverse of the radius,
-    and steps until ``_radius`` itself puts k1 = K - 1 below the level and
-    k1 = K at or above it (K = 2^53 where no k1 reaches it).  Returns uint64
-    cuts shaped (lead axis rows, pair or complex sites).
+    ceil(2^53 ``_radius_below(level)``), the inverse of the radius, and steps
+    until ``_radius`` itself puts k1 = K - 1 below the level and k1 = K at or
+    above it (K = 2^53 where no k1 reaches it).  Returns uint64 cuts shaped
+    (lead axis rows, pair or complex sites).
     """
-    real = kind == "real-gaussian"
-    scale = std if real else std / np.sqrt(2.0)
+    real, scale = kind == "real-gaussian", _scale(kind, std)
     *_, (lo, hi) = axis_ranges
     levels = np.asarray(levels, np.float64).reshape(-1, hi - lo + 1)
-    # a real row of pair sites holds lo & 1 sites before its first draw
-    start = lo & 1 if real else 0
     level = np.full((len(levels), 2 * _lattice_size([(lo, hi)], True) if real else hi - lo + 1),
                     np.inf)
-    level[:, start:start + hi - lo + 1] = levels
+    level[:, _draw_span(lo, hi, real)] = levels
     if real:
         level = np.minimum(level[:, 0::2], level[:, 1::2])
     level *= 1.0 - _CUT_MARGIN
-    work = (np.divide(level, scale, out=np.empty_like(level)) if scale
-            else np.full_like(level, np.inf))
-    with np.errstate(over="ignore"):
-        np.multiply(work, work, out=work)
-    np.expm1(np.multiply(work, -0.5, out=work), out=work)
-    cut = np.ceil(np.multiply(work, -2.0 ** 53, out=work), out=work).astype(np.int64)
+    work = _radius_below(level, kind, std)
+    cut = np.ceil(np.multiply(work, 2.0 ** 53, out=work), out=work).astype(np.int64)
     k1 = np.empty_like(cut)
     while True:
         np.maximum(np.subtract(cut, 1, out=k1), 0, out=k1)
@@ -448,8 +456,8 @@ def pruned_lattice(seeds, axis_ranges, kind: str, std: float, cuts, widen, *, ou
     the draws, and ``free`` is uint8 scratch.  Last, the radius and the angle
     run on the needed sites, gathered from their slots in pieces of at most
     ``_BLOCK_SITES``.  A real lattice marks and draws whole pair sites.
-    ``scratch`` holds the block arrays (``_SCRATCH_BYTES``), then the mask
-    (``_mask_size`` per seed), then ``free``, which must hold a byte a site.
+    ``scratch`` holds the block arrays (``_SCRATCH_BYTES``), then the mask (a
+    byte a site of each seed, two a real pair site), then ``free``, a byte a site.
     Returns what ``gaussian_lattice`` returns.
     """
     scalar, real, scale, rows, first, (lo, hi), out = _layout(seeds, axis_ranges, kind, std, out)
@@ -475,9 +483,8 @@ def pruned_lattice(seeds, axis_ranges, kind: str, std: float, cuts, widen, *, ou
         np.multiply(mask, 257, out=mask)
     # a real row's bytes outside its draws keep the mark of their pair site,
     # which is needed anyway when hot: a hot draw feeds a site that reads it
-    start = lo & 1 if real else 0
     free = scratch[_SCRATCH_BYTES + size:]
-    widen(mask.view(np.bool_).reshape(out.shape[:-1] + (-1,))[..., start:start + hi - lo + 1],
+    widen(mask.view(np.bool_).reshape(out.shape[:-1] + (-1,))[..., _draw_span(lo, hi, real)],
           free)
     # numpy finds a bool array's nonzero entries three times as fast as a uint16 one's
     needed = np.flatnonzero(np.not_equal(mask, 0, out=free[:grid.size].view(np.bool_)))

@@ -46,6 +46,16 @@ from .model import LinearFieldSpec, _lag_arrays
 IMAG_RESIDUAL_FATAL = 1e-8
 
 
+def _check_grid(n_grid: int, d: int, name: str) -> None:
+    """Refuse by ``name`` an n_grid^d grid of complex128 points over the workspace budget."""
+    cap = _util._CHUNK_BYTES // 16
+    if n_grid ** d > cap:
+        fit = round(cap ** (1.0 / d))
+        fit -= fit ** d > cap  # round() may land one above the floor
+        raise ValueError(f"{name} too large: {n_grid}^{d} points exceed the "
+                         f"workspace budget; at most {fit} per axis fits")
+
+
 def _fejer_lag_sums(spec: LinearFieldSpec, box, freqs):
     """E I and f at every row of ``freqs`` (N, d), from one lag table.
 
@@ -96,12 +106,7 @@ def expected_periodogram_quadrature(spec: LinearFieldSpec, lam, dims,
             f"quadrature grid too coarse: {n_grid} < 4*max(v) = {required}"
         )
     d = spec.dim
-    cap = _util._CHUNK_BYTES // 16  # complex128 grid points in the workspace budget
-    if n_grid ** d > cap:
-        fit = round(cap ** (1.0 / d))
-        fit -= fit ** d > cap  # round() may land one above the floor
-        raise ValueError(f"quadrature grid too large: {n_grid}^{d} points exceed the "
-                         f"workspace budget; at most {fit} per axis fits")
+    _check_grid(n_grid, d, "quadrature grid")
     theta = -np.pi + 2.0 * np.pi * np.arange(n_grid) / n_grid
 
     amp = np.zeros((n_grid,) * d, dtype=np.complex128)
@@ -232,11 +237,13 @@ def uniform_convergence_report(spec: LinearFieldSpec, dims_sequence,
     """sup over a uniform frequency grid of |E I(lam) - f(lam)|, per dims.
 
     The grid puts ``lambda_grid_size`` equispaced points per axis on
-    (-pi, pi] (full tensor grid in dimension d).
+    (-pi, pi] (full tensor grid in dimension d), and is refused over the
+    workspace budget as the quadrature grid is.
     """
     n_grid = as_int(lambda_grid_size, "lambda_grid_size")
     if n_grid < 1:
         raise ValueError("lambda_grid_size must be >= 1")
+    _check_grid(n_grid, spec.dim, "lambda_grid_size")
     axis = -np.pi + 2.0 * np.pi * np.arange(1, n_grid + 1) / n_grid
     grid = np.stack(np.meshgrid(*([axis] * spec.dim), indexing="ij"),
                     axis=-1).reshape(-1, spec.dim)

@@ -22,6 +22,7 @@ the Bernstein blocking discards.  All three reports share one replication loop.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import namedtuple
@@ -192,17 +193,18 @@ def _sample_covariance(x) -> np.ndarray:
 _MAX_VARIANCE = 1e100
 
 
-# one dims entry of a report, with the replications a batch of it holds
-_Entry = namedtuple("_Entry", "box freqs seeds sums rows prune")
+# one dims entry of a report: its box and seeds, the replications a batch holds,
+# whether a batch filters a field, and ``sums(seeds, out)``, which draws a batch into
+# the arrays ``out`` of ``_batch_workspace`` and returns the (rows, m) sums of each part
+_Entry = namedtuple("_Entry", "box seeds rows field sums")
 
 
-def _entry(spec, box, freqs, seeds, sums=None, workspace=3, prune=None) -> _Entry:
-    """An entry of ``_replicated_sums``, with its ``sums`` hook and the
-    ``prune`` of its draw (``fieldgen._tail_pruning``), refused before
-    any draw when it has fewer than 2 replications, too large a field variance,
-    or one replication over the chunk budget at 16 * V * ``workspace`` bytes.
-    A batch holds the replications whose lattice rows, and field rows where a
-    ``sums`` hook reads the field, fit the batch budget."""
+def _batch_rows(spec, box, seeds, workspace: int, field: bool) -> int:
+    """The replications a batch of an entry holds: as many as have lattice rows,
+    and field rows with ``field``, that fit the batch budget.  Refuses the
+    entry, before any draw, when it has fewer than 2 replications, too large
+    a field variance, or one replication over the chunk budget at
+    16 * V * ``workspace`` bytes."""
     if len(seeds) < 2:
         raise ValueError("need at least 2 replications")
     if spec.variance > _MAX_VARIANCE:
@@ -215,9 +217,21 @@ def _entry(spec, box, freqs, seeds, sums=None, workspace=3, prune=None) -> _Entr
         raise ValueError(f"one replication of the {box.volume}-site box needs {need}"
                          f" bytes, over the {chunk}-byte chunk budget; boxes of up to "
                          f"{chunk // (16 * workspace)} sites fit")
-    lattice, values, _ = _workspace_sizes(spec, box, 1, sums is not None)
-    return _Entry(box, freqs, seeds, sums, max(1, _util._BATCH_BYTES // (lattice + values)),
-                  prune)
+    lattice, values, _ = _workspace_sizes(spec, box, 1, field)
+    return max(1, _util._BATCH_BYTES // (lattice + values))
+
+
+def _entry(spec, box, freqs, seeds) -> _Entry:
+    """A clt or miller entry of ``_replicated_sums``, checked by ``_batch_rows``:
+    the one part of a batch is the field, summed as its innovation rows
+    against their ``_innovation_grid``s, with no filter."""
+    rows = _batch_rows(spec, box, seeds, 3, False)
+    grids = [_innovation_grid(spec, box, lam) for lam in freqs]
+
+    def sums(seeds, out):
+        return [batched_modulated_sums(draw_innovations(spec, box, None, seeds, out=out), grids)]
+
+    return _Entry(box, seeds, rows, False, sums)
 
 
 def _innovation_grid(spec, box, lam) -> np.ndarray:
@@ -236,39 +250,25 @@ def _replicated_sums(spec, entries) -> list:
 
     Draws the innovations once per seed of each ``_entry`` and returns, for
     each entry and each part of its field, the (R, m) modulated sums at its
-    frequencies.  With no ``sums`` hook the one part is the field, summed as
-    the innovation rows against their ``_innovation_grid``s, with no filter.
-    ``sums(values, scratch, phases)`` gets the filtered values, drawn under the
-    entry's ``prune``, and returns the (rows, m) sums of each of their parts;
-    ``scratch`` is the batch's lattice.
-    Every entry's batches go to one ``run_chunked`` call, so a report forks at
+    frequencies, as the entry's ``sums`` takes them of each batch.  Every
+    entry's batches go to one ``run_chunked`` call, so a report forks at
     most once; a worker draws and sums each batch it is handed in one
     workspace, sized for the largest batch and kept for this call only.
     """
-    grids = [[phase_grid(e.box, lam) if e.sums else _innovation_grid(spec, e.box, lam)
-              for lam in e.freqs] for e in entries]
     # a batch holds at most a worker's share of its entry, so each has work at small R
     workers = worker_count()
     per_entry = [[(k, lo, min(lo + rows, len(e.seeds))) for lo in range(0, len(e.seeds), rows)]
                  for k, e in enumerate(entries)
                  for rows in [min(e.rows, -(-len(e.seeds) // workers))]]
     batches = [batch for bounds in per_entry for batch in bounds]
-    size = max((sum(_workspace_sizes(spec, entries[k].box, hi - lo, entries[k].sums is not None))
+    size = max((sum(_workspace_sizes(spec, entries[k].box, hi - lo, entries[k].field))
                 for k, lo, hi in batches), default=0)
-    buffer = None
+    # made on a worker's first batch, so that the caller allocates none for its workers
+    workspace = functools.cache(lambda: np.empty(size, np.uint8))
 
     def batch_sums(k, lo, hi):
-        nonlocal buffer
-        if buffer is None:
-            buffer = np.empty(size, np.uint8)
         e = entries[k]
-        out = _batch_workspace(spec, e.box, hi - lo, buffer, e.sums is not None)
-        if e.sums is None:
-            eps = draw_innovations(spec, e.box, None, e.seeds[lo:hi], out=out)
-            return [batched_modulated_sums(eps, grids[k])]
-        vals = generate_batch(spec, e.box, None, e.seeds[lo:hi], out=out, prune=e.prune)
-        scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
-        return e.sums(vals, scratch, grids[k])
+        return e.sums(e.seeds[lo:hi], _batch_workspace(spec, e.box, hi - lo, workspace(), e.field))
 
     sums = iter(run_chunked(batches, batch_sums))
     return [[np.concatenate(parts) for parts in zip(*[next(sums) for _ in bounds])]
@@ -420,40 +420,41 @@ class NegligibilityReport:
     rng_stream: int = field(default=RNG_STREAM, init=False)
 
 
-def _part_sums(box, leftover, q):
-    """The replication loop's sums of a batch, shape (2, rows, m): of the tail
-    parts over the box, then of the bounded parts over the leftover set.  Each
+def _part_sums(vals, scratch, phases, levels, kept) -> np.ndarray:
+    """The sums of a negligibility batch ``vals`` at ``phases``, shape (2, rows, m):
+    of the tail parts, past ``levels``, over the box, then of the bounded
+    parts over the sites of the bool mask ``kept``, the leftover set.  Each
     row's part is its own sites, gathered in index order and summed by
-    ``periodogram._row_sums``, the kernel of every other S."""
-    thresholds = index_products(box) ** q
-    # the leftover cells' flat indices in order; a slab is one run of them
-    rest = math.prod(box.v[1:])
-    left = np.concatenate([np.arange((sl.first_lo - 1) * rest, sl.first_hi * rest)
-                           for sl in leftover])
-
-    def sums(vals, scratch, phases):
-        # |x| goes into the loop's scratch buffer
-        tail = (np.abs(vals, out=scratch.real) > thresholds).reshape(len(vals), -1)
-        kept = ~tail[:, left]
-        out = np.empty((2, len(vals), len(phases)), dtype=np.complex128)
-        for r, row in enumerate(vals.reshape(len(vals), -1)):
-            for part, sites in enumerate((np.flatnonzero(tail[r]), left[kept[r]])):
-                out[part, r] = _row_sums(row[sites], [ph[sites] for ph in phases])
-        return out
-
-    return sums
+    ``periodogram._row_sums``, the kernel of every other S.  |x| goes into
+    ``scratch``, shaped like ``vals``."""
+    tail = np.abs(vals, out=scratch.real) > levels
+    out = np.empty((2, len(vals), len(phases)), dtype=np.complex128)
+    for r, row in enumerate(vals.reshape(len(vals), -1)):
+        # the tail sites, then the leftover sites outside the tail
+        for part, sites in enumerate((np.flatnonzero(tail[r]), np.flatnonzero(kept > tail[r]))):
+            out[part, r] = _row_sums(row[sites], [ph[sites] for ph in phases])
+    return out
 
 
 def _tail_entry(spec, box, freqs, seeds, leftover, q) -> _Entry:
-    """A negligibility report's ``_entry``: its sums are ``_part_sums``, and its
-    draw is pruned to the innovations that the tail parts, past <k>^q, and the
-    leftover set read, which are all that those sums read, unless
-    ``fieldgen._tail_pruning`` expects most of them to be read."""
+    """A negligibility entry of ``_replicated_sums``, checked by ``_batch_rows``:
+    a batch is drawn under ``fieldgen._tail_pruning`` of the levels <k>^q and
+    the leftover set, filtered, and summed by ``_part_sums``."""
+    rows = _batch_rows(spec, box, seeds, 3 + len(freqs), True)
+    levels = index_products(box) ** q
     kept = np.zeros(box.v, np.bool_)
     for sl in leftover:
         kept[sl.first_slice] = True
-    return _entry(spec, box, freqs, seeds, _part_sums(box, leftover, q), 3 + len(freqs),
-                  _tail_pruning(spec, box, index_products(box) ** q, kept))
+    prune = _tail_pruning(spec, box, levels, kept)
+    phases = [phase_grid(box, lam) for lam in freqs]
+
+    def sums(seeds, out):
+        vals = generate_batch(spec, box, None, seeds, out=out, prune=prune)
+        # the lattice is free once the field is filtered
+        scratch = out[0].reshape(-1).view(vals.dtype)[:vals.size].reshape(vals.shape)
+        return _part_sums(vals, scratch, phases, levels, kept)
+
+    return _Entry(box, seeds, rows, True, sums)
 
 
 def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,

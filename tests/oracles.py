@@ -3,8 +3,9 @@
 ``truncate`` splits one sample at the index-product levels <k>^q that the
 negligibility report's replication loop applies to whole batches;
 ``dense_part_sums`` sums those parts of a batch drawn whole, with no
-innovation left out; and ``fejer_product`` is the d-dimensional Fejer kernel
-that the expected periodogram concentrates with.
+innovation left out, at the levels and leftover mask of ``tail_parts``; and
+``fejer_product`` is the d-dimensional Fejer kernel that the expected
+periodogram concentrates with.
 """
 
 from __future__ import annotations
@@ -48,13 +49,22 @@ def truncate(sample: FieldSample, lam, q: float) -> TruncatedField:
                           tail=np.where(keep, 0.0, demod))
 
 
+def tail_parts(box, leftover, q):
+    """The levels <k>^q over ``box`` and the bool mask of its ``leftover`` slabs:
+    the last two arguments of ``stats._part_sums``."""
+    kept = np.zeros(box.v, dtype=bool)
+    for slab in leftover:
+        kept[slab.first_slice] = True
+    return index_products(box) ** q, kept
+
+
 def dense_part_sums(spec, box, leftover, q, freqs, seeds) -> list[np.ndarray]:
     """The (tail, leftover) sums, each (R, m), that the negligibility report's
     replication loop takes of the seeds' fields on ``box``, from the whole
     draw: ``generate_batch`` with every innovation, then ``stats._part_sums``."""
     values = generate_batch(spec, box, None, seeds)
     phases = [phase_grid(box, lam) for lam in freqs]
-    return list(_part_sums(box, leftover, q)(values, np.empty_like(values), phases))
+    return list(_part_sums(values, np.empty_like(values), phases, *tail_parts(box, leftover, q)))
 
 
 def fejer_product(theta, v) -> float:

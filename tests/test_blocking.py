@@ -22,7 +22,7 @@ from specfield.model import (CIRCULAR_GAUSSIAN, REAL_GAUSSIAN, FieldSample, Line
 from specfield.periodogram import batched_modulated_sums, index_products, phase_grid
 from specfield.stats import negligibility_report, truncated_second_moments
 
-from oracles import dense_part_sums, truncate
+from oracles import dense_part_sums, tail_parts, truncate
 
 
 def gaussian_tail_quad(sigma2, t):
@@ -487,14 +487,15 @@ def test_negligibility_sums_of_a_batch_equal_its_rows_summed_alone(kind, dims):
     spec = first_axis_ma1(len(dims), kind, 1.0, 0.5)
     box = BoxDims(dims)
     _, leftover = block_index_sets(plan(dims[0], dependence_profile(spec), 0.2), box)
-    sums = stats._part_sums(box, leftover, 0.2)
+    parts = tail_parts(box, leftover, 0.2)
     phases = [phase_grid(box, (lam,) * len(dims)) for lam in (0.5, 2.5)]
     vals = generate_batch(spec, box, None, replication_seeds(3, 5))
-    batch = sums(vals, np.empty_like(vals), phases)
+    batch = stats._part_sums(vals, np.empty_like(vals), phases, *parts)
     assert np.all(batch != 0)
     for r in range(len(vals)):
         row = vals[r:r + 1].copy()
-        assert sums(row, np.empty_like(row), phases).tobytes() == batch[:, r:r + 1].tobytes()
+        alone = stats._part_sums(row, np.empty_like(row), phases, *parts)
+        assert alone.tobytes() == batch[:, r:r + 1].tobytes()
 
 
 @pytest.mark.parametrize("kind", [REAL_GAUSSIAN, CIRCULAR_GAUSSIAN])
@@ -508,7 +509,7 @@ def test_a_full_tail_is_summed_as_the_whole_row(kind):
     phases = [phase_grid(box, (lam,)) for lam in (0.5, 2.5)]
     vals = generate_batch(spec, box, None, replication_seeds(7, 1))
     assert np.all(np.abs(vals) > index_products(box) ** 0.2)
-    tail, _ = stats._part_sums(box, leftover, 0.2)(vals, np.empty_like(vals), phases)
+    tail, _ = stats._part_sums(vals, np.empty_like(vals), phases, *tail_parts(box, leftover, 0.2))
     assert tail.tobytes() == batched_modulated_sums(vals, phases).tobytes()
 
 
@@ -584,6 +585,17 @@ def _pruned_draw_cases(draw):
     return spec, box, leftover, draw(st.sampled_from([0.05, 0.2, 0.5])), freqs, seeds
 
 
+def _entry_and_pruning(*args):
+    """``stats._tail_entry(*args)`` and the pruning its draws run under."""
+    prunings, tail_pruning = [], stats._tail_pruning
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats, "_tail_pruning", lambda *a: prunings.append(tail_pruning(*a))
+                      or prunings[-1])
+        entry = stats._tail_entry(*args)
+    (pruning,) = prunings
+    return entry, pruning
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_pruned_draw_cases())
 def test_the_pruned_draw_gives_the_sums_of_the_whole_draw(case):
@@ -593,8 +605,8 @@ def test_the_pruned_draw_gives_the_sums_of_the_whole_draw(case):
     spec, box, leftover, q, freqs, seeds = case
     with pytest.MonkeyPatch.context() as patch:  # prune whatever share is expected
         patch.setattr(fieldgen, "_PRUNED_SHARE", 1.0)
-        entry = stats._tail_entry(spec, box, freqs, seeds, leftover, q)
-    assert entry.prune is not None
+        entry, pruning = _entry_and_pruning(spec, box, freqs, seeds, leftover, q)
+    assert pruning is not None
     (got,) = stats._replicated_sums(spec, [entry])
     want = dense_part_sums(spec, box, leftover, q, freqs, seeds)
     assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
@@ -608,8 +620,8 @@ def test_a_draw_expected_to_need_most_innovations_is_drawn_whole(std, pruned):
     box = BoxDims((65536,))
     spec = white_noise(1, REAL_GAUSSIAN, std)
     _, leftover = block_index_sets(plan(box.v[0], dependence_profile(spec), 0.2), box)
-    entry = stats._tail_entry(spec, box, [], replication_seeds(5, 2), leftover, 0.2)
-    assert (entry.prune is not None) == pruned
+    _, pruning = _entry_and_pruning(spec, box, [], replication_seeds(5, 2), leftover, 0.2)
+    assert (pruning is not None) == pruned
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

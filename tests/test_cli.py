@@ -632,6 +632,49 @@ def test_expectation_refuses_a_quadrature_grid_beyond_the_budget(ma1_spec_file):
     _assert_one_line_refusal(proc, "quadrature grid too large: 99999999999999999999^1 points")
 
 
+# 2^26 bytes of workspace hold 2^22 complex points: 4,194,304 on one axis, 2,048 a side on two
+@pytest.mark.parametrize("dim, grid, fit", [(2, str(10 ** 7), 2048), (1, str(2 ** 63), 4194304),
+                                            (1, str(10 ** 20), 4194304),
+                                            (1, str(10 ** 400), 4194304)],
+                         ids=["2d-1e7", "1d-2^63", "1d-1e20", "1d-1e400"])
+def test_expectation_refuses_a_frequency_grid_beyond_the_budget(tmp_path, capsys, dim, grid,
+                                                                fit):
+    """The report's frequency grid is refused by name before it is allocated,
+    where a 2-d grid of 10^7 a side ran out of memory and a 1-d one past
+    int64 failed inside numpy."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_to_json(first_axis_ma1(dim, REAL_GAUSSIAN, 1.0, 1.0)))
+    csv_path = tmp_path / "sup.csv"
+    code = cli.main(["expectation", "--spec", str(spec), "--report-csv", str(csv_path),
+                     "--dims-sequence", "8;16", "--grid", grid])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err == (f"error: lambda_grid_size too large: {grid}^{dim} points exceed the "
+                   f"workspace budget; at most {fit} per axis fits\n")
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "2.5", "+2", "1_0", " 2", "\u0662"])
+def test_a_worker_count_other_than_ascii_digits_is_refused(clt_config_file, capsys,
+                                                          monkeypatch, threads):
+    """SPECFIELD_THREADS is read as ASCII decimal digits of a count >= 1;
+    Python's int() would read "1_0", " 2" and the Arabic-Indic two as 10, 2 and 2."""
+    monkeypatch.setenv("SPECFIELD_THREADS", threads)
+    code = cli.main(["clt-experiment", "--config", clt_config_file()])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err == f"error: SPECFIELD_THREADS must be a decimal integer >= 1, got {threads!r}\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_periodogram_refuses_a_seed_outside_64_bits(ma1_spec_file, capsys, seed):
+    code = cli.main(["periodogram", "--spec", ma1_spec_file, "--dims", "8", "--freq", "1.0",
+                     "--seed", seed])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: seed must lie in [0, 2^64), got {seed}\n"
+
+
 def test_mixing_estimate_refuses_a_wide_window_at_once(ma1_spec_file, capsys):
     """1,752,381 subsets are refused from their count, before any is listed."""
     start = time.perf_counter()
@@ -839,7 +882,8 @@ def test_mutated_documents_exit_zero_or_one_with_one_line(tmp_path, capsys, kind
 # entries and wrong dimensions come up.
 _FUZZ_COMMANDS = [
     ["kernels", "--alpha", "0.5", "--n", "5"],
-    ["periodogram", "--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--shift", "2"],
+    ["periodogram", "--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--shift", "2",
+     "--seed", "3"],
     ["expectation", "--spec", "{spec}", "--dims", "8", "--freq", "1.0", "--quadrature", "32"],
     ["expectation", "--spec", "{spec}", "--report-csv", "{csv}", "--dims-sequence", "8;16",
      "--grid", "8"],
@@ -847,8 +891,8 @@ _FUZZ_COMMANDS = [
     ["blocking-plan", "--v1", "100", "--q", "0.2", "--profile", "{profile}"],
     ["mixing-estimate", "--spec", "{spec}", "--window", "1", "--set-size", "2", "--n-max", "3"],
 ]
-_FUZZ_FLAGS = ["--alpha", "--dims", "--dims-sequence", "--freq", "--n", "--n-max", "--q",
-               "--quadrature", "--set-size", "--shift", "--v1", "--window"]
+_FUZZ_FLAGS = ["--alpha", "--dims", "--dims-sequence", "--freq", "--grid", "--n", "--n-max",
+               "--q", "--quadrature", "--seed", "--set-size", "--shift", "--v1", "--window"]
 _HUGE = [str(2 ** 63), str(10 ** 20), str(-2 ** 63 - 1), "-" + str(10 ** 20),
          str(10 ** 400)]
 _ENTRIES = ["nan", "inf", "-inf", "x", "", "0", "-1", "-7", "1.5", "1e400", "3", "8"]
