@@ -4,9 +4,10 @@ A batch is the one unit of work: each report hands all its batches to one
 ``run_chunked`` call, so it forks at most once.  Each free worker takes the
 next batch's index off one shared counter, draws, filters and sums it in one
 workspace it keeps for the whole call, and sends all its sums to the caller
-in one message at the end.  ``stats._entry`` sizes batches to ``_BATCH_BYTES`` and refuses
-a replication over ``_CHUNK_BYTES``.  ``InternalConsistencyError`` lives here
-too, so the command line can catch it before any numpy-backed module loads.
+in one message at the end.  ``stats._batch_rows`` sizes every entry's batches
+to ``_BATCH_BYTES`` and refuses a replication over ``_CHUNK_BYTES``.
+``InternalConsistencyError`` lives here too, so the command line can catch it
+before any numpy-backed module loads.
 """
 
 from __future__ import annotations

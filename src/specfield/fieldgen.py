@@ -128,9 +128,10 @@ _Pruning = namedtuple("_Pruning", "cuts kept")
 
 
 # the expected share of a box's innovations above which ``_tail_pruning``
-# leaves the draw whole: gathering and scattering the needed draws then costs
-# more than the angles it saves (65,536-site real and 256 x 128 circular
-# boxes broke even at expected shares of 1/2 to 2/3)
+# leaves the draw whole: hashing the needed sites again and scattering their
+# draws then costs more than the angles it saves (65,536-site real and
+# 256 x 128 circular MA(1) boxes broke even at expected shares of about 1/2
+# and 0.45)
 _PRUNED_SHARE = 0.5
 
 

@@ -34,25 +34,29 @@ from pairs on a salt of their own; streams 1 to 3 drew one real value per
 site, and stream 3 drew the circular bits of stream 4.
 
 ``gaussian_lattice`` hashes the seed and every axis but the last up front, then
-walks the box in blocks of at most ``_BLOCK_SITES`` sites: whole rows of the
-last axis, or, for a row longer than a block, ceil(n / ``_BLOCK_SITES``)
-pieces of balanced width.  Each block is hashed and transformed in place, in
-seven block-sized scratch arrays (carved from the caller's ``scratch``, or
-allocated per call without one), and written straight into the output.  A
-real box is drawn as the complex box of its pair sites and returned as a
-slice of that box's float64 view, whose rows carry at most two float64 of
-padding.  Beyond the output, memory is therefore a few uint64 per row plus a
-fixed budget, even for a single replication of millions of sites.  Every
-step is elementwise and exactly rounded the same way at any block size, so
-blocking moves no bit of the stream; the tests pin sha256 digests of it.
+walks the box (``_walk``, the one loop over blocks) in blocks of at most
+``_BLOCK_SITES`` sites: whole rows of the last axis, or, for a row longer than
+a block, ceil(n / ``_BLOCK_SITES``) pieces of balanced width.  Each block is
+hashed and transformed in place, in seven block-sized scratch arrays (carved
+from the caller's ``scratch``, or allocated per call without one), and written
+straight into the output.  A real box is drawn as the complex box of its pair
+sites and returned as a slice of that box's float64 view, whose rows carry at
+most two float64 of padding.  Beyond the output, memory is therefore a few
+uint64 per row plus a fixed budget, even for a single replication of millions
+of sites.  Every step is elementwise and exactly rounded the same way at any
+block size, so blocking moves no bit of the stream; the tests pin sha256
+digests of it.
 
 ``pruned_lattice`` runs the same formulas in three stages, for the pruned
-draw of ``fieldgen._tail_pruning``: the site hash and k1 of every site, kept
-in the site's own output slot; the radius cut, one integer compare of k1
-against the cut of ``_hot_cuts``, which marks the hot sites and which the
-caller widens to the needed ones; and the radius and angle on the needed
-sites alone.  A needed site's draw has the bits of ``gaussian_lattice``; the
-other sites are 0.
+draw of ``fieldgen._tail_pruning``.  The same walk hashes every site, and one
+contiguous integer compare of each block's k1 against its cuts of
+``_hot_cuts`` marks the hot sites in a byte mask; nothing else is kept.  The
+caller widens the mask to the needed sites.  Last, the hashes of each needed
+site are derived again from its flat index i, a pure function of it as in a
+counter-based stream: its row hash is ``rows[i // n]`` and its last-axis key
+that of coordinate ``first + i % n``; the radius and angle then run on the
+needed sites alone.  A needed site's draw has the bits of
+``gaussian_lattice``; the other sites are 0.
 
 All integer work is done on uint64 ndarrays and their int64 views (numpy
 wraps silently for arrays; scalars would warn on overflow).
@@ -241,16 +245,6 @@ def _pieces(n: int) -> list[tuple[int, int]]:
     return [(c0, min(n, c0 + width)) for c0 in range(0, n, width)]
 
 
-def _blocks(count: int, n: int):
-    """The blocks of at most ``_BLOCK_SITES`` sites of a (count, n) grid: the
-    ``_pieces`` of a row, and spans of whole rows.  Returns (pieces, spans,
-    sites), the largest block having ``sites`` sites."""
-    cols = _pieces(n)
-    step = max(1, _BLOCK_SITES // cols[0][1])
-    spans = [(r0, min(count, r0 + step)) for r0 in range(0, count, step)]
-    return cols, spans, cols[0][1] * (spans[0][1] - spans[0][0])
-
-
 def _block_arrays(scratch, sites: int) -> list[np.ndarray]:
     """Seven arrays of ``sites`` entries, three uint64 and four float64, carved
     in turn from the start of the uint8 ``scratch`` (new without it)."""
@@ -330,9 +324,10 @@ def _values(out, scalar: bool, real: bool, lo: int, hi: int) -> np.ndarray:
 
 
 def _site_hashes(rows, key, h, bits, tmp) -> None:
-    """The hash of each site of a block, from its row's hash and its last-axis
-    key, into ``h``, and k1, the top 53 bits of its radius hash, into ``bits``."""
-    _mix64(np.bitwise_xor(rows[:, None], key, out=h), out=h, tmp=tmp)
+    """The hash of each site, from its row's hash and its last-axis key, which
+    broadcast to the shape of ``h``, into ``h``, and k1, the top 53 bits of its
+    radius hash, into ``bits``."""
+    _mix64(np.bitwise_xor(rows, key, out=h), out=h, tmp=tmp)
     _mix64(np.bitwise_xor(h, _U1_SALT, out=bits), out=bits, tmp=tmp)
     np.right_shift(bits, _SH11, out=bits)
 
@@ -360,6 +355,25 @@ def _draw(h, bits, tmp, radius, phi, x, t, scale: float, re, im) -> None:
     _angle_factors(bits, tmp, phi, x, y, t)
     np.multiply(radius, x, out=re)
     np.multiply(radius, y, out=im)
+
+
+def _walk(rows, n: int, first: int, axis: int, scratch):
+    """The one walk over a lattice of ``rows.size`` rows of n sites, the last
+    axis (``axis``) starting at ``first``, in blocks of at most ``_BLOCK_SITES``
+    sites: the ``_pieces`` of a row, and spans of whole rows.  Yields each
+    block's index into the (rows, n) grid and its seven ``_block_arrays``,
+    shaped like the block: the site hashes, k1 (``_site_hashes``) and five free."""
+    cols = _pieces(n)
+    step = max(1, _BLOCK_SITES // cols[0][1])
+    spans = [(r0, min(rows.size, r0 + step)) for r0 in range(0, rows.size, step)]
+    arrays = _block_arrays(scratch, cols[0][1] * (spans[0][1] - spans[0][0]))
+    for c0, c1 in cols:
+        key = _axis_key(axis, np.arange(first + c0, first + c1, dtype=np.int64),
+                        arrays[2][:c1 - c0])
+        for r0, r1 in spans:
+            block = [a[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0) for a in arrays]
+            _site_hashes(rows[r0:r1, None], key, *block[:3])
+            yield np.s_[r0:r1, c0:c1], block
 
 
 def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
@@ -390,17 +404,8 @@ def gaussian_lattice(seeds, axis_ranges, kind: str, std: float, *, out=None,
     """
     scalar, real, scale, rows, first, (lo, hi), out = _layout(seeds, axis_ranges, kind, std, out)
     grid = out.reshape(rows.size, -1)
-    cols, spans, sites = _blocks(*grid.shape)
-    arrays = _block_arrays(scratch, sites)
-    for c0, c1 in cols:
-        key = _axis_key(out.ndim - 2, np.arange(first + c0, first + c1, dtype=np.int64),
-                        arrays[2][:c1 - c0])
-        for r0, r1 in spans:
-            h, bits, tmp, radius, phi, x, t = (a[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-                                               for a in arrays)
-            _site_hashes(rows[r0:r1], key, h, bits, tmp)
-            block = grid[r0:r1, c0:c1]
-            _draw(h, bits, tmp, radius, phi, x, t, scale, block.real, block.imag)
+    for index, arrays in _walk(rows, grid.shape[1], first, out.ndim - 2, scratch):
+        _draw(*arrays, scale, grid[index].real, grid[index].imag)
     return _values(out, scalar, real, lo, hi)
 
 
@@ -448,37 +453,30 @@ def pruned_lattice(seeds, axis_ranges, kind: str, std: float, cuts, widen, *, ou
                    scratch) -> np.ndarray:
     """``gaussian_lattice``'s draws at the sites a caller needs, and 0 elsewhere.
 
-    Three stages, on the same formulas.  First every site is hashed, block by
-    block, and its site hash and its k1 are kept in its own complex slot of
-    ``out``; a site is hot where k1 >= its entry of ``cuts`` (``_hot_cuts``,
-    one per site of a seed).  Then ``widen(mask, free)`` turns the hot mask in
-    place into the mask of needed sites; ``mask`` is a bool view shaped like
-    the draws, and ``free`` is uint8 scratch.  Last, the radius and the angle
-    run on the needed sites, gathered from their slots in pieces of at most
-    ``_BLOCK_SITES``.  A real lattice marks and draws whole pair sites.
-    ``scratch`` holds the block arrays (``_SCRATCH_BYTES``), then the mask (a
-    byte a site of each seed, two a real pair site), then ``free``, a byte a site.
-    Returns what ``gaussian_lattice`` returns.
+    Three stages, on the same formulas.  First ``gaussian_lattice``'s walk
+    hashes every site, block by block, and marks it hot, a byte in a mask,
+    where its k1 >= its entry of ``cuts`` (``_hot_cuts``, one per site of a
+    seed); nothing is stored in ``out``.  Then ``widen(mask, free)`` turns the
+    hot mask in place into the mask of needed sites; ``mask`` is a bool view
+    shaped like the draws, and ``free`` is uint8 scratch.  Last, the needed
+    sites are hashed again from their flat indices, in pieces of at most
+    ``_BLOCK_SITES``, and drawn; the others are zeroed.  A real lattice marks
+    and draws whole pair sites.  ``scratch`` holds the block arrays
+    (``_SCRATCH_BYTES``), then the mask (a byte a site of each seed, two a
+    real pair site), then ``free``, a byte a site.  Returns what
+    ``gaussian_lattice`` returns.
     """
     scalar, real, scale, rows, first, (lo, hi), out = _layout(seeds, axis_ranges, kind, std, out)
     grid = out.reshape(rows.size, -1)
-    words = grid.view(np.uint64).reshape(grid.shape + (2,))
-    cols, spans, _ = _blocks(*grid.shape)
-    arrays = _block_arrays(scratch, _BLOCK_SITES)
-    for c0, c1 in cols:
-        key = _axis_key(out.ndim - 2, np.arange(first + c0, first + c1, dtype=np.int64),
-                        arrays[2][:c1 - c0])
-        for r0, r1 in spans:
-            h, bits, tmp = (a[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-                            for a in arrays[:3])
-            _site_hashes(rows[r0:r1], key, h, bits, tmp)
-            words[r0:r1, c0:c1, 0] = h
-            words[r0:r1, c0:c1, 1] = bits
+    n, axis = grid.shape[1], out.ndim - 2
     # hot sites, a byte each, or both bytes of a real pair site: both its draws are hot
     size = grid.size * (2 if real else 1)
     mask = scratch[_SCRATCH_BYTES:_SCRATCH_BYTES + size].view(np.uint16 if real else np.bool_)
-    shape = (-1,) + cuts.shape
-    np.greater_equal(words[..., 1].reshape(shape), cuts, out=mask.reshape(shape))
+    # the grid's rows run over the seeds, and within a seed over the cuts' rows
+    lead = np.arange(rows.size) % len(cuts)
+    for index, (h, bits, *_) in _walk(rows, n, first, axis, scratch):
+        cut = cuts[:, index[1]] if len(cuts) == 1 else cuts[lead[index[0]], index[1]]
+        np.greater_equal(bits, cut, out=mask.reshape(grid.shape)[index])
     if real:
         np.multiply(mask, 257, out=mask)
     # a real row's bytes outside its draws keep the mark of their pair site,
@@ -488,17 +486,17 @@ def pruned_lattice(seeds, axis_ranges, kind: str, std: float, cuts, widen, *, ou
           free)
     # numpy finds a bool array's nonzero entries three times as fast as a uint16 one's
     needed = np.flatnonzero(np.not_equal(mask, 0, out=free[:grid.size].view(np.bool_)))
-    flat, pairs = grid.reshape(-1), words.reshape(-1, 2)
-    # a piece's slots are gathered into the rows of x and t, then split
-    gathered = scratch[5 * 8 * _BLOCK_SITES:7 * 8 * _BLOCK_SITES].view(np.uint64)
+    flat, arrays = grid.reshape(-1), _block_arrays(scratch, _BLOCK_SITES)
     done = 0  # the slots before this are drawn or zeroed
     for p0, p1 in _pieces(needed.size) if needed.size else ():
         part = needed[p0:p1]
-        h, bits, tmp, radius, phi, x, t = (arr[:p1 - p0] for arr in arrays)
-        slots = np.take(pairs, part, axis=0, out=gathered[:2 * (p1 - p0)].reshape(-1, 2),
-                        mode="clip")
-        np.copyto(h, slots[:, 0])
-        np.copyto(bits, slots[:, 1])
+        h, bits, tmp, radius, phi, x, t = (a[:p1 - p0] for a in arrays)
+        # site i's row hash is rows[i // n], and its last coordinate first + i % n;
+        # numpy divides by a scalar several times as fast as it takes divmod or %
+        row = np.floor_divide(part, n, out=t.view(np.int64))
+        col = np.subtract(part, np.multiply(row, n, out=x.view(np.int64)), out=x.view(np.int64))
+        row_hashes = np.take(rows, row, out=radius.view(np.uint64), mode="clip")
+        _site_hashes(row_hashes, _axis_key(axis, np.add(col, first, out=col), tmp), h, bits, tmp)
         flat[done:part[-1] + 1] = 0
         _draw(h, bits, tmp, radius, phi, x, t, scale, x, t)
         flat.real[part] = x

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import _util
 from ._util import run_chunked, worker_count
+from .domain import as_int
 from .fieldgen import (_batch_workspace, _tail_pruning, _tap_windows, _workspace_sizes,
                        draw_innovations, generate_batch, replication_seeds)
 from .frequencies import FrequencyScheme, _validated_freqs
@@ -199,14 +200,25 @@ _MAX_VARIANCE = 1e100
 _Entry = namedtuple("_Entry", "box seeds rows field sums")
 
 
-def _batch_rows(spec, box, seeds, workspace: int, field: bool) -> int:
+def _replications(replications, m: int) -> int:
+    """R of a report at m frequencies, refused in one line that names it, before
+    any seed is drawn, below 2 or where one entry's (R, m) sums, 16 * R * m
+    bytes, pass the chunk budget."""
+    r, most = as_int(replications, "R"), _util._CHUNK_BYTES // (16 * m)
+    if r < 2:
+        raise ValueError(f"need at least 2 replications, got R = {r}")
+    if r > most:
+        raise ValueError(f"R = {r} replications at {m} frequencies need {16 * r * m} bytes of "
+                         f"sums, over the {_util._CHUNK_BYTES}-byte chunk budget; "
+                         f"R of up to {most} fits")
+    return r
+
+
+def _batch_rows(spec, box, workspace: int, field: bool) -> int:
     """The replications a batch of an entry holds: as many as have lattice rows,
     and field rows with ``field``, that fit the batch budget.  Refuses the
-    entry, before any draw, when it has fewer than 2 replications, too large
-    a field variance, or one replication over the chunk budget at
-    16 * V * ``workspace`` bytes."""
-    if len(seeds) < 2:
-        raise ValueError("need at least 2 replications")
+    entry, before any draw, when it has too large a field variance or one
+    replication over the chunk budget at 16 * V * ``workspace`` bytes."""
     if spec.variance > _MAX_VARIANCE:
         raise ValueError(f"the field variance innovation_std^2 * sum |tap|^2 = "
                          f"{spec.variance:.6g} exceeds {_MAX_VARIANCE:g}, the largest "
@@ -225,7 +237,7 @@ def _entry(spec, box, freqs, seeds) -> _Entry:
     """A clt or miller entry of ``_replicated_sums``, checked by ``_batch_rows``:
     the one part of a batch is the field, summed as its innovation rows
     against their ``_innovation_grid``s, with no filter."""
-    rows = _batch_rows(spec, box, seeds, 3, False)
+    rows = _batch_rows(spec, box, 3, False)
     grids = [_innovation_grid(spec, box, lam) for lam in freqs]
 
     def sums(seeds, out):
@@ -248,7 +260,8 @@ def _innovation_grid(spec, box, lam) -> np.ndarray:
 def _replicated_sums(spec, entries) -> list:
     """The one replication loop of the clt, miller and negligibility reports.
 
-    Draws the innovations once per seed of each ``_entry`` and returns, for
+    Draws the innovations once per seed of each entry (an ``_entry`` or a
+    ``_tail_entry``, whose batch size ``_batch_rows`` sets) and returns, for
     each entry and each part of its field, the (R, m) modulated sums at its
     frequencies, as the entry's ``sums`` takes them of each batch.  Every
     entry's batches go to one ``run_chunked`` call, so a report forks at
@@ -324,6 +337,7 @@ def run_clt_experiment(spec: LinearFieldSpec, scheme: FrequencyScheme, dims,
         raise ValueError("spectral density vanishes at the base frequency; "
                          "the limit law is degenerate")
     m = len(freqs)
+    replications = _replications(replications, m)
     (sums,), = _replicated_sums(spec, [_entry(spec, box, freqs,
                                               replication_seeds(seed, replications))])
     scale = math.sqrt(box.volume)
@@ -378,6 +392,7 @@ def miller_check(spec: LinearFieldSpec, scheme: FrequencyScheme, weights,
     its standard error; the discrepancy should shrink as the box grows.
     """
     w = _checked_weights(weights, len(scheme.per_n[0]))
+    replications = _replications(replications, len(w) // 2)
     f_base = spectral_density(spec, scheme.base)
     if f_base <= 0.0:
         raise ValueError("spectral density vanishes at the base frequency")
@@ -440,7 +455,7 @@ def _tail_entry(spec, box, freqs, seeds, leftover, q) -> _Entry:
     """A negligibility entry of ``_replicated_sums``, checked by ``_batch_rows``:
     a batch is drawn under ``fieldgen._tail_pruning`` of the levels <k>^q and
     the leftover set, filtered, and summed by ``_part_sums``."""
-    rows = _batch_rows(spec, box, seeds, 3 + len(freqs), True)
+    rows = _batch_rows(spec, box, 3 + len(freqs), True)
     levels = index_products(box) ** q
     kept = np.zeros(box.v, np.bool_)
     for sl in leftover:
@@ -472,6 +487,7 @@ def negligibility_report(spec: LinearFieldSpec, scheme, dims_sequence, q: float,
     from .mixing import dependence_profile
 
     weights = _checked_weights(weights, len(scheme.per_n[0]))
+    replications = _replications(replications, len(weights) // 2)
     entries, plans = [], []
     for index, dims in enumerate(dims_sequence, start=1):
         box, freqs = _validated_freqs(spec, scheme, dims)

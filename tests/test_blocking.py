@@ -624,6 +624,53 @@ def test_a_draw_expected_to_need_most_innovations_is_drawn_whole(std, pruned):
     assert (pruning is not None) == pruned
 
 
+# fields whose lattices have rows of 46 pair sites, of 22 sites and of 3 pair
+# sites, in 1, 7 and 9 lead rows, with the first-axis runs of their leftover
+# sets; their pruned draws keep 57%, 41% and 96% of the innovations
+_BLOCK_CASES = {
+    "real-1d": (LinearFieldSpec(1, {(0,): 1.0, (1,): -0.2, (-2,): 0.1}, REAL_GAUSSIAN, 0.8),
+                (89,), [(30, 31)]),
+    "circular-2d": (LinearFieldSpec(2, {(0, 0): 1.0, (1, 0): 0.1 - 0.1j, (0, -1): 0.1j},
+                                    CIRCULAR_GAUSSIAN, 0.8), (6, 21), [(2, 2)]),
+    "real-2d": (LinearFieldSpec(2, {(0, 0): 1.0, (0, 1): 0.2, (-1, 0): -0.1}, REAL_GAUSSIAN,
+                                0.8), (8, 4), [(4, 4)]),
+}
+
+
+def _pruned_draw(spec, box, seeds, pruning):
+    """The innovations of ``seeds`` drawn under ``pruning``, in a workspace of their own."""
+    buffer = np.empty(sum(_workspace_sizes(spec, box, len(seeds))), np.uint8)
+    out = fieldgen._batch_workspace(spec, box, len(seeds), buffer)
+    return fieldgen.draw_innovations(spec, box, None, seeds, out=out, prune=pruning)
+
+
+@pytest.mark.parametrize("block", [1, 7, pytest.param(None, id="row-1")])
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_the_pruned_draw_bytes_do_not_depend_on_block_size(monkeypatch, name, block):
+    """Blocks of 1 site, of 7 sites and of one site fewer than a lattice row cut
+    rows into pieces, and a block of 7 sites holds two 3-site rows, which at 9
+    lead rows a seed start at every lead row and straddle seeds.  The pruned
+    innovations have the bytes of the default size, which marks each site
+    against its own cut, and the tail and leftover sums are those of the whole
+    draw, bit for bit."""
+    spec, dims, runs = _BLOCK_CASES[name]
+    box = BoxDims(dims)
+    leftover = [IndexSlab(first_lo=lo, first_hi=hi, dims=box.v) for lo, hi in runs]
+    freqs, seeds = [(0.7,) * spec.dim, (-2.1,) * spec.dim], replication_seeds(17, 4)
+    want = dense_part_sums(spec, box, leftover, 0.2, freqs, seeds)
+    monkeypatch.setattr(fieldgen, "_PRUNED_SHARE", 1.0)
+    entry, pruning = _entry_and_pruning(spec, box, freqs, seeds, leftover, 0.2)
+    assert pruning is not None
+    drawn = _pruned_draw(spec, box, seeds, pruning)
+    if block is None:
+        ranges = fieldgen._innovation_ranges(spec, box.v, (0,) * spec.dim)
+        block = rng._lattice_size(ranges[-1:], spec.is_real) - 1
+    monkeypatch.setattr(rng, "_BLOCK_SITES", block)
+    assert _pruned_draw(spec, box, seeds, pruning).tobytes() == drawn.tobytes()
+    (got,) = stats._replicated_sums(spec, [entry])
+    assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.floats(-30.0, 4.0), st.sampled_from([REAL_GAUSSIAN, CIRCULAR_GAUSSIAN]),
        st.sampled_from([1e-3, 1.0, 1e3]))

@@ -774,6 +774,23 @@ def test_monte_carlo_reports_refuse_a_replication_over_the_chunk_budget(clt_conf
     assert f"boxes of up to {fit} sites fit" in proc.stderr
 
 
+@pytest.mark.parametrize("cmd", ["clt-experiment", "miller", "negligibility"])
+def test_monte_carlo_reports_refuse_a_replication_count_over_the_chunk_budget(clt_config_file,
+                                                                              cmd):
+    """R = 10^12 is refused in one line that names R, before any seed is drawn:
+    one entry's (R, m) sums alone would need 32 TB, and the chunk budget holds
+    R up to 2,097,152 at m = 2."""
+    cfg = clt_config_file()
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["R"] = 10 ** 12
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    proc = run_cli(cmd, "--config", cfg)
+    _assert_one_line_refusal(proc, "R = 1000000000000 replications at 2 frequencies")
+    assert "R of up to 2097152 fits" in proc.stderr
+
+
 def test_negligibility_refuses_an_entry_over_the_budget_before_any_draw(clt_config_file):
     """The second dims entry's one replication exceeds the chunk budget: the
     report exits 1 with one line, before the first entry is drawn."""

@@ -7,16 +7,20 @@ and `model`, the benchmark's trace finds the library names it wraps,
 them, the CLI starts without the process pool's modules, each process loads
 only what its command runs, the exact theory loads no sampler, forked workers
 raise no warning, README and the `rng` docstring name the innovation stream in
-use, and one function sizes the replication pool."""
+use, one function sizes the replication pool, and every backticked
+`module.name` of the docs resolves."""
 
 import ast
+import functools
 import importlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -445,3 +449,50 @@ def test_one_function_sizes_the_replication_pool():
     tree = ast.parse('"""SPECFIELD_THREADS"""\ndef f():\n    """SPECFIELD_THREADS"""\n'
                      '    return _util.usable_cpus()\nX = "SPECFIELD_THREADS"\n')
     assert _pool_sizings(tree) == {"f", "<module>"}
+
+
+# the modules a backticked path may start with; importing __main__ would run the CLI
+_PACKAGE_MODULES = {path.stem for path in _MODULES} - {"__main__"}
+
+
+def _backticked_paths(text: str) -> list[str]:
+    """The dotted paths that ``text`` puts in single or double backticks and
+    that start with a module of the package (``specfield.`` dropped)."""
+    paths = []
+    for path in re.findall(r"`+([A-Za-z_][\w.]*\w)`+", text):
+        parts = path.removeprefix("specfield.").split(".")
+        if len(parts) > 1 and parts[0] in _PACKAGE_MODULES:
+            paths.append(".".join(parts))
+    return paths
+
+
+def _docs_and_comments(path: Path) -> list[str]:
+    """The docstrings and the comments of one source file."""
+    text = path.read_text(encoding="utf-8")
+    docs = [ast.get_docstring(node, clean=False) for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    comments = [token.string for token in tokenize.generate_tokens(io.StringIO(text).readline)
+                if token.type == tokenize.COMMENT]
+    return [doc for doc in docs if doc] + comments
+
+
+def test_every_backticked_module_name_in_the_docs_resolves():
+    """Each backticked `module.name` in README.md and in the docstrings and
+    comments of `src/` names an attribute of ``specfield.<module>``, so a
+    rename or a deletion leaves no reference dangling."""
+    texts = {"README.md": [(_SRC.parents[1] / "README.md").read_text(encoding="utf-8")]}
+    texts.update((path.name, _docs_and_comments(path)) for path in sorted(_SRC.glob("*.py")))
+    dangling, found = [], 0
+    for where, chunks in texts.items():
+        for path in (path for chunk in chunks for path in _backticked_paths(chunk)):
+            found += 1
+            module, *names = path.split(".")
+            try:
+                functools.reduce(getattr, names, importlib.import_module(f"specfield.{module}"))
+            except AttributeError:
+                dangling.append(f"{where}: {path}")
+    assert dangling == []
+    assert found > 20  # the scan sees the references that the docs hold
+    assert _backticked_paths("``rng.x`` and `np.y`, `specfield.stats._entry` and `tools/a.py`"
+                             ) == ["rng.x", "stats._entry"]

@@ -290,6 +290,26 @@ def test_clt_rejects_few_replications():
         run_clt_experiment(spec, scheme, (16,), 1, 0)
 
 
+@pytest.mark.parametrize("report", ["clt", "miller", "negligibility"])
+def test_a_replication_count_is_bounded_by_its_sums(monkeypatch, report):
+    """Under a chunk budget of 48 replications' (R, 2) sums, R = 48 runs and
+    R = 49 is refused by name; so is R = 1."""
+    monkeypatch.setattr(_util, "_CHUNK_BYTES", 16 * 2 * 48)
+    spec = white_noise(1, CIRCULAR_GAUSSIAN, 1.0)
+    scheme = scheme_for((math.pi / 2,), 2, 0.25, [(16,)])
+    weights = [1.0, 0.0, 1.0, 0.0]
+    run = {"clt": lambda r: run_clt_experiment(spec, scheme, (16,), r, 3),
+           "miller": lambda r: miller_check(spec, scheme, weights, [(16,)], r, 3),
+           "negligibility": lambda r: negligibility_report(spec, scheme, [(16,)], 0.2, weights,
+                                                           r, 3)}[report]
+    assert run(48).replications == 48
+    with pytest.raises(ValueError, match=r"^R = 49 replications at 2 frequencies need 1568 "
+                                         r"bytes of sums, .* R of up to 48 fits$"):
+        run(49)
+    with pytest.raises(ValueError, match="need at least 2 replications, got R = 1"):
+        run(1)
+
+
 def replication_bytes(spec, dims):
     """The workspace bytes of one clt or miller replication: its lattice row,
     which it sums with no field row."""
